@@ -4,12 +4,12 @@ Run with:  python demos/layer_walkthrough.py
 """
 
 from fixednodes import (
+    LayerCoverage,
     StructuredDag,
     enumerate_max_families,
     fixed_nodes_layered,
     induce_prefix,
     label_layers,
-    max_layer_coverage,
 )
 
 # Two leaders feed a five-layer hierarchy.  Node 5 funnels everything leader 2
@@ -39,14 +39,14 @@ print("stays controllable no matter how the edge weights vary.")
 for k in range(1, labeling.depth + 1):
     layer = labeling.layers[k - 1]
     prefix = induce_prefix(dag, labeling, k)
-    mu, witness = max_layer_coverage(prefix, layer)
+    coverage = LayerCoverage(prefix, layer)
     families = enumerate_max_families(prefix, layer)
     matched_sets = sorted(sorted(f.matched(layer)) for f in families)
     pinned = set(layer)
     for fam in families:
         pinned &= fam.matched(layer)
-    print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {mu}")
-    print(f"  one witness family: {[list(s) for s in witness.stems]}")
+    print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {coverage.mu}")
+    print(f"  one witness family: {[list(s) for s in coverage.witness.stems]}")
     print(f"  all matched sets:   {matched_sets}")
     print(f"  in every set:       {sorted(pinned) or '(none)'}")
 

@@ -18,7 +18,6 @@ from .graph import (
     graph_to_json,
     induce_prefix,
     label_layers,
-    topological_order,
     validate,
 )
 from .numeric import (
@@ -38,17 +37,13 @@ from .search import (
     fixed_nodes_oracle,
     fixed_nodes_single_leader,
     prune_uncovered,
-    unique_matched_set_layers,
 )
 from .stems import (
-    FlowNetwork,
     LayerCoverage,
     StemFamily,
     enumerate_max_families,
     exhaustive_generic_dimension,
     generic_dimension,
-    is_essential_target,
-    max_layer_coverage,
     stem_family_violations,
 )
 
@@ -59,7 +54,6 @@ __all__ = [
     "BudgetExceededError",
     "ControllabilityMatrix",
     "FixedNodeResult",
-    "FlowNetwork",
     "GeneratorConfig",
     "InconclusiveError",
     "InvalidGraphError",
@@ -86,9 +80,7 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "induce_prefix",
-    "is_essential_target",
     "label_layers",
-    "max_layer_coverage",
     "numeric_fixed_nodes",
     "numeric_generic_dimension",
     "prune_uncovered",
@@ -97,7 +89,5 @@ __all__ = [
     "sample_realization",
     "spread_widths",
     "stem_family_violations",
-    "topological_order",
-    "unique_matched_set_layers",
     "validate",
 ]

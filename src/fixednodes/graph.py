@@ -10,6 +10,7 @@ requirements (acyclic, source leaders, influenceable) live in :func:`validate`.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -173,7 +174,7 @@ def validate(dag: StructuredDag, *, allow_nonsource_leaders: bool = False) -> Va
         )
         (warnings if allow_nonsource_leaders else violations).append(entry)
 
-    cyclic = _peel_remainder(dag)
+    cyclic = set(dag.nodes).difference(*_peel_layers(dag))
     if cyclic:
         violations.append(
             Violation("cycle", f"edge relation contains a cycle through: {sorted(cyclic)}", tuple(sorted(cyclic)))
@@ -200,16 +201,25 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
     The result is canonical: layers are sets, so no ordering choices leak in.
     Raises :class:`InvalidGraphError` when peeling stalls on a cycle.
     """
+    layers = _peel_layers(dag)
+    layer_of = {v: k for k, layer in enumerate(layers, start=1) for v in layer}
+    if len(layer_of) != dag.node_count:
+        stuck = sorted(set(dag.nodes) - set(layer_of))
+        raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
+    return LayerLabeling(layer_of, tuple(frozenset(layer) for layer in layers))
+
+
+def _peel_layers(dag: StructuredDag) -> list[list[int]]:
+    """Source peeling, one ascending list per layer.
+
+    Nodes on a cycle, or reachable only through one, keep a positive
+    in-degree and are never peeled.
+    """
     indegree = {v: len(dag.in_neighbors[v]) for v in dag.sorted_nodes}
     current = [v for v in dag.sorted_nodes if indegree[v] == 0]
-    layer_of: dict[int, int] = {}
-    layers: list[frozenset[int]] = []
-    k = 0
+    layers: list[list[int]] = []
     while current:
-        k += 1
-        layers.append(frozenset(current))
-        for v in current:
-            layer_of[v] = k
+        layers.append(current)
         nxt = []
         for v in current:
             for w in dag.out_neighbors[v]:
@@ -217,10 +227,7 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
                 if indegree[w] == 0:
                     nxt.append(w)
         current = sorted(nxt)
-    if len(layer_of) != dag.node_count:
-        stuck = sorted(set(dag.nodes) - set(layer_of))
-        raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
-    return LayerLabeling(layer_of, tuple(layers))
+    return layers
 
 
 def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> StructuredDag:
@@ -237,12 +244,6 @@ def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> Struct
         edges=frozenset(e for e in dag.edges if e[0] in kept and e[1] in kept),
         leaders=dag.leaders,
     )
-
-
-def topological_order(dag: StructuredDag) -> tuple[int, ...]:
-    """Deterministic topological order (by layer, then ascending id)."""
-    labeling = label_layers(dag)
-    return tuple(v for layer in labeling.layers for v in sorted(layer))
 
 
 def graph_from_json(text: str) -> StructuredDag:
@@ -280,8 +281,9 @@ def graph_from_json(text: str) -> StructuredDag:
         ):
             raise InvalidGraphError(f"bad edge entry: {item!r}")
         edges.append((item[0], item[1]))
-    if len(edges) != len(set(edges)):
-        dupes = sorted({e for e in edges if edges.count(e) > 1})
+    counts = Counter(edges)
+    if len(counts) != len(edges):
+        dupes = sorted(e for e, c in counts.items() if c > 1)
         raise InvalidGraphError(f"duplicate edges: {[list(e) for e in dupes]}")
 
     if not isinstance(raw["leaders"], list) or any(
@@ -292,6 +294,13 @@ def graph_from_json(text: str) -> StructuredDag:
     if len(leaders) != len(set(leaders)):
         raise InvalidGraphError("duplicate leaders")
 
+    # Every non-leader node needs an in-edge to be reachable, so a larger n can
+    # never validate; rejecting it here keeps n from sizing any allocation.
+    if n > len(leaders) + len(edges):
+        raise InvalidGraphError(
+            f'"n" is {n}, but a graph with {len(leaders)} leaders and {len(edges)} '
+            f"edges has at most {len(leaders) + len(edges)} reachable nodes"
+        )
     return StructuredDag.of(n, edges, leaders)
 
 
@@ -305,21 +314,6 @@ def graph_to_json(dag: StructuredDag) -> str:
         "leaders": sorted(dag.leaders),
     }
     return json.dumps(payload, separators=(", ", ": ")) + "\n"
-
-
-def _peel_remainder(dag: StructuredDag) -> set[int]:
-    """Nodes that survive source peeling: nonempty iff the graph has a cycle."""
-    indegree = {v: len(dag.in_neighbors[v]) for v in dag.nodes}
-    queue = [v for v in dag.nodes if indegree[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in dag.out_neighbors[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    return {v for v in dag.nodes if indegree[v] > 0}
 
 
 def _unreachable_from_leaders(dag: StructuredDag) -> set[int]:

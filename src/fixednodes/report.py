@@ -25,7 +25,6 @@ from .stems import StemFamily, generic_dimension
 
 REPORT_SCHEMA = 1
 
-COMBINATORIAL_METHODS = ("layered", "oracle")
 ALL_METHODS = ("layered", "oracle", "numeric")
 
 

@@ -9,7 +9,8 @@ generic dimension of the controllable subspace.  Four routes are implemented:
 * :func:`fixed_nodes_single_leader` reads the answer off the layer structure
   when there is exactly one leader,
 * :func:`fixed_nodes_layered` walks the layers top-down and keeps the targets
-  that belong to every maximum matched set of their layer, and
+  that belong to every maximum matched set of their layer, read off each
+  layer's solved flow, and
 * :func:`prune_uncovered` certifies non-fixed nodes from one maximum family.
 
 The layered route evaluates each layer inside its prefix graph.  On graphs
@@ -34,7 +35,6 @@ from .stems import (
 
 FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
-FAST_PATH_UNIQUE_IN_EDGE = "unique-fixed-in-edge"
 FAST_PATH_ESSENTIALITY = "essentiality"
 FAST_PATH_NONE = "none"
 
@@ -116,69 +116,42 @@ def prune_uncovered(dag: StructuredDag, witness: StemFamily) -> frozenset[int]:
     return frozenset(dag.nodes) - witness.covered
 
 
-def fixed_nodes_layered(
-    dag: StructuredDag,
-    *,
-    prune: bool = True,
-    unique_feed_fast_path: bool = False,
-) -> FixedNodeResult:
+def fixed_nodes_layered(dag: StructuredDag, *, prune: bool = True) -> FixedNodeResult:
     """Top-down layered search over maximum matched sets.
 
     Layer by layer, a target is fixed when it lies in every maximum matched set
-    of its layer, decided by an essentiality probe on the prefix graph.  Two
-    shortcuts are applied first: a singleton layer is fixed outright, and with
-    ``unique_feed_fast_path`` a target whose unique in-edge is also the unique
-    out-edge of a fixed node one layer up inherits fixedness without a probe
-    (off by default: it tracks the add-a-leader oracle rather than the
-    matched-set criterion on graphs where the two disagree).  With ``prune``,
-    nodes left uncovered by one maximum whole-graph family are recorded as
-    non-fixed without probing.
+    of its layer, which :class:`LayerCoverage` decides from the layer's solved
+    flow on the prefix graph.  A singleton layer's node is fixed outright when
+    a stem reaches it and it is not pruned.  With ``prune``, nodes left
+    uncovered by one maximum whole-graph family are recorded as non-fixed
+    without a check.
     """
     labeling = label_layers(dag)
     base_dim, witness = generic_dimension(dag)
     pruned = frozenset(dag.nodes) - witness.covered if prune else frozenset()
 
-    all_fixed: set[int] = set()
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
         prefix = induce_prefix(dag, labeling, k)
         coverage = LayerCoverage(prefix, layer)
-        candidates = sorted(layer - pruned)
-        layer_fixed: set[int] = set()
-        used_feed_rule = False
-        used_essentiality = False
-
+        candidates = layer - pruned
         if len(layer) == 1:
-            if candidates and coverage.mu == 1:
-                layer_fixed.update(layer)
+            fixed = layer if candidates and coverage.mu == 1 else frozenset()
             path = FAST_PATH_SINGLETON
         else:
-            for v in candidates:
-                if unique_feed_fast_path and _unique_fixed_feed(dag, labeling, all_fixed, v, k):
-                    layer_fixed.add(v)
-                    used_feed_rule = True
-                elif coverage.essential(v):
-                    layer_fixed.add(v)
-                    used_essentiality = True
-                else:
-                    used_essentiality = True
-            if used_essentiality:
-                path = FAST_PATH_ESSENTIALITY
-            elif used_feed_rule:
-                path = FAST_PATH_UNIQUE_IN_EDGE
-            else:
-                path = FAST_PATH_NONE
-        all_fixed.update(layer_fixed)
+            fixed = frozenset(v for v in candidates if coverage.essential(v))
+            path = FAST_PATH_ESSENTIALITY if candidates else FAST_PATH_NONE
         reports.append(
             LayerReport(
                 layer_index=k,
                 targets=layer,
                 mu=coverage.mu,
-                fixed=frozenset(layer_fixed),
+                fixed=fixed,
                 fast_path=path,
             )
         )
-    return FixedNodeResult(frozenset(all_fixed), tuple(reports), base_dim, "layered")
+    all_fixed = frozenset().union(*(r.fixed for r in reports))
+    return FixedNodeResult(all_fixed, tuple(reports), base_dim, "layered")
 
 
 def attach_matched_sets(
@@ -188,7 +161,7 @@ def attach_matched_sets(
 
     Layers that turn out to have a unique maximum matched set are retagged
     ``unique-matched-set``: all its members are fixed by that rule alone, which
-    coincides with what the essentiality probes already decided.
+    coincides with what the essentiality check already decided.
     """
     if result.method != "layered":
         raise InvalidGraphError("matched sets attach to layered results only")
@@ -205,42 +178,3 @@ def attach_matched_sets(
             path = FAST_PATH_UNIQUE_MATCHED
         enriched.append(replace(report, matched_sets=matched, fast_path=path))
     return replace(result, per_layer=tuple(enriched))
-
-
-def unique_matched_set_layers(dag: StructuredDag, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
-    """Layers whose maximum matched-node set is unique (diagnostic, exhaustive).
-
-    Every target matched in such a layer is fixed under the layered criterion;
-    the check enumerates families, so it is budgeted like the enumerator.
-    """
-    labeling = label_layers(dag)
-    unique: set[int] = set()
-    for k, layer in enumerate(labeling.layers, start=1):
-        prefix = induce_prefix(dag, labeling, k)
-        families = enumerate_max_families(prefix, layer, cap)
-        if len({fam.matched(layer) for fam in families}) == 1:
-            unique.add(k)
-    return frozenset(unique)
-
-
-def _unique_fixed_feed(
-    dag: StructuredDag,
-    labeling: LayerLabeling,
-    fixed_so_far: set[int],
-    v: int,
-    k: int,
-) -> bool:
-    """One in-edge, from a fixed node exactly one layer up whose only out-edge
-    is that same edge.  The one-sided form (any fixed feeder with out-degree
-    above one) over-approximates and is deliberately not used."""
-    if k < 2:
-        return False
-    feeders = dag.in_neighbors[v]
-    if len(feeders) != 1:
-        return False
-    j = feeders[0]
-    return (
-        labeling.layer_of[j] == k - 1
-        and j in fixed_so_far
-        and dag.out_neighbors[j] == (v,)
-    )

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidGraphError
-from .graph import StructuredDag, topological_order
+from .graph import StructuredDag, label_layers
 
 DEFAULT_ENUM_CAP = 15
 
@@ -88,7 +88,7 @@ class FlowNetwork:
         targets: frozenset[int] | None = None,
         covered_profit: bool = False,
     ):
-        order = topological_order(dag)
+        order = tuple(v for layer in label_layers(dag).layers for v in sorted(layer))
         self._ext_of_pos = order
         pos_of = {v: i for i, v in enumerate(order)}
         self.source = 0
@@ -122,44 +122,28 @@ class FlowNetwork:
         self._adj[v].append(arc + 1)
         return arc
 
-    def fork(self) -> "FlowNetwork":
-        """Copy sharing the immutable structure; only capacities are private."""
-        twin = object.__new__(FlowNetwork)
-        twin.__dict__.update(self.__dict__)
-        twin._cap = list(self._cap)
-        return twin
-
     # -- plain max flow (layer coverage) ------------------------------------
 
     def max_flow(self) -> int:
+        """BFS augmentations over positive-capacity residual arcs until none is left."""
         value = 0
-        while self.augment_once():
+        while True:
+            parent: list[int] = [-1] * self.size
+            parent[self.source] = -2
+            queue = deque([self.source])
+            while queue:
+                u = queue.popleft()
+                if u == self.sink:
+                    break
+                for arc in self._adj[u]:
+                    v = self._head[arc]
+                    if self._cap[arc] > 0 and parent[v] == -1:
+                        parent[v] = arc
+                        queue.append(v)
+            if parent[self.sink] == -1:
+                return value
+            self._augment(parent)
             value += 1
-        return value
-
-    def augment_once(self) -> bool:
-        """One BFS augmentation over positive-capacity residual arcs."""
-        parent: list[int] = [-1] * self.size
-        parent[self.source] = -2
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            if u == self.sink:
-                break
-            for arc in self._adj[u]:
-                v = self._head[arc]
-                if self._cap[arc] > 0 and parent[v] == -1:
-                    parent[v] = arc
-                    queue.append(v)
-        if parent[self.sink] == -1:
-            return False
-        v = self.sink
-        while v != self.source:
-            arc = parent[v]
-            self._cap[arc] -= 1
-            self._cap[arc ^ 1] += 1
-            v = self._head[arc ^ 1]
-        return True
 
     # -- min-cost flow of a fixed value (generic dimension) -----------------
 
@@ -189,12 +173,16 @@ class FlowNetwork:
             for v in range(self.size):
                 if dist[v] < _INF:
                     potential[v] += dist[v]
-            v = self.sink
-            while v != self.source:
-                arc = parent[v]
-                self._cap[arc] -= 1
-                self._cap[arc ^ 1] += 1
-                v = self._head[arc ^ 1]
+            self._augment(parent)
+
+    def _augment(self, parent: list[int]) -> None:
+        """Push one unit along the source-sink path recorded in ``parent``."""
+        v = self.sink
+        while v != self.source:
+            arc = parent[v]
+            self._cap[arc] -= 1
+            self._cap[arc ^ 1] += 1
+            v = self._head[arc ^ 1]
 
     def _dijkstra(self, potential: list[float]) -> tuple[list[float], list[int]]:
         dist = [_INF] * self.size
@@ -245,31 +233,37 @@ class FlowNetwork:
     def matched_targets(self) -> frozenset[int]:
         return frozenset(v for v, arc in self._sink_arc.items() if self._cap[arc] == 0)
 
-    def retract_and_block_target(self, v: int) -> None:
-        """Cancel the flow unit ending at target ``v`` and remove its sink arc."""
-        arc = self._sink_arc[v]
-        if self._cap[arc] != 0:
-            raise AssertionError(f"target {v} carries no flow")
-        self._cap[arc ^ 1] = 0  # drop the unit on the sink arc, then block it
-        u = self._out[v]
-        while u != self.source:
-            for back in self._adj[u]:
-                if back % 2 == 1 and self._cap[back] > 0:
-                    self._cap[back] -= 1
-                    self._cap[back ^ 1] += 1
-                    u = self._head[back]
-                    break
-            else:
-                raise AssertionError("flow conservation broken while retracting")
+    def targets_reaching_sink(self) -> frozenset[int]:
+        """Targets whose out-copy reaches the sink in the residual network.
+
+        One reverse search from the sink: arc ``a`` leaves node ``x``, so its
+        reverse ``a ^ 1`` enters ``x`` and is followed backwards while it has
+        residual capacity.
+        """
+        reached = [False] * self.size
+        reached[self.sink] = True
+        stack = [self.sink]
+        while stack:
+            x = stack.pop()
+            for arc in self._adj[x]:
+                u = self._head[arc]
+                if self._cap[arc ^ 1] > 0 and not reached[u]:
+                    reached[u] = True
+                    stack.append(u)
+        return frozenset(v for v in self._sink_arc if reached[self._out[v]])
 
 
 class LayerCoverage:
     """Solved coverage problem for one target layer of a prefix graph.
 
-    Exposes the optimum ``mu``, a witness family, the matched target set of
-    that witness, and an essentiality probe that reuses the solved flow:
-    removing an essential target strictly decreases the optimum, which is
-    equivalent to membership in every maximum matched-node set.
+    Exposes the optimum ``mu``, a witness family and the matched target set of
+    that witness.  A target is *essential* when dropping it strictly lowers
+    the optimum, which is equivalent to membership in every maximum
+    matched-node set.  By flow optimality a matched target can be dropped at
+    full value iff its out-copy still reaches the sink in the residual of the
+    solved flow (rerouting its unit along that path frees its sink arc), and
+    an unmatched target is never essential.  One reverse search over the
+    residual, run on the first ``essential`` call, decides every target.
     """
 
     def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
@@ -284,15 +278,15 @@ class LayerCoverage:
         self.witness = self._net.stems()
         self.matched = self._net.matched_targets()
 
+    @cached_property
+    def _droppable(self) -> frozenset[int]:
+        return self._net.targets_reaching_sink()
+
     def essential(self, v: int) -> bool:
         """True iff dropping ``v`` from the target set strictly lowers ``mu``."""
         if v not in self.targets:
             raise InvalidGraphError(f"{v} is not a target of this layer")
-        if v not in self.matched:
-            return False  # the solved flow already avoids v at full value
-        probe = self._net.fork()
-        probe.retract_and_block_target(v)
-        return not probe.augment_once()
+        return v in self.matched and v not in self._droppable
 
 
 def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
@@ -310,19 +304,6 @@ def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
     net.solve_min_cost(len(dag.leaders))
     family = net.stems()
     return len(family.covered), family
-
-
-def max_layer_coverage(
-    prefix: StructuredDag, targets: Iterable[int]
-) -> tuple[int, StemFamily]:
-    """Maximum number of target nodes coverable by disjoint stems, plus witness."""
-    analysis = LayerCoverage(prefix, targets)
-    return analysis.mu, analysis.witness
-
-
-def is_essential_target(prefix: StructuredDag, targets: Iterable[int], v: int) -> bool:
-    """Whether ``v`` belongs to every maximum matched set of this layer."""
-    return LayerCoverage(prefix, targets).essential(v)
 
 
 # -- exhaustive search (the oracle half of every dual-route check) -----------

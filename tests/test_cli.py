@@ -5,7 +5,7 @@ import json
 import pytest
 
 import goldens
-from fixednodes import graph_to_json
+from fixednodes import StructuredDag, graph_to_json
 from fixednodes.cli import main
 
 
@@ -114,6 +114,19 @@ class TestFixed:
         )
         assert code == 1
         assert "source leaders" in err
+
+    def test_oversized_n_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def build(*_args, **_kwargs):
+            pytest.fail("graph built before n was bounded")
+
+        # the guard turns a missing bound into a failure instead of a
+        # billion-element node set
+        monkeypatch.setattr(StructuredDag, "of", classmethod(build))
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1000000000, "edges": [], "leaders": [1]}')
+        code, out, err = run(capsys, "fixed", str(path))
+        assert (code, out) == (1, "")
+        assert '"n" is 1000000000' in err and "at most 1 reachable nodes" in err
 
 
 class TestVerify:

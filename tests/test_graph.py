@@ -11,7 +11,6 @@ from fixednodes import (
     graph_to_json,
     induce_prefix,
     label_layers,
-    topological_order,
     validate,
 )
 
@@ -126,13 +125,6 @@ class TestInducePrefix:
         labeling = label_layers(single7.dag)
         with pytest.raises(InvalidGraphError):
             induce_prefix(single7.dag, labeling, 6)
-
-    def test_topological_order_respects_edges(self, golden):
-        order = topological_order(golden.dag)
-        position = {v: i for i, v in enumerate(order)}
-        assert sorted(order) == sorted(golden.dag.nodes)
-        for u, v in golden.dag.edges:
-            assert position[u] < position[v]
 
 
 class TestGraphJson:

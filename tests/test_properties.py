@@ -64,15 +64,6 @@ class TestAdjacentLayerDomain:
             )
             checked += 1
 
-    def test_unique_feed_fast_path_consistent_with_essentiality(self):
-        rng = random.Random(2026)
-        for _ in range(150):
-            dag = random_dag(rng, skip_prob=0.0)
-            assert (
-                fixed_nodes_layered(dag, unique_feed_fast_path=True).fixed_nodes
-                == fixed_nodes_layered(dag).fixed_nodes
-            )
-
 
 class TestAnyDagDomain:
     """Invariants that hold with or without layer-skipping edges."""

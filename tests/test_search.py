@@ -16,7 +16,6 @@ from fixednodes import (
     generic_dimension,
     label_layers,
     prune_uncovered,
-    unique_matched_set_layers,
 )
 from randgraphs import random_dag
 
@@ -114,10 +113,6 @@ class TestLayered:
             == fixed_nodes_layered(golden.dag, prune=False).fixed_nodes
         )
 
-    def test_unique_feed_fast_path_agrees_on_goldens(self, golden):
-        fast = fixed_nodes_layered(golden.dag, unique_feed_fast_path=True)
-        assert fast.fixed_nodes == golden.fixed
-
     def test_pair13_layer_tags(self, pair13):
         result = fixed_nodes_layered(pair13.dag)
         tags = {r.layer_index: r.fast_path for r in result.per_layer}
@@ -131,14 +126,19 @@ class TestLayered:
         assert tags[1] == tags[2] == tags[5] == "singleton-layer"
 
 
+def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:
+    enriched = attach_matched_sets(dag, fixed_nodes_layered(dag))
+    return frozenset(r.layer_index for r in enriched.per_layer if len(r.matched_sets) == 1)
+
+
 class TestUniqueMatchedSetLayers:
     def test_golden_unique_layers(self, golden):
         if golden.unique_matched_layers:
-            assert unique_matched_set_layers(golden.dag) == golden.unique_matched_layers
+            assert layers_with_one_matched_set(golden.dag) == golden.unique_matched_layers
 
     def test_path_graph_all_layers_unique(self):
         dag = StructuredDag.of(5, [(i, i + 1) for i in range(1, 5)], [1])
-        assert unique_matched_set_layers(dag) == frozenset({1, 2, 3, 4, 5})
+        assert layers_with_one_matched_set(dag) == frozenset({1, 2, 3, 4, 5})
 
 
 class TestMatchedSetEnrichment:
@@ -166,6 +166,5 @@ class TestMethodAgreement:
             oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert fixed_nodes_layered(dag).fixed_nodes == oracle
             assert fixed_nodes_layered(dag, prune=False).fixed_nodes == oracle
-            assert fixed_nodes_layered(dag, unique_feed_fast_path=True).fixed_nodes == oracle
             if len(dag.leaders) == 1:
                 assert fixed_nodes_single_leader(dag).fixed_nodes == oracle

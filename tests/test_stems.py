@@ -7,6 +7,7 @@ import pytest
 import goldens
 from fixednodes import (
     BudgetExceededError,
+    GeneratorConfig,
     InvalidGraphError,
     LayerCoverage,
     StemFamily,
@@ -15,9 +16,9 @@ from fixednodes import (
     exhaustive_generic_dimension,
     generic_dimension,
     induce_prefix,
-    is_essential_target,
     label_layers,
-    max_layer_coverage,
+    random_layered_dag,
+    spread_widths,
     stem_family_violations,
 )
 from randgraphs import random_dag
@@ -76,50 +77,50 @@ class TestGenericDimension:
 class TestMaxLayerCoverage:
     def test_pair13_layer2(self, pair13):
         prefix, targets = layer_problem(pair13, 2)
-        mu, witness = max_layer_coverage(prefix, targets)
-        assert mu == 2
-        assert witness.matched(targets) in ({3, 5}, {4, 5})
-        assert not stem_family_violations(prefix, witness)
+        coverage = LayerCoverage(prefix, targets)
+        assert coverage.mu == 2
+        assert coverage.witness.matched(targets) in ({3, 5}, {4, 5})
+        assert not stem_family_violations(prefix, coverage.witness)
 
     def test_pair13_layer5(self, pair13):
         prefix, targets = layer_problem(pair13, 5)
-        mu, _ = max_layer_coverage(prefix, targets)
-        assert mu == 2
+        assert LayerCoverage(prefix, targets).mu == 2
 
     def test_leaders_match_themselves(self, golden):
         prefix, targets = layer_problem(golden, 1)
-        mu, witness = max_layer_coverage(prefix, targets)
-        assert mu == len(golden.dag.leaders)
-        assert witness.matched(targets) == golden.dag.leaders
+        coverage = LayerCoverage(prefix, targets)
+        assert coverage.mu == len(golden.dag.leaders)
+        assert coverage.witness.matched(targets) == golden.dag.leaders
 
     def test_rejects_non_sink_targets(self, pair13):
         with pytest.raises(InvalidGraphError, match="sinks"):
-            max_layer_coverage(pair13.dag, {3, 4, 5})
+            LayerCoverage(pair13.dag, {3, 4, 5})
 
     def test_rejects_unknown_targets(self, pair13):
         prefix, _ = layer_problem(pair13, 2)
         with pytest.raises(InvalidGraphError):
-            max_layer_coverage(prefix, {99})
+            LayerCoverage(prefix, {99})
 
 
 class TestEssentiality:
     def test_pair13_layer2_node5(self, pair13):
         prefix, targets = layer_problem(pair13, 2)
-        assert is_essential_target(prefix, targets, 5)
-        assert not is_essential_target(prefix, targets, 3)
+        coverage = LayerCoverage(prefix, targets)
+        assert coverage.essential(5)
+        assert not coverage.essential(3)
 
     def test_pair13_layer4_node10(self, pair13):
         prefix, targets = layer_problem(pair13, 4)
-        assert not is_essential_target(prefix, targets, 10)
+        assert not LayerCoverage(prefix, targets).essential(10)
 
     def test_pair13_layer5_node12(self, pair13):
         prefix, targets = layer_problem(pair13, 5)
-        assert is_essential_target(prefix, targets, 12)
+        assert LayerCoverage(prefix, targets).essential(12)
 
     def test_rejects_non_target(self, pair13):
         prefix, targets = layer_problem(pair13, 2)
         with pytest.raises(InvalidGraphError):
-            is_essential_target(prefix, targets, 1)
+            LayerCoverage(prefix, targets).essential(1)
 
     def test_probe_leaves_solved_layer_intact(self, pair13):
         prefix, targets = layer_problem(pair13, 4)
@@ -206,5 +207,38 @@ class TestAgainstExhaustiveSearch:
             labeling = label_layers(dag)
             for k, layer in enumerate(labeling.layers, start=1):
                 prefix = induce_prefix(dag, labeling, k)
-                mu, _ = max_layer_coverage(prefix, layer)
+                mu = LayerCoverage(prefix, layer).mu
                 assert 1 <= mu <= min(len(dag.leaders), len(layer))
+
+
+class TestEssentialityBeyondEnumeration:
+    """The residual criterion against its definition on graphs too large to
+    enumerate: dropping an essential target lowers the optimum, dropping any
+    other target keeps it."""
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3])
+    def test_essential_iff_dropping_lowers_mu(self, skip_prob):
+        rng = random.Random(0x5EA1 + int(skip_prob * 10))
+        for _ in range(6):
+            depth = rng.randint(4, 8)
+            width = rng.randint(15, 25)
+            leaders = rng.randint(2, 6)
+            widths = spread_widths(depth, width, leaders)
+            n = sum(widths)
+            config = GeneratorConfig(
+                depth=depth,
+                widths=widths,
+                leader_count=leaders,
+                seed=rng.randrange(2**32),
+                edge_count=rng.randint(n, 2 * n),
+                skip_layer_prob=skip_prob,
+            )
+            dag = random_layered_dag(config)
+            assert 60 <= dag.node_count <= 200
+            labeling = label_layers(dag)
+            for k, layer in enumerate(labeling.layers, start=1):
+                prefix = induce_prefix(dag, labeling, k)
+                coverage = LayerCoverage(prefix, layer)
+                for v in sorted(layer):
+                    dropped = LayerCoverage(prefix, layer - {v}).mu
+                    assert coverage.essential(v) == (dropped < coverage.mu), (k, v)
