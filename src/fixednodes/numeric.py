@@ -71,12 +71,12 @@ def sample_realization(dag: StructuredDag, seed: int) -> Realization:
 
 
 def controllability_matrix(realization: Realization, tol: float = DEFAULT_TOL) -> ControllabilityMatrix:
-    """Stack the blocks ``B, AB, ..., A^(n-1) B`` and rank them under ``tol``."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    c = _stack_blocks(realization)
-    rank, _ = _pivoted_rank(c, tol)
-    return ControllabilityMatrix(c, rank, tol)
+    """Stack ``B, AB, A^2 B, ...`` up to the first all-zero block and rank the
+    stack: the count of singular values above ``tol`` (finite, > 0) times the
+    largest."""
+    _check_tol(tol)
+    c, basis = _column_space(realization, tol)
+    return ControllabilityMatrix(c, basis.shape[1], tol)
 
 
 def numeric_generic_dimension(
@@ -107,22 +107,26 @@ def numeric_fixed_nodes(
 ) -> frozenset[int]:
     """Nodes whose basis vector lies in the column space of every top-rank draw.
 
+    One SVD per draw gives its rank, as in :func:`controllability_matrix`, and
+    an orthonormal basis; a node is fixed when the residual of its basis
+    vector projected onto that basis stays below ``tol`` in every top-rank draw.
+
     Draws whose rank falls below the observed maximum are non-generic and
     discarded.  When the true dimension is known, pass it as ``expected_dim``:
     draws below it are then rejected, and if none attains it the sampler
     retries with fresh seeds (up to three times the trial budget) before
     raising :class:`InconclusiveError`.
     """
+    _check_tol(tol)
     if trials < 1:
         raise ValueError("at least one trial is required")
     budget = trials if expected_dim is None else 3 * trials
-    ranked: list[tuple[int, np.ndarray]] = []
+    bases: list[np.ndarray] = []
     top = 0
     for t in range(budget):
-        c = _stack_blocks(sample_realization(dag, seed + t))
-        rank, pivots = _pivoted_rank(c, tol)
-        ranked.append((rank, c[:, pivots]))
-        top = max(top, rank)
+        _, basis = _column_space(sample_realization(dag, seed + t), tol)
+        bases.append(basis)
+        top = max(top, basis.shape[1])
         if t + 1 >= trials and (expected_dim is None or top >= expected_dim):
             break
     if expected_dim is not None and top < expected_dim:
@@ -132,50 +136,41 @@ def numeric_fixed_nodes(
 
     n = dag.node_count
     residual_floor = np.zeros(n)
-    for rank, basis in ranked:
-        if rank != top:
+    for basis in bases:
+        if basis.shape[1] != top:
             continue
-        q, _ = np.linalg.qr(basis)
         # residual of projecting each standard basis vector onto the column space
-        residuals = np.linalg.norm(np.eye(n) - q @ q.T, axis=0)
+        residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
         residual_floor = np.maximum(residual_floor, residuals)
     return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < tol)
 
 
+def _check_tol(tol: float) -> None:
+    # NaN fails both comparisons.
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
+def _column_space(realization: Realization, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked blocks and an orthonormal basis of their column space: the
+    left singular vectors whose singular values exceed ``tol`` times the largest."""
+    c = _stack_blocks(realization)
+    u, s, _ = np.linalg.svd(c, full_matrices=False)
+    return c, u[:, : int(np.count_nonzero(s > tol * s[0]))]
+
+
 def _stack_blocks(realization: Realization) -> np.ndarray:
+    """``[B, AB, ..., A^(n-1) B]``, cut before the first all-zero block.
+
+    Every block after an all-zero one is ``A @ 0 = 0``, so the cut leaves the
+    column space unchanged for any pattern; on a DAG it keeps about
+    ``depth * |leaders|`` columns instead of ``n * |leaders|``.
+    """
     a, b = realization.a_matrix, realization.b_matrix
     blocks = [b]
     for _ in range(realization.node_count - 1):
-        blocks.append(a @ blocks[-1])
+        block = a @ blocks[-1]
+        if not block.any():
+            break
+        blocks.append(block)
     return np.hstack(blocks)
-
-
-def _pivoted_rank(matrix: np.ndarray, tol: float) -> tuple[int, list[int]]:
-    """Gaussian elimination with complete pivoting; threshold relative to the
-    largest pivot.  Returns the rank and the chosen column indices."""
-    work = np.array(matrix, dtype=float, copy=True)
-    rows, cols = work.shape
-    row_free = np.ones(rows, dtype=bool)
-    col_free = np.ones(cols, dtype=bool)
-    pivots: list[int] = []
-    largest = None
-    for _ in range(min(rows, cols)):
-        sub = np.abs(work[np.ix_(row_free, col_free)])
-        if sub.size == 0:
-            break
-        flat = int(np.argmax(sub))
-        i_sub, j_sub = divmod(flat, sub.shape[1])
-        i = np.flatnonzero(row_free)[i_sub]
-        j = np.flatnonzero(col_free)[j_sub]
-        pivot = abs(work[i, j])
-        if largest is None:
-            largest = pivot
-        if largest == 0 or pivot <= tol * largest:
-            break
-        pivots.append(int(j))
-        row_free[i] = False
-        col_free[j] = False
-        factor = work[:, j] / work[i, j]
-        factor[~row_free] = 0.0
-        work -= np.outer(factor, work[i, :])
-    return len(pivots), pivots

@@ -148,6 +148,17 @@ class TestVerify:
         assert code == 3
         assert "inconclusive" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["verify"], ["fixed", "--method", "numeric"]], ids=["verify", "fixed-numeric"]
+    )
+    def test_bad_tolerance_exits_1(self, graph_file, capsys, command, tol):
+        code, out, err = run(
+            capsys, *command, graph_file(goldens.SINGLE7.dag), "--tol", tol
+        )
+        assert (code, out) == (1, "")
+        assert "tolerance must be finite and positive" in err
+
 
 class TestGen:
     def test_generates_requested_shape(self, capsys, tmp_path):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
 import goldens
+import randgraphs
 from fixednodes import (
     InconclusiveError,
     StructuredDag,
@@ -13,6 +17,22 @@ from fixednodes import (
     numeric_generic_dimension,
     sample_realization,
 )
+
+BAD_TOLERANCES = (0.0, -1.0, math.nan, math.inf)
+
+
+def full_stack(r) -> np.ndarray:
+    """``[B, AB, ..., A^(n-1) B]`` by the plain recurrence, all n blocks."""
+    blocks = [r.b_matrix]
+    for _ in range(r.node_count - 1):
+        blocks.append(r.a_matrix @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def reference_basis(c: np.ndarray, tol: float) -> np.ndarray:
+    """Left singular vectors of ``c`` above ``tol`` times the largest singular value."""
+    u, s, _ = np.linalg.svd(c)
+    return u[:, : int((s > tol * s[0]).sum())]
 
 
 class TestSampleRealization:
@@ -50,14 +70,31 @@ class TestSampleRealization:
 
 class TestControllabilityMatrix:
     def test_block_recurrence(self, pair9):
-        r = sample_realization(pair9.dag, seed=5)
-        c = controllability_matrix(r).c_matrix
-        n, m = 9, 2
-        assert c.shape == (n, n * m)
-        for j in range(1, n):
-            left = c[:, (j - 1) * m : j * m]
-            right = c[:, j * m : (j + 1) * m]
-            assert np.allclose(right, r.a_matrix @ left)
+        """Blocks follow ``A @`` the previous one; the stack ends either after
+        n blocks or where the next block would be exactly zero."""
+        for dag, truncates in ((pair9.dag, True), (goldens.CYCLIC_CHAIN3, False)):
+            r = sample_realization(dag, seed=5)
+            c = controllability_matrix(r).c_matrix
+            n, m = r.b_matrix.shape
+            kept, rest = divmod(c.shape[1], m)
+            assert c.shape[0] == n and rest == 0 and 1 <= kept <= n
+            assert np.array_equal(c[:, :m], r.b_matrix)
+            for j in range(1, kept):
+                left = c[:, (j - 1) * m : j * m]
+                right = c[:, j * m : (j + 1) * m]
+                assert np.allclose(right, r.a_matrix @ left)
+            assert kept == n or not np.any(r.a_matrix @ c[:, (kept - 1) * m :])
+            assert (kept < n) == truncates
+
+    def test_rank_matches_untruncated_stack(self):
+        dags = [g.dag for g in goldens.GOLDENS] + [goldens.CYCLIC_CHAIN3]
+        rng = random.Random(0x5EED)
+        dags += [randgraphs.random_dag(rng, skip_prob=p) for p in (0.0, 0.3) for _ in range(20)]
+        for dag in dags:
+            for seed in range(3):
+                r = sample_realization(dag, seed=seed)
+                expected = reference_basis(full_stack(r), 1e-8).shape[1]
+                assert controllability_matrix(r, 1e-8).rank == expected
 
     def test_bidirectional_chain_rank_is_two_for_any_seed(self):
         for seed in range(20):
@@ -79,8 +116,9 @@ class TestControllabilityMatrix:
 
     def test_rejects_nonpositive_tolerance(self, single7):
         r = sample_realization(single7.dag, seed=0)
-        with pytest.raises(ValueError):
-            controllability_matrix(r, tol=0.0)
+        for tol in BAD_TOLERANCES:
+            with pytest.raises(ValueError):
+                controllability_matrix(r, tol=tol)
 
 
 class TestNumericDimension:
@@ -114,23 +152,30 @@ class TestNumericFixedNodes:
         with pytest.raises(InconclusiveError):
             numeric_fixed_nodes(single7.dag, trials=4, seed=0, expected_dim=6)
 
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_rejects_bad_tolerance_before_drawing(self, single7, tol, monkeypatch):
+        def draw(*_args, **_kwargs):
+            pytest.fail("weights drawn before the tolerance was checked")
+
+        monkeypatch.setattr("fixednodes.numeric.sample_realization", draw)
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric_fixed_nodes(single7.dag, trials=4, seed=0, tol=tol, expected_dim=5)
+
     def test_huge_tolerance_collapses_ranks(self, single7):
         with pytest.raises(InconclusiveError):
             numeric_fixed_nodes(single7.dag, trials=4, seed=0, tol=10.0, expected_dim=5)
 
     def test_residuals_against_svd_basis(self, pair13):
-        """Independent projection route: SVD column-space bases must separate
-        the reported fixed nodes from the rest by orders of magnitude."""
+        """Independent projection route: SVD bases of the full n-block stack must
+        separate the reported fixed nodes from the rest by orders of magnitude."""
         fixed = numeric_fixed_nodes(pair13.dag, trials=25, seed=0, tol=1e-8)
         worst = np.zeros(13)
         used = 0
         for seed in range(25):
-            cm = controllability_matrix(sample_realization(pair13.dag, seed=seed), tol=1e-8)
-            if cm.rank != pair13.generic_dim:
+            basis = reference_basis(full_stack(sample_realization(pair13.dag, seed=seed)), 1e-8)
+            if basis.shape[1] != pair13.generic_dim:
                 continue
             used += 1
-            u, s, _ = np.linalg.svd(cm.c_matrix)
-            basis = u[:, : int((s > 1e-8 * s[0]).sum())]
             residuals = np.linalg.norm(np.eye(13) - basis @ basis.T, axis=0)
             worst = np.maximum(worst, residuals)
         assert used > 0
