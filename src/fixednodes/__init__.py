@@ -36,7 +36,6 @@ from .search import (
     fixed_nodes_layered,
     fixed_nodes_oracle,
     fixed_nodes_single_leader,
-    prune_uncovered,
 )
 from .stems import (
     LayerCoverage,
@@ -83,7 +82,6 @@ __all__ = [
     "label_layers",
     "numeric_fixed_nodes",
     "numeric_generic_dimension",
-    "prune_uncovered",
     "random_layered_dag",
     "report_to_json_dict",
     "sample_realization",

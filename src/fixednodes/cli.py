@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``label``, ``dim``, ``fixed``, ``verify``, ``gen``, ``export-dot``.
-Exit codes: 0 success, 1 invalid input, 2 method disagreement in ``verify``,
-3 numeric sampling inconclusive.
+Exit codes: 0 success, 1 invalid input or usage, 2 method disagreement in
+``verify``, 3 numeric sampling inconclusive.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from .stems import DEFAULT_ENUM_CAP, generic_dimension
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code ``verify`` keeps for a disagreement
+        return 1 if exc.code == 2 else exc.code
     try:
         return args.run(args)
     except InconclusiveError as exc:
@@ -74,17 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        cmd.add_argument(
-            "--no-prune",
-            action="store_true",
-            help="disable certified non-fixed pruning in the layered method",
-        )
-        cmd.add_argument(
-            "--enum-cap",
-            type=int,
-            default=DEFAULT_ENUM_CAP,
-            help="node budget for attaching exhaustive matched sets to the report",
-        )
         cmd.set_defaults(run=_cmd_fixed if name == "fixed" else _cmd_verify)
 
     cmd = sub.add_parser("gen", help="emit a random layered DAG as graph JSON")
@@ -172,13 +165,10 @@ def _analysis(args, methods) -> dict:
         trials=args.trials,
         seed=args.seed,
         tol=args.tol,
-        prune=not args.no_prune,
         allow_nonsource_leaders=args.allow_nonsource_leaders,
     )
-    if "layered" in report.methods and dag.node_count <= args.enum_cap:
-        report.methods["layered"] = attach_matched_sets(
-            dag, report.methods["layered"], args.enum_cap
-        )
+    if "layered" in report.methods and dag.node_count <= DEFAULT_ENUM_CAP:
+        report.methods["layered"] = attach_matched_sets(dag, report.methods["layered"])
     return report_to_json_dict(report)
 
 

@@ -72,7 +72,7 @@ class StructuredDag:
         return {v: tuple(us) for v, us in adj.items()}
 
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
-        """Same pattern with a different leader set (used by probing searches)."""
+        """Same pattern with a different leader set."""
         return StructuredDag(self.nodes, self.edges, frozenset(leaders))
 
 

@@ -66,7 +66,6 @@ def analyze(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    prune: bool = True,
     allow_nonsource_leaders: bool = False,
 ) -> AnalysisReport:
     """Run the requested methods and cross-compare their fixed sets.
@@ -97,7 +96,7 @@ def analyze(
     results: dict[str, FixedNodeResult | NumericSummary] = {}
     for name in methods:
         if name == "layered":
-            results[name] = fixed_nodes_layered(dag, prune=prune)
+            results[name] = fixed_nodes_layered(dag)
         elif name == "oracle":
             results[name] = fixed_nodes_oracle(dag)
         else:

@@ -4,14 +4,13 @@ A node is *fixed* when it stays controllable under every choice of nonzero
 network weights; equivalently, attaching a fresh input to it cannot raise the
 generic dimension of the controllable subspace.  Four routes are implemented:
 
-* :func:`fixed_nodes_oracle` probes that definition node by node (the
-  reference everything else is measured against),
+* :func:`fixed_nodes_oracle` decides that definition for every node from one
+  optimal flow (the reference everything else is measured against),
 * :func:`fixed_nodes_single_leader` reads the answer off the layer structure
   when there is exactly one leader,
 * :func:`fixed_nodes_layered` walks the layers top-down and keeps the targets
   that belong to every maximum matched set of their layer, read off each
-  layer's solved flow, and
-* :func:`prune_uncovered` certifies non-fixed nodes from one maximum family.
+  layer's solved flow, except the nodes one maximum family leaves uncovered.
 
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
@@ -26,9 +25,8 @@ from dataclasses import dataclass, replace
 from .errors import InvalidGraphError
 from .graph import LayerLabeling, StructuredDag, induce_prefix, label_layers
 from .stems import (
-    DEFAULT_ENUM_CAP,
     LayerCoverage,
-    StemFamily,
+    _solved_dimension_flow,
     enumerate_max_families,
     generic_dimension,
 )
@@ -62,14 +60,18 @@ class FixedNodeResult:
 def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
     """Reference method: a node is fixed iff promoting it to a leader keeps
     the generic dimension unchanged.  Leaders are fixed without probing, since
-    attaching a second input to a led node changes nothing."""
-    base_dim, _ = generic_dimension(dag)
-    fixed = set(dag.leaders)
-    for v in sorted(dag.nodes - dag.leaders):
-        probed, _ = generic_dimension(dag.with_leaders(dag.leaders | {v}))
-        if probed == base_dim:
-            fixed.add(v)
-    return FixedNodeResult(frozenset(fixed), (), base_dim, "oracle")
+    attaching a second input to a led node changes nothing.
+
+    One optimal flow decides the rest.  Promoting ``v`` adds a source arc
+    into ``v_in`` and a unit of flow, which takes the cheapest residual path
+    ``v_in -> sink`` as every other source arc is saturated.  Its length
+    ``d`` is ``dim(L) - dim(L + v) <= 0`` (successive-shortest-path
+    optimality), so ``v`` is fixed iff ``d == 0``.
+    """
+    net = _solved_dimension_flow(dag)
+    distances = net.in_copy_distances_to_sink()
+    fixed = dag.leaders | {v for v, d in distances.items() if d == 0}
+    return FixedNodeResult(fixed, (), len(net.stems().covered), "oracle")
 
 
 def fixed_nodes_single_leader(
@@ -101,34 +103,19 @@ def fixed_nodes_single_leader(
     return FixedNodeResult(frozenset(fixed), tuple(reports), labeling.depth, "single-leader")
 
 
-def prune_uncovered(dag: StructuredDag, witness: StemFamily) -> frozenset[int]:
-    """Nodes outside a maximum family's coverage are certified non-fixed.
-
-    Promoting such a node to a leader adds its length-1 stem to the witness,
-    so the generic dimension rises.  The witness must be maximum; anything
-    smaller is rejected by a dimension recheck.
-    """
-    dim, _ = generic_dimension(dag)
-    if len(witness.covered) != dim:
-        raise InvalidGraphError(
-            f"witness covers {len(witness.covered)} nodes but the maximum is {dim}"
-        )
-    return frozenset(dag.nodes) - witness.covered
-
-
-def fixed_nodes_layered(dag: StructuredDag, *, prune: bool = True) -> FixedNodeResult:
+def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     """Top-down layered search over maximum matched sets.
 
     Layer by layer, a target is fixed when it lies in every maximum matched set
     of its layer, which :class:`LayerCoverage` decides from the layer's solved
     flow on the prefix graph.  A singleton layer's node is fixed outright when
-    a stem reaches it and it is not pruned.  With ``prune``, nodes left
-    uncovered by one maximum whole-graph family are recorded as non-fixed
-    without a check.
+    a stem reaches it and it is not pruned.  Nodes left uncovered by one
+    maximum whole-graph family are pruned: promoting one adds its length-1
+    stem to that family, so the dimension rises and it is never fixed.
     """
     labeling = label_layers(dag)
     base_dim, witness = generic_dimension(dag)
-    pruned = frozenset(dag.nodes) - witness.covered if prune else frozenset()
+    pruned = frozenset(dag.nodes) - witness.covered
 
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
@@ -154,9 +141,7 @@ def fixed_nodes_layered(dag: StructuredDag, *, prune: bool = True) -> FixedNodeR
     return FixedNodeResult(all_fixed, tuple(reports), base_dim, "layered")
 
 
-def attach_matched_sets(
-    dag: StructuredDag, result: FixedNodeResult, cap: int = DEFAULT_ENUM_CAP
-) -> FixedNodeResult:
+def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
     """Enrich a layered result with exhaustively enumerated matched sets.
 
     Layers that turn out to have a unique maximum matched set are retagged
@@ -169,7 +154,7 @@ def attach_matched_sets(
     enriched = []
     for report in result.per_layer:
         prefix = induce_prefix(dag, labeling, report.layer_index)
-        families = enumerate_max_families(prefix, report.targets, cap)
+        families = enumerate_max_families(prefix, report.targets)
         matched = tuple(
             sorted({fam.matched(report.targets) for fam in families}, key=sorted)
         )

@@ -167,13 +167,14 @@ class FlowNetwork:
                         potential[v] = d
 
         for _ in range(value):
-            dist, parent = self._dijkstra(potential)
+            dist, parent = self._dijkstra(potential, self.source)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
             for v in range(self.size):
                 if dist[v] < _INF:
                     potential[v] += dist[v]
             self._augment(parent)
+        self._potential = potential
 
     def _augment(self, parent: list[int]) -> None:
         """Push one unit along the source-sink path recorded in ``parent``."""
@@ -184,22 +185,28 @@ class FlowNetwork:
             self._cap[arc ^ 1] += 1
             v = self._head[arc ^ 1]
 
-    def _dijkstra(self, potential: list[float]) -> tuple[list[float], list[int]]:
+    def _dijkstra(
+        self, potential: list[float], start: int, backward: bool = False
+    ) -> tuple[list[float], list[int]]:
+        """Reduced-cost residual distances from ``start``, or to it when
+        ``backward`` (``a ^ 1`` enters ``u`` from ``head[a]``, walked in reverse)."""
+        flip, sign = (1, -1) if backward else (0, 1)
         dist = [_INF] * self.size
         parent = [-1] * self.size
-        dist[self.source] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, self.source)]
+        dist[start] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, start)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
             for arc in self._adj[u]:
-                if self._cap[arc] <= 0:
+                step = arc ^ flip
+                if self._cap[step] <= 0:
                     continue
                 v = self._head[arc]
                 if potential[v] == _INF:
                     continue
-                nd = d + self._cost[arc] + potential[u] - potential[v]
+                nd = d + self._cost[step] + sign * (potential[u] - potential[v])
                 if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = arc
@@ -252,6 +259,21 @@ class FlowNetwork:
                     stack.append(u)
         return frozenset(v for v in self._sink_arc if reached[self._out[v]])
 
+    def in_copy_distances_to_sink(self) -> dict[int, float]:
+        """Cheapest residual path cost from every node's in-copy to the sink.
+
+        One backward Dijkstra from the sink on the reduced costs of the
+        potentials :meth:`solve_min_cost` keeps, none negative on a residual
+        arc: each forward Dijkstra of the solve reaches the sink, and from it
+        every stem backwards and every node off the stems forwards, so every
+        node a leader reaches takes part in every potential update.  In-copies
+        no leader reaches have no potential and are left out.
+        """
+        potential = self._potential
+        dist, _ = self._dijkstra(potential, self.sink, backward=True)
+        offset = potential[self.sink]
+        return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
+
 
 class LayerCoverage:
     """Solved coverage problem for one target layer of a prefix graph.
@@ -289,8 +311,8 @@ class LayerCoverage:
         return v in self.matched and v not in self._droppable
 
 
-def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
-    """Maximum node count coverable by disjoint stems, with a witness family.
+def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
+    """The min-cost flow whose stems are a maximum-coverage family.
 
     Saturating every leader never hurts: a leader not rooting a stem is either
     uncovered (add its length-1 stem) or sits inside another stem (split that
@@ -302,7 +324,12 @@ def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
         raise InvalidGraphError("leaders must be nodes of the graph")
     net = FlowNetwork(dag, covered_profit=True)
     net.solve_min_cost(len(dag.leaders))
-    family = net.stems()
+    return net
+
+
+def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
+    """Maximum node count coverable by disjoint stems, with a witness family."""
+    family = _solved_dimension_flow(dag).stems()
     return len(family.covered), family
 
 

@@ -7,6 +7,7 @@ import pytest
 import goldens
 from fixednodes import StructuredDag, graph_to_json
 from fixednodes.cli import main
+from fixednodes.stems import DEFAULT_ENUM_CAP
 
 
 @pytest.fixture
@@ -84,11 +85,13 @@ class TestFixed:
         assert layers[4]["fast_path"] == "unique-matched-set"
 
     def test_enum_cap_suppresses_matched_sets(self, graph_file, capsys):
-        code, out, _ = run(
-            capsys, "fixed", graph_file(goldens.PAIR13.dag), "--method", "layered", "--enum-cap", "5"
-        )
-        layers = json.loads(out)["methods"]["layered"]["layers"]
-        assert all("matched_sets" not in entry for entry in layers)
+        for n, attached in ((DEFAULT_ENUM_CAP, True), (DEFAULT_ENUM_CAP + 1, False)):
+            path = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
+            code, out, _ = run(capsys, "fixed", graph_file(path), "--method", "layered")
+            assert code == 0
+            layers = json.loads(out)["methods"]["layered"]["layers"]
+            assert len(layers) == n
+            assert all(("matched_sets" in entry) == attached for entry in layers)
 
     def test_output_file(self, graph_file, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -158,6 +161,28 @@ class TestVerify:
         )
         assert (code, out) == (1, "")
         assert "tolerance must be finite and positive" in err
+
+
+class TestUsage:
+    """Usage errors exit 1, never 2, which ``verify`` keeps for a disagreement."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--no-such-flag",), ("--trials", "abc"), ("--no-prune",), ("--enum-cap", "5")],
+        ids=["unknown-flag", "bad-int", "removed-no-prune", "removed-enum-cap"],
+    )
+    def test_usage_error_exits_1(self, graph_file, capsys, argv):
+        code, out, err = run(capsys, "verify", graph_file(goldens.PAIR9.dag), *argv)
+        assert (code, out) == (1, "")
+        assert "usage:" in err
+
+    def test_missing_subcommand_exits_1(self, capsys):
+        code, _, err = run(capsys)
+        assert code == 1 and "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0 and "usage:" in out
 
 
 class TestGen:

@@ -29,7 +29,6 @@ CASES = {
         for name in ("single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6")
     },
     "skip200-layered": ("skip200", ("--method", "layered")),
-    "skip200-layered-noprune": ("skip200", ("--method", "layered", "--no-prune")),
 }
 
 GENERATED = {

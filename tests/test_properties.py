@@ -27,11 +27,11 @@ from fixednodes import (
     graph_to_json,
     induce_prefix,
     label_layers,
-    prune_uncovered,
     stem_family_violations,
     validate,
 )
 from randgraphs import random_dag
+from references import unpruned_layer_fixed
 
 
 def enumeration_fixed_set(dag):
@@ -93,15 +93,17 @@ class TestAnyDagDomain:
         rng = random.Random(31339)
         for _ in range(120):
             dag = random_dag(rng, skip_prob=rng.choice([0.0, 0.4]))
-            layered = fixed_nodes_layered(dag, prune=False).fixed_nodes
-            assert layered == enumeration_fixed_set(dag)
+            unpruned = frozenset().union(*unpruned_layer_fixed(dag))
+            assert unpruned == enumeration_fixed_set(dag)
+            uncovered = dag.nodes - generic_dimension(dag)[1].covered
+            assert fixed_nodes_layered(dag).fixed_nodes == unpruned - uncovered
 
     def test_pruning_never_removes_oracle_fixed_nodes(self):
         rng = random.Random(31340)
         for _ in range(120):
             dag = random_dag(rng, skip_prob=rng.choice([0.0, 0.4]))
             _, witness = generic_dimension(dag)
-            assert not prune_uncovered(dag, witness) & fixed_nodes_oracle(dag).fixed_nodes
+            assert not (dag.nodes - witness.covered) & fixed_nodes_oracle(dag).fixed_nodes
 
     def test_leaders_fixed_under_every_method(self):
         rng = random.Random(31341)
@@ -121,15 +123,26 @@ class TestAnyDagDomain:
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_prefix_layer_reports_are_prefix_stable(data):
-    """Analyzing a prefix graph reproduces the first layers' results verbatim."""
+    """Analyzing a prefix graph reproduces the first layers' results: the same
+    targets and optima, and the same fixed sets up to what each graph's own
+    maximum family leaves uncovered."""
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     dag = random_dag(random.Random(seed), skip_prob=0.3)
     labeling = label_layers(dag)
-    result = fixed_nodes_layered(dag, prune=False)
+    result = fixed_nodes_layered(dag)
     k = data.draw(st.integers(min_value=1, max_value=labeling.depth))
     prefix = induce_prefix(dag, labeling, k)
-    sub_result = fixed_nodes_layered(prefix, prune=False)
-    assert sub_result.per_layer == result.per_layer[:k]
+    sub_result = fixed_nodes_layered(prefix)
+    assert [(r.layer_index, r.targets, r.mu) for r in sub_result.per_layer] == [
+        (r.layer_index, r.targets, r.mu) for r in result.per_layer[:k]
+    ]
+    unpruned = unpruned_layer_fixed(dag)
+    assert unpruned_layer_fixed(prefix) == unpruned[:k]
+    for graph, layered in ((dag, result), (prefix, sub_result)):
+        uncovered = graph.nodes - generic_dimension(graph)[1].covered
+        assert [r.fixed for r in layered.per_layer] == [
+            fixed - uncovered for fixed in unpruned[: len(layered.per_layer)]
+        ]
 
 
 @settings(max_examples=60, deadline=None)

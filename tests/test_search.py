@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,13 @@ from fixednodes import (
     fixed_nodes_oracle,
     fixed_nodes_single_leader,
     generic_dimension,
-    label_layers,
-    prune_uncovered,
+    graph_from_json,
+    stem_family_violations,
 )
 from randgraphs import random_dag
+from references import resolving_oracle, unpruned_layer_fixed
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestOracle:
@@ -39,6 +43,40 @@ class TestOracle:
 
     def test_leaders_always_fixed(self, golden):
         assert golden.dag.leaders <= fixed_nodes_oracle(golden.dag).fixed_nodes
+
+
+class TestOracleAgainstResolving:
+    """The one-solve oracle against the literal definition, which re-solves
+    the generic dimension once per promoted node."""
+
+    @staticmethod
+    def assert_matches(dag):
+        fast, slow = fixed_nodes_oracle(dag), resolving_oracle(dag)
+        assert (fast.fixed_nodes, fast.generic_dim) == (slow.fixed_nodes, slow.generic_dim)
+
+    @pytest.mark.parametrize(
+        "name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
+    )
+    def test_pinned_graphs(self, name):
+        self.assert_matches(graph_from_json((DATA / f"{name}.graph.json").read_text()))
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob):
+        rng = random.Random(0x0AC1E + int(skip_prob * 10))
+        for _ in range(350):
+            self.assert_matches(random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob))
+
+    def test_nonsource_leaders(self):
+        rng = random.Random(0x1EAD)
+        checked = 0
+        while checked < 250:
+            dag = random_dag(rng, max_nodes=16, max_leaders=3, skip_prob=rng.choice([0.0, 0.3]))
+            inner = sorted(dag.nodes - dag.leaders)
+            if len(inner) < 2:
+                continue
+            extra = rng.sample(inner, rng.randint(1, 2))
+            self.assert_matches(dag.with_leaders(dag.leaders | set(extra)))
+            checked += 1
 
 
 class TestSingleLeader:
@@ -67,30 +105,37 @@ class TestSingleLeader:
 
 
 class TestPruning:
+    """Nodes a maximum family leaves uncovered are certified non-fixed."""
+
+    @staticmethod
+    def uncovered(dag, witness):
+        assert not stem_family_violations(dag, witness)
+        assert len(witness.covered) == generic_dimension(dag)[0]
+        return dag.nodes - witness.covered
+
     def test_pair9_primary_witness_certifies_node6(self, pair9):
         witness = StemFamily(((1, 3, 5, 9), (2, 4, 7, 8)))
-        assert prune_uncovered(pair9.dag, witness) == {6}
+        assert self.uncovered(pair9.dag, witness) == {6}
+        assert 6 not in fixed_nodes_oracle(pair9.dag).fixed_nodes
 
     def test_pair9_alternate_witness_certifies_node5(self, pair9):
         witness = StemFamily(((1, 3, 6), (2, 4, 7, 8, 9)))
-        assert prune_uncovered(pair9.dag, witness) == {5}
+        assert self.uncovered(pair9.dag, witness) == {5}
+        assert 5 not in fixed_nodes_oracle(pair9.dag).fixed_nodes
 
     def test_full_coverage_prunes_nothing(self):
         dag = StructuredDag.of(3, [(1, 2), (2, 3)], [1])
         _, witness = generic_dimension(dag)
-        assert prune_uncovered(dag, witness) == frozenset()
-
-    def test_non_maximum_witness_rejected(self, pair9):
-        with pytest.raises(InvalidGraphError, match="maximum"):
-            prune_uncovered(pair9.dag, StemFamily(((1, 3, 5),)))
+        assert self.uncovered(dag, witness) == frozenset()
 
     def test_pruned_nodes_are_never_fixed(self):
         rng = random.Random(0xACED)
         for _ in range(60):
             dag = random_dag(rng, skip_prob=rng.choice([0.0, 0.3]))
             _, witness = generic_dimension(dag)
-            pruned = prune_uncovered(dag, witness)
+            pruned = self.uncovered(dag, witness)
             assert not pruned & fixed_nodes_oracle(dag).fixed_nodes
+            assert not pruned & fixed_nodes_layered(dag).fixed_nodes
 
 
 class TestLayered:
@@ -107,11 +152,9 @@ class TestLayered:
         for report in result.per_layer:
             assert report.fixed <= report.targets
 
-    def test_prune_flag_does_not_change_goldens(self, golden):
-        assert (
-            fixed_nodes_layered(golden.dag, prune=True).fixed_nodes
-            == fixed_nodes_layered(golden.dag, prune=False).fixed_nodes
-        )
+    def test_pruning_does_not_change_goldens(self, golden):
+        unpruned = frozenset().union(*unpruned_layer_fixed(golden.dag))
+        assert fixed_nodes_layered(golden.dag).fixed_nodes == unpruned
 
     def test_pair13_layer_tags(self, pair13):
         result = fixed_nodes_layered(pair13.dag)
@@ -165,6 +208,6 @@ class TestMethodAgreement:
             dag = random_dag(rng, skip_prob=0.0)
             oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert fixed_nodes_layered(dag).fixed_nodes == oracle
-            assert fixed_nodes_layered(dag, prune=False).fixed_nodes == oracle
+            assert frozenset().union(*unpruned_layer_fixed(dag)) == oracle
             if len(dag.leaders) == 1:
                 assert fixed_nodes_single_leader(dag).fixed_nodes == oracle

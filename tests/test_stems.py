@@ -21,6 +21,7 @@ from fixednodes import (
     spread_widths,
     stem_family_violations,
 )
+from fixednodes.stems import FlowNetwork
 from randgraphs import random_dag
 
 
@@ -209,6 +210,44 @@ class TestAgainstExhaustiveSearch:
                 prefix = induce_prefix(dag, labeling, k)
                 mu = LayerCoverage(prefix, layer).mu
                 assert 1 <= mu <= min(len(dag.leaders), len(layer))
+
+
+class TestSolvedPotentials:
+    """The reverse Dijkstra behind the one-solve oracle needs the potentials
+    kept by the min-cost solve to leave every residual arc a nonnegative
+    reduced cost."""
+
+    @staticmethod
+    def negative_reduced_costs(dag):
+        net = FlowNetwork(dag, covered_profit=True)
+        net.solve_min_cost(len(dag.leaders))
+        p = net._potential
+        return [
+            (u, net._head[arc])
+            for u in range(net.size)
+            for arc in net._adj[u]
+            if net._cap[arc] > 0 and net._cost[arc] + p[u] - p[net._head[arc]] < 0
+        ]
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_no_residual_arc_is_negative(self, skip_prob):
+        rng = random.Random(0x9075 + int(skip_prob * 10))
+        for _ in range(200):
+            dag = random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob)
+            assert not self.negative_reduced_costs(dag)
+        for _ in range(4):
+            depth, width = rng.randint(4, 10), rng.randint(10, 25)
+            leaders = rng.randint(1, width)
+            widths = spread_widths(depth, width, leaders)
+            config = GeneratorConfig(
+                depth=depth,
+                widths=widths,
+                leader_count=leaders,
+                seed=rng.randrange(2**32),
+                edge_count=rng.randint(sum(widths), 3 * sum(widths)),
+                skip_layer_prob=skip_prob,
+            )
+            assert not self.negative_reduced_costs(random_layered_dag(config))
 
 
 class TestEssentialityBeyondEnumeration:
