@@ -17,6 +17,7 @@ from .errors import InvalidGraphError
 from .graph import LayerLabeling, StructuredDag, graph_to_json, label_layers, validate
 from .numeric import DEFAULT_TOL, DEFAULT_TRIALS, numeric_fixed_nodes
 from .search import (
+    SOURCE_LEADERS_REQUIRED,
     FixedNodeResult,
     fixed_nodes_layered,
     fixed_nodes_oracle,
@@ -86,9 +87,7 @@ def analyze(
         details = "; ".join(v.message for v in report.violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
     if report.warnings and "layered" in methods:
-        raise InvalidGraphError(
-            "layered analysis requires source leaders; rerun with oracle/numeric methods"
-        )
+        raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
 
     started = time.perf_counter()
     labeling = label_layers(dag)
@@ -96,7 +95,7 @@ def analyze(
     results: dict[str, FixedNodeResult | NumericSummary] = {}
     for name in methods:
         if name == "layered":
-            results[name] = fixed_nodes_layered(dag)
+            results[name] = fixed_nodes_layered(dag, labeling=labeling, witness=witness)
         elif name == "oracle":
             results[name] = fixed_nodes_oracle(dag)
         else:

@@ -9,8 +9,10 @@ generic dimension of the controllable subspace.  Four routes are implemented:
 * :func:`fixed_nodes_single_leader` reads the answer off the layer structure
   when there is exactly one leader,
 * :func:`fixed_nodes_layered` walks the layers top-down and keeps the targets
-  that belong to every maximum matched set of their layer, read off each
-  layer's solved flow, except the nodes one maximum family leaves uncovered.
+  that belong to every maximum matched set of their layer, except the nodes
+  one maximum family leaves uncovered.  One flow network over the whole graph
+  is swept layer by layer: opening layer ``k`` carries the previous layer's
+  maximum flow one edge further and re-maximizes it over layers ``1..k``.
 
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
@@ -20,12 +22,14 @@ whose edges only join adjacent layers the two routes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidGraphError
 from .graph import LayerLabeling, StructuredDag, induce_prefix, label_layers
 from .stems import (
-    LayerCoverage,
+    FlowNetwork,
+    StemFamily,
     _solved_dimension_flow,
     enumerate_max_families,
     generic_dimension,
@@ -35,6 +39,10 @@ FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
 FAST_PATH_ESSENTIALITY = "essentiality"
 FAST_PATH_NONE = "none"
+
+SOURCE_LEADERS_REQUIRED = (
+    "layered analysis requires source leaders; rerun with oracle/numeric methods"
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,7 @@ class LayerReport:
     fixed: frozenset[int]
     fast_path: str
     matched_sets: tuple[frozenset[int], ...] | None = None
+    elapsed: float = field(default=0.0, compare=False)  # seconds; not in the JSON form
 
 
 @dataclass(frozen=True)
@@ -103,42 +112,58 @@ def fixed_nodes_single_leader(
     return FixedNodeResult(frozenset(fixed), tuple(reports), labeling.depth, "single-leader")
 
 
-def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
+def fixed_nodes_layered(
+    dag: StructuredDag,
+    *,
+    labeling: LayerLabeling | None = None,
+    witness: StemFamily | None = None,
+) -> FixedNodeResult:
     """Top-down layered search over maximum matched sets.
 
     Layer by layer, a target is fixed when it lies in every maximum matched set
-    of its layer, which :class:`LayerCoverage` decides from the layer's solved
-    flow on the prefix graph.  A singleton layer's node is fixed outright when
-    a stem reaches it and it is not pruned.  Nodes left uncovered by one
-    maximum whole-graph family are pruned: promoting one adds its length-1
-    stem to that family, so the dimension rises and it is never fixed.
+    of its layer: it is matched by the layer's maximum flow and its out-copy
+    cannot reach the sink in the residual.  One flow network over the whole
+    graph serves every layer; :meth:`FlowNetwork.open_layer` moves the sinks
+    down one layer, carries the previous flow along and re-maximizes it over
+    layers ``1..k``.  A singleton layer's node is fixed outright when a stem
+    reaches it and it is not pruned.  Nodes left uncovered by one maximum
+    whole-graph family (``witness``, solved here when not given) are pruned:
+    promoting one adds its length-1 stem to that family, so the dimension
+    rises and it is never fixed.
     """
-    labeling = label_layers(dag)
-    base_dim, witness = generic_dimension(dag)
-    pruned = frozenset(dag.nodes) - witness.covered
+    if any(dag.in_neighbors.get(x) for x in dag.leaders):
+        raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
+    labeling = labeling if labeling is not None else label_layers(dag)
+    if witness is None:
+        _, witness = generic_dimension(dag)
+    pruned = dag.nodes - witness.covered
 
+    net = FlowNetwork(dag, labeling)
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
-        prefix = induce_prefix(dag, labeling, k)
-        coverage = LayerCoverage(prefix, layer)
+        started = time.perf_counter()
+        net.open_layer(k)
+        matched = net.matched_targets()
         candidates = layer - pruned
         if len(layer) == 1:
-            fixed = layer if candidates and coverage.mu == 1 else frozenset()
+            fixed = layer if candidates and matched else frozenset()
             path = FAST_PATH_SINGLETON
         else:
-            fixed = frozenset(v for v in candidates if coverage.essential(v))
+            kept = candidates & matched
+            fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
             path = FAST_PATH_ESSENTIALITY if candidates else FAST_PATH_NONE
         reports.append(
             LayerReport(
                 layer_index=k,
                 targets=layer,
-                mu=coverage.mu,
+                mu=len(matched),
                 fixed=fixed,
                 fast_path=path,
+                elapsed=time.perf_counter() - started,
             )
         )
     all_fixed = frozenset().union(*(r.fixed for r in reports))
-    return FixedNodeResult(all_fixed, tuple(reports), base_dim, "layered")
+    return FixedNodeResult(all_fixed, tuple(reports), len(witness.covered), "layered")
 
 
 def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:

@@ -22,10 +22,11 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidGraphError
-from .graph import StructuredDag, label_layers
+from .graph import LayerLabeling, StructuredDag, label_layers
 
 DEFAULT_ENUM_CAP = 15
 
@@ -74,61 +75,111 @@ class FlowNetwork:
     """Unit-capacity residual network over the node-split graph.
 
     Node ``v`` splits into ``v_in -> v_out`` (capacity 1); a super-source feeds
-    every leader's in-copy and sink arcs leave the out-copies of the target set
-    (every node when ``targets`` is None).  With ``covered_profit`` the
-    internal arcs cost -1 each, so a min-cost flow maximizes covered nodes.
-    The underlying graph must be acyclic, which keeps shortest paths under
-    negative costs well defined and makes flow decomposition cycle-free.
+    every leader's in-copy, and every out-copy has a sink arc that starts
+    closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
+    it.  A unit of flow on an arc shows as residual capacity on its reverse.
+    With ``covered_profit`` the internal arcs cost -1 each, so a min-cost flow
+    maximizes covered nodes.  Split indices follow the given labeling, layer
+    by layer, so layers ``1..k`` are exactly the indices up to ``2·|layers
+    1..k|``.  The underlying graph must be acyclic, which keeps shortest paths
+    under negative costs well defined and makes flow decomposition cycle-free.
     """
 
     def __init__(
         self,
         dag: StructuredDag,
+        labeling: LayerLabeling,
         *,
-        targets: frozenset[int] | None = None,
         covered_profit: bool = False,
     ):
-        order = tuple(v for layer in label_layers(dag).layers for v in sorted(layer))
+        self._layers = tuple(tuple(sorted(layer)) for layer in labeling.layers)
+        order = tuple(v for layer in self._layers for v in layer)
         self._ext_of_pos = order
-        pos_of = {v: i for i, v in enumerate(order)}
+        self._bound = [0, *accumulate(2 * len(layer) for layer in self._layers)]
         self.source = 0
         self.sink = 2 * len(order) + 1
         self.size = self.sink + 1
-        self._in = {v: 1 + 2 * pos_of[v] for v in order}
-        self._out = {v: 2 + 2 * pos_of[v] for v in order}
+        self._in = {v: 1 + 2 * i for i, v in enumerate(order)}
+        self._out = {v: 2 + 2 * i for i, v in enumerate(order)}
 
         self._head: list[int] = []
         self._cap: list[int] = []
         self._cost: list[int] = []
         self._adj: list[list[int]] = [[] for _ in range(self.size)]
-        self._sink_arc: dict[int, int] = {}
 
         for leader in sorted(dag.leaders):
             self._add_arc(self.source, self._in[leader], 0)
         internal_cost = -1 if covered_profit else 0
-        for v in order:
-            self._add_arc(self._in[v], self._out[v], internal_cost)
+        self._through = {v: self._add_arc(self._in[v], self._out[v], internal_cost) for v in order}
         for u, v in sorted(dag.edges):
             self._add_arc(self._out[u], self._in[v], 0)
-        for v in sorted(dag.nodes if targets is None else targets):
-            self._sink_arc[v] = self._add_arc(self._out[v], self.sink, 0)
+        self._sink_arc = {v: self._add_arc(self._out[v], self.sink, 0, 0) for v in dag.sorted_nodes}
 
-    def _add_arc(self, u: int, v: int, cost: int) -> int:
+    def _add_arc(self, u: int, v: int, cost: int, cap: int = 1) -> int:
         arc = len(self._head)
         self._head.extend((v, u))
-        self._cap.extend((1, 0))
+        self._cap.extend((cap, 0))
         self._cost.extend((cost, -cost))
         self._adj[u].append(arc)
         self._adj[v].append(arc + 1)
         return arc
 
+    def _push(self, arc: int) -> None:
+        self._cap[arc] -= 1
+        self._cap[arc ^ 1] += 1
+
+    def open_sinks(self, nodes: Iterable[int]) -> None:
+        """Give the sink arcs of ``nodes`` capacity one."""
+        for v in nodes:
+            self._cap[self._sink_arc[v]] = 1
+
     # -- plain max flow (layer coverage) ------------------------------------
 
-    def max_flow(self) -> int:
-        """BFS augmentations over positive-capacity residual arcs until none is left."""
+    def open_layer(self, k: int) -> None:
+        """Move the sink arcs from layer ``k - 1`` to layer ``k``; re-maximize.
+
+        Each unit ending at a node ``u`` of layer ``k - 1`` leaves ``u``'s sink
+        arc and goes on along ``u``'s first out-edge into a free node of layer
+        ``k``, ending there; with no such node its stem is retracted to the
+        source.  The flow stays feasible for layers ``1..k``, and BFS
+        augmentations over their split indices make it maximum.
+        """
+        lo, hi = self._bound[k - 1], self._bound[k]
+        self.open_sinks(self._layers[k - 1])
+        for u in self._layers[k - 2] if k > 1 else ():
+            arc = self._sink_arc[u]
+            self._cap[arc] = 0
+            if self._cap[arc ^ 1]:
+                self._cap[arc ^ 1] = 0
+                self._carry_on(self._out[u], lo, hi)
+        self.max_flow(hi)
+
+    def _carry_on(self, x: int, lo: int, hi: int) -> None:
+        """Extend the stem stranded at out-copy ``x`` by one edge into a free
+        in-copy in ``(lo, hi]``, or walk it back to the source."""
+        for arc in self._adj[x]:
+            w = self._head[arc]
+            if arc % 2 == 0 and lo < w <= hi:
+                v = self._ext_of_pos[w // 2]
+                if self._cap[self._through[v]]:
+                    self._push(arc)
+                    self._push(self._through[v])
+                    self._push(self._sink_arc[v])
+                    return
+        while x != self.source:
+            arc = next(a for a in self._adj[x] if a % 2 and self._cap[a])
+            self._push(arc)
+            x = self._head[arc]
+
+    def max_flow(self, last: int | None = None) -> int:
+        """BFS augmentations over positive-capacity residual arcs until none is
+        left, through split indices up to ``last`` (all by default) and the sink."""
+        last = self.sink - 1 if last is None else last
+        # indices past ``last`` start out marked as reached, so no search enters them
+        unvisited = [-1] * (last + 1) + [-3] * (self.sink - last - 1) + [-1]
         value = 0
         while True:
-            parent: list[int] = [-1] * self.size
+            parent = unvisited.copy()
             parent[self.source] = -2
             queue = deque([self.source])
             while queue:
@@ -181,8 +232,7 @@ class FlowNetwork:
         v = self.sink
         while v != self.source:
             arc = parent[v]
-            self._cap[arc] -= 1
-            self._cap[arc ^ 1] += 1
+            self._push(arc)
             v = self._head[arc ^ 1]
 
     def _dijkstra(
@@ -219,7 +269,7 @@ class FlowNetwork:
         """Decode the integral flow into leader-rooted node sequences."""
         found: list[tuple[int, ...]] = []
         for arc in self._adj[self.source]:
-            if arc % 2 or self._cap[arc] > 0:
+            if arc % 2 or not self._cap[arc ^ 1]:
                 continue
             stem: list[int] = []
             u = self._head[arc]
@@ -233,15 +283,16 @@ class FlowNetwork:
 
     def _follow(self, u: int) -> int:
         for arc in self._adj[u]:
-            if arc % 2 == 0 and self._cap[arc] == 0:
+            if arc % 2 == 0 and self._cap[arc ^ 1]:
                 return self._head[arc]
         raise AssertionError("flow conservation broken while decoding stems")
 
     def matched_targets(self) -> frozenset[int]:
-        return frozenset(v for v, arc in self._sink_arc.items() if self._cap[arc] == 0)
+        """Nodes whose sink arc carries a unit."""
+        return frozenset(v for v, arc in self._sink_arc.items() if self._cap[arc ^ 1])
 
-    def targets_reaching_sink(self) -> frozenset[int]:
-        """Targets whose out-copy reaches the sink in the residual network.
+    def targets_reaching_sink(self, targets: Iterable[int]) -> frozenset[int]:
+        """The ``targets`` whose out-copy reaches the sink in the residual network.
 
         One reverse search from the sink: arc ``a`` leaves node ``x``, so its
         reverse ``a ^ 1`` enters ``x`` and is followed backwards while it has
@@ -257,7 +308,7 @@ class FlowNetwork:
                 if self._cap[arc ^ 1] > 0 and not reached[u]:
                     reached[u] = True
                     stack.append(u)
-        return frozenset(v for v in self._sink_arc if reached[self._out[v]])
+        return frozenset(v for v in targets if reached[self._out[v]])
 
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.
@@ -286,6 +337,9 @@ class LayerCoverage:
     solved flow (rerouting its unit along that path frees its sink arc), and
     an unmatched target is never essential.  One reverse search over the
     residual, run on the first ``essential`` call, decides every target.
+    Each instance solves from zero on its own network; the layered search
+    sweeps one network instead (:meth:`FlowNetwork.open_layer`), and this
+    class is the reference it is tested against.
     """
 
     def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
@@ -295,14 +349,15 @@ class LayerCoverage:
         not_sinks = sorted(v for v in self.targets if prefix.out_neighbors[v])
         if not_sinks:
             raise InvalidGraphError(f"targets must be sinks of the prefix graph: {not_sinks}")
-        self._net = FlowNetwork(prefix, targets=self.targets)
+        self._net = FlowNetwork(prefix, label_layers(prefix))
+        self._net.open_sinks(self.targets)
         self.mu = self._net.max_flow()
         self.witness = self._net.stems()
         self.matched = self._net.matched_targets()
 
     @cached_property
     def _droppable(self) -> frozenset[int]:
-        return self._net.targets_reaching_sink()
+        return self._net.targets_reaching_sink(self.targets)
 
     def essential(self, v: int) -> bool:
         """True iff dropping ``v`` from the target set strictly lowers ``mu``."""
@@ -322,7 +377,8 @@ def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
         raise InvalidGraphError("at least one leader is required")
     if not dag.leaders <= dag.nodes:
         raise InvalidGraphError("leaders must be nodes of the graph")
-    net = FlowNetwork(dag, covered_profit=True)
+    net = FlowNetwork(dag, label_layers(dag), covered_profit=True)
+    net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))
     return net
 

@@ -25,13 +25,22 @@ def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
     return FixedNodeResult(frozenset(fixed), (), base_dim, "oracle")
 
 
+def layer_coverages(dag: StructuredDag) -> list[LayerCoverage]:
+    """Every hierarchy layer's coverage problem, solved from zero on its own
+    prefix graph."""
+    labeling = label_layers(dag)
+    return [
+        LayerCoverage(induce_prefix(dag, labeling, k), layer)
+        for k, layer in enumerate(labeling.layers, start=1)
+    ]
+
+
 def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
     """Per layer, what the layered criterion fixes before any pruning: the
     essential targets, or a singleton layer's node when a stem reaches it."""
-    labeling = label_layers(dag)
     fixed = []
-    for k, layer in enumerate(labeling.layers, start=1):
-        coverage = LayerCoverage(induce_prefix(dag, labeling, k), layer)
+    for coverage in layer_coverages(dag):
+        layer = coverage.targets
         if len(layer) == 1:
             fixed.append(layer if coverage.mu == 1 else frozenset())
         else:

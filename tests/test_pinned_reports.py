@@ -13,10 +13,12 @@ witness or ordering fails here.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from fixednodes import analyze, graph_from_json, report_to_json_dict
 from fixednodes.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +52,16 @@ def test_fixed_report_is_byte_identical(case, capsys):
     graph, args = CASES[case]
     out = cli_stdout(capsys, "fixed", str(DATA / f"{graph}.graph.json"), *args)
     assert out == (DATA / f"{case}.report.json").read_text()
+
+
+def test_layer_times_stay_off_the_report():
+    dag = graph_from_json((DATA / "skip200.graph.json").read_text())
+    report = analyze(dag, ("layered",))
+    layers = report.methods["layered"].per_layer
+    assert all(layer.elapsed >= 0 for layer in layers)
+    assert sum(layer.elapsed for layer in layers) <= report.elapsed
+    text = json.dumps(report_to_json_dict(report), indent=2) + "\n"
+    assert text == (DATA / "skip200-layered.report.json").read_text()
 
 
 @pytest.mark.parametrize("graph", sorted(GENERATED))

@@ -6,20 +6,27 @@ from pathlib import Path
 import pytest
 
 import goldens
+import fixednodes.search
+import fixednodes.stems
 from fixednodes import (
+    GeneratorConfig,
     InvalidGraphError,
     StemFamily,
     StructuredDag,
+    analyze,
     attach_matched_sets,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     fixed_nodes_single_leader,
     generic_dimension,
     graph_from_json,
+    label_layers,
+    random_layered_dag,
+    spread_widths,
     stem_family_violations,
 )
 from randgraphs import random_dag
-from references import resolving_oracle, unpruned_layer_fixed
+from references import layer_coverages, resolving_oracle, unpruned_layer_fixed
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +174,90 @@ class TestLayered:
         result = fixed_nodes_layered(single7.dag)
         tags = {r.layer_index: r.fast_path for r in result.per_layer}
         assert tags[1] == tags[2] == tags[5] == "singleton-layer"
+
+    def test_nonsource_leader_refused_before_any_flow(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow network was built")
+
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", no_flow)
+        dag = StructuredDag.of(3, [(1, 2), (2, 3)], [1, 3])
+        with pytest.raises(InvalidGraphError, match="layered analysis requires source leaders"):
+            fixed_nodes_layered(dag)
+
+
+class TestLayeredSweep:
+    """The one-network sweep against the per-prefix reference, which solves
+    every layer from zero on its own prefix graph."""
+
+    @staticmethod
+    def assert_matches(dag):
+        result = fixed_nodes_layered(dag)
+        pruned = dag.nodes - generic_dimension(dag)[1].covered
+        coverages = layer_coverages(dag)
+        unpruned = unpruned_layer_fixed(dag)
+        assert len(result.per_layer) == len(coverages) == len(unpruned)
+        for report, coverage, fixed in zip(result.per_layer, coverages, unpruned):
+            k = report.layer_index
+            assert report.targets == coverage.targets, k
+            assert report.mu == coverage.mu, k
+            assert report.fixed == fixed - pruned, k
+
+    @pytest.mark.parametrize(
+        "name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
+    )
+    def test_pinned_graphs(self, name):
+        self.assert_matches(graph_from_json((DATA / f"{name}.graph.json").read_text()))
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob):
+        rng = random.Random(0x5EE9 + int(skip_prob * 10))
+        for _ in range(350):
+            self.assert_matches(random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob))
+
+    @pytest.mark.parametrize("shape", ["deep", "wide"])
+    def test_generated_graphs(self, shape):
+        rng = random.Random(f"sweep/{shape}")
+        for i in range(6):
+            depth = rng.randint(12, 20) if shape == "deep" else rng.randint(4, 6)
+            width = rng.randint(5, 25) if shape == "deep" else rng.randint(15, 80)
+            leaders = rng.randint(2, min(10, width))
+            widths = spread_widths(depth, width, leaders)
+            n = sum(widths)
+            config = GeneratorConfig(
+                depth=depth,
+                widths=widths,
+                leader_count=leaders,
+                seed=rng.randrange(2**32),
+                edge_count=rng.randint(n, 3 * n),
+                skip_layer_prob=(0.0, 0.3, 0.6)[i % 3],
+            )
+            dag = random_layered_dag(config)
+            assert 60 <= dag.node_count <= 500
+            self.assert_matches(dag)
+
+    def test_analyze_hands_over_its_labeling_and_witness(self, monkeypatch):
+        dag = graph_from_json((DATA / "skip200.graph.json").read_text())
+        expected = fixed_nodes_layered(dag)
+        labeling, witness = label_layers(dag), generic_dimension(dag)[1]
+        built = []
+        original_init = fixednodes.stems.FlowNetwork.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the layered route recomputed what analyze holds")
+
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
+        for name in ("induce_prefix", "label_layers", "generic_dimension"):
+            monkeypatch.setattr(fixednodes.search, name, refused)
+        assert fixed_nodes_layered(dag, labeling=labeling, witness=witness) == expected
+        assert len(built) == 1
+        report = analyze(dag, ("layered",))
+        # one more network for analyze's dimension flow, one for the layer sweep
+        assert len(built) == 3
+        assert report.methods["layered"] == expected
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:

@@ -21,7 +21,7 @@ from fixednodes import (
     spread_widths,
     stem_family_violations,
 )
-from fixednodes.stems import FlowNetwork
+from fixednodes.stems import _solved_dimension_flow
 from randgraphs import random_dag
 
 
@@ -219,8 +219,7 @@ class TestSolvedPotentials:
 
     @staticmethod
     def negative_reduced_costs(dag):
-        net = FlowNetwork(dag, covered_profit=True)
-        net.solve_min_cost(len(dag.leaders))
+        net = _solved_dimension_flow(dag)
         p = net._potential
         return [
             (u, net._head[arc])
