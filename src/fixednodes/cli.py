@@ -15,7 +15,14 @@ from pathlib import Path
 from .dot import export_dot
 from .errors import InconclusiveError, InvalidGraphError
 from .generate import GeneratorConfig, random_layered_dag, spread_widths
-from .graph import StructuredDag, graph_from_json, graph_to_json, label_layers, validate
+from .graph import (
+    StructuredDag,
+    ValidationReport,
+    graph_from_json,
+    graph_to_json,
+    label_layers,
+    validate,
+)
 from .numeric import DEFAULT_TOL, DEFAULT_TRIALS
 from .report import ALL_METHODS, analyze, report_to_json_dict
 from .search import attach_matched_sets
@@ -112,14 +119,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args) -> StructuredDag:
+def _load_graph(args) -> tuple[StructuredDag, ValidationReport]:
+    """Parse and validate the graph, printing any warnings; the report goes on
+    to ``analyze`` so that the graph is validated once per call."""
     dag = graph_from_json(Path(args.graph).read_text())
     report = validate(dag, allow_nonsource_leaders=args.allow_nonsource_leaders)
     if not report.ok:
         raise InvalidGraphError("; ".join(v.message for v in report.violations))
     for warning in report.warnings:
         print(f"warning: {warning.message}", file=sys.stderr)
-    return dag
+    return dag, report
 
 
 def _emit(args, text: str) -> int:
@@ -135,7 +144,7 @@ def _dump(payload: dict) -> str:
 
 
 def _cmd_label(args) -> int:
-    dag = _load_graph(args)
+    dag, _ = _load_graph(args)
     labeling = label_layers(dag)
     return _emit(
         args,
@@ -149,7 +158,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    dag = _load_graph(args)
+    dag, _ = _load_graph(args)
     dim, witness = generic_dimension(dag)
     return _emit(
         args,
@@ -158,14 +167,9 @@ def _cmd_dim(args) -> int:
 
 
 def _analysis(args, methods) -> dict:
-    dag = _load_graph(args)
+    dag, validation = _load_graph(args)
     report = analyze(
-        dag,
-        methods,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        allow_nonsource_leaders=args.allow_nonsource_leaders,
+        dag, methods, trials=args.trials, seed=args.seed, tol=args.tol, validation=validation
     )
     if "layered" in report.methods and dag.node_count <= DEFAULT_ENUM_CAP:
         report.methods["layered"] = attach_matched_sets(dag, report.methods["layered"])
@@ -202,14 +206,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    dag = _load_graph(args)
+    dag, validation = _load_graph(args)
     report = analyze(
-        dag,
-        (args.method,),
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        allow_nonsource_leaders=args.allow_nonsource_leaders,
+        dag, (args.method,), trials=args.trials, seed=args.seed, tol=args.tol, validation=validation
     )
     fixed = report.fixed_sets[args.method]
     return _emit(args, export_dot(dag, report.labeling, fixed))

@@ -112,36 +112,34 @@ def numeric_fixed_nodes(
     vector projected onto that basis stays below ``tol`` in every top-rank draw.
 
     Draws whose rank falls below the observed maximum are non-generic and
-    discarded.  When the true dimension is known, pass it as ``expected_dim``:
-    draws below it are then rejected, and if none attains it the sampler
-    retries with fresh seeds (up to three times the trial budget) before
-    raising :class:`InconclusiveError`.
+    discarded: each draw's residuals fold into a running floor as it is made,
+    a higher rank restarts the floor, and only one basis is held at a time.
+    When the true dimension is known, pass it as ``expected_dim``: draws below
+    it are then rejected, and if none attains it the sampler retries with
+    fresh seeds (up to three times the trial budget) before raising
+    :class:`InconclusiveError`.
     """
     _check_tol(tol)
     if trials < 1:
         raise ValueError("at least one trial is required")
     budget = trials if expected_dim is None else 3 * trials
-    bases: list[np.ndarray] = []
+    n = dag.node_count
     top = 0
+    residual_floor = np.zeros(n)
     for t in range(budget):
         _, basis = _column_space(sample_realization(dag, seed + t), tol)
-        bases.append(basis)
-        top = max(top, basis.shape[1])
+        rank = basis.shape[1]
+        if rank >= top:
+            # residual of projecting each standard basis vector onto the column space
+            residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
+            residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
+            top = rank
         if t + 1 >= trials and (expected_dim is None or top >= expected_dim):
             break
     if expected_dim is not None and top < expected_dim:
         raise InconclusiveError(
             f"no draw reached rank {expected_dim} in {budget} trials (best {top})"
         )
-
-    n = dag.node_count
-    residual_floor = np.zeros(n)
-    for basis in bases:
-        if basis.shape[1] != top:
-            continue
-        # residual of projecting each standard basis vector onto the column space
-        residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
-        residual_floor = np.maximum(residual_floor, residuals)
     return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < tol)
 
 

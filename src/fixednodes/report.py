@@ -14,7 +14,14 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidGraphError
-from .graph import LayerLabeling, StructuredDag, graph_to_json, label_layers, validate
+from .graph import (
+    LayerLabeling,
+    StructuredDag,
+    ValidationReport,
+    graph_to_json,
+    label_layers,
+    validate,
+)
 from .numeric import DEFAULT_TOL, DEFAULT_TRIALS, numeric_fixed_nodes
 from .search import (
     SOURCE_LEADERS_REQUIRED,
@@ -68,6 +75,7 @@ def analyze(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     allow_nonsource_leaders: bool = False,
+    validation: ValidationReport | None = None,
 ) -> AnalysisReport:
     """Run the requested methods and cross-compare their fixed sets.
 
@@ -75,14 +83,19 @@ def analyze(
     rank, so degenerate sampling surfaces as an error instead of a silently
     wrong set.  Leaders with incoming edges are tolerated only with
     ``allow_nonsource_leaders``, and only for the oracle and numeric methods:
-    the layer hierarchy presumes source leaders.
+    the layer hierarchy presumes source leaders.  A caller that has already
+    run ``validate(dag, allow_nonsource_leaders=...)`` passes its report as
+    ``validation`` (the CLI does, to print warnings before the analysis);
+    otherwise the graph is validated here.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise ValueError("at least one method is required")
-    report = validate(dag, allow_nonsource_leaders=allow_nonsource_leaders)
+    report = validation
+    if report is None:
+        report = validate(dag, allow_nonsource_leaders=allow_nonsource_leaders)
     if not report.ok:
         details = "; ".join(v.message for v in report.violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
@@ -97,7 +110,7 @@ def analyze(
         if name == "layered":
             results[name] = fixed_nodes_layered(dag, labeling=labeling, witness=witness)
         elif name == "oracle":
-            results[name] = fixed_nodes_oracle(dag)
+            results[name] = fixed_nodes_oracle(dag, witness=witness)
         else:
             fixed = numeric_fixed_nodes(dag, trials, seed, tol, expected_dim=dim)
             results[name] = NumericSummary(fixed, trials, seed, tol)

@@ -2,7 +2,7 @@
 
 A node is *fixed* when it stays controllable under every choice of nonzero
 network weights; equivalently, attaching a fresh input to it cannot raise the
-generic dimension of the controllable subspace.  Four routes are implemented:
+generic dimension of the controllable subspace.  Three routes are implemented:
 
 * :func:`fixed_nodes_oracle` decides that definition for every node from one
   optimal flow (the reference everything else is measured against),
@@ -27,13 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InvalidGraphError
 from .graph import LayerLabeling, StructuredDag, induce_prefix, label_layers
-from .stems import (
-    FlowNetwork,
-    StemFamily,
-    _solved_dimension_flow,
-    enumerate_max_families,
-    generic_dimension,
-)
+from .stems import FlowNetwork, StemFamily, enumerate_max_families, generic_dimension
 
 FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
@@ -66,7 +60,9 @@ class FixedNodeResult:
     method: str
 
 
-def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
+def fixed_nodes_oracle(
+    dag: StructuredDag, *, witness: StemFamily | None = None
+) -> FixedNodeResult:
     """Reference method: a node is fixed iff promoting it to a leader keeps
     the generic dimension unchanged.  Leaders are fixed without probing, since
     attaching a second input to a led node changes nothing.
@@ -76,11 +72,18 @@ def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
     ``v_in -> sink`` as every other source arc is saturated.  Its length
     ``d`` is ``dim(L) - dim(L + v) <= 0`` (successive-shortest-path
     optimality), so ``v`` is fixed iff ``d == 0``.
+
+    The optimal flow is the one ``witness`` keeps, when it comes from
+    :func:`generic_dimension` on ``dag`` (``analyze`` passes its own);
+    otherwise it is solved here.
     """
-    net = _solved_dimension_flow(dag)
-    distances = net.in_copy_distances_to_sink()
+    if witness is None:
+        _, witness = generic_dimension(dag)
+    if witness.flow is None:
+        raise ValueError("the oracle needs a witness from generic_dimension, with its flow")
+    distances = witness.flow.in_copy_distances_to_sink()
     fixed = dag.leaders | {v for v, d in distances.items() if d == 0}
-    return FixedNodeResult(fixed, (), len(net.stems().covered), "oracle")
+    return FixedNodeResult(fixed, (), len(witness.covered), "oracle")
 
 
 def fixed_nodes_single_leader(
@@ -143,7 +146,7 @@ def fixed_nodes_layered(
     for k, layer in enumerate(labeling.layers, start=1):
         started = time.perf_counter()
         net.open_layer(k)
-        matched = net.matched_targets()
+        matched = net.matched_targets(layer)
         candidates = layer - pruned
         if len(layer) == 1:
             fixed = layer if candidates and matched else frozenset()

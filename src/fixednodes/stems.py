@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
@@ -35,9 +35,16 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class StemFamily:
-    """Pairwise vertex-disjoint stems, at most one per leader."""
+    """Pairwise vertex-disjoint stems, at most one per leader.
+
+    A family from :func:`generic_dimension` keeps the solved min-cost flow it
+    was read from in ``flow``, so later questions about the same optimum
+    (the oracle's distances) reuse it instead of solving again.  The flow is
+    not modified after the solve; it takes no part in comparisons.
+    """
 
     stems: tuple[tuple[int, ...], ...]
+    flow: FlowNetwork | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def covered(self) -> frozenset[int]:
@@ -106,6 +113,7 @@ class FlowNetwork:
         self._cap: list[int] = []
         self._cost: list[int] = []
         self._adj: list[list[int]] = [[] for _ in range(self.size)]
+        self._open: set[int] = set()  # nodes whose sink arc is open
 
         for leader in sorted(dag.leaders):
             self._add_arc(self.source, self._in[leader], 0)
@@ -132,6 +140,7 @@ class FlowNetwork:
         """Give the sink arcs of ``nodes`` capacity one."""
         for v in nodes:
             self._cap[self._sink_arc[v]] = 1
+            self._open.add(v)
 
     # -- plain max flow (layer coverage) ------------------------------------
 
@@ -149,6 +158,7 @@ class FlowNetwork:
         for u in self._layers[k - 2] if k > 1 else ():
             arc = self._sink_arc[u]
             self._cap[arc] = 0
+            self._open.discard(u)
             if self._cap[arc ^ 1]:
                 self._cap[arc ^ 1] = 0
                 self._carry_on(self._out[u], lo, hi)
@@ -206,7 +216,7 @@ class FlowNetwork:
         and augmenting-path ties resolve toward lower external ids.
         """
         potential = [_INF] * self.size
-        potential[self.source] = 0.0
+        potential[self.source] = 0
         for u in range(self.size):
             if potential[u] == _INF:
                 continue
@@ -221,9 +231,7 @@ class FlowNetwork:
             dist, parent = self._dijkstra(potential, self.source)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
-            for v in range(self.size):
-                if dist[v] < _INF:
-                    potential[v] += dist[v]
+            potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
             self._augment(parent)
         self._potential = potential
 
@@ -239,28 +247,54 @@ class FlowNetwork:
         self, potential: list[float], start: int, backward: bool = False
     ) -> tuple[list[float], list[int]]:
         """Reduced-cost residual distances from ``start``, or to it when
-        ``backward`` (``a ^ 1`` enters ``u`` from ``head[a]``, walked in reverse)."""
+        ``backward`` (``a ^ 1`` enters ``u`` from ``head[a]``, walked in reverse).
+
+        Nodes without a potential are never entered.  Between the others the
+        reduced costs are integers and none is negative on a residual arc, so
+        a node never settles below the distance of the one settled before it.
+        A bucket queue (Dial, CACM 1969) keyed by distance, with a heap of node
+        ids inside each bucket, therefore settles nodes in ascending
+        ``(distance, id)`` order, the order of one heap of ``(distance, id)``
+        pairs; ``parent`` changes only on a strict improvement, so ties and
+        augmenting paths resolve exactly as with that heap.  When every
+        reached node sits at distance 0, as in most successive-shortest-path
+        steps here, only the id heap of bucket 0 is ever touched.
+        """
         flip, sign = (1, -1) if backward else (0, 1)
+        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        push, pop = heapq.heappush, heapq.heappop
         dist = [_INF] * self.size
         parent = [-1] * self.size
-        dist[start] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, start)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for arc in self._adj[u]:
-                step = arc ^ flip
-                if self._cap[step] <= 0:
+        dist[start] = 0
+        buckets = {0: [start]}  # distance -> heap of node ids
+        keys = [0]  # heap of the distances in ``buckets``
+        while keys:
+            d = pop(keys)
+            bucket = buckets.pop(d)
+            while bucket:
+                u = pop(bucket)
+                if dist[u] < d:
                     continue
-                v = self._head[arc]
-                if potential[v] == _INF:
-                    continue
-                nd = d + self._cost[step] + sign * (potential[u] - potential[v])
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = arc
-                    heapq.heappush(heap, (nd, v))
+                base = d + sign * potential[u]
+                for arc in adj[u]:
+                    step = arc ^ flip
+                    if cap[step] <= 0:
+                        continue
+                    v = head[arc]
+                    pv = potential[v]
+                    if pv == _INF:
+                        continue
+                    nd = base + cost[step] - sign * pv
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = arc
+                        if nd == d:
+                            push(bucket, v)
+                        elif nd in buckets:
+                            push(buckets[nd], v)
+                        else:
+                            buckets[nd] = [v]
+                            push(keys, nd)
         return dist, parent
 
     # -- reading the solved flow --------------------------------------------
@@ -287,28 +321,39 @@ class FlowNetwork:
                 return self._head[arc]
         raise AssertionError("flow conservation broken while decoding stems")
 
-    def matched_targets(self) -> frozenset[int]:
-        """Nodes whose sink arc carries a unit."""
-        return frozenset(v for v, arc in self._sink_arc.items() if self._cap[arc ^ 1])
+    def matched_targets(self, nodes: Iterable[int]) -> frozenset[int]:
+        """The ``nodes`` whose sink arc carries a unit.
+
+        Only the sink arcs of ``nodes`` are read; in the layered sweep these
+        are the newest layer's, the only sink arcs open there.
+        """
+        return frozenset(v for v in nodes if self._cap[self._sink_arc[v] ^ 1])
 
     def targets_reaching_sink(self, targets: Iterable[int]) -> frozenset[int]:
         """The ``targets`` whose out-copy reaches the sink in the residual network.
 
-        One reverse search from the sink: arc ``a`` leaves node ``x``, so its
-        reverse ``a ^ 1`` enters ``x`` and is followed backwards while it has
-        residual capacity.
+        A breadth-first search backwards from the sink: arc ``a`` leaves node
+        ``x``, so its reverse ``a ^ 1`` enters ``x`` and is followed backwards
+        while it has residual capacity.  The only arcs into the sink with
+        residual capacity are the open, unsaturated sink arcs, so the search
+        starts from their out-copies, read off the open set (in the layered
+        sweep, the newest layer) instead of the sink's adjacency list.  It
+        stops as soon as every target is reached; a target is reported
+        unreached only once the search is exhausted.
         """
-        reached = [False] * self.size
-        reached[self.sink] = True
-        stack = [self.sink]
-        while stack:
-            x = stack.pop()
+        outs = {self._out[v]: v for v in targets}
+        queue = deque(self._out[v] for v in self._open if self._cap[self._sink_arc[v]])
+        reached = {self.sink, *queue}
+        missing = outs.keys() - reached
+        while missing and queue:
+            x = queue.popleft()
             for arc in self._adj[x]:
                 u = self._head[arc]
-                if self._cap[arc ^ 1] > 0 and not reached[u]:
-                    reached[u] = True
-                    stack.append(u)
-        return frozenset(v for v in targets if reached[self._out[v]])
+                if self._cap[arc ^ 1] > 0 and u not in reached:
+                    reached.add(u)
+                    missing.discard(u)
+                    queue.append(u)
+        return frozenset(v for x, v in outs.items() if x in reached)
 
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.
@@ -353,7 +398,7 @@ class LayerCoverage:
         self._net.open_sinks(self.targets)
         self.mu = self._net.max_flow()
         self.witness = self._net.stems()
-        self.matched = self._net.matched_targets()
+        self.matched = self._net.matched_targets(self.targets)
 
     @cached_property
     def _droppable(self) -> frozenset[int]:
@@ -384,8 +429,10 @@ def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
 
 
 def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
-    """Maximum node count coverable by disjoint stems, with a witness family."""
-    family = _solved_dimension_flow(dag).stems()
+    """Maximum node count coverable by disjoint stems, with a witness family
+    that keeps its solved flow (``StemFamily.flow``)."""
+    net = _solved_dimension_flow(dag)
+    family = replace(net.stems(), flow=net)
     return len(family.covered), family
 
 

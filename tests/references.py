@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+from typing import Iterable
+
 from fixednodes import (
     FixedNodeResult,
     LayerCoverage,
@@ -10,6 +13,9 @@ from fixednodes import (
     induce_prefix,
     label_layers,
 )
+from fixednodes.stems import FlowNetwork
+
+_INF = float("inf")
 
 
 def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
@@ -46,3 +52,55 @@ def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
         else:
             fixed.append(frozenset(v for v in layer if coverage.essential(v)))
     return fixed
+
+
+# -- flow kernels: the plain versions the FlowNetwork methods are checked against
+
+
+def heap_dijkstra(
+    net: FlowNetwork, potential: list[float], start: int, backward: bool = False
+) -> tuple[list[float], list[int]]:
+    """``FlowNetwork._dijkstra`` with one heap of ``(distance, node)`` pairs."""
+    flip, sign = (1, -1) if backward else (0, 1)
+    dist = [_INF] * net.size
+    parent = [-1] * net.size
+    dist[start] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for arc in net._adj[u]:
+            step = arc ^ flip
+            if net._cap[step] <= 0:
+                continue
+            v = net._head[arc]
+            if potential[v] == _INF:
+                continue
+            nd = d + net._cost[step] + sign * (potential[u] - potential[v])
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = arc
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
+
+
+def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozenset[int]:
+    """``FlowNetwork.targets_reaching_sink`` as one whole reverse search from
+    the sink, through every arc into it."""
+    reached = [False] * net.size
+    reached[net.sink] = True
+    stack = [net.sink]
+    while stack:
+        x = stack.pop()
+        for arc in net._adj[x]:
+            u = net._head[arc]
+            if net._cap[arc ^ 1] > 0 and not reached[u]:
+                reached[u] = True
+                stack.append(u)
+    return frozenset(v for v in targets if reached[net._out[v]])
+
+
+def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
+    """Every node whose sink arc carries a unit, read over all sink arcs."""
+    return frozenset(v for v, arc in net._sink_arc.items() if net._cap[arc ^ 1])

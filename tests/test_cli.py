@@ -5,7 +5,9 @@ import json
 import pytest
 
 import goldens
-from fixednodes import StructuredDag, graph_to_json
+import fixednodes.cli
+import fixednodes.report
+from fixednodes import StructuredDag, analyze, graph_to_json
 from fixednodes.cli import main
 from fixednodes.stems import DEFAULT_ENUM_CAP
 
@@ -228,6 +230,58 @@ class TestExportDot:
         )
         assert code == 0
         assert out.count('class="fixed"') == len(goldens.SKIP7_ORACLE_FIXED)
+
+
+class TestValidateOnce:
+    """Every subcommand validates its graph once; ``analyze`` reuses the CLI's
+    report and validates only when called on its own."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = fixednodes.report.validate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(fixednodes.cli, "validate", counting)
+        monkeypatch.setattr(fixednodes.report, "validate", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed",),
+            ("fixed", "--method", "layered"),
+            ("verify",),
+            ("export-dot",),
+            ("export-dot", "--method", "oracle"),
+            ("label",),
+            ("dim",),
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_one_validation_per_call(self, graph_file, capsys, validations, argv):
+        command, *flags = argv
+        code, _, _ = run(capsys, command, graph_file(goldens.PAIR13.dag), *flags)
+        assert code == 0
+        assert len(validations) == 1
+
+    def test_warning_prints_once(self, tmp_path, capsys, validations):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "edges": [[1, 2]], "leaders": [1, 2]}')
+        for method, expected in (("oracle", 0), ("layered", 1)):
+            code, _, err = run(
+                capsys, "fixed", str(path), "--method", method, "--allow-nonsource-leaders"
+            )
+            assert code == expected
+            assert err.count("warning:") == 1
+        assert len(validations) == 2
+
+    def test_analyze_alone_validates(self, validations):
+        analyze(goldens.PAIR13.dag, ("oracle",))
+        assert len(validations) == 1
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ import pytest
 import goldens
 import randgraphs
 from fixednodes import (
+    GeneratorConfig,
     InconclusiveError,
     StructuredDag,
     controllability_matrix,
     fixed_nodes_oracle,
+    generic_dimension,
+    random_layered_dag,
+    spread_widths,
     numeric_fixed_nodes,
     numeric_generic_dimension,
     sample_realization,
@@ -184,3 +189,26 @@ class TestNumericFixedNodes:
                 assert worst[v - 1] < 1e-8
             else:
                 assert worst[v - 1] > 1e-4
+
+    def test_memory_does_not_grow_with_the_draw_count(self):
+        """Each draw folds into the running floor, so ten times the draws
+        keeps the traced peak within twice that of three draws."""
+        config = GeneratorConfig(
+            depth=10,
+            widths=spread_widths(10, 30, 10),
+            leader_count=10,
+            seed=5,
+            edge_count=700,
+        )
+        dag = random_layered_dag(config)
+        dim = generic_dimension(dag)[0]
+        assert (dag.node_count, dim) == (300, 100)
+        peaks = []
+        for trials in (3, 30):
+            tracemalloc.start()
+            try:
+                numeric_fixed_nodes(dag, trials=trials, seed=0, expected_dim=dim)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]

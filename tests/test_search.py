@@ -51,6 +51,19 @@ class TestOracle:
     def test_leaders_always_fixed(self, golden):
         assert golden.dag.leaders <= fixed_nodes_oracle(golden.dag).fixed_nodes
 
+    def test_reads_the_flow_its_witness_keeps(self, pair13, monkeypatch):
+        _, witness = generic_dimension(pair13.dag)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle solved the dimension flow again")
+
+        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", refused)
+        result = fixed_nodes_oracle(pair13.dag, witness=witness)
+        assert (result.fixed_nodes, result.generic_dim) == (pair13.fixed, pair13.generic_dim)
+        with pytest.raises(ValueError, match="witness"):
+            fixed_nodes_oracle(pair13.dag, witness=StemFamily(witness.stems))
+
 
 class TestOracleAgainstResolving:
     """The one-solve oracle against the literal definition, which re-solves
@@ -237,7 +250,7 @@ class TestLayeredSweep:
 
     def test_analyze_hands_over_its_labeling_and_witness(self, monkeypatch):
         dag = graph_from_json((DATA / "skip200.graph.json").read_text())
-        expected = fixed_nodes_layered(dag)
+        expected, oracle = fixed_nodes_layered(dag), fixed_nodes_oracle(dag)
         labeling, witness = label_layers(dag), generic_dimension(dag)[1]
         built = []
         original_init = fixednodes.stems.FlowNetwork.__init__
@@ -258,6 +271,11 @@ class TestLayeredSweep:
         # one more network for analyze's dimension flow, one for the layer sweep
         assert len(built) == 3
         assert report.methods["layered"] == expected
+        # every method: the oracle reads the dimension flow analyze solved
+        report = analyze(dag)
+        assert len(built) == 5
+        assert report.methods["layered"] == expected
+        assert report.methods["oracle"] == oracle
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:

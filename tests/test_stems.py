@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,15 +15,35 @@ from fixednodes import (
     StructuredDag,
     enumerate_max_families,
     exhaustive_generic_dimension,
+    fixed_nodes_layered,
+    fixed_nodes_oracle,
     generic_dimension,
+    graph_from_json,
     induce_prefix,
     label_layers,
     random_layered_dag,
     spread_widths,
     stem_family_violations,
 )
-from fixednodes.stems import _solved_dimension_flow
+from fixednodes.stems import FlowNetwork, _solved_dimension_flow
 from randgraphs import random_dag
+from references import all_matched_targets, heap_dijkstra, residual_reaching_sink
+
+DATA = Path(__file__).parent / "data"
+PINNED = ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
+
+
+def shaped_dag(depth, width, leaders, skip_prob, seed):
+    """A generated graph of the benchmark's n=1000 shapes (3000 edges)."""
+    config = GeneratorConfig(
+        depth=depth,
+        widths=spread_widths(depth, width, leaders),
+        leader_count=leaders,
+        seed=seed,
+        edge_count=3000,
+        skip_layer_prob=skip_prob,
+    )
+    return random_layered_dag(config)
 
 
 def layer_problem(golden: goldens.Golden, k: int):
@@ -280,3 +301,92 @@ class TestEssentialityBeyondEnumeration:
                 for v in sorted(layer):
                     dropped = LayerCoverage(prefix, layer - {v}).mu
                     assert coverage.essential(v) == (dropped < coverage.mu), (k, v)
+
+
+class TestFlowKernels:
+    """The bucket-queue Dijkstra, the seeded early-stopping reverse search and
+    the layer-local matched read against the plain kernels in ``references``,
+    on every call the oracle's solve and the layered sweep make."""
+
+    @staticmethod
+    def assert_kernels_match(dags, monkeypatch):
+        dijkstra = FlowNetwork._dijkstra
+        reaching = FlowNetwork.targets_reaching_sink
+        open_layer = FlowNetwork.open_layer
+        calls = {"forward": 0, "backward": 0, "reaching": 0}
+
+        def checked_dijkstra(net, potential, start, backward=False):
+            got = dijkstra(net, potential, start, backward)
+            assert got == heap_dijkstra(net, potential, start, backward)
+            calls["backward" if backward else "forward"] += 1
+            return got
+
+        def checked_reaching(net, targets):
+            targets = frozenset(targets)
+            got = reaching(net, targets)
+            assert got == residual_reaching_sink(net, targets)
+            calls["reaching"] += 1
+            return got
+
+        def checked_open_layer(net, k):
+            open_layer(net, k)
+            layer = net._layers[k - 1]
+            matched = net.matched_targets(layer)
+            assert matched == all_matched_targets(net)
+            for targets in (layer, matched):
+                assert net.targets_reaching_sink(targets) == residual_reaching_sink(net, targets)
+
+        monkeypatch.setattr(FlowNetwork, "_dijkstra", checked_dijkstra)
+        monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", checked_reaching)
+        monkeypatch.setattr(FlowNetwork, "open_layer", checked_open_layer)
+        for dag in dags:
+            fixed_nodes_oracle(dag)
+            fixed_nodes_layered(dag)
+        assert calls["forward"] >= len(dags) and calls["backward"] >= len(dags)
+        assert calls["reaching"] >= 2 * len(dags)
+
+    def test_pinned_graphs(self, monkeypatch):
+        dags = [graph_from_json((DATA / f"{name}.graph.json").read_text()) for name in PINNED]
+        self.assert_kernels_match(dags, monkeypatch)
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob, monkeypatch):
+        rng = random.Random(0xD1A1 + int(skip_prob * 10))
+        dags = [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob) for _ in range(350)]
+        self.assert_kernels_match(dags, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "shape", [(100, 10, 4, 0.3), (20, 50, 25, 0.0)], ids=["deep", "wide"]
+    )
+    def test_thousand_node_shapes(self, shape, monkeypatch):
+        dag = shaped_dag(*shape, seed=11)
+        assert dag.node_count == 1000
+        self.assert_kernels_match([dag], monkeypatch)
+
+    def test_reverse_searches_stay_near_the_newest_layer(self, monkeypatch):
+        """On a deep graph whose edges join adjacent layers, the sweep's reverse
+        searches together read fewer adjacency lists than three passes over
+        the network.  One whole-residual search per layer, as in
+        ``references.residual_reaching_sink``, reads about depth * n."""
+        dag = shaped_dag(100, 10, 4, 0.0, seed=11)
+        reads = 0
+
+        class CountingList(list):
+            def __getitem__(self, index):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(index)
+
+        reaching = FlowNetwork.targets_reaching_sink
+
+        def counted(net, targets):
+            plain = net._adj
+            net._adj = CountingList(plain)
+            try:
+                return reaching(net, targets)
+            finally:
+                net._adj = plain
+
+        monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", counted)
+        fixed_nodes_layered(dag)
+        assert 0 < reads < 3 * (2 * dag.node_count + 2)
