@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invalid input or usage, 2 method disagreement in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -45,7 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fixednodes",
         description="Determine fixed (parameter-robust controllable) nodes of "

@@ -29,7 +29,7 @@ def export_dot(dag: StructuredDag, labeling: LayerLabeling, fixed: Iterable[int]
             suffix = f" [{', '.join(marks)}]" if marks else ""
             lines.append(f"    {v}{suffix};")
         lines.append("  }")
-    for u, v in sorted(dag.edges):
+    for u, v in dag.sorted_edges:
         lines.append(f"  {u} -> {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

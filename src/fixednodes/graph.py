@@ -54,10 +54,14 @@ class StructuredDag:
         return tuple(sorted(self.nodes))
 
     @cached_property
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
     def out_neighbors(self) -> dict[int, tuple[int, ...]]:
         """Successors of every node, ascending; only in-range edges included."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
-        for u, v in sorted(self.edges):
+        for u, v in self.sorted_edges:
             if u in self.nodes and v in self.nodes:
                 adj[u].append(v)
         return {u: tuple(vs) for u, vs in adj.items()}
@@ -66,7 +70,7 @@ class StructuredDag:
     def in_neighbors(self) -> dict[int, tuple[int, ...]]:
         """Predecessors of every node, ascending; only in-range edges included."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
-        for u, v in sorted(self.edges):
+        for u, v in self.sorted_edges:
             if u in self.nodes and v in self.nodes:
                 adj[v].append(u)
         return {v: tuple(us) for v, us in adj.items()}
@@ -310,7 +314,7 @@ def graph_to_json(dag: StructuredDag) -> str:
         raise InvalidGraphError("only graphs with contiguous ids 1..n can be serialized")
     payload = {
         "n": dag.node_count,
-        "edges": [[u, v] for u, v in sorted(dag.edges)],
+        "edges": [[u, v] for u, v in dag.sorted_edges],
         "leaders": sorted(dag.leaders),
     }
     return json.dumps(payload, separators=(", ", ": ")) + "\n"

@@ -5,6 +5,12 @@ build the controllability matrix ``[B, AB, A^2 B, ...]``, and read dimensions
 and per-node controllability off its column space.  Works for any sparsity
 pattern, cyclic ones included; acyclicity is a concern of the combinatorial
 modules only.
+
+Draws of one pattern are ranked in batches: their ``A`` matrices are stacked,
+the blocks built for the whole batch and one stacked SVD ranks them all, with
+a batch size set by n alone.  Each draw keeps its own rank and residuals, and
+the draws, the verdicts and the draw that ends sampling are those of ranking
+one draw at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ DEFAULT_TOL = 1e-8
 # a draw never masquerades as a pattern violation, and small enough to keep
 # the controllability matrix well conditioned at the sizes handled here.
 _MAG_LOW, _MAG_HIGH = 0.5, 2.0
+
+# Entries of ``A`` that one batch of draws may stack (see ``_batch_size``).
+_BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -58,12 +67,12 @@ def sample_realization(dag: StructuredDag, seed: int) -> Realization:
         raise InvalidGraphError("at least one leader is required")
     n = dag.node_count
     rng = np.random.default_rng(seed)
-    edges = sorted(dag.edges)
+    edges = dag.sorted_edges
     magnitudes = rng.uniform(_MAG_LOW, _MAG_HIGH, size=len(edges))
     signs = rng.integers(0, 2, size=len(edges)) * 2 - 1
-    a = np.zeros((n, n))
-    for (u, v), w in zip(edges, magnitudes * signs):
-        a[v - 1, u - 1] = w
+    a = np.zeros(n * n)
+    a[[(v - 1) * n + u - 1 for u, v in edges]] = magnitudes * signs
+    a = a.reshape(n, n)
     b = np.zeros((n, len(dag.leaders)))
     for col, leader in enumerate(sorted(dag.leaders)):
         b[leader - 1, col] = 1.0
@@ -75,8 +84,8 @@ def controllability_matrix(realization: Realization, tol: float = DEFAULT_TOL) -
     stack: the count of singular values above ``tol`` (finite, > 0) times the
     largest."""
     _check_tol(tol)
-    c, basis = _column_space(realization, tol)
-    return ControllabilityMatrix(c, basis.shape[1], tol)
+    c, _, ranks = _column_spaces([realization], tol)
+    return ControllabilityMatrix(c[0], int(ranks[0]), tol)
 
 
 def numeric_generic_dimension(
@@ -92,10 +101,12 @@ def numeric_generic_dimension(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    return max(
-        controllability_matrix(sample_realization(dag, seed + t), tol).rank
-        for t in range(trials)
-    )
+    size = _batch_size(dag.node_count)
+    top = 0
+    for start in range(0, trials, size):
+        _, _, ranks = _column_spaces(_draws(dag, seed + start, min(size, trials - start)), tol)
+        top = max(top, int(ranks.max()))
+    return top
 
 
 def numeric_fixed_nodes(
@@ -107,34 +118,44 @@ def numeric_fixed_nodes(
 ) -> frozenset[int]:
     """Nodes whose basis vector lies in the column space of every top-rank draw.
 
-    One SVD per draw gives its rank, as in :func:`controllability_matrix`, and
+    Each draw's SVD gives its rank, as in :func:`controllability_matrix`, and
     an orthonormal basis; a node is fixed when the residual of its basis
     vector projected onto that basis stays below ``tol`` in every top-rank draw.
 
     Draws whose rank falls below the observed maximum are non-generic and
-    discarded: each draw's residuals fold into a running floor as it is made,
-    a higher rank restarts the floor, and only one basis is held at a time.
-    When the true dimension is known, pass it as ``expected_dim``: draws below
-    it are then rejected, and if none attains it the sampler retries with
-    fresh seeds (up to three times the trial budget) before raising
+    discarded: the residuals fold into a running floor in draw order, a higher
+    rank restarts the floor, and only one floor is held at a time.  When the
+    true dimension is known, pass it as ``expected_dim``: draws below it are
+    then rejected, and if none attains it the sampler retries with fresh seeds
+    (up to three times the trial budget) before raising
     :class:`InconclusiveError`.
+
+    The first ``trials`` draws are ranked in batches, one stacked SVD per
+    batch (see :func:`_batch_size`); each retry is a batch of one draw.  The
+    draws, their order and the stopping draw are those of one draw at a time.
     """
     _check_tol(tol)
     if trials < 1:
         raise ValueError("at least one trial is required")
     budget = trials if expected_dim is None else 3 * trials
     n = dag.node_count
+    size = _batch_size(n)
     top = 0
     residual_floor = np.zeros(n)
-    for t in range(budget):
-        _, basis = _column_space(sample_realization(dag, seed + t), tol)
-        rank = basis.shape[1]
-        if rank >= top:
-            # residual of projecting each standard basis vector onto the column space
-            residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
-            residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
-            top = rank
-        if t + 1 >= trials and (expected_dim is None or top >= expected_dim):
+    drawn = 0
+    while drawn < budget:
+        count = min(size, trials - drawn) if drawn < trials else 1
+        _, u, ranks = _column_spaces(_draws(dag, seed + drawn, count), tol)
+        drawn += count
+        for basis, rank in zip(u, ranks.tolist()):
+            if rank >= top:
+                # residual of projecting each standard basis vector onto the
+                # column space: per draw, and only at or above the top rank
+                basis = basis[:, :rank]
+                residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
+                residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
+                top = rank
+        if drawn >= trials and (expected_dim is None or top >= expected_dim):
             break
     if expected_dim is not None and top < expected_dim:
         raise InconclusiveError(
@@ -149,26 +170,49 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _column_space(realization: Realization, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked blocks and an orthonormal basis of their column space: the
-    left singular vectors whose singular values exceed ``tol`` times the largest."""
-    c = _stack_blocks(realization)
+def _batch_size(n: int) -> int:
+    """Draws per batch: as many as keep the batch's ``A`` stack within
+    ``2**16`` entries, and at least one.  That is all 50 default draws up to
+    n = 36 and one draw per batch from n = 182 up, so a batch of several
+    draws stacks fewer entries than a single draw at n = 182."""
+    return max(1, _BATCH_ENTRIES // (n * n))
+
+
+def _draws(dag: StructuredDag, first_seed: int, count: int) -> list[Realization]:
+    return [sample_realization(dag, first_seed + i) for i in range(count)]
+
+
+def _column_spaces(
+    realizations: list[Realization], tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For draws of one pattern: their stacked blocks ``(draws, n, K)``, left
+    singular vectors ``(draws, n, min(n, K))`` by descending singular value,
+    and ranks, each the count of singular values above ``tol`` times that
+    draw's largest."""
+    # a lone draw (every draw from n = 182 up) is viewed, not copied: copying
+    # its A into fresh pages slowed the n = 200 route measurably
+    a = (
+        np.stack([r.a_matrix for r in realizations])
+        if len(realizations) > 1
+        else realizations[0].a_matrix[np.newaxis]
+    )
+    c = _stack_blocks(a, realizations[0].b_matrix)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    return c, u[:, : int(np.count_nonzero(s > tol * s[0]))]
+    return c, u, np.count_nonzero(s > tol * s[:, :1], axis=1)
 
 
-def _stack_blocks(realization: Realization) -> np.ndarray:
-    """``[B, AB, ..., A^(n-1) B]``, cut before the first all-zero block.
+def _stack_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[B, AB, ..., A^(n-1) B]`` for each ``A`` of the ``(draws, n, n)``
+    stack ``a``, cut before the first block that is zero in every draw.
 
-    Every block after an all-zero one is ``A @ 0 = 0``, so the cut leaves the
-    column space unchanged for any pattern; on a DAG it keeps about
+    Every block after an all-zero one is ``A @ 0 = 0``, so the cut leaves each
+    draw's column space unchanged for any pattern; on a DAG it keeps about
     ``depth * |leaders|`` columns instead of ``n * |leaders|``.
     """
-    a, b = realization.a_matrix, realization.b_matrix
-    blocks = [b]
-    for _ in range(realization.node_count - 1):
+    blocks = [np.broadcast_to(b, (len(a), *b.shape))]
+    for _ in range(a.shape[1] - 1):
         block = a @ blocks[-1]
         if not block.any():
             break
         blocks.append(block)
-    return np.hstack(blocks)
+    return np.concatenate(blocks, axis=2)

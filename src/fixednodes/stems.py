@@ -119,7 +119,7 @@ class FlowNetwork:
             self._add_arc(self.source, self._in[leader], 0)
         internal_cost = -1 if covered_profit else 0
         self._through = {v: self._add_arc(self._in[v], self._out[v], internal_cost) for v in order}
-        for u, v in sorted(dag.edges):
+        for u, v in dag.sorted_edges:
             self._add_arc(self._out[u], self._in[v], 0)
         self._sink_arc = {v: self._add_arc(self._out[v], self.sink, 0, 0) for v in dag.sorted_nodes}
 
@@ -183,7 +183,14 @@ class FlowNetwork:
 
     def max_flow(self, last: int | None = None) -> int:
         """BFS augmentations over positive-capacity residual arcs until none is
-        left, through split indices up to ``last`` (all by default) and the sink."""
+        left, through split indices up to ``last`` (all by default) and the sink.
+
+        An augmenting path leaves the source through an unsaturated source
+        arc, so with none left the search is skipped; the layered sweep's deep
+        layers mostly end here, in O(|leaders|) instead of O(n).
+        """
+        if not any(self._cap[arc] for arc in self._adj[self.source]):
+            return 0
         last = self.sink - 1 if last is None else last
         # indices past ``last`` start out marked as reached, so no search enters them
         unvisited = [-1] * (last + 1) + [-3] * (self.sink - last - 1) + [-1]

@@ -5,14 +5,19 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
+import numpy as np
+
+import fixednodes.numeric
 from fixednodes import (
     FixedNodeResult,
+    InconclusiveError,
     LayerCoverage,
     StructuredDag,
     generic_dimension,
     induce_prefix,
     label_layers,
 )
+from fixednodes.numeric import DEFAULT_TOL, DEFAULT_TRIALS
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
@@ -104,3 +109,57 @@ def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozense
 def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
     """Every node whose sink arc carries a unit, read over all sink arcs."""
     return frozenset(v for v, arc in net._sink_arc.items() if net._cap[arc ^ 1])
+
+
+# -- numeric route: one draw at a time
+
+
+def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
+    """``sample_realization``'s ``A``, filled one edge at a time."""
+    n = dag.node_count
+    edges = sorted(dag.edges)
+    rng = np.random.default_rng(seed)
+    magnitudes = rng.uniform(0.5, 2.0, size=len(edges))
+    signs = rng.integers(0, 2, size=len(edges)) * 2 - 1
+    a = np.zeros((n, n))
+    for (u, v), w in zip(edges, magnitudes * signs):
+        a[v - 1, u - 1] = w
+    return a
+
+
+def per_draw_numeric_fixed_nodes(
+    dag: StructuredDag,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    expected_dim: int | None = None,
+) -> frozenset[int]:
+    """``numeric_fixed_nodes`` with one block stack and one SVD per draw.
+
+    Draws come from ``fixednodes.numeric.sample_realization``, the attribute
+    the batched route calls, so a patch sees the draws of both.
+    """
+    budget = trials if expected_dim is None else 3 * trials
+    n = dag.node_count
+    top = 0
+    residual_floor = np.zeros(n)
+    for t in range(budget):
+        r = fixednodes.numeric.sample_realization(dag, seed + t)
+        blocks = [r.b_matrix]
+        for _ in range(n - 1):
+            block = r.a_matrix @ blocks[-1]
+            if not block.any():
+                break
+            blocks.append(block)
+        u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+        basis = u[:, : int(np.count_nonzero(s > tol * s[0]))]
+        rank = basis.shape[1]
+        if rank >= top:
+            residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
+            residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
+            top = rank
+        if t + 1 >= trials and (expected_dim is None or top >= expected_dim):
+            break
+    if expected_dim is not None and top < expected_dim:
+        raise InconclusiveError(f"no draw reached rank {expected_dim} in {budget} trials")
+    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < tol)

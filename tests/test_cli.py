@@ -187,6 +187,39 @@ class TestUsage:
         assert code == 0 and "usage:" in out
 
 
+class TestParserBuiltOnce:
+    """One parser serves every ``main`` call in a process, and each call exits
+    and prints exactly as with a parser built afresh for it."""
+
+    def test_repeated_calls_match_fresh_parsers(self, graph_file, capsys):
+        path = graph_file(goldens.PAIR9.dag)
+        calls = [
+            ("verify", path, "--no-such-flag"),
+            ("verify", path, "--trials", "5"),
+            ("--help",),
+            ("--help",),
+            ("fixed", "--help"),
+            ("label", path),
+            ("dim", path),
+            ("fixed", path, "--method", "numeric", "--trials", "5", "--seed", "2"),
+            ("fixed", path, "--trials", "abc"),
+            ("export-dot", path, "--method", "oracle"),
+            ("gen", "--p", "3", "--width", "3", "--edges", "8", "--leaders", "2", "--seed", "4"),
+            (),
+        ]
+        build = fixednodes.cli._build_parser
+        fresh = []
+        for argv in calls:
+            build.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build.cache_clear()
+        repeated = [run(capsys, *argv) for argv in calls]
+        assert build.cache_info().misses == 1
+        assert repeated == fresh
+        assert [code for code, _, _ in repeated] == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1]
+        assert repeated[2] == repeated[3] and "usage:" in repeated[2][1]
+
+
 class TestGen:
     def test_generates_requested_shape(self, capsys, tmp_path):
         out_path = tmp_path / "gen.json"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fixednodes.numeric
 import goldens
 import randgraphs
 from fixednodes import (
@@ -16,14 +19,39 @@ from fixednodes import (
     controllability_matrix,
     fixed_nodes_oracle,
     generic_dimension,
+    graph_from_json,
     random_layered_dag,
     spread_widths,
     numeric_fixed_nodes,
     numeric_generic_dimension,
     sample_realization,
 )
+from references import loop_weight_matrix, per_draw_numeric_fixed_nodes
 
 BAD_TOLERANCES = (0.0, -1.0, math.nan, math.inf)
+DATA = Path(__file__).parent / "data"
+
+
+def pinned_dags() -> dict[str, StructuredDag]:
+    dags = {g.name: g.dag for g in goldens.GOLDENS}
+    dags.update(skip4=goldens.SKIP4, skip7=goldens.SKIP7)
+    for name in ("crit6", "skip200"):
+        dags[name] = graph_from_json((DATA / f"{name}.graph.json").read_text())
+    return dags
+
+
+@pytest.fixture
+def draws(monkeypatch) -> list[int]:
+    """The seeds drawn through ``numeric.sample_realization``, in call order."""
+    seeds = []
+    original = fixednodes.numeric.sample_realization
+
+    def recorded(dag, seed):
+        seeds.append(seed)
+        return original(dag, seed)
+
+    monkeypatch.setattr(fixednodes.numeric, "sample_realization", recorded)
+    return seeds
 
 
 def full_stack(r) -> np.ndarray:
@@ -65,6 +93,18 @@ class TestSampleRealization:
         r = sample_realization(pair10.dag, seed=3)
         mags = np.abs(r.a_matrix[r.a_matrix != 0])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
+
+    def test_weights_equal_the_per_edge_fill_bit_for_bit(self):
+        dags = [g.dag for g in goldens.GOLDENS]
+        rng = random.Random(0xF111)
+        dags += [
+            randgraphs.random_dag(rng, max_nodes=20, max_leaders=4, skip_prob=(0.0, 0.3, 0.6)[i % 3])
+            for i in range(200)
+        ]
+        for dag in dags:
+            for seed in (0, 7):
+                a = sample_realization(dag, seed).a_matrix
+                assert a.tobytes() == loop_weight_matrix(dag, seed).tobytes()
 
     def test_one_unit_column_per_leader(self, pair13):
         r = sample_realization(pair13.dag, seed=0)
@@ -212,3 +252,105 @@ class TestNumericFixedNodes:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0]
+
+
+class TestBatchedDraws:
+    """The batched route against ``references.per_draw_numeric_fixed_nodes``:
+    the same fixed set from the same draws, in the same order, stopping at the
+    same draw."""
+
+    @staticmethod
+    def assert_same_as_per_draw(dag, trials, expected_dim, draws):
+        batched = numeric_fixed_nodes(dag, trials, seed=3, expected_dim=expected_dim)
+        batched_draws = draws[:]
+        draws.clear()
+        assert batched == per_draw_numeric_fixed_nodes(dag, trials, seed=3, expected_dim=expected_dim)
+        assert draws == batched_draws and len(draws) >= trials
+        draws.clear()
+
+    @pytest.mark.parametrize("trials", [1, 2, 50])
+    def test_pinned_graphs(self, trials, draws):
+        for dag in pinned_dags().values():
+            for expected_dim in (None, generic_dimension(dag)[0]):
+                self.assert_same_as_per_draw(dag, trials, expected_dim, draws)
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob, draws):
+        rng = random.Random(0xBA7C + int(skip_prob * 10))
+        for _ in range(200):
+            dag = randgraphs.random_dag(rng, max_nodes=20, max_leaders=4, skip_prob=skip_prob)
+            dim = generic_dimension(dag)[0]
+            for trials in (1, 2, 50):
+                self.assert_same_as_per_draw(dag, trials, dim, draws)
+
+    @pytest.mark.parametrize(
+        "deficient, drawn",
+        [({3, 4, 5, 6, 7}, 6), ({3, 5}, 4)],
+        ids=["first-batch-and-first-retry", "around-a-full-rank-draw"],
+    )
+    def test_rank_deficient_draws(self, single7, draws, monkeypatch, deficient, drawn):
+        """Draws with ``A = 0`` reach rank 1 of 5: a batch made only of them
+        leads to retries one draw at a time, and one among full-rank draws
+        is left out of the floor."""
+        recorded = fixednodes.numeric.sample_realization
+
+        def sample(dag, seed):
+            r = recorded(dag, seed)
+            return dataclasses.replace(r, a_matrix=np.zeros_like(r.a_matrix)) if seed in deficient else r
+
+        monkeypatch.setattr(fixednodes.numeric, "sample_realization", sample)
+        self.assert_same_as_per_draw(single7.dag, 4, single7.generic_dim, draws)
+        assert numeric_fixed_nodes(single7.dag, 4, seed=3, expected_dim=5) == single7.fixed
+        assert len(draws) == drawn
+
+    def test_each_draw_ranked_against_its_own_largest_singular_value(
+        self, single7, draws, monkeypatch
+    ):
+        """One draw with ``A`` scaled by 100 has singular values up to about
+        1e8 times the others'; it must not set the rank cut of its batch."""
+        recorded = fixednodes.numeric.sample_realization
+
+        def sample(dag, seed):
+            r = recorded(dag, seed)
+            return dataclasses.replace(r, a_matrix=100 * r.a_matrix) if seed == 4 else r
+
+        monkeypatch.setattr(fixednodes.numeric, "sample_realization", sample)
+        self.assert_same_as_per_draw(single7.dag, 4, single7.generic_dim, draws)
+        assert numeric_generic_dimension(single7.dag, trials=4, seed=3) == single7.generic_dim
+        assert draws == [3, 4, 5, 6]
+
+    def test_inconclusive_after_the_same_draws(self, single7, draws):
+        with pytest.raises(InconclusiveError):
+            numeric_fixed_nodes(single7.dag, trials=4, seed=3, expected_dim=6)
+        assert draws == list(range(3, 15))
+        draws.clear()
+        with pytest.raises(InconclusiveError):
+            per_draw_numeric_fixed_nodes(single7.dag, trials=4, seed=3, expected_dim=6)
+        assert draws == list(range(3, 15))
+
+    def test_batch_shapes(self, monkeypatch):
+        """n = 200 ranks one draw per SVD, n = 60 up to 18 and n <= 20 all 50
+        draws in one: at most 2**16 entries of ``A`` per batch."""
+        batches = []
+        svd = np.linalg.svd
+
+        def recorded(c, *args, **kwargs):
+            batches.append(c.shape[0])
+            return svd(c, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        dags = pinned_dags()
+        skip200 = dags.pop("skip200")
+        numeric_fixed_nodes(skip200, trials=20, expected_dim=generic_dimension(skip200)[0])
+        assert len(batches) >= 20 and set(batches) == {1}
+        crit6 = dags.pop("crit6")
+        batches.clear()
+        numeric_fixed_nodes(crit6, trials=50, expected_dim=generic_dimension(crit6)[0])
+        assert batches == [18, 18, 14]
+        rng = random.Random(0xBA7D)
+        small = list(dags.values()) + [randgraphs.random_dag(rng, max_nodes=20) for _ in range(20)]
+        for dag in small:
+            assert dag.node_count <= 20
+            batches.clear()
+            numeric_fixed_nodes(dag, trials=50, expected_dim=generic_dimension(dag)[0])
+            assert batches == [50]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import collections
 import random
 from pathlib import Path
 
 import pytest
 
+import fixednodes.stems
 import goldens
 from fixednodes import (
     BudgetExceededError,
@@ -390,3 +392,36 @@ class TestFlowKernels:
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", counted)
         fixed_nodes_layered(dag)
         assert 0 < reads < 3 * (2 * dag.node_count + 2)
+
+    def test_saturated_source_skips_the_breadth_first_search(self, monkeypatch):
+        """With every source arc saturated no augmenting path can exist, so
+        ``max_flow`` returns before it builds its 2n+2 search list; on a deep
+        graph with four leaders that is most of the sweep's layers.  Each
+        search starts from a ``deque`` holding only the source."""
+        dag = shaped_dag(100, 10, 4, 0.0, seed=11)
+        searches = 0
+
+        def counting_deque(items=()):
+            nonlocal searches
+            items = list(items)
+            searches += items == [0]  # a breadth-first search from the source
+            return collections.deque(items)
+
+        max_flow = FlowNetwork.max_flow
+        skipped = []
+
+        def counted(net, last=None):
+            saturated = not any(net._cap[arc] for arc in net._adj[net.source])
+            before = searches
+            value = max_flow(net, last)
+            if saturated:
+                assert searches == before and value == 0
+                skipped.append(last)
+            return value
+
+        monkeypatch.setattr(fixednodes.stems, "deque", counting_deque)
+        monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+        result = fixed_nodes_layered(dag)
+        assert len(result.per_layer) == 100
+        # 83 of the 100 layers skip; one search per layer would be 100 or more
+        assert len(skipped) >= 80 and searches < 100
