@@ -4,7 +4,6 @@ Run with:  python demos/layer_walkthrough.py
 """
 
 from fixednodes import (
-    LayerCoverage,
     StructuredDag,
     enumerate_max_families,
     fixed_nodes_layered,
@@ -36,20 +35,19 @@ print()
 print("Per layer: disjoint leader-rooted paths try to cover as many layer")
 print("nodes as possible; a node that appears in EVERY maximum matched set")
 print("stays controllable no matter how the edge weights vary.")
-for k in range(1, labeling.depth + 1):
-    layer = labeling.layers[k - 1]
+result = fixed_nodes_layered(dag)
+for report in result.per_layer:
+    k, layer = report.layer_index, report.targets
     prefix = induce_prefix(dag, labeling, k)
-    coverage = LayerCoverage(prefix, layer)
     families = enumerate_max_families(prefix, layer)
     matched_sets = sorted(sorted(f.matched(layer)) for f in families)
     pinned = set(layer)
     for fam in families:
         pinned &= fam.matched(layer)
-    print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {coverage.mu}")
-    print(f"  one witness family: {[list(s) for s in coverage.witness.stems]}")
+    print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {report.mu}")
+    print(f"  one witness family: {[list(s) for s in families[0].stems]}")
     print(f"  all matched sets:   {matched_sets}")
     print(f"  in every set:       {sorted(pinned) or '(none)'}")
 
-result = fixed_nodes_layered(dag)
 print(f"\nfixed nodes of the whole network: {sorted(result.fixed_nodes)}")
 print(f"generic dimension of the controllable subspace: {result.generic_dim}")

@@ -25,7 +25,6 @@ from .numeric import (
     Realization,
     controllability_matrix,
     numeric_fixed_nodes,
-    numeric_generic_dimension,
     sample_realization,
 )
 from .report import AnalysisReport, NumericSummary, analyze, graph_digest, report_to_json_dict
@@ -35,13 +34,10 @@ from .search import (
     attach_matched_sets,
     fixed_nodes_layered,
     fixed_nodes_oracle,
-    fixed_nodes_single_leader,
 )
 from .stems import (
-    LayerCoverage,
     StemFamily,
     enumerate_max_families,
-    exhaustive_generic_dimension,
     generic_dimension,
     stem_family_violations,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "GeneratorConfig",
     "InconclusiveError",
     "InvalidGraphError",
-    "LayerCoverage",
     "LayerLabeling",
     "LayerReport",
     "NumericSummary",
@@ -69,11 +64,9 @@ __all__ = [
     "attach_matched_sets",
     "controllability_matrix",
     "enumerate_max_families",
-    "exhaustive_generic_dimension",
     "export_dot",
     "fixed_nodes_layered",
     "fixed_nodes_oracle",
-    "fixed_nodes_single_leader",
     "generic_dimension",
     "graph_digest",
     "graph_from_json",
@@ -81,7 +74,6 @@ __all__ = [
     "induce_prefix",
     "label_layers",
     "numeric_fixed_nodes",
-    "numeric_generic_dimension",
     "random_layered_dag",
     "report_to_json_dict",
     "sample_realization",

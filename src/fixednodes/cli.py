@@ -24,7 +24,7 @@ from .graph import (
     label_layers,
     validate,
 )
-from .numeric import DEFAULT_TOL, DEFAULT_TRIALS
+from .numeric import DEFAULT_TRIALS
 from .report import ALL_METHODS, analyze, report_to_json_dict
 from .search import attach_matched_sets
 from .stems import DEFAULT_ENUM_CAP, generic_dimension
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
         cmd.set_defaults(run=_cmd_fixed if name == "fixed" else _cmd_verify)
 
     cmd = sub.add_parser("gen", help="emit a random layered DAG as graph JSON")
@@ -116,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
     cmd.set_defaults(run=_cmd_export_dot)
 
     return parser
@@ -171,9 +169,7 @@ def _cmd_dim(args) -> int:
 
 def _analysis(args, methods) -> dict:
     dag, validation = _load_graph(args)
-    report = analyze(
-        dag, methods, trials=args.trials, seed=args.seed, tol=args.tol, validation=validation
-    )
+    report = analyze(dag, methods, trials=args.trials, seed=args.seed, validation=validation)
     if "layered" in report.methods and dag.node_count <= DEFAULT_ENUM_CAP:
         report.methods["layered"] = attach_matched_sets(dag, report.methods["layered"])
     return report_to_json_dict(report)
@@ -211,7 +207,7 @@ def _cmd_gen(args) -> int:
 def _cmd_export_dot(args) -> int:
     dag, validation = _load_graph(args)
     report = analyze(
-        dag, (args.method,), trials=args.trials, seed=args.seed, tol=args.tol, validation=validation
+        dag, (args.method,), trials=args.trials, seed=args.seed, validation=validation
     )
     fixed = report.fixed_sets[args.method]
     return _emit(args, export_dot(dag, report.labeling, fixed))

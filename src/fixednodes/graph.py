@@ -75,6 +75,15 @@ class StructuredDag:
                 adj[v].append(u)
         return {v: tuple(us) for v, us in adj.items()}
 
+    @cached_property
+    def source_layers(self) -> tuple[tuple[int, ...], ...]:
+        """Source peeling, one ascending tuple per layer (see :func:`label_layers`).
+
+        Nodes on a cycle, or reachable only through one, keep a positive
+        in-degree and are never peeled.
+        """
+        return _peel_layers(self)
+
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""
         return StructuredDag(self.nodes, self.edges, frozenset(leaders))
@@ -178,7 +187,7 @@ def validate(dag: StructuredDag, *, allow_nonsource_leaders: bool = False) -> Va
         )
         (warnings if allow_nonsource_leaders else violations).append(entry)
 
-    cyclic = set(dag.nodes).difference(*_peel_layers(dag))
+    cyclic = set(dag.nodes).difference(*dag.source_layers)
     if cyclic:
         violations.append(
             Violation("cycle", f"edge relation contains a cycle through: {sorted(cyclic)}", tuple(sorted(cyclic)))
@@ -205,7 +214,7 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
     The result is canonical: layers are sets, so no ordering choices leak in.
     Raises :class:`InvalidGraphError` when peeling stalls on a cycle.
     """
-    layers = _peel_layers(dag)
+    layers = dag.source_layers
     layer_of = {v: k for k, layer in enumerate(layers, start=1) for v in layer}
     if len(layer_of) != dag.node_count:
         stuck = sorted(set(dag.nodes) - set(layer_of))
@@ -213,17 +222,12 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
     return LayerLabeling(layer_of, tuple(frozenset(layer) for layer in layers))
 
 
-def _peel_layers(dag: StructuredDag) -> list[list[int]]:
-    """Source peeling, one ascending list per layer.
-
-    Nodes on a cycle, or reachable only through one, keep a positive
-    in-degree and are never peeled.
-    """
+def _peel_layers(dag: StructuredDag) -> tuple[tuple[int, ...], ...]:
     indegree = {v: len(dag.in_neighbors[v]) for v in dag.sorted_nodes}
     current = [v for v in dag.sorted_nodes if indegree[v] == 0]
-    layers: list[list[int]] = []
+    layers: list[tuple[int, ...]] = []
     while current:
-        layers.append(current)
+        layers.append(tuple(current))
         nxt = []
         for v in current:
             for w in dag.out_neighbors[v]:
@@ -231,7 +235,7 @@ def _peel_layers(dag: StructuredDag) -> list[list[int]]:
                 if indegree[w] == 0:
                     nxt.append(w)
         current = sorted(nxt)
-    return layers
+    return tuple(layers)
 
 
 def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> StructuredDag:

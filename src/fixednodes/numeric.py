@@ -23,7 +23,9 @@ from .errors import InconclusiveError, InvalidGraphError
 from .graph import StructuredDag
 
 DEFAULT_TRIALS = 50
-DEFAULT_TOL = 1e-8
+# Relative rank threshold: a singular value counts when it exceeds TOL times
+# the draw's largest, and a node is fixed when its residual stays below TOL.
+TOL = 1e-8
 
 # Magnitudes stay in [0.5, 2.0] with a random sign: bounded away from zero so
 # a draw never masquerades as a pattern violation, and small enough to keep
@@ -56,7 +58,6 @@ class Realization:
 class ControllabilityMatrix:
     c_matrix: np.ndarray
     rank: int
-    tol: float
 
 
 def sample_realization(dag: StructuredDag, seed: int) -> Realization:
@@ -79,48 +80,24 @@ def sample_realization(dag: StructuredDag, seed: int) -> Realization:
     return Realization(a, b, seed, f"uniform[{_MAG_LOW},{_MAG_HIGH}]*sign")
 
 
-def controllability_matrix(realization: Realization, tol: float = DEFAULT_TOL) -> ControllabilityMatrix:
+def controllability_matrix(realization: Realization) -> ControllabilityMatrix:
     """Stack ``B, AB, A^2 B, ...`` up to the first all-zero block and rank the
-    stack: the count of singular values above ``tol`` (finite, > 0) times the
-    largest."""
-    _check_tol(tol)
-    c, _, ranks = _column_spaces([realization], tol)
-    return ControllabilityMatrix(c[0], int(ranks[0]), tol)
-
-
-def numeric_generic_dimension(
-    dag: StructuredDag,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> int:
-    """Maximum controllability rank over independent draws.
-
-    The rank is generic: almost every draw attains the true dimension, so a
-    handful of trials suffices in practice.
-    """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    size = _batch_size(dag.node_count)
-    top = 0
-    for start in range(0, trials, size):
-        _, _, ranks = _column_spaces(_draws(dag, seed + start, min(size, trials - start)), tol)
-        top = max(top, int(ranks.max()))
-    return top
+    stack: the count of singular values above ``TOL`` times the largest."""
+    c, _, ranks = _column_spaces([realization])
+    return ControllabilityMatrix(c[0], int(ranks[0]))
 
 
 def numeric_fixed_nodes(
     dag: StructuredDag,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     expected_dim: int | None = None,
 ) -> frozenset[int]:
     """Nodes whose basis vector lies in the column space of every top-rank draw.
 
     Each draw's SVD gives its rank, as in :func:`controllability_matrix`, and
     an orthonormal basis; a node is fixed when the residual of its basis
-    vector projected onto that basis stays below ``tol`` in every top-rank draw.
+    vector projected onto that basis stays below ``TOL`` in every top-rank draw.
 
     Draws whose rank falls below the observed maximum are non-generic and
     discarded: the residuals fold into a running floor in draw order, a higher
@@ -134,7 +111,6 @@ def numeric_fixed_nodes(
     batch (see :func:`_batch_size`); each retry is a batch of one draw.  The
     draws, their order and the stopping draw are those of one draw at a time.
     """
-    _check_tol(tol)
     if trials < 1:
         raise ValueError("at least one trial is required")
     budget = trials if expected_dim is None else 3 * trials
@@ -145,7 +121,8 @@ def numeric_fixed_nodes(
     drawn = 0
     while drawn < budget:
         count = min(size, trials - drawn) if drawn < trials else 1
-        _, u, ranks = _column_spaces(_draws(dag, seed + drawn, count), tol)
+        draws = [sample_realization(dag, seed + drawn + i) for i in range(count)]
+        _, u, ranks = _column_spaces(draws)
         drawn += count
         for basis, rank in zip(u, ranks.tolist()):
             if rank >= top:
@@ -161,13 +138,7 @@ def numeric_fixed_nodes(
         raise InconclusiveError(
             f"no draw reached rank {expected_dim} in {budget} trials (best {top})"
         )
-    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < tol)
-
-
-def _check_tol(tol: float) -> None:
-    # NaN fails both comparisons.
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)
 
 
 def _batch_size(n: int) -> int:
@@ -178,16 +149,10 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_ENTRIES // (n * n))
 
 
-def _draws(dag: StructuredDag, first_seed: int, count: int) -> list[Realization]:
-    return [sample_realization(dag, first_seed + i) for i in range(count)]
-
-
-def _column_spaces(
-    realizations: list[Realization], tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _column_spaces(realizations: list[Realization]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For draws of one pattern: their stacked blocks ``(draws, n, K)``, left
     singular vectors ``(draws, n, min(n, K))`` by descending singular value,
-    and ranks, each the count of singular values above ``tol`` times that
+    and ranks, each the count of singular values above ``TOL`` times that
     draw's largest."""
     # a lone draw (every draw from n = 182 up) is viewed, not copied: copying
     # its A into fresh pages slowed the n = 200 route measurably
@@ -198,7 +163,7 @@ def _column_spaces(
     )
     c = _stack_blocks(a, realizations[0].b_matrix)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    return c, u, np.count_nonzero(s > tol * s[:, :1], axis=1)
+    return c, u, np.count_nonzero(s > TOL * s[:, :1], axis=1)
 
 
 def _stack_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .graph import (
     label_layers,
     validate,
 )
-from .numeric import DEFAULT_TOL, DEFAULT_TRIALS, numeric_fixed_nodes
+from .numeric import DEFAULT_TRIALS, TOL, numeric_fixed_nodes
 from .search import (
     SOURCE_LEADERS_REQUIRED,
     FixedNodeResult,
@@ -41,7 +41,6 @@ class NumericSummary:
     fixed: frozenset[int]
     trials: int
     seed: int
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class AnalysisReport:
     generic_dim: int
     witness: StemFamily
     methods: dict[str, FixedNodeResult | NumericSummary]
-    consistent: bool
     elapsed: float  # seconds; deliberately absent from the JSON form
 
     @property
@@ -61,6 +59,11 @@ class AnalysisReport:
             name: result.fixed if isinstance(result, NumericSummary) else result.fixed_nodes
             for name, result in self.methods.items()
         }
+
+    @property
+    def consistent(self) -> bool:
+        """Whether every method returned the same fixed set."""
+        return len(set(self.fixed_sets.values())) == 1
 
 
 def graph_digest(dag: StructuredDag) -> str:
@@ -73,7 +76,6 @@ def analyze(
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     allow_nonsource_leaders: bool = False,
     validation: ValidationReport | None = None,
 ) -> AnalysisReport:
@@ -108,17 +110,12 @@ def analyze(
     results: dict[str, FixedNodeResult | NumericSummary] = {}
     for name in methods:
         if name == "layered":
-            results[name] = fixed_nodes_layered(dag, labeling=labeling, witness=witness)
+            results[name] = fixed_nodes_layered(dag, witness=witness)
         elif name == "oracle":
             results[name] = fixed_nodes_oracle(dag, witness=witness)
         else:
-            fixed = numeric_fixed_nodes(dag, trials, seed, tol, expected_dim=dim)
-            results[name] = NumericSummary(fixed, trials, seed, tol)
-    sets = [
-        result.fixed if isinstance(result, NumericSummary) else result.fixed_nodes
-        for result in results.values()
-    ]
-    consistent = all(s == sets[0] for s in sets)
+            fixed = numeric_fixed_nodes(dag, trials, seed, expected_dim=dim)
+            results[name] = NumericSummary(fixed, trials, seed)
     elapsed = time.perf_counter() - started
     return AnalysisReport(
         digest=graph_digest(dag),
@@ -127,7 +124,6 @@ def analyze(
         generic_dim=dim,
         witness=witness,
         methods=results,
-        consistent=consistent,
         elapsed=elapsed,
     )
 
@@ -141,7 +137,7 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
                 "fixed": sorted(result.fixed),
                 "trials": result.trials,
                 "seed": result.seed,
-                "tol": result.tol,
+                "tol": TOL,
             }
         else:
             entry: dict = {"fixed": sorted(result.fixed_nodes)}

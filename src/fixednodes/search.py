@@ -2,12 +2,10 @@
 
 A node is *fixed* when it stays controllable under every choice of nonzero
 network weights; equivalently, attaching a fresh input to it cannot raise the
-generic dimension of the controllable subspace.  Three routes are implemented:
+generic dimension of the controllable subspace.  Two routes are implemented:
 
 * :func:`fixed_nodes_oracle` decides that definition for every node from one
   optimal flow (the reference everything else is measured against),
-* :func:`fixed_nodes_single_leader` reads the answer off the layer structure
-  when there is exactly one leader,
 * :func:`fixed_nodes_layered` walks the layers top-down and keeps the targets
   that belong to every maximum matched set of their layer, except the nodes
   one maximum family leaves uncovered.  One flow network over the whole graph
@@ -17,7 +15,10 @@ generic dimension of the controllable subspace.  Three routes are implemented:
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
 the oracle on some instances (see ``tests/test_limitations.py``); on graphs
-whose edges only join adjacent layers the two routes agree.
+whose edges only join adjacent layers the two routes agree.  With a single
+leader the layered route fixes exactly the nodes alone in their layer, and so
+does the oracle when every edge joins adjacent layers: a property the tests
+check, not a third route.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidGraphError
-from .graph import LayerLabeling, StructuredDag, induce_prefix, label_layers
+from .graph import StructuredDag, induce_prefix, label_layers
 from .stems import FlowNetwork, StemFamily, enumerate_max_families, generic_dimension
 
 FAST_PATH_SINGLETON = "singleton-layer"
@@ -86,40 +87,8 @@ def fixed_nodes_oracle(
     return FixedNodeResult(fixed, (), len(witness.covered), "oracle")
 
 
-def fixed_nodes_single_leader(
-    dag: StructuredDag, labeling: LayerLabeling | None = None
-) -> FixedNodeResult:
-    """Single-leader shortcut: exactly the singleton layers are fixed.
-
-    No flow is computed; the generic dimension of a single-leader layered DAG
-    equals its depth (a longest stem collects one node per layer).
-    """
-    if len(dag.leaders) != 1:
-        raise InvalidGraphError("single-leader method requires exactly one leader")
-    labeling = labeling if labeling is not None else label_layers(dag)
-    fixed: set[int] = set()
-    reports = []
-    for k, layer in enumerate(labeling.layers, start=1):
-        singleton = len(layer) == 1
-        if singleton:
-            fixed.update(layer)
-        reports.append(
-            LayerReport(
-                layer_index=k,
-                targets=layer,
-                mu=1,
-                fixed=layer if singleton else frozenset(),
-                fast_path=FAST_PATH_SINGLETON if singleton else FAST_PATH_NONE,
-            )
-        )
-    return FixedNodeResult(frozenset(fixed), tuple(reports), labeling.depth, "single-leader")
-
-
 def fixed_nodes_layered(
-    dag: StructuredDag,
-    *,
-    labeling: LayerLabeling | None = None,
-    witness: StemFamily | None = None,
+    dag: StructuredDag, *, witness: StemFamily | None = None
 ) -> FixedNodeResult:
     """Top-down layered search over maximum matched sets.
 
@@ -136,7 +105,7 @@ def fixed_nodes_layered(
     """
     if any(dag.in_neighbors.get(x) for x in dag.leaders):
         raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
-    labeling = labeling if labeling is not None else label_layers(dag)
+    labeling = label_layers(dag)
     if witness is None:
         _, witness = generic_dimension(dag)
     pruned = dag.nodes - witness.covered

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidGraphError
 from .graph import LayerLabeling, StructuredDag, label_layers
@@ -378,46 +378,6 @@ class FlowNetwork:
         return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
 
 
-class LayerCoverage:
-    """Solved coverage problem for one target layer of a prefix graph.
-
-    Exposes the optimum ``mu``, a witness family and the matched target set of
-    that witness.  A target is *essential* when dropping it strictly lowers
-    the optimum, which is equivalent to membership in every maximum
-    matched-node set.  By flow optimality a matched target can be dropped at
-    full value iff its out-copy still reaches the sink in the residual of the
-    solved flow (rerouting its unit along that path frees its sink arc), and
-    an unmatched target is never essential.  One reverse search over the
-    residual, run on the first ``essential`` call, decides every target.
-    Each instance solves from zero on its own network; the layered search
-    sweeps one network instead (:meth:`FlowNetwork.open_layer`), and this
-    class is the reference it is tested against.
-    """
-
-    def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
-        self.targets = frozenset(targets)
-        if not self.targets <= prefix.nodes:
-            raise InvalidGraphError("targets are not nodes of the prefix graph")
-        not_sinks = sorted(v for v in self.targets if prefix.out_neighbors[v])
-        if not_sinks:
-            raise InvalidGraphError(f"targets must be sinks of the prefix graph: {not_sinks}")
-        self._net = FlowNetwork(prefix, label_layers(prefix))
-        self._net.open_sinks(self.targets)
-        self.mu = self._net.max_flow()
-        self.witness = self._net.stems()
-        self.matched = self._net.matched_targets(self.targets)
-
-    @cached_property
-    def _droppable(self) -> frozenset[int]:
-        return self._net.targets_reaching_sink(self.targets)
-
-    def essential(self, v: int) -> bool:
-        """True iff dropping ``v`` from the target set strictly lowers ``mu``."""
-        if v not in self.targets:
-            raise InvalidGraphError(f"{v} is not a target of this layer")
-        return v in self.matched and v not in self._droppable
-
-
 def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
     """The min-cost flow whose stems are a maximum-coverage family.
 
@@ -456,51 +416,31 @@ def enumerate_max_families(
     Exponential by nature; guarded by ``cap`` on the node count.  Families are
     deduplicated by their matched target set and returned in sorted order, so
     the distinct matched sets are exactly ``fam.matched(targets)`` over the
-    result.
+    result.  With every node as a target the families are those of maximum
+    total coverage, the brute-force check of :func:`generic_dimension`.
     """
     target_set = frozenset(targets)
     if not target_set <= prefix.nodes:
         raise InvalidGraphError("targets are not nodes of the prefix graph")
-    score = lambda covered: len(covered & target_set)
-    _, families = _exhaustive_optimum(prefix, cap, score, key=lambda c: c & target_set)
-    return families
-
-
-def exhaustive_generic_dimension(
-    dag: StructuredDag, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[int, tuple[StemFamily, ...]]:
-    """Brute-force generic dimension with all optimal covered sets (test oracle)."""
-    best, families = _exhaustive_optimum(dag, cap, len, key=lambda c: c)
-    return best, families
-
-
-def _exhaustive_optimum(
-    dag: StructuredDag,
-    cap: int,
-    score: Callable[[frozenset[int]], int],
-    key: Callable[[frozenset[int]], frozenset[int]],
-) -> tuple[int, tuple[StemFamily, ...]]:
-    if dag.node_count > cap:
+    if prefix.node_count > cap:
         raise BudgetExceededError(
-            f"exhaustive search needs node count <= {cap}, got {dag.node_count}"
+            f"exhaustive search needs node count <= {cap}, got {prefix.node_count}"
         )
-    if not dag.leaders:
+    if not prefix.leaders:
         raise InvalidGraphError("at least one leader is required")
     stems_per_leader = [
-        tuple(_paths_from(dag, leader)) for leader in sorted(dag.leaders)
+        tuple(_paths_from(prefix, leader)) for leader in sorted(prefix.leaders)
     ]
     best = -1
     chosen: dict[frozenset[int], StemFamily] = {}
     for stems in _disjoint_products(stems_per_leader):
-        covered = frozenset(v for stem in stems for v in stem)
-        value = score(covered)
-        if value > best:
-            best = value
+        matched = target_set.intersection(v for stem in stems for v in stem)
+        if len(matched) > best:
+            best = len(matched)
             chosen = {}
-        if value == best:
-            chosen.setdefault(key(covered), StemFamily(tuple(sorted(stems))))
-    ordered = sorted(chosen, key=lambda s: tuple(sorted(s)))
-    return best, tuple(chosen[k] for k in ordered)
+        if len(matched) == best:
+            chosen.setdefault(matched, StemFamily(tuple(sorted(stems))))
+    return tuple(chosen[k] for k in sorted(chosen, key=sorted))
 
 
 def _paths_from(dag: StructuredDag, start: int) -> Iterator[tuple[int, ...]]:

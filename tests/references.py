@@ -11,13 +11,14 @@ import fixednodes.numeric
 from fixednodes import (
     FixedNodeResult,
     InconclusiveError,
-    LayerCoverage,
     StructuredDag,
+    controllability_matrix,
+    enumerate_max_families,
     generic_dimension,
     induce_prefix,
     label_layers,
 )
-from fixednodes.numeric import DEFAULT_TOL, DEFAULT_TRIALS
+from fixednodes.numeric import DEFAULT_TRIALS, TOL
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
@@ -34,6 +35,38 @@ def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
         if probed == base_dim:
             fixed.add(v)
     return FixedNodeResult(frozenset(fixed), (), base_dim, "oracle")
+
+
+def singleton_layer_nodes(dag: StructuredDag) -> frozenset[int]:
+    """The single-leader rule: exactly the nodes alone in their layer are fixed."""
+    return frozenset().union(*(layer for layer in label_layers(dag).layers if len(layer) == 1))
+
+
+def exhaustive_dimension(dag: StructuredDag) -> int:
+    """The generic dimension by brute force: the coverage of the families
+    that cover the most nodes."""
+    return len(enumerate_max_families(dag, dag.nodes)[0].covered)
+
+
+class LayerCoverage:
+    """One target layer's coverage problem, solved from zero on its own prefix
+    graph: the optimum ``mu``, a witness family, its matched targets, and the
+    essential targets, those whose removal lowers ``mu``.
+
+    By flow optimality a matched target can be dropped at full value iff its
+    out-copy still reaches the sink in the residual (rerouting its unit along
+    that path frees its sink arc); an unmatched target is never essential.
+    The layered sweep (:meth:`FlowNetwork.open_layer`) is checked against it.
+    """
+
+    def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
+        self.targets = frozenset(targets)
+        net = FlowNetwork(prefix, label_layers(prefix))
+        net.open_sinks(self.targets)
+        self.mu = net.max_flow()
+        self.witness = net.stems()
+        self.matched = net.matched_targets(self.targets)
+        self.essential = self.matched - net.targets_reaching_sink(self.matched)
 
 
 def layer_coverages(dag: StructuredDag) -> list[LayerCoverage]:
@@ -55,7 +88,7 @@ def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
         if len(layer) == 1:
             fixed.append(layer if coverage.mu == 1 else frozenset())
         else:
-            fixed.append(frozenset(v for v in layer if coverage.essential(v)))
+            fixed.append(coverage.essential)
     return fixed
 
 
@@ -114,6 +147,16 @@ def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
 # -- numeric route: one draw at a time
 
 
+def numeric_generic_dimension(
+    dag: StructuredDag, trials: int = DEFAULT_TRIALS, seed: int = 0
+) -> int:
+    """Maximum controllability rank over ``trials`` draws, one at a time."""
+    return max(
+        controllability_matrix(fixednodes.numeric.sample_realization(dag, seed + t)).rank
+        for t in range(trials)
+    )
+
+
 def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
     """``sample_realization``'s ``A``, filled one edge at a time."""
     n = dag.node_count
@@ -131,7 +174,6 @@ def per_draw_numeric_fixed_nodes(
     dag: StructuredDag,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     expected_dim: int | None = None,
 ) -> frozenset[int]:
     """``numeric_fixed_nodes`` with one block stack and one SVD per draw.
@@ -152,7 +194,7 @@ def per_draw_numeric_fixed_nodes(
                 break
             blocks.append(block)
         u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-        basis = u[:, : int(np.count_nonzero(s > tol * s[0]))]
+        basis = u[:, : int(np.count_nonzero(s > TOL * s[0]))]
         rank = basis.shape[1]
         if rank >= top:
             residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
@@ -162,4 +204,4 @@ def per_draw_numeric_fixed_nodes(
             break
     if expected_dim is not None and top < expected_dim:
         raise InconclusiveError(f"no draw reached rank {expected_dim} in {budget} trials")
-    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < tol)
+    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)

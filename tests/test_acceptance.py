@@ -16,10 +16,8 @@ import time
 import goldens
 from fixednodes import (
     GeneratorConfig,
-    LayerCoverage,
     controllability_matrix,
     enumerate_max_families,
-    exhaustive_generic_dimension,
     export_dot,
     fixed_nodes_layered,
     fixed_nodes_oracle,
@@ -27,7 +25,6 @@ from fixednodes import (
     induce_prefix,
     label_layers,
     numeric_fixed_nodes,
-    numeric_generic_dimension,
     random_layered_dag,
     report_to_json_dict,
     sample_realization,
@@ -35,9 +32,9 @@ from fixednodes import (
     spread_widths,
 )
 from randgraphs import random_dag
+from references import LayerCoverage, exhaustive_dimension
 
 NUMERIC_TRIALS = 50
-NUMERIC_TOL = 1e-8
 
 
 def criterion(n: int):
@@ -54,9 +51,7 @@ def test_criterion_1_golden_fixed_sets_by_every_method():
     for golden in goldens.GOLDENS:
         layered = fixed_nodes_layered(golden.dag).fixed_nodes
         oracle = fixed_nodes_oracle(golden.dag).fixed_nodes
-        numeric = numeric_fixed_nodes(
-            golden.dag, trials=NUMERIC_TRIALS, seed=0, tol=NUMERIC_TOL
-        )
+        numeric = numeric_fixed_nodes(golden.dag, trials=NUMERIC_TRIALS, seed=0)
         assert layered == golden.fixed, f"{golden.name}: layered {sorted(layered)}"
         assert oracle == golden.fixed, f"{golden.name}: oracle {sorted(oracle)}"
         assert numeric == golden.fixed, f"{golden.name}: numeric {sorted(numeric)}"
@@ -71,7 +66,7 @@ def test_criterion_2_generic_dimensions():
     assert generic_dimension(goldens.PAIR9.dag)[0] == 8
     for seed in range(20):
         realization = sample_realization(goldens.CYCLIC_CHAIN3, seed=seed)
-        assert controllability_matrix(realization, NUMERIC_TOL).rank == 2
+        assert controllability_matrix(realization).rank == 2
 
 
 @criterion(3)
@@ -100,7 +95,7 @@ def test_criterion_4_property_suite_on_1000_random_dags():
         labeling = label_layers(dag)
 
         flow_dim, witness = generic_dimension(dag)
-        if flow_dim != exhaustive_generic_dimension(dag)[0]:
+        if flow_dim != exhaustive_dimension(dag):
             failures.append(f"{index}: flow optimum != exhaustive optimum")
 
         oracle = fixed_nodes_oracle(dag).fixed_nodes
@@ -111,8 +106,7 @@ def test_criterion_4_property_suite_on_1000_random_dags():
             matched = [f.matched(layer) for f in enumerate_max_families(prefix, layer)]
             intersection = frozenset(layer).intersection(*matched)
             enum_fixed |= intersection
-            coverage = LayerCoverage(prefix, layer)
-            if {v for v in layer if coverage.essential(v)} != intersection:
+            if LayerCoverage(prefix, layer).essential != intersection:
                 failures.append(f"{index}: essentiality != matched-set intersection")
         if not layered == oracle == frozenset(enum_fixed):
             failures.append(f"{index}: layered/oracle/enumeration disagree")
@@ -131,7 +125,7 @@ def test_criterion_5_numeric_agreement_on_200_random_dags():
         seed = rng.randrange(2**31)
         dag = random_dag(rng, max_nodes=10, max_leaders=3, skip_prob=rng.choice([0.0, 0.3]))
         oracle = fixed_nodes_oracle(dag).fixed_nodes
-        numeric = numeric_fixed_nodes(dag, trials=50, seed=seed, tol=NUMERIC_TOL)
+        numeric = numeric_fixed_nodes(dag, trials=50, seed=seed)
         if numeric != oracle:
             disagreements.append(
                 f"graph #{index} (numeric seed {seed}, edges {sorted(dag.edges)}): "

@@ -22,11 +22,11 @@ from fixednodes import (
     analyze,
     fixed_nodes_layered,
     fixed_nodes_oracle,
-    fixed_nodes_single_leader,
     generic_dimension,
     label_layers,
 )
 from randgraphs import random_dag
+from references import singleton_layer_nodes
 
 
 def has_skip_edge(dag) -> bool:
@@ -42,11 +42,9 @@ class TestSingleLeaderCounterexample:
         assert fixed_nodes_oracle(goldens.SKIP4).fixed_nodes == goldens.SKIP4_ORACLE_FIXED
 
     def test_layer_criteria_overshoot(self):
+        """The layered route keeps the single-leader rule, node 2 included."""
         assert fixed_nodes_layered(goldens.SKIP4).fixed_nodes == goldens.SKIP4_LAYER_FIXED
-        assert (
-            fixed_nodes_single_leader(goldens.SKIP4).fixed_nodes
-            == goldens.SKIP4_LAYER_FIXED
-        )
+        assert singleton_layer_nodes(goldens.SKIP4) == goldens.SKIP4_LAYER_FIXED
 
     def test_dimension_jump_witnesses_the_defect(self):
         base, _ = generic_dimension(goldens.SKIP4)

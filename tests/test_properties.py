@@ -16,12 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixednodes import (
-    LayerCoverage,
     enumerate_max_families,
-    exhaustive_generic_dimension,
     fixed_nodes_layered,
     fixed_nodes_oracle,
-    fixed_nodes_single_leader,
     generic_dimension,
     graph_from_json,
     graph_to_json,
@@ -31,7 +28,12 @@ from fixednodes import (
     validate,
 )
 from randgraphs import random_dag
-from references import unpruned_layer_fixed
+from references import (
+    LayerCoverage,
+    exhaustive_dimension,
+    singleton_layer_nodes,
+    unpruned_layer_fixed,
+)
 
 
 def enumeration_fixed_set(dag):
@@ -54,14 +56,14 @@ class TestAdjacentLayerDomain:
             assert layered == oracle == enumeration_fixed_set(dag)
 
     def test_single_leader_specialization(self):
+        """With one leader, exactly the nodes alone in their layer are fixed."""
         rng = random.Random(2025)
         checked = 0
         while checked < 120:
             dag = random_dag(rng, max_leaders=1, skip_prob=0.0)
-            assert (
-                fixed_nodes_single_leader(dag).fixed_nodes
-                == fixed_nodes_oracle(dag).fixed_nodes
-            )
+            singletons = singleton_layer_nodes(dag)
+            assert fixed_nodes_layered(dag).fixed_nodes == singletons
+            assert fixed_nodes_oracle(dag).fixed_nodes == singletons
             checked += 1
 
 
@@ -73,7 +75,7 @@ class TestAnyDagDomain:
         for _ in range(150):
             dag = random_dag(rng, skip_prob=rng.choice([0.0, 0.4]))
             flow_dim, witness = generic_dimension(dag)
-            assert flow_dim == exhaustive_generic_dimension(dag)[0]
+            assert flow_dim == exhaustive_dimension(dag)
             assert len(witness.covered) == flow_dim
             assert not stem_family_violations(dag, witness)
 
@@ -87,7 +89,7 @@ class TestAnyDagDomain:
                 matched = [f.matched(layer) for f in enumerate_max_families(prefix, layer)]
                 coverage = LayerCoverage(prefix, layer)
                 expected = frozenset(layer).intersection(*matched)
-                assert {v for v in layer if coverage.essential(v)} == expected
+                assert coverage.essential == expected
 
     def test_unpruned_layered_equals_enumeration_intersection(self):
         rng = random.Random(31339)

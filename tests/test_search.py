@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import goldens
+import fixednodes.graph
 import fixednodes.search
 import fixednodes.stems
 from fixednodes import (
@@ -17,16 +18,19 @@ from fixednodes import (
     attach_matched_sets,
     fixed_nodes_layered,
     fixed_nodes_oracle,
-    fixed_nodes_single_leader,
     generic_dimension,
     graph_from_json,
-    label_layers,
     random_layered_dag,
     spread_widths,
     stem_family_violations,
 )
 from randgraphs import random_dag
-from references import layer_coverages, resolving_oracle, unpruned_layer_fixed
+from references import (
+    layer_coverages,
+    resolving_oracle,
+    singleton_layer_nodes,
+    unpruned_layer_fixed,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,9 +104,13 @@ class TestOracleAgainstResolving:
 
 
 class TestSingleLeader:
+    """With one leader both routes fix exactly the singleton layers' nodes,
+    and the dimension is the depth: a longest stem takes one node per layer."""
+
     def test_seven_node_chain_fork(self, single7):
-        result = fixed_nodes_single_leader(single7.dag)
-        assert result.fixed_nodes == {1, 2, 7}
+        result = fixed_nodes_layered(single7.dag)
+        assert result.fixed_nodes == singleton_layer_nodes(single7.dag) == {1, 2, 7}
+        assert fixed_nodes_oracle(single7.dag).fixed_nodes == {1, 2, 7}
         assert result.generic_dim == 5
         singles = [r.layer_index for r in result.per_layer if r.fast_path == "singleton-layer"]
         assert singles == [1, 2, 5]
@@ -110,18 +118,14 @@ class TestSingleLeader:
     def test_path_graph_is_entirely_fixed(self):
         q = 6
         dag = StructuredDag.of(q, [(i, i + 1) for i in range(1, q)], [1])
-        result = fixed_nodes_single_leader(dag)
-        assert result.fixed_nodes == frozenset(range(1, q + 1))
-        assert result.generic_dim == q
+        for result in (fixed_nodes_layered(dag), fixed_nodes_oracle(dag)):
+            assert result.fixed_nodes == frozenset(range(1, q + 1))
+            assert result.generic_dim == q
 
     def test_star_fixes_only_the_leader(self):
         dag = StructuredDag.of(3, [(1, 2), (1, 3)], [1])
-        assert fixed_nodes_single_leader(dag).fixed_nodes == {1}
+        assert fixed_nodes_layered(dag).fixed_nodes == {1}
         assert fixed_nodes_oracle(dag).fixed_nodes == {1}
-
-    def test_rejects_multiple_leaders(self, pair9):
-        with pytest.raises(InvalidGraphError):
-            fixed_nodes_single_leader(pair9.dag)
 
 
 class TestPruning:
@@ -249,23 +253,32 @@ class TestLayeredSweep:
             self.assert_matches(dag)
 
     def test_analyze_hands_over_its_labeling_and_witness(self, monkeypatch):
-        dag = graph_from_json((DATA / "skip200.graph.json").read_text())
+        """The witness is passed on; the labeling comes from the graph's one
+        cached source peel, so no call below peels the graph again."""
+        text = (DATA / "skip200.graph.json").read_text()
+        dag = graph_from_json(text)
         expected, oracle = fixed_nodes_layered(dag), fixed_nodes_oracle(dag)
-        labeling, witness = label_layers(dag), generic_dimension(dag)[1]
-        built = []
+        witness = generic_dimension(dag)[1]
+        built, peeled = [], []
         original_init = fixednodes.stems.FlowNetwork.__init__
+        original_peel = fixednodes.graph._peel_layers
 
         def counting_init(self, *args, **kwargs):
             built.append(self)
             original_init(self, *args, **kwargs)
 
+        def counting_peel(graph):
+            peeled.append(graph)
+            return original_peel(graph)
+
         def refused(*args, **kwargs):
             raise AssertionError("the layered route recomputed what analyze holds")
 
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
-        for name in ("induce_prefix", "label_layers", "generic_dimension"):
+        monkeypatch.setattr(fixednodes.graph, "_peel_layers", counting_peel)
+        for name in ("induce_prefix", "generic_dimension"):
             monkeypatch.setattr(fixednodes.search, name, refused)
-        assert fixed_nodes_layered(dag, labeling=labeling, witness=witness) == expected
+        assert fixed_nodes_layered(dag, witness=witness) == expected
         assert len(built) == 1
         report = analyze(dag, ("layered",))
         # one more network for analyze's dimension flow, one for the layer sweep
@@ -276,6 +289,13 @@ class TestLayeredSweep:
         assert len(built) == 5
         assert report.methods["layered"] == expected
         assert report.methods["oracle"] == oracle
+        assert peeled == []
+        # a graph not yet peeled: validation, labeling, dimension flow and
+        # sweep share one peel
+        fresh = graph_from_json(text)
+        report = analyze(fresh, ("layered", "oracle"))
+        assert (report.methods["layered"], report.methods["oracle"]) == (expected, oracle)
+        assert len(peeled) == 1 and peeled[0] is fresh
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:
@@ -319,4 +339,4 @@ class TestMethodAgreement:
             assert fixed_nodes_layered(dag).fixed_nodes == oracle
             assert frozenset().union(*unpruned_layer_fixed(dag)) == oracle
             if len(dag.leaders) == 1:
-                assert fixed_nodes_single_leader(dag).fixed_nodes == oracle
+                assert singleton_layer_nodes(dag) == oracle

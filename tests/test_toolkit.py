@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fixednodes
 import goldens
 from fixednodes import (
     InvalidGraphError,
@@ -90,8 +91,33 @@ class TestReportJson:
         assert one == two
 
     def test_numeric_summary_round_trip(self):
-        summary = NumericSummary(frozenset({1}), 10, 0, 1e-8)
-        assert summary.fixed == {1}
+        summary = NumericSummary(frozenset({1}), 10, 0)
+        assert (summary.fixed, summary.trials, summary.seed) == ({1}, 10, 0)
+
+
+class TestPublicSurface:
+    def test_all_is_pinned(self):
+        assert sorted(fixednodes.__all__) == [
+            "AnalysisReport", "BudgetExceededError", "ControllabilityMatrix",
+            "FixedNodeResult", "GeneratorConfig", "InconclusiveError", "InvalidGraphError",
+            "LayerLabeling", "LayerReport", "NumericSummary", "Realization", "StemFamily",
+            "StructuredDag", "ValidationReport", "Violation", "analyze",
+            "attach_matched_sets", "controllability_matrix", "enumerate_max_families",
+            "export_dot", "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
+            "graph_digest", "graph_from_json", "graph_to_json", "induce_prefix",
+            "label_layers", "numeric_fixed_nodes", "random_layered_dag",
+            "report_to_json_dict", "sample_realization", "spread_widths",
+            "stem_family_violations", "validate",
+        ]
+        for name in fixednodes.__all__:
+            assert getattr(fixednodes, name) is not None
+        for removed in (
+            "LayerCoverage",
+            "fixed_nodes_single_leader",
+            "exhaustive_generic_dimension",
+            "numeric_generic_dimension",
+        ):
+            assert not hasattr(fixednodes, removed)
 
 
 class TestExportDot:
