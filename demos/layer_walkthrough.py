@@ -5,9 +5,8 @@ Run with:  python demos/layer_walkthrough.py
 
 from fixednodes import (
     StructuredDag,
-    enumerate_max_families,
+    attach_matched_sets,
     fixed_nodes_layered,
-    induce_prefix,
     label_layers,
 )
 
@@ -35,19 +34,16 @@ print()
 print("Per layer: disjoint leader-rooted paths try to cover as many layer")
 print("nodes as possible; a node that appears in EVERY maximum matched set")
 print("stays controllable no matter how the edge weights vary.")
-result = fixed_nodes_layered(dag)
+print("A set of layer nodes is a maximum matched set when a max flow into")
+print("exactly those nodes reaches the layer's max coverage.")
+result = attach_matched_sets(dag, fixed_nodes_layered(dag))
 for report in result.per_layer:
     k, layer = report.layer_index, report.targets
-    prefix = induce_prefix(dag, labeling, k)
-    families = enumerate_max_families(prefix, layer)
-    matched_sets = sorted(sorted(f.matched(layer)) for f in families)
-    pinned = set(layer)
-    for fam in families:
-        pinned &= fam.matched(layer)
+    pinned = layer.intersection(*report.matched_sets)
     print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {report.mu}")
-    print(f"  one witness family: {[list(s) for s in families[0].stems]}")
-    print(f"  all matched sets:   {matched_sets}")
+    print(f"  all matched sets:   {[sorted(s) for s in report.matched_sets]}")
     print(f"  in every set:       {sorted(pinned) or '(none)'}")
+    print(f"  fixed here:         {sorted(report.fixed) or '(none)'} ({report.fast_path})")
 
 print(f"\nfixed nodes of the whole network: {sorted(result.fixed_nodes)}")
 print(f"generic dimension of the controllable subspace: {result.generic_dim}")

@@ -16,7 +16,6 @@ from .graph import (
     Violation,
     graph_from_json,
     graph_to_json,
-    induce_prefix,
     label_layers,
     validate,
 )
@@ -35,12 +34,7 @@ from .search import (
     fixed_nodes_layered,
     fixed_nodes_oracle,
 )
-from .stems import (
-    StemFamily,
-    enumerate_max_families,
-    generic_dimension,
-    stem_family_violations,
-)
+from .stems import StemFamily, generic_dimension, stem_family_violations
 
 __version__ = "0.1.0"
 
@@ -63,7 +57,6 @@ __all__ = [
     "analyze",
     "attach_matched_sets",
     "controllability_matrix",
-    "enumerate_max_families",
     "export_dot",
     "fixed_nodes_layered",
     "fixed_nodes_oracle",
@@ -71,7 +64,6 @@ __all__ = [
     "graph_digest",
     "graph_from_json",
     "graph_to_json",
-    "induce_prefix",
     "label_layers",
     "numeric_fixed_nodes",
     "random_layered_dag",

@@ -26,8 +26,8 @@ from .graph import (
 )
 from .numeric import DEFAULT_TRIALS
 from .report import ALL_METHODS, analyze, report_to_json_dict
-from .search import attach_matched_sets
-from .stems import DEFAULT_ENUM_CAP, generic_dimension
+from .search import MATCHED_SETS_MAX_NODES, attach_matched_sets
+from .stems import generic_dimension
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,11 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def graph_command(name: str, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("graph", help="path to a graph JSON file")
-        cmd.add_argument(
-            "--allow-nonsource-leaders",
-            action="store_true",
-            help="accept leaders with incoming edges (layered analysis refused)",
-        )
+        # verify always runs the layered route, which refuses such leaders
+        if name != "verify":
+            cmd.add_argument(
+                "--allow-nonsource-leaders",
+                action="store_true",
+                help="accept leaders with incoming edges (layered analysis refused)",
+            )
         cmd.add_argument("-o", "--output", help="write to this file instead of stdout")
         return cmd
 
@@ -124,7 +126,7 @@ def _load_graph(args) -> tuple[StructuredDag, ValidationReport]:
     """Parse and validate the graph, printing any warnings; the report goes on
     to ``analyze`` so that the graph is validated once per call."""
     dag = graph_from_json(Path(args.graph).read_text())
-    report = validate(dag, allow_nonsource_leaders=args.allow_nonsource_leaders)
+    report = validate(dag, allow_nonsource_leaders=getattr(args, "allow_nonsource_leaders", False))
     if not report.ok:
         raise InvalidGraphError("; ".join(v.message for v in report.violations))
     for warning in report.warnings:
@@ -170,7 +172,7 @@ def _cmd_dim(args) -> int:
 def _analysis(args, methods) -> dict:
     dag, validation = _load_graph(args)
     report = analyze(dag, methods, trials=args.trials, seed=args.seed, validation=validation)
-    if "layered" in report.methods and dag.node_count <= DEFAULT_ENUM_CAP:
+    if "layered" in report.methods and dag.node_count <= MATCHED_SETS_MAX_NODES:
         report.methods["layered"] = attach_matched_sets(dag, report.methods["layered"])
     return report_to_json_dict(report)
 

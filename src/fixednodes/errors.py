@@ -6,7 +6,7 @@ class InvalidGraphError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """An exhaustive search would exceed its configured node budget."""
+    """A listing of every matched set would exceed its node budget."""
 
 
 class InconclusiveError(RuntimeError):

@@ -13,7 +13,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import InvalidGraphError
 
@@ -84,6 +85,16 @@ class StructuredDag:
         """
         return _peel_layers(self)
 
+    @cached_property
+    def _labeling(self) -> LayerLabeling:
+        """The labeling :func:`label_layers` returns, built once per graph."""
+        layers = self.source_layers
+        layer_of = {v: k for k, layer in enumerate(layers, start=1) for v in layer}
+        if len(layer_of) != self.node_count:
+            stuck = sorted(set(self.nodes) - set(layer_of))
+            raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
+        return LayerLabeling(MappingProxyType(layer_of), tuple(map(frozenset, layers)))
+
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""
         return StructuredDag(self.nodes, self.edges, frozenset(leaders))
@@ -114,9 +125,11 @@ class LayerLabeling:
 
     ``layers[k-1]`` is the node set of layer ``k``; edges always point from a
     shallower layer to a strictly deeper one (possibly skipping layers).
+    ``layer_of`` is read-only, since every caller shares the graph's one
+    labeling.
     """
 
-    layer_of: dict[int, int]
+    layer_of: Mapping[int, int]
     layers: tuple[frozenset[int], ...]
 
     @property
@@ -212,14 +225,10 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
     Layer 1 holds the sources; deleting a layer exposes the next one, so every
     node in layer ``k >= 2`` keeps at least one predecessor in layer ``k - 1``.
     The result is canonical: layers are sets, so no ordering choices leak in.
-    Raises :class:`InvalidGraphError` when peeling stalls on a cycle.
+    It is built once per graph and shared by every caller.  Raises
+    :class:`InvalidGraphError` when peeling stalls on a cycle.
     """
-    layers = dag.source_layers
-    layer_of = {v: k for k, layer in enumerate(layers, start=1) for v in layer}
-    if len(layer_of) != dag.node_count:
-        stuck = sorted(set(dag.nodes) - set(layer_of))
-        raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
-    return LayerLabeling(layer_of, tuple(frozenset(layer) for layer in layers))
+    return dag._labeling
 
 
 def _peel_layers(dag: StructuredDag) -> tuple[tuple[int, ...], ...]:
@@ -236,22 +245,6 @@ def _peel_layers(dag: StructuredDag) -> tuple[tuple[int, ...], ...]:
                     nxt.append(w)
         current = sorted(nxt)
     return tuple(layers)
-
-
-def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> StructuredDag:
-    """Induced subgraph on the union of layers 1..k, with the same leaders.
-
-    Nodes of layer ``k`` have zero out-degree in the result; for ``k`` equal to
-    the depth the result equals the input graph.
-    """
-    if not 1 <= k <= labeling.depth:
-        raise InvalidGraphError(f"layer index {k} out of range 1..{labeling.depth}")
-    kept = frozenset().union(*labeling.layers[:k])
-    return StructuredDag(
-        nodes=kept,
-        edges=frozenset(e for e in dag.edges if e[0] in kept and e[1] in kept),
-        leaders=dag.leaders,
-    )
 
 
 def graph_from_json(text: str) -> StructuredDag:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
-from .errors import InvalidGraphError
-from .graph import StructuredDag, induce_prefix, label_layers
-from .stems import FlowNetwork, StemFamily, enumerate_max_families, generic_dimension
+from .errors import BudgetExceededError, InvalidGraphError
+from .graph import StructuredDag, label_layers
+from .stems import FlowNetwork, StemFamily, generic_dimension
 
 FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
@@ -38,6 +39,10 @@ FAST_PATH_NONE = "none"
 SOURCE_LEADERS_REQUIRED = (
     "layered analysis requires source leaders; rerun with oracle/numeric methods"
 )
+
+# Largest graph whose layers get their matched sets listed: a layer of t
+# targets has C(t, mu) candidate sets, each tested by one max flow.
+MATCHED_SETS_MAX_NODES = 15
 
 
 @dataclass(frozen=True)
@@ -97,11 +102,12 @@ def fixed_nodes_layered(
     cannot reach the sink in the residual.  One flow network over the whole
     graph serves every layer; :meth:`FlowNetwork.open_layer` moves the sinks
     down one layer, carries the previous flow along and re-maximizes it over
-    layers ``1..k``.  A singleton layer's node is fixed outright when a stem
-    reaches it and it is not pruned.  Nodes left uncovered by one maximum
-    whole-graph family (``witness``, solved here when not given) are pruned:
-    promoting one adds its length-1 stem to that family, so the dimension
-    rises and it is never fixed.
+    layers ``1..k``.  Nodes left uncovered by one maximum whole-graph family
+    (``witness``, solved here when not given) are pruned: promoting one adds
+    its length-1 stem to that family, so the dimension rises and it is never
+    fixed.  A singleton layer needs no rule of its own: its matched node's
+    sink arc is the only open one and is saturated, so the residual search
+    finds nothing and the node is fixed unless pruned.
     """
     if any(dag.in_neighbors.get(x) for x in dag.leaders):
         raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
@@ -110,19 +116,18 @@ def fixed_nodes_layered(
         _, witness = generic_dimension(dag)
     pruned = dag.nodes - witness.covered
 
-    net = FlowNetwork(dag, labeling)
+    net = FlowNetwork(dag)
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
         started = time.perf_counter()
         net.open_layer(k)
         matched = net.matched_targets(layer)
         candidates = layer - pruned
+        kept = candidates & matched
+        fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
         if len(layer) == 1:
-            fixed = layer if candidates and matched else frozenset()
             path = FAST_PATH_SINGLETON
         else:
-            kept = candidates & matched
-            fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
             path = FAST_PATH_ESSENTIALITY if candidates else FAST_PATH_NONE
         reports.append(
             LayerReport(
@@ -139,24 +144,43 @@ def fixed_nodes_layered(
 
 
 def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
-    """Enrich a layered result with exhaustively enumerated matched sets.
+    """Enrich a layered result with every layer's maximum matched sets.
+
+    The matched sets are the bases of a gammoid (Perfect, 1968): by Menger's
+    theorem a set of ``mu`` layer nodes is one iff a max flow into exactly
+    those nodes has value ``mu``.  So each ``mu``-subset of the layer is
+    tested by one max flow on a fresh network with only its sink arcs open.
+    Edges point deeper, so that flow never enters a deeper layer.  The
+    subsets come in ascending order, the order of the report's lists.
 
     Layers that turn out to have a unique maximum matched set are retagged
     ``unique-matched-set``: all its members are fixed by that rule alone, which
-    coincides with what the essentiality check already decided.
+    coincides with what the essentiality check already decided.  A graph of
+    more than ``MATCHED_SETS_MAX_NODES`` nodes raises
+    :class:`BudgetExceededError` before any network is built.
     """
     if result.method != "layered":
         raise InvalidGraphError("matched sets attach to layered results only")
-    labeling = label_layers(dag)
+    if dag.node_count > MATCHED_SETS_MAX_NODES:
+        raise BudgetExceededError(
+            f"matched sets need node count <= {MATCHED_SETS_MAX_NODES}, got {dag.node_count}"
+        )
     enriched = []
     for report in result.per_layer:
-        prefix = induce_prefix(dag, labeling, report.layer_index)
-        families = enumerate_max_families(prefix, report.targets)
         matched = tuple(
-            sorted({fam.matched(report.targets) for fam in families}, key=sorted)
+            frozenset(nodes)
+            for nodes in combinations(sorted(report.targets), report.mu)
+            if _flow_into(dag, nodes) == report.mu
         )
         path = report.fast_path
         if len(matched) == 1 and path == FAST_PATH_ESSENTIALITY:
             path = FAST_PATH_UNIQUE_MATCHED
         enriched.append(replace(report, matched_sets=matched, fast_path=path))
     return replace(result, per_layer=tuple(enriched))
+
+
+def _flow_into(dag: StructuredDag, nodes: tuple[int, ...]) -> int:
+    """Maximum number of disjoint stems ending at distinct ``nodes``."""
+    net = FlowNetwork(dag)
+    net.open_sinks(nodes)
+    return net.max_flow()

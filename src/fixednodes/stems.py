@@ -1,19 +1,21 @@
-"""Disjoint stem families: flow-based optima and an exhaustive oracle.
+"""Disjoint stem families and the flow network that finds them.
 
 A *stem* is a directed path whose first node is a leader (a lone leader is a
-length-1 stem).  Two questions drive everything here:
+length-1 stem).  Three questions drive everything here:
 
 * how many nodes can a family of pairwise vertex-disjoint stems cover in the
-  whole graph (the generic dimension of the controllable subspace), and
-* how many nodes of one target layer can such a family reach.
+  whole graph (the generic dimension of the controllable subspace),
+* how many nodes of one target layer can such a family reach, and
+* which sets of layer nodes the maximum families reach (the matched sets).
 
-Both reduce to unit-capacity flow on the node-split graph: every node becomes
+All reduce to unit-capacity flow on the node-split graph: every node becomes
 an ``in -> out`` arc of capacity one, so any integral flow decomposes into
-vertex-disjoint leader-rooted paths.  The first question additionally needs a
-cheapest flow under a profit of one per covered node, solved by successive
-shortest paths with potentials seeded in topological order.  The exhaustive
-enumerator at the bottom re-derives the same answers by brute force and serves
-as the correctness oracle in tests.
+vertex-disjoint leader-rooted paths (Menger's theorem).  The first question
+additionally needs a cheapest flow under a profit of one per covered node,
+solved by successive shortest paths with potentials seeded in topological
+order.  The second and third need only a maximum flow into the sink arcs that
+are open.  The brute-force enumerator the tests check all three against lives
+in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import BudgetExceededError, InvalidGraphError
-from .graph import LayerLabeling, StructuredDag, label_layers
-
-DEFAULT_ENUM_CAP = 15
+from .errors import InvalidGraphError
+from .graph import StructuredDag, label_layers
 
 _INF = float("inf")
 
@@ -86,20 +86,17 @@ class FlowNetwork:
     closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
     it.  A unit of flow on an arc shows as residual capacity on its reverse.
     With ``covered_profit`` the internal arcs cost -1 each, so a min-cost flow
-    maximizes covered nodes.  Split indices follow the given labeling, layer
-    by layer, so layers ``1..k`` are exactly the indices up to ``2·|layers
-    1..k|``.  The underlying graph must be acyclic, which keeps shortest paths
-    under negative costs well defined and makes flow decomposition cycle-free.
+    maximizes covered nodes.  Split indices follow the graph's layer labeling,
+    layer by layer, so layers ``1..k`` are exactly the indices up to
+    ``2·|layers 1..k|``.  The underlying graph must be acyclic, which keeps
+    shortest paths under negative costs well defined and makes flow
+    decomposition cycle-free; a cyclic graph raises
+    :class:`InvalidGraphError`.
     """
 
-    def __init__(
-        self,
-        dag: StructuredDag,
-        labeling: LayerLabeling,
-        *,
-        covered_profit: bool = False,
-    ):
-        self._layers = tuple(tuple(sorted(layer)) for layer in labeling.layers)
+    def __init__(self, dag: StructuredDag, *, covered_profit: bool = False):
+        label_layers(dag)  # raises on a cycle
+        self._layers = dag.source_layers
         order = tuple(v for layer in self._layers for v in layer)
         self._ext_of_pos = order
         self._bound = [0, *accumulate(2 * len(layer) for layer in self._layers)]
@@ -389,7 +386,7 @@ def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
         raise InvalidGraphError("at least one leader is required")
     if not dag.leaders <= dag.nodes:
         raise InvalidGraphError("leaders must be nodes of the graph")
-    net = FlowNetwork(dag, label_layers(dag), covered_profit=True)
+    net = FlowNetwork(dag, covered_profit=True)
     net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))
     return net
@@ -401,76 +398,3 @@ def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
     net = _solved_dimension_flow(dag)
     family = replace(net.stems(), flow=net)
     return len(family.covered), family
-
-
-# -- exhaustive search (the oracle half of every dual-route check) -----------
-
-
-def enumerate_max_families(
-    prefix: StructuredDag,
-    targets: Iterable[int],
-    cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[StemFamily, ...]:
-    """All maximum-coverage families for one layer, one per matched-node set.
-
-    Exponential by nature; guarded by ``cap`` on the node count.  Families are
-    deduplicated by their matched target set and returned in sorted order, so
-    the distinct matched sets are exactly ``fam.matched(targets)`` over the
-    result.  With every node as a target the families are those of maximum
-    total coverage, the brute-force check of :func:`generic_dimension`.
-    """
-    target_set = frozenset(targets)
-    if not target_set <= prefix.nodes:
-        raise InvalidGraphError("targets are not nodes of the prefix graph")
-    if prefix.node_count > cap:
-        raise BudgetExceededError(
-            f"exhaustive search needs node count <= {cap}, got {prefix.node_count}"
-        )
-    if not prefix.leaders:
-        raise InvalidGraphError("at least one leader is required")
-    stems_per_leader = [
-        tuple(_paths_from(prefix, leader)) for leader in sorted(prefix.leaders)
-    ]
-    best = -1
-    chosen: dict[frozenset[int], StemFamily] = {}
-    for stems in _disjoint_products(stems_per_leader):
-        matched = target_set.intersection(v for stem in stems for v in stem)
-        if len(matched) > best:
-            best = len(matched)
-            chosen = {}
-        if len(matched) == best:
-            chosen.setdefault(matched, StemFamily(tuple(sorted(stems))))
-    return tuple(chosen[k] for k in sorted(chosen, key=sorted))
-
-
-def _paths_from(dag: StructuredDag, start: int) -> Iterator[tuple[int, ...]]:
-    """Every directed path starting at ``start`` (including the trivial one)."""
-
-    def walk(path: list[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(path)
-        for w in dag.out_neighbors[path[-1]]:
-            path.append(w)
-            yield from walk(path)
-            path.pop()
-
-    yield from walk([start])
-
-
-def _disjoint_products(
-    stems_per_leader: list[tuple[tuple[int, ...], ...]],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every one-stem-per-leader combination with pairwise disjoint nodes."""
-
-    def assign(i: int, used: set[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(stems_per_leader):
-            yield ()
-            return
-        for stem in stems_per_leader[i]:
-            if any(v in used for v in stem):
-                continue
-            used.update(stem)
-            for rest in assign(i + 1, used):
-                yield (stem,) + rest
-            used.difference_update(stem)
-
-    yield from assign(0, set())

@@ -3,25 +3,136 @@
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from dataclasses import replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
 import fixednodes.numeric
 from fixednodes import (
+    BudgetExceededError,
     FixedNodeResult,
     InconclusiveError,
+    InvalidGraphError,
+    LayerLabeling,
+    StemFamily,
     StructuredDag,
     controllability_matrix,
-    enumerate_max_families,
     generic_dimension,
-    induce_prefix,
     label_layers,
 )
 from fixednodes.numeric import DEFAULT_TRIALS, TOL
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
+
+DEFAULT_ENUM_CAP = 15
+
+
+# -- exhaustive search: every product of leader-rooted paths
+
+
+def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> StructuredDag:
+    """Induced subgraph on the union of layers 1..k, with the same leaders.
+
+    Nodes of layer ``k`` have zero out-degree in the result; for ``k`` equal to
+    the depth the result equals the input graph.
+    """
+    if not 1 <= k <= labeling.depth:
+        raise InvalidGraphError(f"layer index {k} out of range 1..{labeling.depth}")
+    kept = frozenset().union(*labeling.layers[:k])
+    return StructuredDag(
+        nodes=kept,
+        edges=frozenset(e for e in dag.edges if e[0] in kept and e[1] in kept),
+        leaders=dag.leaders,
+    )
+
+
+def enumerate_max_families(
+    prefix: StructuredDag,
+    targets: Iterable[int],
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[StemFamily, ...]:
+    """All maximum-coverage families for one layer, one per matched-node set.
+
+    Exponential by nature; guarded by ``cap`` on the node count.  Families are
+    deduplicated by their matched target set and returned in sorted order, so
+    the distinct matched sets are exactly ``fam.matched(targets)`` over the
+    result.  With every node as a target the families are those of maximum
+    total coverage, the brute-force check of ``generic_dimension``.
+    """
+    target_set = frozenset(targets)
+    if not target_set <= prefix.nodes:
+        raise InvalidGraphError("targets are not nodes of the prefix graph")
+    if prefix.node_count > cap:
+        raise BudgetExceededError(
+            f"exhaustive search needs node count <= {cap}, got {prefix.node_count}"
+        )
+    if not prefix.leaders:
+        raise InvalidGraphError("at least one leader is required")
+    stems_per_leader = [
+        tuple(_paths_from(prefix, leader)) for leader in sorted(prefix.leaders)
+    ]
+    best = -1
+    chosen: dict[frozenset[int], StemFamily] = {}
+    for stems in _disjoint_products(stems_per_leader):
+        matched = target_set.intersection(v for stem in stems for v in stem)
+        if len(matched) > best:
+            best = len(matched)
+            chosen = {}
+        if len(matched) == best:
+            chosen.setdefault(matched, StemFamily(tuple(sorted(stems))))
+    return tuple(chosen[k] for k in sorted(chosen, key=sorted))
+
+
+def _paths_from(dag: StructuredDag, start: int) -> Iterator[tuple[int, ...]]:
+    """Every directed path starting at ``start`` (including the trivial one)."""
+
+    def walk(path: list[int]) -> Iterator[tuple[int, ...]]:
+        yield tuple(path)
+        for w in dag.out_neighbors[path[-1]]:
+            path.append(w)
+            yield from walk(path)
+            path.pop()
+
+    yield from walk([start])
+
+
+def _disjoint_products(
+    stems_per_leader: list[tuple[tuple[int, ...], ...]],
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every one-stem-per-leader combination with pairwise disjoint nodes."""
+
+    def assign(i: int, used: set[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == len(stems_per_leader):
+            yield ()
+            return
+        for stem in stems_per_leader[i]:
+            if any(v in used for v in stem):
+                continue
+            used.update(stem)
+            for rest in assign(i + 1, used):
+                yield (stem,) + rest
+            used.difference_update(stem)
+
+    yield from assign(0, set())
+
+
+def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
+    """``attach_matched_sets`` by enumeration: each layer's distinct matched
+    sets over every maximum family of its prefix graph, in sorted order, with
+    the same ``unique-matched-set`` retag."""
+    labeling = label_layers(dag)
+    enriched = []
+    for report in result.per_layer:
+        prefix = induce_prefix(dag, labeling, report.layer_index)
+        families = enumerate_max_families(prefix, report.targets)
+        matched = tuple(sorted({fam.matched(report.targets) for fam in families}, key=sorted))
+        path = report.fast_path
+        if len(matched) == 1 and path == "essentiality":
+            path = "unique-matched-set"
+        enriched.append(replace(report, matched_sets=matched, fast_path=path))
+    return replace(result, per_layer=tuple(enriched))
 
 
 def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
@@ -61,7 +172,7 @@ class LayerCoverage:
 
     def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
         self.targets = frozenset(targets)
-        net = FlowNetwork(prefix, label_layers(prefix))
+        net = FlowNetwork(prefix)
         net.open_sinks(self.targets)
         self.mu = net.max_flow()
         self.witness = net.stems()

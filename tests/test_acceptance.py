@@ -17,12 +17,10 @@ import goldens
 from fixednodes import (
     GeneratorConfig,
     controllability_matrix,
-    enumerate_max_families,
     export_dot,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
-    induce_prefix,
     label_layers,
     numeric_fixed_nodes,
     random_layered_dag,
@@ -32,7 +30,12 @@ from fixednodes import (
     spread_widths,
 )
 from randgraphs import random_dag
-from references import LayerCoverage, exhaustive_dimension
+from references import (
+    LayerCoverage,
+    enumerate_max_families,
+    exhaustive_dimension,
+    induce_prefix,
+)
 
 NUMERIC_TRIALS = 50
 

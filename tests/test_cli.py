@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import fixednodes.cli
 import fixednodes.graph
 import fixednodes.numeric
 import fixednodes.report
+import fixednodes.stems
 from fixednodes import StructuredDag, analyze, graph_to_json
 from fixednodes.cli import main
-from fixednodes.stems import DEFAULT_ENUM_CAP
+from fixednodes.search import MATCHED_SETS_MAX_NODES
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,7 +96,7 @@ class TestFixed:
         assert layers[4]["fast_path"] == "unique-matched-set"
 
     def test_enum_cap_suppresses_matched_sets(self, graph_file, capsys):
-        for n, attached in ((DEFAULT_ENUM_CAP, True), (DEFAULT_ENUM_CAP + 1, False)):
+        for n, attached in ((MATCHED_SETS_MAX_NODES, True), (MATCHED_SETS_MAX_NODES + 1, False)):
             path = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
             code, out, _ = run(capsys, "fixed", graph_file(path), "--method", "layered")
             assert code == 0
@@ -126,6 +128,42 @@ class TestFixed:
         )
         assert code == 1
         assert "source leaders" in err
+
+    def test_dense_graph_tests_each_candidate_set_once(self, graph_file, capsys, monkeypatch):
+        """Four leaders over a chain of 11 nodes that each leader feeds: every
+        leader roots 2^11 paths, too many to enumerate, while the matched sets
+        take at most one flow network per candidate set of each layer."""
+        edges = [(u, v) for u in range(1, 5) for v in range(5, 16)]
+        edges += [(u, v) for u in range(5, 16) for v in range(u + 1, 16)]
+        dag = StructuredDag.of(15, edges, range(1, 5))
+        assert len(dag.edges) == 99
+        attaching, built = [], []
+        init = fixednodes.stems.FlowNetwork.__init__
+        attach = fixednodes.cli.attach_matched_sets
+
+        def counting_init(self, *args, **kwargs):
+            if attaching:
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_attach(*args):
+            attaching.append(True)
+            try:
+                return attach(*args)
+            finally:
+                attaching.pop()
+
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
+        monkeypatch.setattr(fixednodes.cli, "attach_matched_sets", counted_attach)
+        code, out, _ = run(capsys, "fixed", graph_file(dag), "--method", "all")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["consistent"] is True
+        layers = payload["methods"]["layered"]["layers"]
+        assert [entry["matched_sets"] for entry in layers] == [[[1, 2, 3, 4]]] + [
+            [[v]] for v in range(5, 16)
+        ]
+        assert 0 < len(built) <= sum(math.comb(len(e["targets"]), e["mu"]) for e in layers)
 
     def test_oversized_n_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         def build(*_args, **_kwargs):
@@ -186,8 +224,20 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--no-such-flag",), ("--trials", "abc"), ("--no-prune",), ("--enum-cap", "5")],
-        ids=["unknown-flag", "bad-int", "removed-no-prune", "removed-enum-cap"],
+        [
+            ("--no-such-flag",),
+            ("--trials", "abc"),
+            ("--no-prune",),
+            ("--enum-cap", "5"),
+            ("--allow-nonsource-leaders",),
+        ],
+        ids=[
+            "unknown-flag",
+            "bad-int",
+            "removed-no-prune",
+            "removed-enum-cap",
+            "removed-allow-nonsource-leaders",
+        ],
     )
     def test_usage_error_exits_1(self, graph_file, capsys, argv):
         code, out, err = run(capsys, "verify", graph_file(goldens.PAIR9.dag), *argv)
@@ -359,6 +409,20 @@ class TestPeelOnce:
         code, _, _ = run(capsys, "fixed", path, "--method", "all", "--trials", "5")
         assert code == 0
         assert len(peeled) == 1
+
+    def test_one_labeling_per_fixed_call(self, capsys, monkeypatch):
+        built = []
+        labeling = fixednodes.graph.LayerLabeling
+
+        def counting(*args):
+            built.append(args)
+            return labeling(*args)
+
+        monkeypatch.setattr(fixednodes.graph, "LayerLabeling", counting)
+        path = str(DATA / "pair13.graph.json")
+        code, _, _ = run(capsys, "fixed", path, "--method", "all", "--trials", "5")
+        assert code == 0
+        assert len(built) == 1
 
 
 class TestDeterminism:

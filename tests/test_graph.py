@@ -9,10 +9,10 @@ from fixednodes import (
     StructuredDag,
     graph_from_json,
     graph_to_json,
-    induce_prefix,
     label_layers,
     validate,
 )
+from references import induce_prefix
 
 
 class TestValidate:
@@ -71,6 +71,14 @@ class TestLabelLayers:
         labeling = label_layers(dag)
         assert labeling.depth == 1
         assert labeling.layers == (frozenset(range(1, 6)),)
+
+    def test_labeling_is_built_once_and_read_only(self, pair13):
+        dag = graph_from_json(graph_to_json(pair13.dag))
+        labeling = label_layers(dag)
+        assert label_layers(dag) is labeling
+        with pytest.raises(TypeError):
+            labeling.layer_of[1] = 2
+        assert labeling.layer_of[1] == 1
 
     def test_cycle_stalls_labeling(self):
         dag = StructuredDag.of(3, [(1, 2), (2, 3), (3, 2)], [1])

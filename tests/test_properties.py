@@ -16,13 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixednodes import (
-    enumerate_max_families,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
     graph_from_json,
     graph_to_json,
-    induce_prefix,
     label_layers,
     stem_family_violations,
     validate,
@@ -30,7 +28,9 @@ from fixednodes import (
 from randgraphs import random_dag
 from references import (
     LayerCoverage,
+    enumerate_max_families,
     exhaustive_dimension,
+    induce_prefix,
     singleton_layer_nodes,
     unpruned_layer_fixed,
 )

@@ -10,6 +10,7 @@ import fixednodes.graph
 import fixednodes.search
 import fixednodes.stems
 from fixednodes import (
+    BudgetExceededError,
     GeneratorConfig,
     InvalidGraphError,
     StemFamily,
@@ -26,6 +27,7 @@ from fixednodes import (
 )
 from randgraphs import random_dag
 from references import (
+    enumerated_matched_sets,
     layer_coverages,
     resolving_oracle,
     singleton_layer_nodes,
@@ -276,8 +278,7 @@ class TestLayeredSweep:
 
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
         monkeypatch.setattr(fixednodes.graph, "_peel_layers", counting_peel)
-        for name in ("induce_prefix", "generic_dimension"):
-            monkeypatch.setattr(fixednodes.search, name, refused)
+        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
         assert fixed_nodes_layered(dag, witness=witness) == expected
         assert len(built) == 1
         report = analyze(dag, ("layered",))
@@ -326,6 +327,63 @@ class TestMatchedSetEnrichment:
     def test_only_layered_results_accepted(self, pair13):
         with pytest.raises(InvalidGraphError):
             attach_matched_sets(pair13.dag, fixed_nodes_oracle(pair13.dag))
+
+    def test_budget_refused_before_any_network(self, monkeypatch):
+        dag = StructuredDag.of(16, [(i, i + 1) for i in range(1, 16)], [1])
+        result = fixed_nodes_layered(dag)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a flow network was built")
+
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", refused)
+        with pytest.raises(BudgetExceededError, match="<= 15, got 16"):
+            attach_matched_sets(dag, result)
+
+
+class TestMatchedSetsAgainstEnumeration:
+    """Matched sets tested one max flow per candidate set, against the
+    enumerator in ``references``, which lists every product of leader-rooted
+    paths on each layer's prefix graph."""
+
+    @staticmethod
+    def assert_matches(dag):
+        result = fixed_nodes_layered(dag)
+        by_flow = attach_matched_sets(dag, result).per_layer
+        by_enumeration = enumerated_matched_sets(dag, result).per_layer
+        assert [(r.layer_index, r.matched_sets, r.fast_path) for r in by_flow] == [
+            (r.layer_index, r.matched_sets, r.fast_path) for r in by_enumeration
+        ]
+
+    @pytest.mark.parametrize("name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7"])
+    def test_pinned_graphs(self, name):
+        """The pinned graphs of at most 15 nodes: the goldens, SKIP4 and SKIP7."""
+        self.assert_matches(graph_from_json((DATA / f"{name}.graph.json").read_text()))
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob):
+        rng = random.Random(0x3A7C + int(skip_prob * 10))
+        for _ in range(400):
+            self.assert_matches(random_dag(rng, max_nodes=15, max_leaders=6, skip_prob=skip_prob))
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.5])
+    def test_dense_dags(self, skip_prob):
+        """Edge probabilities up to 0.8 and up to 6 leaders, where leaders
+        root many paths and many candidate sets fail."""
+        rng = random.Random(0xDE45 + int(skip_prob * 10))
+        for _ in range(100):
+            leaders = rng.randint(2, 6)
+            widths = [leaders] + [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+            while sum(widths) > 13:
+                widths.pop()
+            config = GeneratorConfig(
+                depth=len(widths),
+                widths=tuple(widths),
+                leader_count=leaders,
+                seed=rng.randrange(2**32),
+                edge_prob=rng.uniform(0.3, 0.8),
+                skip_layer_prob=skip_prob,
+            )
+            self.assert_matches(random_layered_dag(config))
 
 
 class TestMethodAgreement:

@@ -14,12 +14,10 @@ from fixednodes import (
     InvalidGraphError,
     StemFamily,
     StructuredDag,
-    enumerate_max_families,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
     graph_from_json,
-    induce_prefix,
     label_layers,
     random_layered_dag,
     spread_widths,
@@ -30,8 +28,10 @@ from randgraphs import random_dag
 from references import (
     LayerCoverage,
     all_matched_targets,
+    enumerate_max_families,
     exhaustive_dimension,
     heap_dijkstra,
+    induce_prefix,
     residual_reaching_sink,
 )
 

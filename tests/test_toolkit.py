@@ -102,10 +102,10 @@ class TestPublicSurface:
             "FixedNodeResult", "GeneratorConfig", "InconclusiveError", "InvalidGraphError",
             "LayerLabeling", "LayerReport", "NumericSummary", "Realization", "StemFamily",
             "StructuredDag", "ValidationReport", "Violation", "analyze",
-            "attach_matched_sets", "controllability_matrix", "enumerate_max_families",
-            "export_dot", "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
-            "graph_digest", "graph_from_json", "graph_to_json", "induce_prefix",
-            "label_layers", "numeric_fixed_nodes", "random_layered_dag",
+            "attach_matched_sets", "controllability_matrix", "export_dot",
+            "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
+            "graph_digest", "graph_from_json", "graph_to_json", "label_layers",
+            "numeric_fixed_nodes", "random_layered_dag",
             "report_to_json_dict", "sample_realization", "spread_widths",
             "stem_family_violations", "validate",
         ]
@@ -116,6 +116,8 @@ class TestPublicSurface:
             "fixed_nodes_single_leader",
             "exhaustive_generic_dimension",
             "numeric_generic_dimension",
+            "enumerate_max_families",
+            "induce_prefix",
         ):
             assert not hasattr(fixednodes, removed)
 
