@@ -46,6 +46,24 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _at_least(low: int):
+    """An argparse type for integers of at least ``low``; argparse names the
+    flag in the usage error it raises."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
+_TRIALS = _at_least(1)
+_SEED = _at_least(0)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -87,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="all",
                 help="which determination method(s) to run",
             )
-        cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS)
+        cmd.add_argument("--seed", type=_SEED, default=0)
         cmd.set_defaults(run=_cmd_fixed if name == "fixed" else _cmd_verify)
 
     cmd = sub.add_parser("gen", help="emit a random layered DAG as graph JSON")
@@ -98,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--edges", type=int, help="total edge count")
     group.add_argument("--edge-prob", type=float, help="per-pair edge probability")
     cmd.add_argument("--leaders", type=int, required=True)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--seed", type=_SEED, default=0)
     cmd.add_argument(
         "--skip-prob",
         type=float,
@@ -115,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="layered",
         help="method used to determine the highlighted fixed nodes",
     )
-    cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS)
+    cmd.add_argument("--seed", type=_SEED, default=0)
     cmd.set_defaults(run=_cmd_export_dot)
 
     return parser

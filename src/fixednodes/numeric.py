@@ -6,11 +6,13 @@ and per-node controllability off its column space.  Works for any sparsity
 pattern, cyclic ones included; acyclicity is a concern of the combinatorial
 modules only.
 
-Draws of one pattern are ranked in batches: their ``A`` matrices are stacked,
-the blocks built for the whole batch and one stacked SVD ranks them all, with
-a batch size set by n alone.  Each draw keeps its own rank and residuals, and
-the draws, the verdicts and the draw that ends sampling are those of ranking
-one draw at a time.
+A call draws all its weights from one generator seeded with its ``seed``,
+one double per edge weight, read in order: draw ``i`` is the ``i``-th row of
+that stream and depends only on the pattern, the seed and ``i``.  Draws are
+ranked in batches: their ``A`` matrices are stacked, the blocks built for the
+whole batch and one stacked SVD ranks them all, with a batch size set by n
+alone.  Each draw keeps its own rank and residuals, and the verdicts and the
+draw that ends sampling are those of ranking one draw at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ TOL = 1e-8
 # a draw never masquerades as a pattern violation, and small enough to keep
 # the controllability matrix well conditioned at the sizes handled here.
 _MAG_LOW, _MAG_HIGH = 0.5, 2.0
+_DRAW = "copysign(|x|+0.5,x), x~U[-1.5,1.5)"
 
 # Entries of ``A`` that one batch of draws may stack (see ``_batch_size``).
 _BATCH_ENTRIES = 2**16
@@ -61,29 +64,19 @@ class ControllabilityMatrix:
 
 
 def sample_realization(dag: StructuredDag, seed: int) -> Realization:
-    """Deterministically draw weights for the pattern (same seed, same draw)."""
-    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
-        raise InvalidGraphError("realizations need contiguous node ids 1..n")
-    if not dag.leaders:
-        raise InvalidGraphError("at least one leader is required")
+    """Draw 0 of ``seed``'s stream: the first weights :func:`numeric_fixed_nodes`
+    draws with that seed (same seed, same draw)."""
     n = dag.node_count
-    rng = np.random.default_rng(seed)
-    edges = dag.sorted_edges
-    magnitudes = rng.uniform(_MAG_LOW, _MAG_HIGH, size=len(edges))
-    signs = rng.integers(0, 2, size=len(edges)) * 2 - 1
-    a = np.zeros(n * n)
-    a[[(v - 1) * n + u - 1 for u, v in edges]] = magnitudes * signs
-    a = a.reshape(n, n)
-    b = np.zeros((n, len(dag.leaders)))
-    for col, leader in enumerate(sorted(dag.leaders)):
-        b[leader - 1, col] = 1.0
-    return Realization(a, b, seed, f"uniform[{_MAG_LOW},{_MAG_HIGH}]*sign")
+    index, b = _pattern(dag)
+    a = np.zeros((1, n * n))
+    a[:, index] = _draw_weights(np.random.default_rng(seed), 1, len(index))
+    return Realization(a.reshape(n, n), b, seed, _DRAW)
 
 
 def controllability_matrix(realization: Realization) -> ControllabilityMatrix:
     """Stack ``B, AB, A^2 B, ...`` up to the first all-zero block and rank the
     stack: the count of singular values above ``TOL`` times the largest."""
-    c, _, ranks = _column_spaces([realization])
+    c, _, ranks = _column_spaces(realization.a_matrix[np.newaxis], realization.b_matrix)
     return ControllabilityMatrix(c[0], int(ranks[0]))
 
 
@@ -100,38 +93,48 @@ def numeric_fixed_nodes(
     vector projected onto that basis stays below ``TOL`` in every top-rank draw.
 
     Draws whose rank falls below the observed maximum are non-generic and
-    discarded: the residuals fold into a running floor in draw order, a higher
-    rank restarts the floor, and only one floor is held at a time.  When the
-    true dimension is known, pass it as ``expected_dim``: draws below it are
-    then rejected, and if none attains it the sampler retries with fresh seeds
-    (up to three times the trial budget) before raising
-    :class:`InconclusiveError`.
+    discarded: the residuals of the top-rank draws fold into a running floor,
+    and a higher rank restarts it.  When the true dimension is known, pass it
+    as ``expected_dim``: draws below it are then rejected, and if none attains
+    it the sampler draws more (up to three times the trial budget) before
+    raising :class:`InconclusiveError`.
 
-    The first ``trials`` draws are ranked in batches, one stacked SVD per
-    batch (see :func:`_batch_size`); each retry is a batch of one draw.  The
-    draws, their order and the stopping draw are those of one draw at a time.
+    All draws come from one generator seeded with ``seed``; draw 0 is
+    :func:`sample_realization`'s.  The first ``trials`` draws are ranked in
+    batches, one stacked SVD per batch (see :func:`_batch_size`), and each
+    retry is a batch of one draw.  Per batch, only the draws at the batch's
+    top rank are projected, so the floor is the one a fold in draw order gives.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    index, b = _pattern(dag)
+    rng = np.random.default_rng(seed)
     budget = trials if expected_dim is None else 3 * trials
     n = dag.node_count
     size = _batch_size(n)
+    # one buffer of flattened A matrices: each batch overwrites the edge
+    # entries of its rows, and every other entry stays zero
+    a = np.zeros((min(size, trials), n * n))
+    eye = np.eye(n)
     top = 0
     residual_floor = np.zeros(n)
     drawn = 0
     while drawn < budget:
         count = min(size, trials - drawn) if drawn < trials else 1
-        draws = [sample_realization(dag, seed + drawn + i) for i in range(count)]
-        _, u, ranks = _column_spaces(draws)
+        a[:count, index] = _draw_weights(rng, count, len(index))
+        _, u, ranks = _column_spaces(a[:count].reshape(count, n, n), b)
         drawn += count
-        for basis, rank in zip(u, ranks.tolist()):
-            if rank >= top:
-                # residual of projecting each standard basis vector onto the
-                # column space: per draw, and only at or above the top rank
-                basis = basis[:, :rank]
-                residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
-                residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
-                top = rank
+        batch_top = int(ranks.max())
+        if batch_top >= top:
+            # residual of projecting each standard basis vector onto the
+            # column space, for the batch's draws at its top rank only
+            basis = u[ranks == batch_top, :, :batch_top]
+            projection = basis @ basis.transpose(0, 2, 1)
+            residuals = np.linalg.norm(eye - projection, axis=1).max(axis=0)
+            residual_floor = (
+                residuals if batch_top > top else np.maximum(residual_floor, residuals)
+            )
+            top = batch_top
         if drawn >= trials and (expected_dim is None or top >= expected_dim):
             break
     if expected_dim is not None and top < expected_dim:
@@ -139,6 +142,35 @@ def numeric_fixed_nodes(
             f"no draw reached rank {expected_dim} in {budget} trials (best {top})"
         )
     return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)
+
+
+def _pattern(dag: StructuredDag) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions ``(v-1)*n + u-1`` of the weights of ``A``, one per
+    edge ``(u, v)`` in sorted order, and ``B``, one unit column per leader."""
+    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
+        raise InvalidGraphError("realizations need contiguous node ids 1..n")
+    if not dag.leaders:
+        raise InvalidGraphError("at least one leader is required")
+    n = dag.node_count
+    index = np.array([(v - 1) * n + u - 1 for u, v in dag.sorted_edges], dtype=np.intp)
+    leaders = sorted(dag.leaders)
+    b = np.zeros((n, len(leaders)))
+    b[np.array(leaders) - 1, np.arange(len(leaders))] = 1.0
+    return index, b
+
+
+def _draw_weights(rng: np.random.Generator, count: int, edges: int) -> np.ndarray:
+    """The next ``count`` draws of ``rng``'s stream, one row of ``edges``
+    weights each: ``w = copysign(|x| + 0.5, x)`` for ``x ~ U[-1.5, 1.5)``.
+
+    One double per weight gives magnitudes uniform in [0.5, 2.0] and a random
+    sign; ``x == 0`` gives 0.5, so no weight is ever zero.
+    """
+    span = _MAG_HIGH - _MAG_LOW
+    x = rng.uniform(-span, span, size=(count, edges))
+    w = np.abs(x)
+    w += _MAG_LOW
+    return np.copysign(w, x, out=w)
 
 
 def _batch_size(n: int) -> int:
@@ -149,19 +181,12 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_ENTRIES // (n * n))
 
 
-def _column_spaces(realizations: list[Realization]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For draws of one pattern: their stacked blocks ``(draws, n, K)``, left
-    singular vectors ``(draws, n, min(n, K))`` by descending singular value,
-    and ranks, each the count of singular values above ``TOL`` times that
-    draw's largest."""
-    # a lone draw (every draw from n = 182 up) is viewed, not copied: copying
-    # its A into fresh pages slowed the n = 200 route measurably
-    a = (
-        np.stack([r.a_matrix for r in realizations])
-        if len(realizations) > 1
-        else realizations[0].a_matrix[np.newaxis]
-    )
-    c = _stack_blocks(a, realizations[0].b_matrix)
+def _column_spaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the ``(draws, n, n)`` stack ``a`` of one pattern's draws and its
+    ``B``: their stacked blocks ``(draws, n, K)``, left singular vectors
+    ``(draws, n, min(n, K))`` by descending singular value, and ranks, each
+    the count of singular values above ``TOL`` times that draw's largest."""
+    c = _stack_blocks(a, b)
     u, s, _ = np.linalg.svd(c, full_matrices=False)
     return c, u, np.count_nonzero(s > TOL * s[:, :1], axis=1)
 

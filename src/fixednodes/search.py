@@ -149,7 +149,8 @@ def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNod
     The matched sets are the bases of a gammoid (Perfect, 1968): by Menger's
     theorem a set of ``mu`` layer nodes is one iff a max flow into exactly
     those nodes has value ``mu``.  So each ``mu``-subset of the layer is
-    tested by one max flow on a fresh network with only its sink arcs open.
+    tested by one max flow with only its sink arcs open, on one network per
+    call that :meth:`FlowNetwork.reset` empties between candidate sets.
     Edges point deeper, so that flow never enters a deeper layer.  The
     subsets come in ascending order, the order of the report's lists.
 
@@ -165,12 +166,13 @@ def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNod
         raise BudgetExceededError(
             f"matched sets need node count <= {MATCHED_SETS_MAX_NODES}, got {dag.node_count}"
         )
+    net = FlowNetwork(dag)
     enriched = []
     for report in result.per_layer:
         matched = tuple(
             frozenset(nodes)
             for nodes in combinations(sorted(report.targets), report.mu)
-            if _flow_into(dag, nodes) == report.mu
+            if _flow_into(net, nodes) == report.mu
         )
         path = report.fast_path
         if len(matched) == 1 and path == FAST_PATH_ESSENTIALITY:
@@ -179,8 +181,9 @@ def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNod
     return replace(result, per_layer=tuple(enriched))
 
 
-def _flow_into(dag: StructuredDag, nodes: tuple[int, ...]) -> int:
-    """Maximum number of disjoint stems ending at distinct ``nodes``."""
-    net = FlowNetwork(dag)
+def _flow_into(net: FlowNetwork, nodes: tuple[int, ...]) -> int:
+    """Maximum number of disjoint stems ending at distinct ``nodes``, on
+    ``net`` emptied first."""
+    net.reset()
     net.open_sinks(nodes)
     return net.max_flow()

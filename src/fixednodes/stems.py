@@ -133,6 +133,17 @@ class FlowNetwork:
         self._cap[arc] -= 1
         self._cap[arc ^ 1] += 1
 
+    def reset(self) -> None:
+        """Drop all flow and close every sink arc: the network as built, with
+        capacity one on every forward arc but the sink arcs."""
+        cap = self._cap
+        half = len(cap) // 2
+        cap[0::2] = [1] * half
+        cap[1::2] = [0] * half
+        for arc in self._sink_arc.values():
+            cap[arc] = 0
+        self._open.clear()
+
     def open_sinks(self, nodes: Iterable[int]) -> None:
         """Give the sink arcs of ``nodes`` capacity one."""
         for v in nodes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import replace
 from typing import Iterable, Iterator
 
@@ -21,7 +22,7 @@ from fixednodes import (
     generic_dimension,
     label_layers,
 )
-from fixednodes.numeric import DEFAULT_TRIALS, TOL
+from fixednodes.numeric import DEFAULT_TRIALS, TOL, Realization
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
@@ -258,26 +259,45 @@ def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
 # -- numeric route: one draw at a time
 
 
+def stream_realizations(dag: StructuredDag, seed: int) -> Iterator[Realization]:
+    """Draws 0, 1, ... of ``seed``'s stream, one row at a time, each ``A``
+    filled one edge at a time.
+
+    Rows come from ``fixednodes.numeric._draw_weights``, the attribute the
+    batched route calls, so a patch sees the draws of both.
+    """
+    n = dag.node_count
+    edges = sorted(dag.edges)
+    b = np.zeros((n, len(dag.leaders)))
+    for col, leader in enumerate(sorted(dag.leaders)):
+        b[leader - 1, col] = 1.0
+    rng = np.random.default_rng(seed)
+    while True:
+        weights = fixednodes.numeric._draw_weights(rng, 1, len(edges))[0]
+        a = np.zeros((n, n))
+        for (u, v), w in zip(edges, weights):
+            a[v - 1, u - 1] = w
+        yield Realization(a, b, seed, "stream")
+
+
 def numeric_generic_dimension(
     dag: StructuredDag, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> int:
-    """Maximum controllability rank over ``trials`` draws, one at a time."""
-    return max(
-        controllability_matrix(fixednodes.numeric.sample_realization(dag, seed + t)).rank
-        for t in range(trials)
-    )
+    """Maximum controllability rank over the first ``trials`` draws of
+    ``seed``'s stream, one at a time."""
+    draws = stream_realizations(dag, seed)
+    return max(controllability_matrix(next(draws)).rank for _ in range(trials))
 
 
 def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
-    """``sample_realization``'s ``A``, filled one edge at a time."""
+    """``sample_realization``'s ``A``: one scalar ``x ~ U[-1.5, 1.5)`` per
+    edge in sorted order, weighted ``copysign(|x| + 0.5, x)``."""
     n = dag.node_count
-    edges = sorted(dag.edges)
     rng = np.random.default_rng(seed)
-    magnitudes = rng.uniform(0.5, 2.0, size=len(edges))
-    signs = rng.integers(0, 2, size=len(edges)) * 2 - 1
     a = np.zeros((n, n))
-    for (u, v), w in zip(edges, magnitudes * signs):
-        a[v - 1, u - 1] = w
+    for u, v in sorted(dag.edges):
+        x = rng.uniform(-1.5, 1.5)
+        a[v - 1, u - 1] = math.copysign(abs(x) + 0.5, x)
     return a
 
 
@@ -287,17 +307,15 @@ def per_draw_numeric_fixed_nodes(
     seed: int = 0,
     expected_dim: int | None = None,
 ) -> frozenset[int]:
-    """``numeric_fixed_nodes`` with one block stack and one SVD per draw.
-
-    Draws come from ``fixednodes.numeric.sample_realization``, the attribute
-    the batched route calls, so a patch sees the draws of both.
-    """
+    """``numeric_fixed_nodes`` with one draw of the stream, one block stack
+    and one SVD at a time, folded in draw order."""
     budget = trials if expected_dim is None else 3 * trials
     n = dag.node_count
     top = 0
     residual_floor = np.zeros(n)
+    draws = stream_realizations(dag, seed)
     for t in range(budget):
-        r = fixednodes.numeric.sample_realization(dag, seed + t)
+        r = next(draws)
         blocks = [r.b_matrix]
         for _ in range(n - 1):
             block = r.a_matrix @ blocks[-1]

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +130,7 @@ class TestFixed:
     def test_dense_graph_tests_each_candidate_set_once(self, graph_file, capsys, monkeypatch):
         """Four leaders over a chain of 11 nodes that each leader feeds: every
         leader roots 2^11 paths, too many to enumerate, while the matched sets
-        take at most one flow network per candidate set of each layer."""
+        of every layer take one flow network, emptied between candidate sets."""
         edges = [(u, v) for u in range(1, 5) for v in range(5, 16)]
         edges += [(u, v) for u in range(5, 16) for v in range(u + 1, 16)]
         dag = StructuredDag.of(15, edges, range(1, 5))
@@ -163,7 +161,7 @@ class TestFixed:
         assert [entry["matched_sets"] for entry in layers] == [[[1, 2, 3, 4]]] + [
             [[v]] for v in range(5, 16)
         ]
-        assert 0 < len(built) <= sum(math.comb(len(e["targets"]), e["mu"]) for e in layers)
+        assert len(built) == 1
 
     def test_oversized_n_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         def build(*_args, **_kwargs):
@@ -194,13 +192,12 @@ class TestVerify:
     def test_inconclusive_numeric_exits_3(self, graph_file, capsys, monkeypatch):
         """Draws with ``A = 0`` reach rank 1 of 5, so no draw attains the
         generic dimension."""
-        sample = fixednodes.numeric.sample_realization
+        sample = fixednodes.numeric._draw_weights
 
-        def zero_weights(dag, seed):
-            r = sample(dag, seed)
-            return dataclasses.replace(r, a_matrix=np.zeros_like(r.a_matrix))
+        def zero_weights(rng, count, edges):
+            return np.zeros_like(sample(rng, count, edges))
 
-        monkeypatch.setattr(fixednodes.numeric, "sample_realization", zero_weights)
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", zero_weights)
         code, _, err = run(capsys, "verify", graph_file(goldens.SINGLE7.dag))
         assert code == 3
         assert "inconclusive" in err
@@ -219,30 +216,57 @@ class TestVerify:
         assert "usage:" in err and "--tol" in err
 
 
+# Trial counts and seeds out of range, refused on every graph subcommand and method
+NUMERIC_FLAGS = {
+    "negative-trials": ("--trials", "-5"),
+    "zero-trials": ("--trials", "0"),
+    "negative-seed": ("--seed", "-1"),
+}
+GRAPH_COMMANDS = {
+    "verify": ("verify",),
+    **{
+        f"fixed-{method}": ("fixed", "--method", method)
+        for method in ("layered", "oracle", "numeric", "all")
+    },
+    **{
+        f"export-dot-{method}": ("export-dot", "--method", method)
+        for method in ("layered", "oracle", "numeric")
+    },
+}
+USAGE_ERRORS = {
+    "unknown-flag": ("verify", "--no-such-flag"),
+    "bad-int": ("verify", "--trials", "abc"),
+    "removed-no-prune": ("verify", "--no-prune"),
+    "removed-enum-cap": ("verify", "--enum-cap", "5"),
+    "removed-allow-nonsource-leaders": ("verify", "--allow-nonsource-leaders"),
+    **{
+        f"{flag}-{name}": (*command, *argv)
+        for flag, argv in NUMERIC_FLAGS.items()
+        for name, command in GRAPH_COMMANDS.items()
+    },
+}
+
+
 class TestUsage:
     """Usage errors exit 1, never 2, which ``verify`` keeps for a disagreement."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--no-such-flag",),
-            ("--trials", "abc"),
-            ("--no-prune",),
-            ("--enum-cap", "5"),
-            ("--allow-nonsource-leaders",),
-        ],
-        ids=[
-            "unknown-flag",
-            "bad-int",
-            "removed-no-prune",
-            "removed-enum-cap",
-            "removed-allow-nonsource-leaders",
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
     def test_usage_error_exits_1(self, graph_file, capsys, argv):
-        code, out, err = run(capsys, "verify", graph_file(goldens.PAIR9.dag), *argv)
+        """A trial count below 1 or a negative seed is refused by every
+        subcommand and method, whether or not the numeric route would run."""
+        code, out, err = run(capsys, argv[0], graph_file(goldens.PAIR9.dag), *argv[1:])
         assert (code, out) == (1, "")
         assert "usage:" in err
+        if argv[-2] in ("--trials", "--seed"):
+            assert f"argument {argv[-2]}:" in err
+
+    @pytest.mark.parametrize("argv", [("--seed", "-1"), ("--seed", "x")], ids=["negative", "bad-int"])
+    def test_gen_seed_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(
+            capsys, "gen", "--p", "3", "--width", "2", "--edges", "4", "--leaders", "1", *argv
+        )
+        assert (code, out) == (1, "")
+        assert "usage:" in err and "argument --seed:" in err
 
     @pytest.mark.parametrize(
         "command", [("fixed",), ("verify",), ("export-dot",)], ids=lambda c: c[0]

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -39,16 +39,21 @@ def pinned_dags() -> dict[str, StructuredDag]:
 
 @pytest.fixture
 def draws(monkeypatch) -> list[int]:
-    """The seeds drawn through ``numeric.sample_realization``, in call order."""
-    seeds = []
-    original = fixednodes.numeric.sample_realization
+    """The draws made through ``numeric._draw_weights``, in call order, each
+    by its index in its generator's stream."""
+    indices = []
+    stream = {"rng": None, "next": 0}
+    original = fixednodes.numeric._draw_weights
 
-    def recorded(dag, seed):
-        seeds.append(seed)
-        return original(dag, seed)
+    def recorded(rng, count, edges):
+        if rng is not stream["rng"]:
+            stream.update(rng=rng, next=0)
+        indices.extend(range(stream["next"], stream["next"] + count))
+        stream["next"] += count
+        return original(rng, count, edges)
 
-    monkeypatch.setattr(fixednodes.numeric, "sample_realization", recorded)
-    return seeds
+    monkeypatch.setattr(fixednodes.numeric, "_draw_weights", recorded)
+    return indices
 
 
 def full_stack(r) -> np.ndarray:
@@ -266,20 +271,21 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize(
         "deficient, drawn",
-        [({3, 4, 5, 6, 7}, 6), ({3, 5}, 4)],
+        [({0, 1, 2, 3, 4}, 6), ({0, 2}, 4)],
         ids=["first-batch-and-first-retry", "around-a-full-rank-draw"],
     )
     def test_rank_deficient_draws(self, single7, draws, monkeypatch, deficient, drawn):
         """Draws with ``A = 0`` reach rank 1 of 5: a batch made only of them
         leads to retries one draw at a time, and one among full-rank draws
         is left out of the floor."""
-        recorded = fixednodes.numeric.sample_realization
+        recorded = fixednodes.numeric._draw_weights
 
-        def sample(dag, seed):
-            r = recorded(dag, seed)
-            return dataclasses.replace(r, a_matrix=np.zeros_like(r.a_matrix)) if seed in deficient else r
+        def sample(rng, count, edges):
+            weights = recorded(rng, count, edges)
+            weights[[i for i, d in enumerate(draws[-count:]) if d in deficient]] = 0.0
+            return weights
 
-        monkeypatch.setattr(fixednodes.numeric, "sample_realization", sample)
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
         self.assert_same_as_per_draw(single7.dag, 4, single7.generic_dim, draws)
         assert numeric_fixed_nodes(single7.dag, 4, seed=3, expected_dim=5) == single7.fixed
         assert len(draws) == drawn
@@ -289,25 +295,26 @@ class TestBatchedDraws:
     ):
         """One draw with ``A`` scaled by 100 has singular values up to about
         1e8 times the others'; it must not set the rank cut of its batch."""
-        recorded = fixednodes.numeric.sample_realization
+        recorded = fixednodes.numeric._draw_weights
 
-        def sample(dag, seed):
-            r = recorded(dag, seed)
-            return dataclasses.replace(r, a_matrix=100 * r.a_matrix) if seed == 4 else r
+        def sample(rng, count, edges):
+            weights = recorded(rng, count, edges)
+            weights[[i for i, d in enumerate(draws[-count:]) if d == 1]] *= 100
+            return weights
 
-        monkeypatch.setattr(fixednodes.numeric, "sample_realization", sample)
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
         self.assert_same_as_per_draw(single7.dag, 4, single7.generic_dim, draws)
         assert numeric_generic_dimension(single7.dag, trials=4, seed=3) == single7.generic_dim
-        assert draws == [3, 4, 5, 6]
+        assert draws == [0, 1, 2, 3]
 
     def test_inconclusive_after_the_same_draws(self, single7, draws):
         with pytest.raises(InconclusiveError):
             numeric_fixed_nodes(single7.dag, trials=4, seed=3, expected_dim=6)
-        assert draws == list(range(3, 15))
+        assert draws == list(range(12))
         draws.clear()
         with pytest.raises(InconclusiveError):
             per_draw_numeric_fixed_nodes(single7.dag, trials=4, seed=3, expected_dim=6)
-        assert draws == list(range(3, 15))
+        assert draws == list(range(12))
 
     def test_batch_shapes(self, monkeypatch):
         """n = 200 ranks one draw per SVD, n = 60 up to 18 and n <= 20 all 50
@@ -335,3 +342,92 @@ class TestBatchedDraws:
             batches.clear()
             numeric_fixed_nodes(dag, trials=50, expected_dim=generic_dimension(dag)[0])
             assert batches == [50]
+
+
+class TestOneStream:
+    """A call draws every weight from one generator seeded with its seed, so
+    draw i depends only on the pattern, the seed and i."""
+
+    @staticmethod
+    def drawn_rows(monkeypatch, dag, trials, batch):
+        rows = []
+        original = fixednodes.numeric._draw_weights
+
+        def recorded(rng, count, edges):
+            weights = original(rng, count, edges)
+            rows.extend(weights.copy())
+            return weights
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fixednodes.numeric, "_draw_weights", recorded)
+            patch.setattr(fixednodes.numeric, "_batch_size", lambda n: batch)
+            fixed = numeric_fixed_nodes(dag, trials, seed=9)
+        return fixed, np.array(rows).reshape(trials, len(dag.edges))
+
+    def test_draw_i_ignores_trials_and_batch_size(self, monkeypatch):
+        dags = [g.dag for g in goldens.GOLDENS] + [goldens.SKIP4, goldens.SKIP7]
+        rng = random.Random(0x57EA)
+        dags += [randgraphs.random_dag(rng, max_nodes=20, skip_prob=0.3) for _ in range(10)]
+        for dag in dags:
+            fixed, rows = self.drawn_rows(monkeypatch, dag, 50, 50)
+            first = loop_weight_matrix(dag, 9)
+            assert rows[0].tolist() == [first[v - 1, u - 1] for u, v in sorted(dag.edges)]
+            for trials in (1, 2, 50):
+                for batch in (1, 50):
+                    again, prefix = self.drawn_rows(monkeypatch, dag, trials, batch)
+                    assert prefix.tobytes() == rows[:trials].tobytes()
+                    if trials == 50:
+                        assert again == fixed
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_zero_draw_weighs_half(self, single7, monkeypatch, x):
+        class Constant:
+            def uniform(self, low, high, size):
+                return np.full(size, x)
+
+        weights = fixednodes.numeric._draw_weights(Constant(), 2, 3)
+        assert weights.tolist() == [[math.copysign(0.5, x)] * 3] * 2
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Constant())
+        a = sample_realization(single7.dag, seed=0).a_matrix
+        assert np.count_nonzero(a) == len(single7.dag.edges)
+        assert set(np.abs(a[a != 0]).tolist()) == {0.5}
+
+    def test_one_generator_per_call(self, single7, monkeypatch):
+        """Batches, retries and draws of one at a time all read one stream."""
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        numeric_fixed_nodes(single7.dag, trials=50, seed=4, expected_dim=5)
+        assert built == [4]
+        built.clear()
+        with pytest.raises(InconclusiveError):
+            numeric_fixed_nodes(single7.dag, trials=4, seed=6, expected_dim=6)
+        assert built == [6]
+        built.clear()
+        skip200 = pinned_dags()["skip200"]
+        numeric_fixed_nodes(skip200, trials=3, seed=2)
+        assert built == [2]
+
+    @pytest.mark.parametrize("skip", [0.0, 0.3])
+    def test_agrees_with_the_oracle_on_the_n200_bench_shape(self, skip):
+        """Depth 10, width 20, 10 leaders and 400 edges, 20 trials: the shape
+        of the all-n200 bench workload."""
+        for seed in range(5):
+            config = GeneratorConfig(
+                depth=10,
+                widths=spread_widths(10, 20, 10),
+                leader_count=10,
+                seed=seed,
+                edge_count=400,
+                skip_layer_prob=skip,
+            )
+            dag = random_layered_dag(config)
+            assert (dag.node_count, len(dag.edges)) == (200, 400)
+            dim, witness = generic_dimension(dag)
+            oracle = fixed_nodes_oracle(dag, witness=witness).fixed_nodes
+            assert numeric_fixed_nodes(dag, trials=20, seed=seed, expected_dim=dim) == oracle

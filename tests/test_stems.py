@@ -405,3 +405,30 @@ class TestFlowKernels:
         assert len(result.per_layer) == 100
         # 83 of the 100 layers skip; one search per layer would be 100 or more
         assert len(skipped) >= 80 and searches < 100
+
+
+class TestReset:
+    def test_reset_restores_the_network_as_built(self):
+        """After a max flow, a layered sweep or a min-cost solve, ``reset``
+        leaves the capacities of a freshly built network and no open sink."""
+        rng = random.Random(0x2E5E)
+        dags = [g.dag for g in goldens.GOLDENS]
+        dags += [random_dag(rng, skip_prob=p) for p in (0.0, 0.3, 0.6) for _ in range(20)]
+        for dag in dags:
+            for profit in (False, True):
+                fresh = FlowNetwork(dag, covered_profit=profit)
+                used = FlowNetwork(dag, covered_profit=profit)
+                used.open_sinks(dag.nodes)
+                if profit:
+                    used.solve_min_cost(len(dag.leaders))
+                else:
+                    used.max_flow()
+                used.reset()
+                assert used._cap == fresh._cap and not used._open
+                for k in range(1, len(dag.source_layers) + 1):
+                    used.open_layer(k)
+                used.reset()
+                assert used._cap == fresh._cap and not used._open
+                for net in (used, fresh):
+                    net.open_sinks(dag.sorted_nodes[-1:])
+                assert used.max_flow() == fresh.max_flow()
