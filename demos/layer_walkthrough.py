@@ -3,12 +3,7 @@
 Run with:  python demos/layer_walkthrough.py
 """
 
-from fixednodes import (
-    StructuredDag,
-    attach_matched_sets,
-    fixed_nodes_layered,
-    label_layers,
-)
+from fixednodes import StructuredDag, fixed_nodes_layered, label_layers
 
 # Two leaders feed a five-layer hierarchy.  Node 5 funnels everything leader 2
 # can reach, node 6 funnels the overlap of leader 1's branches, and layer 4
@@ -35,8 +30,9 @@ print("Per layer: disjoint leader-rooted paths try to cover as many layer")
 print("nodes as possible; a node that appears in EVERY maximum matched set")
 print("stays controllable no matter how the edge weights vary.")
 print("A set of layer nodes is a maximum matched set when a max flow into")
-print("exactly those nodes reaches the layer's max coverage.")
-result = attach_matched_sets(dag, fixed_nodes_layered(dag))
+print("exactly those nodes reaches the layer's max coverage; the layered")
+print("search lists these sets itself on graphs of at most 15 nodes.")
+result = fixed_nodes_layered(dag)
 for report in result.per_layer:
     k, layer = report.layer_index, report.targets
     pinned = layer.intersection(*report.matched_sets)

@@ -5,14 +5,7 @@ Run with:  python demos/oracle_and_numeric.py
 
 import numpy as np
 
-from fixednodes import (
-    StructuredDag,
-    controllability_matrix,
-    fixed_nodes_oracle,
-    generic_dimension,
-    numeric_fixed_nodes,
-    sample_realization,
-)
+from fixednodes import StructuredDag, fixed_nodes_oracle, generic_dimension, numeric_fixed_nodes
 
 # -- combinatorial probing ---------------------------------------------------
 
@@ -36,12 +29,17 @@ print(f"oracle result: {sorted(fixed_nodes_oracle(dag).fixed_nodes)}")
 chain = StructuredDag.of(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [2])
 
 print("\nbidirectional 3-chain, input on state 2:")
-for seed in range(3):
-    r = sample_realization(chain, seed=seed)
-    cm = controllability_matrix(r)
+rng = np.random.default_rng(0)
+b = np.array([[0.0], [1.0], [0.0]])
+for draw in range(3):
+    # a[v-1, u-1] weighs edge (u, v): magnitude in [0.5, 2.0], random sign
+    a = np.zeros((3, 3))
+    for u, v in sorted(chain.edges):
+        a[v - 1, u - 1] = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+    c = np.hstack([b, a @ b, a @ a @ b])
     with np.printoptions(precision=3, suppress=True):
-        print(f"  seed {seed}: rank {cm.rank}, controllability matrix:")
-        print("   ", str(cm.c_matrix).replace("\n", "\n    "))
+        print(f"  draw {draw}: rank {np.linalg.matrix_rank(c)}, controllability matrix:")
+        print("   ", str(c).replace("\n", "\n    "))
 
 fixed = numeric_fixed_nodes(chain, trials=20, seed=0)
 print(f"states controllable under every weight choice: {sorted(fixed)}")

@@ -7,7 +7,7 @@ controllability-rank oracle.
 """
 
 from .dot import export_dot
-from .errors import BudgetExceededError, InconclusiveError, InvalidGraphError
+from .errors import InconclusiveError, InvalidGraphError
 from .generate import GeneratorConfig, random_layered_dag, spread_widths
 from .graph import (
     LayerLabeling,
@@ -19,29 +19,15 @@ from .graph import (
     label_layers,
     validate,
 )
-from .numeric import (
-    ControllabilityMatrix,
-    Realization,
-    controllability_matrix,
-    numeric_fixed_nodes,
-    sample_realization,
-)
+from .numeric import numeric_fixed_nodes
 from .report import AnalysisReport, NumericSummary, analyze, graph_digest, report_to_json_dict
-from .search import (
-    FixedNodeResult,
-    LayerReport,
-    attach_matched_sets,
-    fixed_nodes_layered,
-    fixed_nodes_oracle,
-)
+from .search import FixedNodeResult, LayerReport, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension, stem_family_violations
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BudgetExceededError",
-    "ControllabilityMatrix",
     "FixedNodeResult",
     "GeneratorConfig",
     "InconclusiveError",
@@ -49,14 +35,11 @@ __all__ = [
     "LayerLabeling",
     "LayerReport",
     "NumericSummary",
-    "Realization",
     "StemFamily",
     "StructuredDag",
     "ValidationReport",
     "Violation",
     "analyze",
-    "attach_matched_sets",
-    "controllability_matrix",
     "export_dot",
     "fixed_nodes_layered",
     "fixed_nodes_oracle",
@@ -68,7 +51,6 @@ __all__ = [
     "numeric_fixed_nodes",
     "random_layered_dag",
     "report_to_json_dict",
-    "sample_realization",
     "spread_widths",
     "stem_family_violations",
     "validate",

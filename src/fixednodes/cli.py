@@ -26,7 +26,6 @@ from .graph import (
 )
 from .numeric import DEFAULT_TRIALS
 from .report import ALL_METHODS, analyze, report_to_json_dict
-from .search import MATCHED_SETS_MAX_NODES, attach_matched_sets
 from .stems import generic_dimension
 
 
@@ -190,8 +189,6 @@ def _cmd_dim(args) -> int:
 def _analysis(args, methods) -> dict:
     dag, validation = _load_graph(args)
     report = analyze(dag, methods, trials=args.trials, seed=args.seed, validation=validation)
-    if "layered" in report.methods and dag.node_count <= MATCHED_SETS_MAX_NODES:
-        report.methods["layered"] = attach_matched_sets(dag, report.methods["layered"])
     return report_to_json_dict(report)
 
 

@@ -1,12 +1,9 @@
-"""Shared exception types."""
+"""Exception types shared by the library and the CLI, which exits 1 on an
+invalid graph and 3 on inconclusive numeric sampling."""
 
 
 class InvalidGraphError(ValueError):
     """A graph (or graph file) does not meet an operation's structural requirements."""
-
-
-class BudgetExceededError(ValueError):
-    """A listing of every matched set would exceed its node budget."""
 
 
 class InconclusiveError(RuntimeError):

@@ -258,6 +258,8 @@ def graph_from_json(text: str) -> StructuredDag:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidGraphError("graph JSON is nested too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidGraphError("graph JSON must be an object")
     extra = set(raw) - {"n", "edges", "leaders"}

@@ -1,10 +1,10 @@
-"""State-space oracle: sampled weight realizations and controllability ranks.
+"""State-space oracle: fixed nodes read off sampled weight realizations.
 
-Independent of all graph combinatorics: draw concrete weights for the pattern,
-build the controllability matrix ``[B, AB, A^2 B, ...]``, and read dimensions
-and per-node controllability off its column space.  Works for any sparsity
-pattern, cyclic ones included; acyclicity is a concern of the combinatorial
-modules only.
+:func:`numeric_fixed_nodes` is independent of all graph combinatorics: it
+draws concrete weights for the pattern, builds each draw's controllability
+matrix ``[B, AB, A^2 B, ...]``, and reads its rank and per-node
+controllability off its column space.  Works for any sparsity pattern, cyclic
+ones included; acyclicity is a concern of the combinatorial modules only.
 
 A call draws all its weights from one generator seeded with its ``seed``,
 one double per edge weight, read in order: draw ``i`` is the ``i``-th row of
@@ -16,8 +16,6 @@ draw that ends sampling are those of ranking one draw at a time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,51 +31,9 @@ TOL = 1e-8
 # a draw never masquerades as a pattern violation, and small enough to keep
 # the controllability matrix well conditioned at the sizes handled here.
 _MAG_LOW, _MAG_HIGH = 0.5, 2.0
-_DRAW = "copysign(|x|+0.5,x), x~U[-1.5,1.5)"
 
 # Entries of ``A`` that one batch of draws may stack (see ``_batch_size``).
 _BATCH_ENTRIES = 2**16
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One concrete member of the pattern family, with its input matrix.
-
-    ``a_matrix[v-1, u-1]`` is nonzero exactly when the edge ``(u, v)`` exists;
-    ``b_matrix`` has one unit column per leader (ascending), weights fixed to 1.
-    """
-
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
-    seed: int
-    draw: str
-
-    @property
-    def node_count(self) -> int:
-        return self.a_matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class ControllabilityMatrix:
-    c_matrix: np.ndarray
-    rank: int
-
-
-def sample_realization(dag: StructuredDag, seed: int) -> Realization:
-    """Draw 0 of ``seed``'s stream: the first weights :func:`numeric_fixed_nodes`
-    draws with that seed (same seed, same draw)."""
-    n = dag.node_count
-    index, b = _pattern(dag)
-    a = np.zeros((1, n * n))
-    a[:, index] = _draw_weights(np.random.default_rng(seed), 1, len(index))
-    return Realization(a.reshape(n, n), b, seed, _DRAW)
-
-
-def controllability_matrix(realization: Realization) -> ControllabilityMatrix:
-    """Stack ``B, AB, A^2 B, ...`` up to the first all-zero block and rank the
-    stack: the count of singular values above ``TOL`` times the largest."""
-    c, _, ranks = _column_spaces(realization.a_matrix[np.newaxis], realization.b_matrix)
-    return ControllabilityMatrix(c[0], int(ranks[0]))
 
 
 def numeric_fixed_nodes(
@@ -88,9 +44,10 @@ def numeric_fixed_nodes(
 ) -> frozenset[int]:
     """Nodes whose basis vector lies in the column space of every top-rank draw.
 
-    Each draw's SVD gives its rank, as in :func:`controllability_matrix`, and
-    an orthonormal basis; a node is fixed when the residual of its basis
-    vector projected onto that basis stays below ``TOL`` in every top-rank draw.
+    Each draw's SVD gives its rank, the count of singular values above ``TOL``
+    times its largest, and an orthonormal basis; a node is fixed when the
+    residual of its basis vector projected onto that basis stays below
+    ``TOL`` in every top-rank draw.
 
     Draws whose rank falls below the observed maximum are non-generic and
     discarded: the residuals of the top-rank draws fold into a running floor,
@@ -99,8 +56,8 @@ def numeric_fixed_nodes(
     it the sampler draws more (up to three times the trial budget) before
     raising :class:`InconclusiveError`.
 
-    All draws come from one generator seeded with ``seed``; draw 0 is
-    :func:`sample_realization`'s.  The first ``trials`` draws are ranked in
+    All draws come from one generator seeded with ``seed`` (see
+    :func:`_draw_weights`).  The first ``trials`` draws are ranked in
     batches, one stacked SVD per batch (see :func:`_batch_size`), and each
     retry is a batch of one draw.  Per batch, only the draws at the batch's
     top rank are projected, so the floor is the one a fold in draw order gives.
@@ -122,7 +79,7 @@ def numeric_fixed_nodes(
     while drawn < budget:
         count = min(size, trials - drawn) if drawn < trials else 1
         a[:count, index] = _draw_weights(rng, count, len(index))
-        _, u, ranks = _column_spaces(a[:count].reshape(count, n, n), b)
+        u, ranks = _column_spaces(a[:count].reshape(count, n, n), b)
         drawn += count
         batch_top = int(ranks.max())
         if batch_top >= top:
@@ -181,14 +138,14 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_ENTRIES // (n * n))
 
 
-def _column_spaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _column_spaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For the ``(draws, n, n)`` stack ``a`` of one pattern's draws and its
-    ``B``: their stacked blocks ``(draws, n, K)``, left singular vectors
-    ``(draws, n, min(n, K))`` by descending singular value, and ranks, each
-    the count of singular values above ``TOL`` times that draw's largest."""
-    c = _stack_blocks(a, b)
-    u, s, _ = np.linalg.svd(c, full_matrices=False)
-    return c, u, np.count_nonzero(s > TOL * s[:, :1], axis=1)
+    ``B``: the left singular vectors ``(draws, n, min(n, K))`` of their
+    stacked blocks ``(draws, n, K)``, by descending singular value, and their
+    ranks, each the count of singular values above ``TOL`` times that draw's
+    largest."""
+    u, s, _ = np.linalg.svd(_stack_blocks(a, b), full_matrices=False)
+    return u, np.count_nonzero(s > TOL * s[:, :1], axis=1)
 
 
 def _stack_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:

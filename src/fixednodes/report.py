@@ -23,12 +23,7 @@ from .graph import (
     validate,
 )
 from .numeric import DEFAULT_TRIALS, TOL, numeric_fixed_nodes
-from .search import (
-    SOURCE_LEADERS_REQUIRED,
-    FixedNodeResult,
-    fixed_nodes_layered,
-    fixed_nodes_oracle,
-)
+from .search import FixedNodeResult, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension
 
 REPORT_SCHEMA = 1
@@ -85,10 +80,11 @@ def analyze(
     rank, so degenerate sampling surfaces as an error instead of a silently
     wrong set.  Leaders with incoming edges are tolerated only with
     ``allow_nonsource_leaders``, and only for the oracle and numeric methods:
-    the layer hierarchy presumes source leaders.  A caller that has already
-    run ``validate(dag, allow_nonsource_leaders=...)`` passes its report as
-    ``validation`` (the CLI does, to print warnings before the analysis);
-    otherwise the graph is validated here.
+    the layered route refuses them, as the layer hierarchy presumes source
+    leaders.  A caller that has already run ``validate(dag,
+    allow_nonsource_leaders=...)`` passes its report as ``validation`` (the
+    CLI does, to print warnings before the analysis); otherwise the graph is
+    validated here.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
@@ -101,8 +97,6 @@ def analyze(
     if not report.ok:
         details = "; ".join(v.message for v in report.violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
-    if report.warnings and "layered" in methods:
-        raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
 
     started = time.perf_counter()
     labeling = label_layers(dag)

@@ -11,6 +11,7 @@ generic dimension of the controllable subspace.  Two routes are implemented:
   one maximum family leaves uncovered.  One flow network over the whole graph
   is swept layer by layer: opening layer ``k`` carries the previous layer's
   maximum flow one edge further and re-maximizes it over layers ``1..k``.
+  On small graphs it also lists each layer's maximum matched sets.
 
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
@@ -24,10 +25,10 @@ check, not a third route.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import BudgetExceededError, InvalidGraphError
+from .errors import InvalidGraphError
 from .graph import StructuredDag, label_layers
 from .stems import FlowNetwork, StemFamily, generic_dimension
 
@@ -108,6 +109,11 @@ def fixed_nodes_layered(
     fixed.  A singleton layer needs no rule of its own: its matched node's
     sink arc is the only open one and is saturated, so the residual search
     finds nothing and the node is fixed unless pruned.
+
+    On a graph of at most ``MATCHED_SETS_MAX_NODES`` nodes each layer also
+    lists its maximum matched sets, and one of several nodes with a single
+    set is tagged ``unique-matched-set``, a rule that fixes what the
+    essentiality check fixes.
     """
     if any(dag.in_neighbors.get(x) for x in dag.leaders):
         raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
@@ -117,6 +123,7 @@ def fixed_nodes_layered(
     pruned = dag.nodes - witness.covered
 
     net = FlowNetwork(dag)
+    lister = FlowNetwork(dag) if dag.node_count <= MATCHED_SETS_MAX_NODES else None
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
         started = time.perf_counter()
@@ -125,10 +132,13 @@ def fixed_nodes_layered(
         candidates = layer - pruned
         kept = candidates & matched
         fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
+        sets = None if lister is None else _matched_sets(lister, layer, len(matched))
         if len(layer) == 1:
             path = FAST_PATH_SINGLETON
+        elif not candidates:
+            path = FAST_PATH_NONE
         else:
-            path = FAST_PATH_ESSENTIALITY if candidates else FAST_PATH_NONE
+            path = FAST_PATH_UNIQUE_MATCHED if sets and len(sets) == 1 else FAST_PATH_ESSENTIALITY
         reports.append(
             LayerReport(
                 layer_index=k,
@@ -136,6 +146,7 @@ def fixed_nodes_layered(
                 mu=len(matched),
                 fixed=fixed,
                 fast_path=path,
+                matched_sets=sets,
                 elapsed=time.perf_counter() - started,
             )
         )
@@ -143,47 +154,21 @@ def fixed_nodes_layered(
     return FixedNodeResult(all_fixed, tuple(reports), len(witness.covered), "layered")
 
 
-def attach_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
-    """Enrich a layered result with every layer's maximum matched sets.
+def _matched_sets(net: FlowNetwork, layer: frozenset[int], mu: int) -> tuple[frozenset[int], ...]:
+    """Every maximum matched set of ``layer``, whose maximum coverage is ``mu``.
 
     The matched sets are the bases of a gammoid (Perfect, 1968): by Menger's
     theorem a set of ``mu`` layer nodes is one iff a max flow into exactly
     those nodes has value ``mu``.  So each ``mu``-subset of the layer is
-    tested by one max flow with only its sink arcs open, on one network per
-    call that :meth:`FlowNetwork.reset` empties between candidate sets.
-    Edges point deeper, so that flow never enters a deeper layer.  The
-    subsets come in ascending order, the order of the report's lists.
-
-    Layers that turn out to have a unique maximum matched set are retagged
-    ``unique-matched-set``: all its members are fixed by that rule alone, which
-    coincides with what the essentiality check already decided.  A graph of
-    more than ``MATCHED_SETS_MAX_NODES`` nodes raises
-    :class:`BudgetExceededError` before any network is built.
+    tested by one max flow with only its sink arcs open, on ``net``, which
+    :meth:`FlowNetwork.reset` empties between candidate sets.  Edges point
+    deeper, so that flow never enters a deeper layer.  The subsets come in
+    ascending order, the order of the report's lists.
     """
-    if result.method != "layered":
-        raise InvalidGraphError("matched sets attach to layered results only")
-    if dag.node_count > MATCHED_SETS_MAX_NODES:
-        raise BudgetExceededError(
-            f"matched sets need node count <= {MATCHED_SETS_MAX_NODES}, got {dag.node_count}"
-        )
-    net = FlowNetwork(dag)
-    enriched = []
-    for report in result.per_layer:
-        matched = tuple(
-            frozenset(nodes)
-            for nodes in combinations(sorted(report.targets), report.mu)
-            if _flow_into(net, nodes) == report.mu
-        )
-        path = report.fast_path
-        if len(matched) == 1 and path == FAST_PATH_ESSENTIALITY:
-            path = FAST_PATH_UNIQUE_MATCHED
-        enriched.append(replace(report, matched_sets=matched, fast_path=path))
-    return replace(result, per_layer=tuple(enriched))
-
-
-def _flow_into(net: FlowNetwork, nodes: tuple[int, ...]) -> int:
-    """Maximum number of disjoint stems ending at distinct ``nodes``, on
-    ``net`` emptied first."""
-    net.reset()
-    net.open_sinks(nodes)
-    return net.max_flow()
+    found = []
+    for nodes in combinations(sorted(layer), mu):
+        net.reset()
+        net.open_sinks(nodes)
+        if net.max_flow() == mu:
+            found.append(frozenset(nodes))
+    return tuple(found)

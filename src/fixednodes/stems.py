@@ -11,11 +11,13 @@ length-1 stem).  Three questions drive everything here:
 All reduce to unit-capacity flow on the node-split graph: every node becomes
 an ``in -> out`` arc of capacity one, so any integral flow decomposes into
 vertex-disjoint leader-rooted paths (Menger's theorem).  The first question
-additionally needs a cheapest flow under a profit of one per covered node,
-solved by successive shortest paths with potentials seeded in topological
-order.  The second and third need only a maximum flow into the sink arcs that
-are open.  The brute-force enumerator the tests check all three against lives
-in ``tests/references.py``.
+additionally needs a cheapest flow under a profit of one per covered node
+(each ``in -> out`` arc costs -1), solved by successive shortest paths with
+potentials seeded in topological order.  The second and third need only a
+maximum flow into the sink arcs that are open, which ignores the costs; the
+layered sweep in ``search`` asks both, the third by one max flow per
+candidate set.  The brute-force enumerator the tests check all three against
+lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -85,16 +87,16 @@ class FlowNetwork:
     every leader's in-copy, and every out-copy has a sink arc that starts
     closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
     it.  A unit of flow on an arc shows as residual capacity on its reverse.
-    With ``covered_profit`` the internal arcs cost -1 each, so a min-cost flow
-    maximizes covered nodes.  Split indices follow the graph's layer labeling,
-    layer by layer, so layers ``1..k`` are exactly the indices up to
-    ``2·|layers 1..k|``.  The underlying graph must be acyclic, which keeps
-    shortest paths under negative costs well defined and makes flow
-    decomposition cycle-free; a cyclic graph raises
-    :class:`InvalidGraphError`.
+    The ``in -> out`` arcs cost -1 each, so a min-cost flow maximizes covered
+    nodes; only the min-cost solve and its distances read the costs.  Split
+    indices follow the graph's layer labeling, layer by layer, so layers
+    ``1..k`` are exactly the indices up to ``2·|layers 1..k|``.  The
+    underlying graph must be acyclic, which keeps shortest paths under
+    negative costs well defined and makes flow decomposition cycle-free; a
+    cyclic graph raises :class:`InvalidGraphError`.
     """
 
-    def __init__(self, dag: StructuredDag, *, covered_profit: bool = False):
+    def __init__(self, dag: StructuredDag):
         label_layers(dag)  # raises on a cycle
         self._layers = dag.source_layers
         order = tuple(v for layer in self._layers for v in layer)
@@ -114,8 +116,7 @@ class FlowNetwork:
 
         for leader in sorted(dag.leaders):
             self._add_arc(self.source, self._in[leader], 0)
-        internal_cost = -1 if covered_profit else 0
-        self._through = {v: self._add_arc(self._in[v], self._out[v], internal_cost) for v in order}
+        self._through = {v: self._add_arc(self._in[v], self._out[v], -1) for v in order}
         for u, v in dag.sorted_edges:
             self._add_arc(self._out[u], self._in[v], 0)
         self._sink_arc = {v: self._add_arc(self._out[v], self.sink, 0, 0) for v in dag.sorted_nodes}
@@ -397,7 +398,7 @@ def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
         raise InvalidGraphError("at least one leader is required")
     if not dag.leaders <= dag.nodes:
         raise InvalidGraphError("leaders must be nodes of the graph")
-    net = FlowNetwork(dag, covered_profit=True)
+    net = FlowNetwork(dag)
     net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))
     return net

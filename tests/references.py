@@ -11,18 +11,16 @@ import numpy as np
 
 import fixednodes.numeric
 from fixednodes import (
-    BudgetExceededError,
     FixedNodeResult,
     InconclusiveError,
     InvalidGraphError,
     LayerLabeling,
     StemFamily,
     StructuredDag,
-    controllability_matrix,
     generic_dimension,
     label_layers,
 )
-from fixednodes.numeric import DEFAULT_TRIALS, TOL, Realization
+from fixednodes.numeric import DEFAULT_TRIALS, TOL
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
@@ -66,9 +64,7 @@ def enumerate_max_families(
     if not target_set <= prefix.nodes:
         raise InvalidGraphError("targets are not nodes of the prefix graph")
     if prefix.node_count > cap:
-        raise BudgetExceededError(
-            f"exhaustive search needs node count <= {cap}, got {prefix.node_count}"
-        )
+        raise ValueError(f"exhaustive search needs node count <= {cap}, got {prefix.node_count}")
     if not prefix.leaders:
         raise InvalidGraphError("at least one leader is required")
     stems_per_leader = [
@@ -120,9 +116,10 @@ def _disjoint_products(
 
 
 def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
-    """``attach_matched_sets`` by enumeration: each layer's distinct matched
-    sets over every maximum family of its prefix graph, in sorted order, with
-    the same ``unique-matched-set`` retag."""
+    """The matched sets ``fixed_nodes_layered`` lists, by enumeration: each
+    layer's distinct matched sets over every maximum family of its prefix
+    graph, in sorted order.  A layer the route tags by essentiality or by a
+    unique set is tagged ``unique-matched-set`` iff it has one such set."""
     labeling = label_layers(dag)
     enriched = []
     for report in result.per_layer:
@@ -130,8 +127,8 @@ def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> Fixe
         families = enumerate_max_families(prefix, report.targets)
         matched = tuple(sorted({fam.matched(report.targets) for fam in families}, key=sorted))
         path = report.fast_path
-        if len(matched) == 1 and path == "essentiality":
-            path = "unique-matched-set"
+        if path in ("essentiality", "unique-matched-set"):
+            path = "unique-matched-set" if len(matched) == 1 else "essentiality"
         enriched.append(replace(report, matched_sets=matched, fast_path=path))
     return replace(result, per_layer=tuple(enriched))
 
@@ -259,25 +256,44 @@ def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
 # -- numeric route: one draw at a time
 
 
-def stream_realizations(dag: StructuredDag, seed: int) -> Iterator[Realization]:
-    """Draws 0, 1, ... of ``seed``'s stream, one row at a time, each ``A``
-    filled one edge at a time.
+def input_matrix(dag: StructuredDag) -> np.ndarray:
+    """``B``: one unit column per leader, leaders in ascending order."""
+    b = np.zeros((dag.node_count, len(dag.leaders)))
+    for col, leader in enumerate(sorted(dag.leaders)):
+        b[leader - 1, col] = 1.0
+    return b
+
+
+def stream_weight_matrices(dag: StructuredDag, seed: int) -> Iterator[np.ndarray]:
+    """The ``A`` of draws 0, 1, ... of ``seed``'s stream, one row at a time,
+    each filled one edge at a time.
 
     Rows come from ``fixednodes.numeric._draw_weights``, the attribute the
     batched route calls, so a patch sees the draws of both.
     """
     n = dag.node_count
     edges = sorted(dag.edges)
-    b = np.zeros((n, len(dag.leaders)))
-    for col, leader in enumerate(sorted(dag.leaders)):
-        b[leader - 1, col] = 1.0
     rng = np.random.default_rng(seed)
     while True:
         weights = fixednodes.numeric._draw_weights(rng, 1, len(edges))[0]
         a = np.zeros((n, n))
         for (u, v), w in zip(edges, weights):
             a[v - 1, u - 1] = w
-        yield Realization(a, b, seed, "stream")
+        yield a
+
+
+def draw_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of one draw's controllability column space: the
+    left singular vectors of ``[B, AB, ...]``, cut before the first zero
+    block, whose singular values exceed ``TOL`` times the largest."""
+    blocks = [b]
+    for _ in range(len(a) - 1):
+        block = a @ blocks[-1]
+        if not block.any():
+            break
+        blocks.append(block)
+    u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > TOL * s[0]))]
 
 
 def numeric_generic_dimension(
@@ -285,13 +301,15 @@ def numeric_generic_dimension(
 ) -> int:
     """Maximum controllability rank over the first ``trials`` draws of
     ``seed``'s stream, one at a time."""
-    draws = stream_realizations(dag, seed)
-    return max(controllability_matrix(next(draws)).rank for _ in range(trials))
+    b = input_matrix(dag)
+    draws = stream_weight_matrices(dag, seed)
+    return max(draw_basis(next(draws), b).shape[1] for _ in range(trials))
 
 
 def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
-    """``sample_realization``'s ``A``: one scalar ``x ~ U[-1.5, 1.5)`` per
-    edge in sorted order, weighted ``copysign(|x| + 0.5, x)``."""
+    """The ``A`` of draw 0 of ``seed``'s stream: one scalar
+    ``x ~ U[-1.5, 1.5)`` per edge in sorted order, weighted
+    ``copysign(|x| + 0.5, x)``."""
     n = dag.node_count
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
@@ -313,17 +331,10 @@ def per_draw_numeric_fixed_nodes(
     n = dag.node_count
     top = 0
     residual_floor = np.zeros(n)
-    draws = stream_realizations(dag, seed)
+    b = input_matrix(dag)
+    draws = stream_weight_matrices(dag, seed)
     for t in range(budget):
-        r = next(draws)
-        blocks = [r.b_matrix]
-        for _ in range(n - 1):
-            block = r.a_matrix @ blocks[-1]
-            if not block.any():
-                break
-            blocks.append(block)
-        u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-        basis = u[:, : int(np.count_nonzero(s > TOL * s[0]))]
+        basis = draw_basis(next(draws), b)
         rank = basis.shape[1]
         if rank >= top:
             residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)

@@ -135,24 +135,30 @@ class TestFixed:
         edges += [(u, v) for u in range(5, 16) for v in range(u + 1, 16)]
         dag = StructuredDag.of(15, edges, range(1, 5))
         assert len(dag.edges) == 99
-        attaching, built = [], []
+        sweeping, built, emptied = [], [], set()
         init = fixednodes.stems.FlowNetwork.__init__
-        attach = fixednodes.cli.attach_matched_sets
+        reset = fixednodes.stems.FlowNetwork.reset
+        sweep = fixednodes.report.fixed_nodes_layered
 
         def counting_init(self, *args, **kwargs):
-            if attaching:
+            if sweeping:
                 built.append(self)
             init(self, *args, **kwargs)
 
-        def counted_attach(*args):
-            attaching.append(True)
+        def counting_reset(self):
+            emptied.add(id(self))
+            reset(self)
+
+        def counted_sweep(*args, **kwargs):
+            sweeping.append(True)
             try:
-                return attach(*args)
+                return sweep(*args, **kwargs)
             finally:
-                attaching.pop()
+                sweeping.pop()
 
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
-        monkeypatch.setattr(fixednodes.cli, "attach_matched_sets", counted_attach)
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "reset", counting_reset)
+        monkeypatch.setattr(fixednodes.report, "fixed_nodes_layered", counted_sweep)
         code, out, _ = run(capsys, "fixed", graph_file(dag), "--method", "all")
         assert code == 0
         payload = json.loads(out)
@@ -161,7 +167,9 @@ class TestFixed:
         assert [entry["matched_sets"] for entry in layers] == [[[1, 2, 3, 4]]] + [
             [[v]] for v in range(5, 16)
         ]
-        assert len(built) == 1
+        # the sweep's own network and one listing network, the only one emptied
+        assert len(built) == 2
+        assert emptied == {id(built[1])}
 
     def test_oversized_n_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         def build(*_args, **_kwargs):
@@ -175,6 +183,25 @@ class TestFixed:
         code, out, err = run(capsys, "fixed", str(path))
         assert (code, out) == (1, "")
         assert '"n" is 1000000000' in err and "at most 1 reachable nodes" in err
+
+
+class TestDeepNesting:
+    """A nest of 1000 brackets, about 2 KB, exceeds the JSON parser's
+    recursion limit, at the top level or inside ``"edges"``: every graph
+    subcommand exits 1 with an error line instead of a traceback."""
+
+    @pytest.mark.parametrize("where", ["top-level", "in-edges"])
+    @pytest.mark.parametrize("command", ["label", "dim", "fixed", "verify", "export-dot"])
+    def test_exits_1(self, tmp_path, capsys, command, where):
+        nest = "[" * 1000 + "]" * 1000
+        path = tmp_path / "deep.json"
+        if where == "top-level":
+            path.write_text(nest)
+        else:
+            path.write_text(f'{{"n": 2, "edges": [{nest}], "leaders": [1]}}')
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: graph JSON is nested too deeply\n"
 
 
 class TestVerify:

@@ -15,16 +15,19 @@ from fixednodes import (
     GeneratorConfig,
     InconclusiveError,
     StructuredDag,
-    controllability_matrix,
     fixed_nodes_oracle,
     generic_dimension,
     graph_from_json,
     random_layered_dag,
     spread_widths,
     numeric_fixed_nodes,
-    sample_realization,
 )
-from references import loop_weight_matrix, numeric_generic_dimension, per_draw_numeric_fixed_nodes
+from references import (
+    input_matrix,
+    loop_weight_matrix,
+    numeric_generic_dimension,
+    per_draw_numeric_fixed_nodes,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,12 +59,17 @@ def draws(monkeypatch) -> list[int]:
     return indices
 
 
-def full_stack(r) -> np.ndarray:
+def full_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[B, AB, ..., A^(n-1) B]`` by the plain recurrence, all n blocks."""
-    blocks = [r.b_matrix]
-    for _ in range(r.node_count - 1):
-        blocks.append(r.a_matrix @ blocks[-1])
+    blocks = [b]
+    for _ in range(len(a) - 1):
+        blocks.append(a @ blocks[-1])
     return np.hstack(blocks)
+
+
+def route_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack of blocks the route ranks for the single draw ``a``."""
+    return fixednodes.numeric._stack_blocks(a[np.newaxis], b)[0]
 
 
 def reference_basis(c: np.ndarray, tol: float) -> np.ndarray:
@@ -71,32 +79,34 @@ def reference_basis(c: np.ndarray, tol: float) -> np.ndarray:
 
 
 class TestSampleRealization:
-    def test_pattern_matches_edges_exactly(self, single7):
-        r = sample_realization(single7.dag, seed=0)
+    """Draw 0 of a seed's stream, as the route's kernel receives it."""
+
+    def test_pattern_matches_edges_exactly(self, single7, draw_zero):
+        a, _, _ = draw_zero(single7.dag, 0)
         nonzero = {
-            (u + 1, v + 1) for v, u in zip(*np.nonzero(r.a_matrix))
+            (u + 1, v + 1) for v, u in zip(*np.nonzero(a))
         }  # a[v-1, u-1] != 0 encodes edge (u, v)
         assert nonzero == single7.dag.edges
-        assert np.count_nonzero(r.a_matrix) == 6
+        assert np.count_nonzero(a) == 6
 
-    def test_same_seed_reproduces(self, pair13):
-        a = sample_realization(pair13.dag, seed=11)
-        b = sample_realization(pair13.dag, seed=11)
-        assert np.array_equal(a.a_matrix, b.a_matrix)
-        assert np.array_equal(a.b_matrix, b.b_matrix)
+    def test_same_seed_reproduces(self, pair13, draw_zero):
+        a1, b1, _ = draw_zero(pair13.dag, 11)
+        a2, b2, _ = draw_zero(pair13.dag, 11)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
 
-    def test_different_seeds_differ_on_same_pattern(self, single7):
-        a = sample_realization(single7.dag, seed=0)
-        b = sample_realization(single7.dag, seed=1)
-        assert (a.a_matrix != 0).tolist() == (b.a_matrix != 0).tolist()
-        assert not np.array_equal(a.a_matrix, b.a_matrix)
+    def test_different_seeds_differ_on_same_pattern(self, single7, draw_zero):
+        a1, _, _ = draw_zero(single7.dag, 0)
+        a2, _, _ = draw_zero(single7.dag, 1)
+        assert (a1 != 0).tolist() == (a2 != 0).tolist()
+        assert not np.array_equal(a1, a2)
 
-    def test_magnitudes_bounded_away_from_zero(self, pair10):
-        r = sample_realization(pair10.dag, seed=3)
-        mags = np.abs(r.a_matrix[r.a_matrix != 0])
+    def test_magnitudes_bounded_away_from_zero(self, pair10, draw_zero):
+        a, _, _ = draw_zero(pair10.dag, 3)
+        mags = np.abs(a[a != 0])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
 
-    def test_weights_equal_the_per_edge_fill_bit_for_bit(self):
+    def test_weights_equal_the_per_edge_fill_bit_for_bit(self, draw_zero):
         dags = [g.dag for g in goldens.GOLDENS]
         rng = random.Random(0xF111)
         dags += [
@@ -105,64 +115,62 @@ class TestSampleRealization:
         ]
         for dag in dags:
             for seed in (0, 7):
-                a = sample_realization(dag, seed).a_matrix
+                a, _, _ = draw_zero(dag, seed)
                 assert a.tobytes() == loop_weight_matrix(dag, seed).tobytes()
 
-    def test_one_unit_column_per_leader(self, pair13):
-        r = sample_realization(pair13.dag, seed=0)
-        assert r.b_matrix.shape == (13, 2)
-        assert r.b_matrix[0, 0] == 1 and r.b_matrix[1, 1] == 1
-        assert r.b_matrix.sum() == 2
+    def test_one_unit_column_per_leader(self, pair13, draw_zero):
+        _, b, _ = draw_zero(pair13.dag, 0)
+        assert b.shape == (13, 2)
+        assert b[0, 0] == 1 and b[1, 1] == 1
+        assert b.sum() == 2
 
 
 class TestControllabilityMatrix:
-    def test_block_recurrence(self, pair9):
+    """The route's stack of blocks and rank for draw 0 of a seed's stream."""
+
+    def test_block_recurrence(self, pair9, draw_zero):
         """Blocks follow ``A @`` the previous one; the stack ends either after
         n blocks or where the next block would be exactly zero."""
         for dag, truncates in ((pair9.dag, True), (goldens.CYCLIC_CHAIN3, False)):
-            r = sample_realization(dag, seed=5)
-            c = controllability_matrix(r).c_matrix
-            n, m = r.b_matrix.shape
+            a, b, _ = draw_zero(dag, 5)
+            c = route_stack(a, b)
+            n, m = b.shape
             kept, rest = divmod(c.shape[1], m)
             assert c.shape[0] == n and rest == 0 and 1 <= kept <= n
-            assert np.array_equal(c[:, :m], r.b_matrix)
+            assert np.array_equal(c[:, :m], b)
             for j in range(1, kept):
                 left = c[:, (j - 1) * m : j * m]
                 right = c[:, j * m : (j + 1) * m]
-                assert np.allclose(right, r.a_matrix @ left)
-            assert kept == n or not np.any(r.a_matrix @ c[:, (kept - 1) * m :])
+                assert np.allclose(right, a @ left)
+            assert kept == n or not np.any(a @ c[:, (kept - 1) * m :])
             assert (kept < n) == truncates
 
-    def test_rank_matches_untruncated_stack(self):
+    def test_rank_matches_untruncated_stack(self, draw_zero):
         dags = [g.dag for g in goldens.GOLDENS] + [goldens.CYCLIC_CHAIN3]
         rng = random.Random(0x5EED)
         dags += [randgraphs.random_dag(rng, skip_prob=p) for p in (0.0, 0.3) for _ in range(20)]
         for dag in dags:
             for seed in range(3):
-                r = sample_realization(dag, seed=seed)
-                expected = reference_basis(full_stack(r), 1e-8).shape[1]
-                assert controllability_matrix(r).rank == expected
+                a, b, rank = draw_zero(dag, seed)
+                assert rank == reference_basis(full_stack(a, b), 1e-8).shape[1]
 
-    def test_bidirectional_chain_rank_is_two_for_any_seed(self):
+    def test_bidirectional_chain_rank_is_two_for_any_seed(self, draw_zero):
         for seed in range(20):
-            r = sample_realization(goldens.CYCLIC_CHAIN3, seed=seed)
-            assert controllability_matrix(r).rank == goldens.CYCLIC_CHAIN3_RANK
+            assert draw_zero(goldens.CYCLIC_CHAIN3, seed)[2] == goldens.CYCLIC_CHAIN3_RANK
 
-    def test_single7_rank_reaches_the_dimension(self, single7):
-        r = sample_realization(single7.dag, seed=0)
-        assert controllability_matrix(r).rank == 5
+    def test_single7_rank_reaches_the_dimension(self, single7, draw_zero):
+        assert draw_zero(single7.dag, 0)[2] == 5
 
-    def test_one_node_graph(self):
-        r = sample_realization(StructuredDag.of(1, [], [1]), seed=0)
-        assert controllability_matrix(r).rank == 1
+    def test_one_node_graph(self, draw_zero):
+        assert draw_zero(StructuredDag.of(1, [], [1]), 0)[2] == 1
 
-    def test_rank_stable_across_tolerances(self, golden):
+    def test_rank_stable_across_tolerances(self, golden, draw_zero):
         """The fixed threshold sits in a wide gap of the singular values: a
         hundred times lower or higher counts the same rank."""
-        r = sample_realization(golden.dag, seed=2)
-        cm = controllability_matrix(r)
-        ranks = {reference_basis(cm.c_matrix, tol).shape[1] for tol in (1e-10, 1e-6)}
-        assert ranks == {cm.rank}
+        a, b, rank = draw_zero(golden.dag, 2)
+        c = route_stack(a, b)
+        ranks = {reference_basis(c, tol).shape[1] for tol in (1e-10, 1e-6)}
+        assert ranks == {rank}
 
 
 class TestNumericDimension:
@@ -202,8 +210,9 @@ class TestNumericFixedNodes:
         fixed = numeric_fixed_nodes(pair13.dag, trials=25, seed=0)
         worst = np.zeros(13)
         used = 0
+        b = input_matrix(pair13.dag)
         for seed in range(25):
-            basis = reference_basis(full_stack(sample_realization(pair13.dag, seed=seed)), 1e-8)
+            basis = reference_basis(full_stack(loop_weight_matrix(pair13.dag, seed), b), 1e-8)
             if basis.shape[1] != pair13.generic_dim:
                 continue
             used += 1
@@ -380,7 +389,7 @@ class TestOneStream:
                         assert again == fixed
 
     @pytest.mark.parametrize("x", [0.0, -0.0])
-    def test_zero_draw_weighs_half(self, single7, monkeypatch, x):
+    def test_zero_draw_weighs_half(self, single7, monkeypatch, draw_zero, x):
         class Constant:
             def uniform(self, low, high, size):
                 return np.full(size, x)
@@ -388,7 +397,7 @@ class TestOneStream:
         weights = fixednodes.numeric._draw_weights(Constant(), 2, 3)
         assert weights.tolist() == [[math.copysign(0.5, x)] * 3] * 2
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Constant())
-        a = sample_realization(single7.dag, seed=0).a_matrix
+        a, _, _ = draw_zero(single7.dag, 0)
         assert np.count_nonzero(a) == len(single7.dag.edges)
         assert set(np.abs(a[a != 0]).tolist()) == {0.5}
 

@@ -54,6 +54,15 @@ def test_fixed_report_is_byte_identical(case, capsys):
     assert out == (DATA / f"{case}.report.json").read_text()
 
 
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.endswith("-all")))
+def test_library_report_matches_the_cli(case):
+    """``analyze`` carries every field the CLI prints, matched sets included."""
+    graph, _ = CASES[case]
+    dag = graph_from_json((DATA / f"{graph}.graph.json").read_text())
+    text = json.dumps(report_to_json_dict(analyze(dag, trials=20, seed=11)), indent=2) + "\n"
+    assert text == (DATA / f"{case}.report.json").read_text()
+
+
 def test_layer_times_stay_off_the_report():
     dag = graph_from_json((DATA / "skip200.graph.json").read_text())
     report = analyze(dag, ("layered",))

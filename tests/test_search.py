@@ -10,13 +10,11 @@ import fixednodes.graph
 import fixednodes.search
 import fixednodes.stems
 from fixednodes import (
-    BudgetExceededError,
     GeneratorConfig,
     InvalidGraphError,
     StemFamily,
     StructuredDag,
     analyze,
-    attach_matched_sets,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
@@ -183,9 +181,15 @@ class TestLayered:
         assert fixed_nodes_layered(golden.dag).fixed_nodes == unpruned
 
     def test_pair13_layer_tags(self, pair13):
+        """Layers 1 and 5 have one maximum matched set each, the others
+        several."""
         result = fixed_nodes_layered(pair13.dag)
         tags = {r.layer_index: r.fast_path for r in result.per_layer}
-        assert tags == {k: "essentiality" for k in range(1, 6)}
+        assert tags == {
+            1: "unique-matched-set",
+            **{k: "essentiality" for k in range(2, 5)},
+            5: "unique-matched-set",
+        }
         mus = {r.layer_index: r.mu for r in result.per_layer}
         assert mus == {1: 2, 2: 2, 3: 2, 4: 2, 5: 2}
 
@@ -300,8 +304,8 @@ class TestLayeredSweep:
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:
-    enriched = attach_matched_sets(dag, fixed_nodes_layered(dag))
-    return frozenset(r.layer_index for r in enriched.per_layer if len(r.matched_sets) == 1)
+    result = fixed_nodes_layered(dag)
+    return frozenset(r.layer_index for r in result.per_layer if len(r.matched_sets) == 1)
 
 
 class TestUniqueMatchedSetLayers:
@@ -316,28 +320,33 @@ class TestUniqueMatchedSetLayers:
 
 class TestMatchedSetEnrichment:
     def test_pair13_attaches_golden_sets(self, pair13):
-        enriched = attach_matched_sets(pair13.dag, fixed_nodes_layered(pair13.dag))
-        by_layer = {r.layer_index: r for r in enriched.per_layer}
+        result = fixed_nodes_layered(pair13.dag)
+        by_layer = {r.layer_index: r for r in result.per_layer}
         for k, expected in pair13.matched_sets.items():
             assert set(by_layer[k].matched_sets) == expected
         assert by_layer[5].fast_path == "unique-matched-set"
         assert by_layer[4].fast_path == "essentiality"
-        assert enriched.fixed_nodes == pair13.fixed
-
-    def test_only_layered_results_accepted(self, pair13):
-        with pytest.raises(InvalidGraphError):
-            attach_matched_sets(pair13.dag, fixed_nodes_oracle(pair13.dag))
+        assert result.fixed_nodes == pair13.fixed
 
     def test_budget_refused_before_any_network(self, monkeypatch):
-        dag = StructuredDag.of(16, [(i, i + 1) for i in range(1, 16)], [1])
-        result = fixed_nodes_layered(dag)
+        """Up to 15 nodes the sweep builds one listing network next to its
+        own; from 16 nodes on it builds none and lists no sets."""
+        built = []
+        init = fixednodes.stems.FlowNetwork.__init__
 
-        def refused(*args, **kwargs):
-            raise AssertionError("a flow network was built")
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", refused)
-        with pytest.raises(BudgetExceededError, match="<= 15, got 16"):
-            attach_matched_sets(dag, result)
+        for n, listed in ((15, True), (16, False)):
+            dag = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
+            witness = generic_dimension(dag)[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
+                result = fixed_nodes_layered(dag, witness=witness)
+            assert len(built) == (2 if listed else 1)
+            assert all((r.matched_sets is not None) == listed for r in result.per_layer)
+            built.clear()
 
 
 class TestMatchedSetsAgainstEnumeration:
@@ -348,7 +357,7 @@ class TestMatchedSetsAgainstEnumeration:
     @staticmethod
     def assert_matches(dag):
         result = fixed_nodes_layered(dag)
-        by_flow = attach_matched_sets(dag, result).per_layer
+        by_flow = result.per_layer
         by_enumeration = enumerated_matched_sets(dag, result).per_layer
         assert [(r.layer_index, r.matched_sets, r.fast_path) for r in by_flow] == [
             (r.layer_index, r.matched_sets, r.fast_path) for r in by_enumeration

@@ -9,7 +9,6 @@ import pytest
 import fixednodes.stems
 import goldens
 from fixednodes import (
-    BudgetExceededError,
     GeneratorConfig,
     InvalidGraphError,
     StemFamily,
@@ -157,7 +156,7 @@ class TestEnumeration:
 
     def test_budget_guard(self):
         dag = StructuredDag.of(4, [(1, 2), (2, 3), (3, 4)], [1])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ValueError, match="node count <= 3, got 4"):
             enumerate_max_families(dag, {4}, cap=3)
 
     def test_family_invariants_hold(self, golden):
@@ -415,11 +414,11 @@ class TestReset:
         dags = [g.dag for g in goldens.GOLDENS]
         dags += [random_dag(rng, skip_prob=p) for p in (0.0, 0.3, 0.6) for _ in range(20)]
         for dag in dags:
-            for profit in (False, True):
-                fresh = FlowNetwork(dag, covered_profit=profit)
-                used = FlowNetwork(dag, covered_profit=profit)
+            for min_cost in (False, True):
+                fresh = FlowNetwork(dag)
+                used = FlowNetwork(dag)
                 used.open_sinks(dag.nodes)
-                if profit:
+                if min_cost:
                     used.solve_min_cost(len(dag.leaders))
                 else:
                     used.max_flow()

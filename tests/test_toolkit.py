@@ -11,7 +11,6 @@ from fixednodes import (
     NumericSummary,
     StructuredDag,
     analyze,
-    attach_matched_sets,
     export_dot,
     graph_digest,
     label_layers,
@@ -45,8 +44,9 @@ class TestAnalyze:
         dag = StructuredDag.of(2, [(1, 2)], [1, 2])
         with pytest.raises(InvalidGraphError):
             analyze(dag, ("oracle",))
-        with pytest.raises(InvalidGraphError, match="source leaders"):
-            analyze(dag, ("layered",), allow_nonsource_leaders=True)
+        for methods in (("layered",), ("oracle", "layered")):
+            with pytest.raises(InvalidGraphError, match="source leaders"):
+                analyze(dag, methods, allow_nonsource_leaders=True)
         report = analyze(dag, ("oracle", "numeric"), allow_nonsource_leaders=True)
         assert report.fixed_sets["oracle"] == {1, 2}
         assert report.consistent
@@ -65,7 +65,6 @@ class TestAnalyze:
 class TestReportJson:
     def test_schema_and_payload(self, pair13):
         report = analyze(pair13.dag, trials=25, seed=0)
-        report.methods["layered"] = attach_matched_sets(pair13.dag, report.methods["layered"])
         payload = report_to_json_dict(report)
         assert payload["schema"] == 1
         assert payload["digest"] == graph_digest(pair13.dag)
@@ -98,16 +97,13 @@ class TestReportJson:
 class TestPublicSurface:
     def test_all_is_pinned(self):
         assert sorted(fixednodes.__all__) == [
-            "AnalysisReport", "BudgetExceededError", "ControllabilityMatrix",
-            "FixedNodeResult", "GeneratorConfig", "InconclusiveError", "InvalidGraphError",
-            "LayerLabeling", "LayerReport", "NumericSummary", "Realization", "StemFamily",
-            "StructuredDag", "ValidationReport", "Violation", "analyze",
-            "attach_matched_sets", "controllability_matrix", "export_dot",
-            "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
+            "AnalysisReport", "FixedNodeResult", "GeneratorConfig", "InconclusiveError",
+            "InvalidGraphError", "LayerLabeling", "LayerReport", "NumericSummary",
+            "StemFamily", "StructuredDag", "ValidationReport", "Violation", "analyze",
+            "export_dot", "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
             "graph_digest", "graph_from_json", "graph_to_json", "label_layers",
-            "numeric_fixed_nodes", "random_layered_dag",
-            "report_to_json_dict", "sample_realization", "spread_widths",
-            "stem_family_violations", "validate",
+            "numeric_fixed_nodes", "random_layered_dag", "report_to_json_dict",
+            "spread_widths", "stem_family_violations", "validate",
         ]
         for name in fixednodes.__all__:
             assert getattr(fixednodes, name) is not None
@@ -118,6 +114,12 @@ class TestPublicSurface:
             "numeric_generic_dimension",
             "enumerate_max_families",
             "induce_prefix",
+            "attach_matched_sets",
+            "BudgetExceededError",
+            "Realization",
+            "ControllabilityMatrix",
+            "sample_realization",
+            "controllability_matrix",
         ):
             assert not hasattr(fixednodes, removed)
 
