@@ -33,6 +33,6 @@ for name, fixed in report.fixed_sets.items():
 print(f"methods agree: {report.consistent}")
 print(f"analysis took {report.elapsed * 1000:.0f} ms")
 
-dot = export_dot(dag, report.labeling, report.fixed_sets["layered"])
+dot = export_dot(dag, report.fixed_sets["layered"])
 print("\nDOT rendering (pipe into `dot -Tsvg` to draw):")
 print(dot)

@@ -12,7 +12,6 @@ from .generate import GeneratorConfig, random_layered_dag, spread_widths
 from .graph import (
     LayerLabeling,
     StructuredDag,
-    ValidationReport,
     Violation,
     graph_from_json,
     graph_to_json,
@@ -37,7 +36,6 @@ __all__ = [
     "NumericSummary",
     "StemFamily",
     "StructuredDag",
-    "ValidationReport",
     "Violation",
     "analyze",
     "export_dot",

@@ -18,7 +18,6 @@ from .errors import InconclusiveError, InvalidGraphError
 from .generate import GeneratorConfig, random_layered_dag, spread_widths
 from .graph import (
     StructuredDag,
-    ValidationReport,
     graph_from_json,
     graph_to_json,
     label_layers,
@@ -76,13 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def graph_command(name: str, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("graph", help="path to a graph JSON file")
-        # verify always runs the layered route, which refuses such leaders
-        if name != "verify":
-            cmd.add_argument(
-                "--allow-nonsource-leaders",
-                action="store_true",
-                help="accept leaders with incoming edges (layered analysis refused)",
-            )
         cmd.add_argument("-o", "--output", help="write to this file instead of stdout")
         return cmd
 
@@ -139,16 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args) -> tuple[StructuredDag, ValidationReport]:
-    """Parse and validate the graph, printing any warnings; the report goes on
-    to ``analyze`` so that the graph is validated once per call."""
+def _load_graph(args) -> StructuredDag:
+    """Parse and validate the graph; ``analyze`` reads the same cached
+    validation, so the graph is validated once per call."""
     dag = graph_from_json(Path(args.graph).read_text())
-    report = validate(dag, allow_nonsource_leaders=getattr(args, "allow_nonsource_leaders", False))
-    if not report.ok:
-        raise InvalidGraphError("; ".join(v.message for v in report.violations))
-    for warning in report.warnings:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return dag, report
+    violations = validate(dag)
+    if violations:
+        raise InvalidGraphError("; ".join(v.message for v in violations))
+    return dag
 
 
 def _emit(args, text: str) -> int:
@@ -164,7 +154,7 @@ def _dump(payload: dict) -> str:
 
 
 def _cmd_label(args) -> int:
-    dag, _ = _load_graph(args)
+    dag = _load_graph(args)
     labeling = label_layers(dag)
     return _emit(
         args,
@@ -178,7 +168,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    dag, _ = _load_graph(args)
+    dag = _load_graph(args)
     dim, witness = generic_dimension(dag)
     return _emit(
         args,
@@ -187,8 +177,7 @@ def _cmd_dim(args) -> int:
 
 
 def _analysis(args, methods) -> dict:
-    dag, validation = _load_graph(args)
-    report = analyze(dag, methods, trials=args.trials, seed=args.seed, validation=validation)
+    report = analyze(_load_graph(args), methods, trials=args.trials, seed=args.seed)
     return report_to_json_dict(report)
 
 
@@ -222,12 +211,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    dag, validation = _load_graph(args)
-    report = analyze(
-        dag, (args.method,), trials=args.trials, seed=args.seed, validation=validation
-    )
-    fixed = report.fixed_sets[args.method]
-    return _emit(args, export_dot(dag, report.labeling, fixed))
+    dag = _load_graph(args)
+    report = analyze(dag, (args.method,), trials=args.trials, seed=args.seed)
+    return _emit(args, export_dot(dag, report.fixed_sets[args.method]))
 
 
 if __name__ == "__main__":

@@ -10,15 +10,16 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InvalidGraphError
-from .graph import LayerLabeling, StructuredDag
+from .graph import StructuredDag, label_layers
 
 
-def export_dot(dag: StructuredDag, labeling: LayerLabeling, fixed: Iterable[int]) -> str:
+def export_dot(dag: StructuredDag, fixed: Iterable[int]) -> str:
+    """Render ``dag`` by the layers of its own labeling, ``fixed`` marked."""
     fixed_set = frozenset(fixed)
     if not fixed_set <= dag.nodes:
         raise InvalidGraphError("fixed nodes must be nodes of the graph")
     lines = ["digraph structured_network {", "  rankdir=TB;"]
-    for k, layer in enumerate(labeling.layers, start=1):
+    for k, layer in enumerate(label_layers(dag).layers, start=1):
         lines.append(f"  {{ rank=same; // layer {k}")
         for v in sorted(layer):
             marks = []

@@ -95,6 +95,11 @@ class StructuredDag:
             raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
         return LayerLabeling(MappingProxyType(layer_of), tuple(map(frozenset, layers)))
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """The violations :func:`validate` returns, found once per graph."""
+        return _find_violations(self)
+
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""
         return StructuredDag(self.nodes, self.edges, frozenset(leaders))
@@ -107,16 +112,6 @@ class Violation:
     kind: str
     message: str
     items: tuple = ()
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-    warnings: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -137,20 +132,24 @@ class LayerLabeling:
         return len(self.layers)
 
 
-def validate(dag: StructuredDag, *, allow_nonsource_leaders: bool = False) -> ValidationReport:
-    """Check every structural invariant and report violations as data.
+def validate(dag: StructuredDag) -> tuple[Violation, ...]:
+    """Check every structural invariant and return the violations as data.
 
-    Raw input is accepted: range problems are reported rather than raised, and
-    checks that depend on a sane node/edge set are skipped once it is broken.
-    With ``allow_nonsource_leaders`` the leader in-degree rule is downgraded to
-    a warning (layered analysis is undefined for such graphs, the add-a-leader
-    oracle and the numeric oracle are not).
+    The result is empty exactly when the graph is valid: acyclic, with source
+    leaders (a leader with an incoming edge is a ``leader-in-degree``
+    violation) and every node reachable from a leader.  Raw input is accepted:
+    range problems are reported rather than raised, and checks that depend on
+    a sane node/edge set are skipped once it is broken.  The violations are
+    found once per graph and shared by every caller.
     """
+    return dag._violations
+
+
+def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
     violations: list[Violation] = []
-    warnings: list[Violation] = []
 
     if not dag.nodes:
-        return ValidationReport((Violation("empty-graph", "graph has no nodes"),))
+        return (Violation("empty-graph", "graph has no nodes"),)
 
     bad_ids = tuple(sorted(v for v in dag.nodes if not isinstance(v, int) or v < 1))
     if bad_ids:
@@ -189,16 +188,17 @@ def validate(dag: StructuredDag, *, allow_nonsource_leaders: bool = False) -> Va
         )
 
     if violations:
-        return ValidationReport(tuple(violations), tuple(warnings))
+        return tuple(violations)
 
     nonsource = tuple(sorted(x for x in dag.leaders if dag.in_neighbors[x]))
     if nonsource:
-        entry = Violation(
-            "leader-in-degree",
-            f"leaders must have no incoming edges: {list(nonsource)}",
-            nonsource,
+        violations.append(
+            Violation(
+                "leader-in-degree",
+                f"leaders must have no incoming edges: {list(nonsource)}",
+                nonsource,
+            )
         )
-        (warnings if allow_nonsource_leaders else violations).append(entry)
 
     cyclic = set(dag.nodes).difference(*dag.source_layers)
     if cyclic:
@@ -216,7 +216,7 @@ def validate(dag: StructuredDag, *, allow_nonsource_leaders: bool = False) -> Va
             )
         )
 
-    return ValidationReport(tuple(violations), tuple(warnings))
+    return tuple(violations)
 
 
 def label_layers(dag: StructuredDag) -> LayerLabeling:

@@ -17,7 +17,6 @@ from .errors import InvalidGraphError
 from .graph import (
     LayerLabeling,
     StructuredDag,
-    ValidationReport,
     graph_to_json,
     label_layers,
     validate,
@@ -71,32 +70,26 @@ def analyze(
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    allow_nonsource_leaders: bool = False,
-    validation: ValidationReport | None = None,
 ) -> AnalysisReport:
     """Run the requested methods and cross-compare their fixed sets.
 
-    The numeric method receives the combinatorial dimension as its expected
-    rank, so degenerate sampling surfaces as an error instead of a silently
-    wrong set.  Leaders with incoming edges are tolerated only with
-    ``allow_nonsource_leaders``, and only for the oracle and numeric methods:
-    the layered route refuses them, as the layer hierarchy presumes source
-    leaders.  A caller that has already run ``validate(dag,
-    allow_nonsource_leaders=...)`` passes its report as ``validation`` (the
-    CLI does, to print warnings before the analysis); otherwise the graph is
-    validated here.
+    The graph is validated first (its cached :func:`validate` result), then
+    digested, so an invalid graph, a leader with an incoming edge or ids other
+    than ``1..n`` are refused before the labeling, the dimension flow or any
+    method runs.  The numeric method receives the combinatorial dimension as
+    its expected rank, so degenerate sampling surfaces as an error instead of
+    a silently wrong set.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if not methods:
         raise ValueError("at least one method is required")
-    report = validation
-    if report is None:
-        report = validate(dag, allow_nonsource_leaders=allow_nonsource_leaders)
-    if not report.ok:
-        details = "; ".join(v.message for v in report.violations)
+    violations = validate(dag)
+    if violations:
+        details = "; ".join(v.message for v in violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
+    digest = graph_digest(dag)
 
     started = time.perf_counter()
     labeling = label_layers(dag)
@@ -112,7 +105,7 @@ def analyze(
             results[name] = NumericSummary(fixed, trials, seed)
     elapsed = time.perf_counter() - started
     return AnalysisReport(
-        digest=graph_digest(dag),
+        digest=digest,
         dag=dag,
         labeling=labeling,
         generic_dim=dim,

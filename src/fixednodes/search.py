@@ -37,10 +37,6 @@ FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
 FAST_PATH_ESSENTIALITY = "essentiality"
 FAST_PATH_NONE = "none"
 
-SOURCE_LEADERS_REQUIRED = (
-    "layered analysis requires source leaders; rerun with oracle/numeric methods"
-)
-
 # Largest graph whose layers get their matched sets listed: a layer of t
 # targets has C(t, mu) candidate sets, each tested by one max flow.
 MATCHED_SETS_MAX_NODES = 15
@@ -116,7 +112,7 @@ def fixed_nodes_layered(
     essentiality check fixes.
     """
     if any(dag.in_neighbors.get(x) for x in dag.leaders):
-        raise InvalidGraphError(SOURCE_LEADERS_REQUIRED)
+        raise InvalidGraphError("layered analysis requires source leaders")
     labeling = label_layers(dag)
     if witness is None:
         _, witness = generic_dimension(dag)

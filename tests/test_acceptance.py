@@ -171,8 +171,7 @@ def test_criterion_7_byte_identical_outputs():
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-        labeling = label_layers(golden.dag)
-        dots = [export_dot(golden.dag, labeling, golden.fixed) for _ in range(2)]
+        dots = [export_dot(golden.dag, golden.fixed) for _ in range(2)]
         assert dots[0] == dots[1]
     config = GeneratorConfig(4, (2, 3, 3, 2), 2, seed=5, edge_count=13, skip_layer_prob=0.2)
     assert random_layered_dag(config) == random_layered_dag(config)

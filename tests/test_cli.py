@@ -110,22 +110,16 @@ class TestFixed:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["generic_dim"] == 5
 
-    def test_nonsource_leaders_need_flag_and_skip_layered(self, tmp_path, capsys):
+    def test_nonsource_leaders_refused_everywhere(self, tmp_path, capsys):
+        """A leader with an incoming edge is invalid input on every graph
+        subcommand and method, with no warning channel beside the error."""
         path = tmp_path / "deep.json"
         path.write_text('{"n": 2, "edges": [[1, 2]], "leaders": [1, 2]}')
-        code, _, err = run(capsys, "fixed", str(path), "--method", "oracle")
-        assert code == 1
-        code, out, err = run(
-            capsys, "fixed", str(path), "--method", "oracle", "--allow-nonsource-leaders"
-        )
-        assert code == 0
-        assert "warning" in err
-        assert json.loads(out)["methods"]["oracle"]["fixed"] == [1, 2]
-        code, _, err = run(
-            capsys, "fixed", str(path), "--method", "layered", "--allow-nonsource-leaders"
-        )
-        assert code == 1
-        assert "source leaders" in err
+        for command in (("label",), ("dim",), *GRAPH_COMMANDS.values()):
+            code, out, err = run(capsys, command[0], str(path), *command[1:])
+            assert (code, out) == (1, "")
+            assert "leaders must have no incoming edges" in err
+            assert "warning:" not in err
 
     def test_dense_graph_tests_each_candidate_set_once(self, graph_file, capsys, monkeypatch):
         """Four leaders over a chain of 11 nodes that each leader feeds: every
@@ -267,6 +261,10 @@ USAGE_ERRORS = {
     "removed-enum-cap": ("verify", "--enum-cap", "5"),
     "removed-allow-nonsource-leaders": ("verify", "--allow-nonsource-leaders"),
     **{
+        f"removed-allow-nonsource-leaders-{command}": (command, "--allow-nonsource-leaders")
+        for command in ("label", "dim", "fixed", "export-dot")
+    },
+    **{
         f"{flag}-{name}": (*command, *argv)
         for flag, argv in NUMERIC_FLAGS.items()
         for name, command in GRAPH_COMMANDS.items()
@@ -391,20 +389,19 @@ class TestExportDot:
 
 
 class TestValidateOnce:
-    """Every subcommand validates its graph once; ``analyze`` reuses the CLI's
-    report and validates only when called on its own."""
+    """Every subcommand computes its graph's validation once: the CLI and
+    ``analyze`` both call ``validate``, which reads the graph's cached result."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
         calls = []
-        validate = fixednodes.report.validate
+        find = fixednodes.graph._find_violations
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return validate(*args, **kwargs)
+        def counting(dag):
+            calls.append(dag)
+            return find(dag)
 
-        monkeypatch.setattr(fixednodes.cli, "validate", counting)
-        monkeypatch.setattr(fixednodes.report, "validate", counting)
+        monkeypatch.setattr(fixednodes.graph, "_find_violations", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -426,20 +423,12 @@ class TestValidateOnce:
         assert code == 0
         assert len(validations) == 1
 
-    def test_warning_prints_once(self, tmp_path, capsys, validations):
-        path = tmp_path / "deep.json"
-        path.write_text('{"n": 2, "edges": [[1, 2]], "leaders": [1, 2]}')
-        for method, expected in (("oracle", 0), ("layered", 1)):
-            code, _, err = run(
-                capsys, "fixed", str(path), "--method", method, "--allow-nonsource-leaders"
-            )
-            assert code == expected
-            assert err.count("warning:") == 1
-        assert len(validations) == 2
-
     def test_analyze_alone_validates(self, validations):
-        analyze(goldens.PAIR13.dag, ("oracle",))
-        assert len(validations) == 1
+        dag = goldens.PAIR13.dag
+        fresh = dag.with_leaders(dag.leaders)  # a new graph, its validation not yet cached
+        analyze(fresh, ("oracle",))
+        analyze(fresh, ("layered",))
+        assert validations == [fresh]
 
 
 class TestPeelOnce:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixednodes.graph
 from fixednodes import (
     InvalidGraphError,
     StructuredDag,
@@ -17,43 +18,52 @@ from references import induce_prefix
 
 class TestValidate:
     def test_golden_instances_are_valid(self, golden):
-        assert validate(golden.dag).ok
+        assert validate(golden.dag) == ()
 
     def test_two_cycle_is_rejected(self):
         dag = StructuredDag.of(2, [(1, 2), (2, 1)], [1])
-        report = validate(dag)
-        kinds = {v.kind for v in report.violations}
-        assert not report.ok
+        violations = validate(dag)
+        kinds = {v.kind for v in violations}
+        assert violations
         assert "cycle" in kinds
 
     def test_isolated_node_breaks_influenceability(self, single7):
         dag = StructuredDag.of(8, sorted(single7.dag.edges), [1])
-        report = validate(dag)
-        assert not report.ok
-        assert any(v.kind == "unreachable" and v.items == (8,) for v in report.violations)
+        violations = validate(dag)
+        assert violations
+        assert any(v.kind == "unreachable" and v.items == (8,) for v in violations)
 
     def test_self_loop_reported(self):
         dag = StructuredDag.of(2, [(1, 2), (2, 2)], [1])
-        assert any(v.kind == "self-loop" for v in validate(dag).violations)
+        assert any(v.kind == "self-loop" for v in validate(dag))
 
     def test_leader_with_in_edge_rejected_by_default(self):
         dag = StructuredDag.of(2, [(1, 2)], [1, 2])
-        report = validate(dag)
-        assert any(v.kind == "leader-in-degree" for v in report.violations)
+        violations = validate(dag)
+        assert any(v.kind == "leader-in-degree" for v in violations)
 
-    def test_leader_with_in_edge_downgrades_to_warning(self):
-        dag = StructuredDag.of(2, [(1, 2)], [1, 2])
-        report = validate(dag, allow_nonsource_leaders=True)
-        assert report.ok
-        assert any(w.kind == "leader-in-degree" for w in report.warnings)
+    def test_found_once_per_graph(self, monkeypatch):
+        found = []
+        find = fixednodes.graph._find_violations
+
+        def counting(dag):
+            found.append(dag)
+            return find(dag)
+
+        monkeypatch.setattr(fixednodes.graph, "_find_violations", counting)
+        valid = StructuredDag.of(2, [(1, 2)], [1])
+        invalid = valid.with_leaders([1, 2])
+        assert validate(valid) is validate(valid) == ()
+        assert validate(invalid) is validate(invalid)
+        assert found == [valid, invalid]
 
     def test_empty_leader_set_rejected(self):
         dag = StructuredDag.of(2, [(1, 2)], [])
-        assert any(v.kind == "leaders-empty" for v in validate(dag).violations)
+        assert any(v.kind == "leaders-empty" for v in validate(dag))
 
     def test_out_of_range_edges_reported(self):
         dag = StructuredDag.of(2, [(1, 2), (2, 9)], [1])
-        assert any(v.kind == "edge-endpoint" for v in validate(dag).violations)
+        assert any(v.kind == "edge-endpoint" for v in validate(dag))
 
 
 class TestLabelLayers:
@@ -212,5 +222,5 @@ def test_labeling_partitions_nodes_and_orients_edges(dag: StructuredDag):
 @settings(max_examples=120, deadline=None)
 @given(dense_dags())
 def test_source_built_dags_validate_and_round_trip(dag: StructuredDag):
-    assert validate(dag).ok
+    assert validate(dag) == ()
     assert graph_from_json(graph_to_json(dag)) == dag

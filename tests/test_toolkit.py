@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
+from itertools import permutations
 
 import pytest
 
 import fixednodes
+import fixednodes.cli
+import fixednodes.report
 import goldens
 from fixednodes import (
     InvalidGraphError,
@@ -13,9 +18,26 @@ from fixednodes import (
     analyze,
     export_dot,
     graph_digest,
-    label_layers,
     report_to_json_dict,
 )
+from fixednodes.report import ALL_METHODS
+
+
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """Make every step of ``analyze`` after validation and the digest fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze ran past its input checks")
+
+    for name in (
+        "label_layers",
+        "generic_dimension",
+        "fixed_nodes_layered",
+        "fixed_nodes_oracle",
+        "numeric_fixed_nodes",
+    ):
+        monkeypatch.setattr(fixednodes.report, name, refuse)
 
 
 class TestAnalyze:
@@ -40,16 +62,20 @@ class TestAnalyze:
         with pytest.raises(InvalidGraphError, match="validation"):
             analyze(dag)
 
-    def test_nonsource_leaders_refused_for_layered(self):
+    def test_nonsource_leaders_refused_for_layered(self, refuse_work):
+        """Refused at validation, for every method tuple, before the labeling,
+        the dimension flow or any method runs."""
         dag = StructuredDag.of(2, [(1, 2)], [1, 2])
-        with pytest.raises(InvalidGraphError):
-            analyze(dag, ("oracle",))
-        for methods in (("layered",), ("oracle", "layered")):
-            with pytest.raises(InvalidGraphError, match="source leaders"):
-                analyze(dag, methods, allow_nonsource_leaders=True)
-        report = analyze(dag, ("oracle", "numeric"), allow_nonsource_leaders=True)
-        assert report.fixed_sets["oracle"] == {1, 2}
-        assert report.consistent
+        for k in range(1, 4):
+            for methods in permutations(ALL_METHODS, k):
+                with pytest.raises(InvalidGraphError, match="leaders must have no incoming edges"):
+                    analyze(dag, methods)
+
+    def test_noncontiguous_ids_refused_before_any_work(self, refuse_work):
+        dag = StructuredDag(frozenset({2, 3, 4}), frozenset({(2, 3), (3, 4)}), frozenset({2}))
+        for methods in (("layered", "oracle"), ALL_METHODS):
+            with pytest.raises(InvalidGraphError, match="contiguous ids"):
+                analyze(dag, methods)
 
     def test_disagreement_is_flagged(self):
         report = analyze(goldens.SKIP7, ("layered", "oracle"))
@@ -99,7 +125,7 @@ class TestPublicSurface:
         assert sorted(fixednodes.__all__) == [
             "AnalysisReport", "FixedNodeResult", "GeneratorConfig", "InconclusiveError",
             "InvalidGraphError", "LayerLabeling", "LayerReport", "NumericSummary",
-            "StemFamily", "StructuredDag", "ValidationReport", "Violation", "analyze",
+            "StemFamily", "StructuredDag", "Violation", "analyze",
             "export_dot", "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
             "graph_digest", "graph_from_json", "graph_to_json", "label_layers",
             "numeric_fixed_nodes", "random_layered_dag", "report_to_json_dict",
@@ -120,14 +146,43 @@ class TestPublicSurface:
             "ControllabilityMatrix",
             "sample_realization",
             "controllability_matrix",
+            "ValidationReport",
         ):
             assert not hasattr(fixednodes, removed)
+
+    def test_options_and_parameters_are_pinned(self):
+        """No option or parameter comes back unnoticed: each subcommand's
+        option dests (``-h`` aside) and the signatures of the entry points."""
+        parser = fixednodes.cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            name: sorted(a.dest for a in cmd._actions if not isinstance(a, argparse._HelpAction))
+            for name, cmd in sub.choices.items()
+        }
+        analysis = ["graph", "output", "seed", "trials"]
+        assert dests == {
+            "label": ["graph", "output"],
+            "dim": ["graph", "output"],
+            "fixed": sorted(analysis + ["method"]),
+            "verify": analysis,
+            "gen": ["edge_prob", "edges", "leaders", "output", "p", "seed", "skip_prob", "width"],
+            "export-dot": sorted(analysis + ["method"]),
+        }
+        assert sum(map(len, dests.values())) == 26
+        signatures = {
+            fn.__name__: list(inspect.signature(fn).parameters)
+            for fn in (analyze, fixednodes.validate, export_dot)
+        }
+        assert signatures == {
+            "analyze": ["dag", "methods", "trials", "seed"],
+            "validate": ["dag"],
+            "export_dot": ["dag", "fixed"],
+        }
 
 
 class TestExportDot:
     def test_single7_counts(self, single7):
-        labeling = label_layers(single7.dag)
-        dot = export_dot(single7.dag, labeling, {1, 2, 7})
+        dot = export_dot(single7.dag, {1, 2, 7})
         assert dot.count("->") == 6
         assert dot.count('class="fixed"') == 3
         assert dot.count("rank=same") == 5
@@ -135,22 +190,18 @@ class TestExportDot:
             assert f"\n    {v}" in dot or f" {v} " in dot
 
     def test_empty_fixed_set(self, single7):
-        labeling = label_layers(single7.dag)
-        dot = export_dot(single7.dag, labeling, set())
+        dot = export_dot(single7.dag, set())
         assert 'class="fixed"' not in dot
         assert dot.startswith("digraph")
 
     def test_deterministic_output(self, pair13):
-        labeling = label_layers(pair13.dag)
-        outs = {export_dot(pair13.dag, labeling, pair13.fixed) for _ in range(3)}
+        outs = {export_dot(pair13.dag, pair13.fixed) for _ in range(3)}
         assert len(outs) == 1
 
     def test_unknown_fixed_nodes_rejected(self, single7):
-        labeling = label_layers(single7.dag)
         with pytest.raises(InvalidGraphError):
-            export_dot(single7.dag, labeling, {99})
+            export_dot(single7.dag, {99})
 
     def test_leaders_marked(self, pair13):
-        labeling = label_layers(pair13.dag)
-        dot = export_dot(pair13.dag, labeling, pair13.fixed)
+        dot = export_dot(pair13.dag, pair13.fixed)
         assert dot.count("doublecircle") == 2
