@@ -19,7 +19,7 @@ from .graph import (
     validate,
 )
 from .numeric import numeric_fixed_nodes
-from .report import AnalysisReport, NumericSummary, analyze, graph_digest, report_to_json_dict
+from .report import AnalysisReport, analyze, graph_digest, report_to_json_dict
 from .search import FixedNodeResult, LayerReport, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension, stem_family_violations
 
@@ -33,7 +33,6 @@ __all__ = [
     "InvalidGraphError",
     "LayerLabeling",
     "LayerReport",
-    "NumericSummary",
     "StemFamily",
     "StructuredDag",
     "Violation",

@@ -14,6 +14,7 @@ inside the domain where all methods agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -67,12 +68,15 @@ class GeneratorConfig:
 
     def _max_edges(self) -> int:
         """Placeable edges; with skip probability zero only adjacent pairs count."""
-        total = 0
+        return sum(self.widths[a] * self.widths[b] for a, b in self._layer_pairs())
+
+    def _layer_pairs(self) -> Iterator[tuple[int, int]]:
+        """Layer index pairs ``(a, b)``, ``a < b``, whose nodes an edge may join;
+        a zero skip probability is a hard no-skip guarantee: ``b == a + 1``."""
+        reach = self.depth if self.skip_layer_prob > 0.0 else 1
         for a in range(self.depth):
-            for b in range(a + 1, self.depth):
-                if b == a + 1 or self.skip_layer_prob > 0.0:
-                    total += self.widths[a] * self.widths[b]
-        return total
+            for b in range(a + 1, min(a + 1 + reach, self.depth)):
+                yield a, b
 
 
 def spread_widths(depth: int, width: int, leader_count: int) -> tuple[int, ...]:
@@ -111,15 +115,11 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
 
     adjacent: list[tuple[int, int]] = []
     skipping: list[tuple[int, int]] = []
-    for a in range(config.depth):
-        for b in range(a + 1, config.depth):
-            pool = adjacent if b == a + 1 else skipping
-            pool.extend(
-                (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
-            )
-
-    if config.skip_layer_prob == 0.0:
-        skipping = []  # a zero skip probability is a hard no-skip guarantee
+    for a, b in config._layer_pairs():
+        pool = adjacent if b == a + 1 else skipping
+        pool.extend(
+            (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
+        )
 
     if config.edge_count is not None:
         for _ in range(config.edge_count - len(edges)):

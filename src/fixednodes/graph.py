@@ -14,9 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InvalidGraphError
+
+if TYPE_CHECKING:
+    from .stems import FlowNetwork, StemFamily
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,13 @@ class StructuredDag:
     def _violations(self) -> tuple[Violation, ...]:
         """The violations :func:`validate` returns, found once per graph."""
         return _find_violations(self)
+
+    @cached_property
+    def _dimension(self) -> tuple[FlowNetwork, tuple[int, StemFamily]]:
+        """The solved dimension flow and :func:`generic_dimension`'s pair, once per graph."""
+        from .stems import _solve_dimension  # stems imports this module
+
+        return _solve_dimension(self)
 
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""

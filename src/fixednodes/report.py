@@ -31,28 +31,20 @@ ALL_METHODS = ("layered", "oracle", "numeric")
 
 
 @dataclass(frozen=True)
-class NumericSummary:
-    fixed: frozenset[int]
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     digest: str
     dag: StructuredDag
     labeling: LayerLabeling
     generic_dim: int
     witness: StemFamily
-    methods: dict[str, FixedNodeResult | NumericSummary]
+    methods: dict[str, FixedNodeResult]
+    trials: int
+    seed: int
     elapsed: float  # seconds; deliberately absent from the JSON form
 
     @property
     def fixed_sets(self) -> dict[str, frozenset[int]]:
-        return {
-            name: result.fixed if isinstance(result, NumericSummary) else result.fixed_nodes
-            for name, result in self.methods.items()
-        }
+        return {name: result.fixed_nodes for name, result in self.methods.items()}
 
     @property
     def consistent(self) -> bool:
@@ -78,7 +70,7 @@ def analyze(
     than ``1..n`` are refused before the labeling, the dimension flow or any
     method runs.  The numeric method receives the combinatorial dimension as
     its expected rank, so degenerate sampling surfaces as an error instead of
-    a silently wrong set.
+    a silently wrong set.  Every route reads the graph's one dimension flow.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
@@ -94,57 +86,43 @@ def analyze(
     started = time.perf_counter()
     labeling = label_layers(dag)
     dim, witness = generic_dimension(dag)
-    results: dict[str, FixedNodeResult | NumericSummary] = {}
+    results: dict[str, FixedNodeResult] = {}
     for name in methods:
         if name == "layered":
-            results[name] = fixed_nodes_layered(dag, witness=witness)
+            results[name] = fixed_nodes_layered(dag)
         elif name == "oracle":
-            results[name] = fixed_nodes_oracle(dag, witness=witness)
+            results[name] = fixed_nodes_oracle(dag)
         else:
             fixed = numeric_fixed_nodes(dag, trials, seed, expected_dim=dim)
-            results[name] = NumericSummary(fixed, trials, seed)
+            results[name] = FixedNodeResult(fixed, (), dim, name)
     elapsed = time.perf_counter() - started
-    return AnalysisReport(
-        digest=digest,
-        dag=dag,
-        labeling=labeling,
-        generic_dim=dim,
-        witness=witness,
-        methods=results,
-        elapsed=elapsed,
-    )
+    return AnalysisReport(digest, dag, labeling, dim, witness, results, trials, seed, elapsed)
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
     """The documented report schema (schema 1); timing is intentionally omitted."""
     methods_json: dict[str, dict] = {}
     for name, result in report.methods.items():
-        if isinstance(result, NumericSummary):
-            methods_json[name] = {
-                "fixed": sorted(result.fixed),
-                "trials": result.trials,
-                "seed": result.seed,
-                "tol": TOL,
-            }
-        else:
-            entry: dict = {"fixed": sorted(result.fixed_nodes)}
-            if result.per_layer:
-                entry["layers"] = [
-                    {
-                        "layer": lr.layer_index,
-                        "targets": sorted(lr.targets),
-                        "mu": lr.mu,
-                        "fixed": sorted(lr.fixed),
-                        "fast_path": lr.fast_path,
-                        **(
-                            {"matched_sets": [sorted(s) for s in lr.matched_sets]}
-                            if lr.matched_sets is not None
-                            else {}
-                        ),
-                    }
-                    for lr in result.per_layer
-                ]
-            methods_json[name] = entry
+        entry: dict = {"fixed": sorted(result.fixed_nodes)}
+        if name == "numeric":
+            entry.update(trials=report.trials, seed=report.seed, tol=TOL)
+        if result.per_layer:
+            entry["layers"] = [
+                {
+                    "layer": lr.layer_index,
+                    "targets": sorted(lr.targets),
+                    "mu": lr.mu,
+                    "fixed": sorted(lr.fixed),
+                    "fast_path": lr.fast_path,
+                    **(
+                        {"matched_sets": [sorted(s) for s in lr.matched_sets]}
+                        if lr.matched_sets is not None
+                        else {}
+                    ),
+                }
+                for lr in result.per_layer
+            ]
+        methods_json[name] = entry
     return {
         "schema": REPORT_SCHEMA,
         "digest": report.digest,

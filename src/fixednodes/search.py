@@ -13,6 +13,9 @@ generic dimension of the controllable subspace.  Two routes are implemented:
   maximum flow one edge further and re-maximizes it over layers ``1..k``.
   On small graphs it also lists each layer's maximum matched sets.
 
+Both take only the graph: the optimal flow and the maximum family they read
+are the ones behind :func:`generic_dimension`, solved once per graph.
+
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
 the oracle on some instances (see ``tests/test_limitations.py``); on graphs
@@ -30,7 +33,7 @@ from itertools import combinations
 
 from .errors import InvalidGraphError
 from .graph import StructuredDag, label_layers
-from .stems import FlowNetwork, StemFamily, generic_dimension
+from .stems import FlowNetwork, _dimension_flow, generic_dimension
 
 FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
@@ -63,9 +66,7 @@ class FixedNodeResult:
     method: str
 
 
-def fixed_nodes_oracle(
-    dag: StructuredDag, *, witness: StemFamily | None = None
-) -> FixedNodeResult:
+def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
     """Reference method: a node is fixed iff promoting it to a leader keeps
     the generic dimension unchanged.  Leaders are fixed without probing, since
     attaching a second input to a led node changes nothing.
@@ -76,22 +77,15 @@ def fixed_nodes_oracle(
     ``d`` is ``dim(L) - dim(L + v) <= 0`` (successive-shortest-path
     optimality), so ``v`` is fixed iff ``d == 0``.
 
-    The optimal flow is the one ``witness`` keeps, when it comes from
-    :func:`generic_dimension` on ``dag`` (``analyze`` passes its own);
-    otherwise it is solved here.
+    The optimal flow is the graph's cached one behind :func:`generic_dimension`.
     """
-    if witness is None:
-        _, witness = generic_dimension(dag)
-    if witness.flow is None:
-        raise ValueError("the oracle needs a witness from generic_dimension, with its flow")
-    distances = witness.flow.in_copy_distances_to_sink()
+    dim, _ = generic_dimension(dag)
+    distances = _dimension_flow(dag).in_copy_distances_to_sink()
     fixed = dag.leaders | {v for v, d in distances.items() if d == 0}
-    return FixedNodeResult(fixed, (), len(witness.covered), "oracle")
+    return FixedNodeResult(fixed, (), dim, "oracle")
 
 
-def fixed_nodes_layered(
-    dag: StructuredDag, *, witness: StemFamily | None = None
-) -> FixedNodeResult:
+def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     """Top-down layered search over maximum matched sets.
 
     Layer by layer, a target is fixed when it lies in every maximum matched set
@@ -100,7 +94,7 @@ def fixed_nodes_layered(
     graph serves every layer; :meth:`FlowNetwork.open_layer` moves the sinks
     down one layer, carries the previous flow along and re-maximizes it over
     layers ``1..k``.  Nodes left uncovered by one maximum whole-graph family
-    (``witness``, solved here when not given) are pruned: promoting one adds
+    (the witness of :func:`generic_dimension`) are pruned: promoting one adds
     its length-1 stem to that family, so the dimension rises and it is never
     fixed.  A singleton layer needs no rule of its own: its matched node's
     sink arc is the only open one and is saturated, so the residual search
@@ -114,8 +108,7 @@ def fixed_nodes_layered(
     if any(dag.in_neighbors.get(x) for x in dag.leaders):
         raise InvalidGraphError("layered analysis requires source leaders")
     labeling = label_layers(dag)
-    if witness is None:
-        _, witness = generic_dimension(dag)
+    dim, witness = generic_dimension(dag)
     pruned = dag.nodes - witness.covered
 
     net = FlowNetwork(dag)
@@ -147,7 +140,7 @@ def fixed_nodes_layered(
             )
         )
     all_fixed = frozenset().union(*(r.fixed for r in reports))
-    return FixedNodeResult(all_fixed, tuple(reports), len(witness.covered), "layered")
+    return FixedNodeResult(all_fixed, tuple(reports), dim, "layered")
 
 
 def _matched_sets(net: FlowNetwork, layer: frozenset[int], mu: int) -> tuple[frozenset[int], ...]:

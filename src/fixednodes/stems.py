@@ -13,18 +13,18 @@ an ``in -> out`` arc of capacity one, so any integral flow decomposes into
 vertex-disjoint leader-rooted paths (Menger's theorem).  The first question
 additionally needs a cheapest flow under a profit of one per covered node
 (each ``in -> out`` arc costs -1), solved by successive shortest paths with
-potentials seeded in topological order.  The second and third need only a
-maximum flow into the sink arcs that are open, which ignores the costs; the
-layered sweep in ``search`` asks both, the third by one max flow per
-candidate set.  The brute-force enumerator the tests check all three against
-lives in ``tests/references.py``.
+potentials seeded in topological order; each graph solves it once and caches
+it.  The second and third need only a maximum flow into the sink arcs that
+are open, which ignores the costs; the layered sweep in ``search`` asks both,
+the third by one max flow per candidate set.  The brute-force enumerator the
+tests check all three against lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
@@ -37,16 +37,9 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class StemFamily:
-    """Pairwise vertex-disjoint stems, at most one per leader.
-
-    A family from :func:`generic_dimension` keeps the solved min-cost flow it
-    was read from in ``flow``, so later questions about the same optimum
-    (the oracle's distances) reuse it instead of solving again.  The flow is
-    not modified after the solve; it takes no part in comparisons.
-    """
+    """Pairwise vertex-disjoint stems, at most one per leader."""
 
     stems: tuple[tuple[int, ...], ...]
-    flow: FlowNetwork | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def covered(self) -> frozenset[int]:
@@ -387,8 +380,8 @@ class FlowNetwork:
         return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
 
 
-def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
-    """The min-cost flow whose stems are a maximum-coverage family.
+def _solve_dimension(dag: StructuredDag) -> tuple[FlowNetwork, tuple[int, StemFamily]]:
+    """The solved min-cost flow, its dimension and its maximum-coverage family.
 
     Saturating every leader never hurts: a leader not rooting a stem is either
     uncovered (add its length-1 stem) or sits inside another stem (split that
@@ -401,12 +394,16 @@ def _solved_dimension_flow(dag: StructuredDag) -> FlowNetwork:
     net = FlowNetwork(dag)
     net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))
-    return net
+    family = net.stems()
+    return net, (len(family.covered), family)
+
+
+def _dimension_flow(dag: StructuredDag) -> FlowNetwork:
+    """The graph's cached dimension flow; every route shares it, so none modifies it."""
+    return dag._dimension[0]
 
 
 def generic_dimension(dag: StructuredDag) -> tuple[int, StemFamily]:
-    """Maximum node count coverable by disjoint stems, with a witness family
-    that keeps its solved flow (``StemFamily.flow``)."""
-    net = _solved_dimension_flow(dag)
-    family = replace(net.stems(), flow=net)
-    return len(family.covered), family
+    """Maximum node count coverable by disjoint stems, with a witness family;
+    solved once per graph, so every call on it returns the same pair."""
+    return dag._dimension[1]

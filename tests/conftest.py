@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import fixednodes.numeric
+import fixednodes.stems
 import goldens
 
 
@@ -41,6 +42,21 @@ def pair13() -> goldens.Golden:
 @pytest.fixture(params=goldens.GOLDENS, ids=lambda g: g.name)
 def golden(request) -> goldens.Golden:
     return request.param
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The networks ``FlowNetwork.solve_min_cost`` runs on, one entry per
+    call: the dimension flow is the only min-cost solve."""
+    solved = []
+    solve = fixednodes.stems.FlowNetwork.solve_min_cost
+
+    def counting(self, value):
+        solved.append(self)
+        solve(self, value)
+
+    monkeypatch.setattr(fixednodes.stems.FlowNetwork, "solve_min_cost", counting)
+    return solved
 
 
 @pytest.fixture

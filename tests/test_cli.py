@@ -388,9 +388,25 @@ class TestExportDot:
         assert out.count('class="fixed"') == len(goldens.SKIP7_ORACLE_FIXED)
 
 
+_GRAPH_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixed",),
+        ("fixed", "--method", "layered"),
+        ("verify",),
+        ("export-dot",),
+        ("export-dot", "--method", "oracle"),
+        ("label",),
+        ("dim",),
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+
+
 class TestValidateOnce:
     """Every subcommand computes its graph's validation once: the CLI and
-    ``analyze`` both call ``validate``, which reads the graph's cached result."""
+    ``analyze`` both call ``validate``, which reads the graph's cached result.
+    The dimension flow, cached the same way, is solved at most once."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -404,24 +420,21 @@ class TestValidateOnce:
         monkeypatch.setattr(fixednodes.graph, "_find_violations", counting)
         return calls
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("fixed",),
-            ("fixed", "--method", "layered"),
-            ("verify",),
-            ("export-dot",),
-            ("export-dot", "--method", "oracle"),
-            ("label",),
-            ("dim",),
-        ],
-        ids=lambda argv: "-".join(argv),
-    )
+    @_GRAPH_COMMANDS
     def test_one_validation_per_call(self, graph_file, capsys, validations, argv):
         command, *flags = argv
         code, _, _ = run(capsys, command, graph_file(goldens.PAIR13.dag), *flags)
         assert code == 0
         assert len(validations) == 1
+
+    @_GRAPH_COMMANDS
+    def test_one_solve_per_call(self, graph_file, capsys, solves, argv):
+        """Every route reads the graph's one cached dimension flow, so a call
+        solves it once, or never when it only labels."""
+        command, *flags = argv
+        code, _, _ = run(capsys, command, graph_file(goldens.PAIR13.dag), *flags)
+        assert code == 0
+        assert len(solves) == (0 if command == "label" else 1)
 
     def test_analyze_alone_validates(self, validations):
         dag = goldens.PAIR13.dag

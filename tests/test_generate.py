@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from fixednodes import (
     GeneratorConfig,
+    graph_to_json,
     label_layers,
     random_layered_dag,
     spread_widths,
@@ -102,6 +104,37 @@ def test_skipless_capacity_excludes_skip_pairs():
     with pytest.raises(ValueError, match="exceeds"):
         GeneratorConfig(3, (1, 1, 1), 1, seed=0, edge_count=3)
     GeneratorConfig(3, (1, 1, 1), 1, seed=0, edge_count=3, skip_layer_prob=0.5)
+
+
+_SHAPES = {
+    "count": dict(depth=6, widths=(3, 5, 6, 4, 5, 2), leader_count=3, seed=11, edge_count=40),
+    "prob": dict(depth=5, widths=(2, 4, 5, 4, 3), leader_count=2, seed=12, edge_prob=0.4),
+    "deep": dict(depth=100, widths=spread_widths(100, 10, 4), leader_count=4, seed=13, edge_count=3000),
+    "wide": dict(depth=20, widths=spread_widths(20, 50, 25), leader_count=25, seed=14, edge_count=3000),
+}
+_DIGESTS = {
+    ("count", 0.0): "17a0340797f33f49534d4d2a27638bd6bb5da39de56e4cf65f745688ba536575",
+    ("count", 0.3): "68a897a367bca2e7a68b7688e7cda4541e3b7097a6db7b9aee3d60430afcddbc",
+    ("prob", 0.0): "0b8b44a6b54a363bbace3413b87a3ae370fe7d361f19d91f70c1f590e95333b1",
+    ("prob", 0.3): "7da865b67641aacacc47553edf5538376e6898dd01d3b496282ee26cc591a4e0",
+    ("deep", 0.0): "8b0e99b639acd7445b1afa0797625d12cf91f50c0e9e44e57b269d07b1115c05",
+    ("deep", 0.3): "98b7352e9669f74e048f46577ac4dce89627566ed473b5b04f028cd177fbd1fd",
+    ("wide", 0.0): "91a608cb6918e758c753d433d62140b5ed4d7d3ed5ca7f705f6d18b2d7a7b1f7",
+    ("wide", 0.3): "c6127f217d294563e42771fa05fb5f8b8fb809d609641a0cd97159b924268e74",
+}
+
+
+@pytest.mark.parametrize(
+    "shape, skip", list(_DIGESTS), ids=[f"{shape}-skip{skip}" for shape, skip in _DIGESTS]
+)
+def test_random_stream_is_pinned(shape, skip):
+    """The graph JSON of fixed configurations, the bench's deep (depth 100,
+    width 10, 4 leaders) and wide (depth 20, width 50, 25 leaders) shapes
+    among them: a change to how the generator draws shows here, before it
+    changes the graphs the benchmark's references were made from."""
+    config = GeneratorConfig(**_SHAPES[shape], skip_layer_prob=skip)
+    text = graph_to_json(random_layered_dag(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[shape, skip]
 
 
 def test_spread_widths_pins_leaders_and_total():

@@ -437,6 +437,6 @@ class TestOneStream:
             )
             dag = random_layered_dag(config)
             assert (dag.node_count, len(dag.edges)) == (200, 400)
-            dim, witness = generic_dimension(dag)
-            oracle = fixed_nodes_oracle(dag, witness=witness).fixed_nodes
+            dim, _ = generic_dimension(dag)
+            oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert numeric_fixed_nodes(dag, trials=20, seed=seed, expected_dim=dim) == oracle

@@ -55,18 +55,19 @@ class TestOracle:
     def test_leaders_always_fixed(self, golden):
         assert golden.dag.leaders <= fixed_nodes_oracle(golden.dag).fixed_nodes
 
-    def test_reads_the_flow_its_witness_keeps(self, pair13, monkeypatch):
-        _, witness = generic_dimension(pair13.dag)
+    def test_reads_the_flow_the_graph_keeps(self, pair13, monkeypatch):
+        """Once the graph's dimension flow is solved, the oracle builds no
+        network and solves nothing."""
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        generic_dimension(dag)
 
         def refused(*args, **kwargs):
             raise AssertionError("the oracle solved the dimension flow again")
 
-        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", refused)
-        result = fixed_nodes_oracle(pair13.dag, witness=witness)
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "solve_min_cost", refused)
+        result = fixed_nodes_oracle(dag)
         assert (result.fixed_nodes, result.generic_dim) == (pair13.fixed, pair13.generic_dim)
-        with pytest.raises(ValueError, match="witness"):
-            fixed_nodes_oracle(pair13.dag, witness=StemFamily(witness.stems))
 
 
 class TestOracleAgainstResolving:
@@ -258,13 +259,15 @@ class TestLayeredSweep:
             assert 60 <= dag.node_count <= 500
             self.assert_matches(dag)
 
-    def test_analyze_hands_over_its_labeling_and_witness(self, monkeypatch):
-        """The witness is passed on; the labeling comes from the graph's one
-        cached source peel, so no call below peels the graph again."""
+    def test_analyze_shares_its_labeling_and_flow(self, monkeypatch, solves):
+        """Counted on fresh graphs, whose caches are empty: ``analyze`` builds
+        one network for the graph's dimension flow and one per layer sweep,
+        solves once, and the oracle reads that solved flow.  Validation,
+        labeling, dimension flow and sweep share the graph's one source peel."""
         text = (DATA / "skip200.graph.json").read_text()
-        dag = graph_from_json(text)
-        expected, oracle = fixed_nodes_layered(dag), fixed_nodes_oracle(dag)
-        witness = generic_dimension(dag)[1]
+        expected = fixed_nodes_layered(graph_from_json(text))
+        oracle = fixed_nodes_oracle(graph_from_json(text))
+        solves.clear()
         built, peeled = [], []
         original_init = fixednodes.stems.FlowNetwork.__init__
         original_peel = fixednodes.graph._peel_layers
@@ -277,30 +280,33 @@ class TestLayeredSweep:
             peeled.append(graph)
             return original_peel(graph)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the layered route recomputed what analyze holds")
-
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
         monkeypatch.setattr(fixednodes.graph, "_peel_layers", counting_peel)
-        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
-        assert fixed_nodes_layered(dag, witness=witness) == expected
-        assert len(built) == 1
+        dag = graph_from_json(text)
         report = analyze(dag, ("layered",))
-        # one more network for analyze's dimension flow, one for the layer sweep
-        assert len(built) == 3
+        assert (len(built), len(solves)) == (2, 1)
         assert report.methods["layered"] == expected
-        # every method: the oracle reads the dimension flow analyze solved
+        # every method: one more sweep; the oracle reads the flow solved above
         report = analyze(dag)
-        assert len(built) == 5
+        assert (len(built), len(solves)) == (3, 1)
         assert report.methods["layered"] == expected
         assert report.methods["oracle"] == oracle
-        assert peeled == []
-        # a graph not yet peeled: validation, labeling, dimension flow and
-        # sweep share one peel
-        fresh = graph_from_json(text)
-        report = analyze(fresh, ("layered", "oracle"))
+        fresh = StructuredDag.of(dag.node_count, dag.edges, dag.leaders)
+        report = analyze(fresh, ("oracle", "layered"))
         assert (report.methods["layered"], report.methods["oracle"]) == (expected, oracle)
-        assert len(peeled) == 1 and peeled[0] is fresh
+        assert (len(built), len(solves)) == (5, 2)
+        assert len(peeled) == 2 and peeled[0] is dag and peeled[1] is fresh
+
+    def test_routes_after_analyze_solve_nothing(self, pair13, monkeypatch):
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        report = analyze(dag, ("layered", "oracle"))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a route solved the dimension flow again")
+
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "solve_min_cost", refused)
+        assert fixed_nodes_oracle(dag) == report.methods["oracle"]
+        assert fixed_nodes_layered(dag) == report.methods["layered"]
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:
@@ -340,10 +346,10 @@ class TestMatchedSetEnrichment:
 
         for n, listed in ((15, True), (16, False)):
             dag = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
-            witness = generic_dimension(dag)[1]
+            generic_dimension(dag)  # the dimension flow's network, built before counting
             with monkeypatch.context() as patch:
                 patch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
-                result = fixed_nodes_layered(dag, witness=witness)
+                result = fixed_nodes_layered(dag)
             assert len(built) == (2 if listed else 1)
             assert all((r.matched_sets is not None) == listed for r in result.per_layer)
             built.clear()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import collections
+import gc
 import random
+import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from fixednodes import (
     InvalidGraphError,
     StemFamily,
     StructuredDag,
+    analyze,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
@@ -22,7 +26,7 @@ from fixednodes import (
     spread_widths,
     stem_family_violations,
 )
-from fixednodes.stems import FlowNetwork, _solved_dimension_flow
+from fixednodes.stems import FlowNetwork, _dimension_flow
 from randgraphs import random_dag
 from references import (
     LayerCoverage,
@@ -89,8 +93,10 @@ class TestGenericDimension:
         assert generic_dimension(dag) == (1, StemFamily(((1,),)))
 
     def test_deterministic_witness(self, golden):
+        """Each copy of the graph solves its own flow, to the same pair."""
         first = generic_dimension(golden.dag)
-        assert all(generic_dimension(golden.dag) == first for _ in range(3))
+        copies = [golden.dag.with_leaders(golden.dag.leaders) for _ in range(3)]
+        assert all(generic_dimension(dag) == first for dag in copies)
 
     def test_requires_leaders(self):
         with pytest.raises(InvalidGraphError):
@@ -99,6 +105,62 @@ class TestGenericDimension:
     def test_rejects_cycles(self):
         with pytest.raises(InvalidGraphError):
             generic_dimension(StructuredDag.of(2, [(1, 2), (2, 1)], [1]))
+
+
+class TestSolvedOncePerGraph:
+    """The dimension flow is solved on first use, cached on its graph and
+    read by every route; the network itself stays out of every result."""
+
+    def test_every_call_returns_the_same_pair(self, pair13):
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        assert generic_dimension(dag) is generic_dimension(dag)
+
+    def test_one_solve_per_graph(self, pair13, solves):
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        for _ in range(2):
+            generic_dimension(dag)
+            fixed_nodes_oracle(dag)
+            fixed_nodes_layered(dag)
+            analyze(dag, ("layered", "oracle"))
+        assert len(solves) == 1
+        # a graph with other leaders is a new graph, with a flow of its own
+        probed = dag.with_leaders(dag.leaders | {3})
+        assert generic_dimension(probed) is not generic_dimension(dag)
+        assert len(solves) == 2
+
+    def test_the_flow_is_freed_with_its_graph(self):
+        dag = StructuredDag.of(3, [(1, 2), (2, 3)], [1])
+        net = weakref.ref(_dimension_flow(dag))
+        del dag
+        gc.collect()
+        assert net() is None
+
+    @classmethod
+    def reachable(cls, value, seen):
+        """``value`` and everything its public attributes, mapping values and
+        items reach."""
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        yield value
+        if isinstance(value, Mapping):
+            children = [*value.keys(), *value.values()]
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            children = value
+        elif hasattr(value, "__dict__"):
+            children = [v for k, v in vars(value).items() if not k.startswith("_")]
+        else:
+            children = ()
+        for child in children:
+            yield from cls.reachable(child, seen)
+
+    def test_no_public_value_reaches_the_network(self, pair13):
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        report = analyze(dag, trials=5)
+        values = [report, generic_dimension(dag), fixed_nodes_oracle(dag), fixed_nodes_layered(dag)]
+        found = list(self.reachable(values, set()))
+        assert any(isinstance(v, StemFamily) for v in found)
+        assert not any(isinstance(v, FlowNetwork) for v in found)
 
 
 class TestMaxLayerCoverage:
@@ -221,7 +283,7 @@ class TestSolvedPotentials:
 
     @staticmethod
     def negative_reduced_costs(dag):
-        net = _solved_dimension_flow(dag)
+        net = _dimension_flow(dag)
         p = net._potential
         return [
             (u, net._head[arc])

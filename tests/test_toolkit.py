@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 from itertools import permutations
@@ -12,11 +13,16 @@ import fixednodes.cli
 import fixednodes.report
 import goldens
 from fixednodes import (
+    AnalysisReport,
+    FixedNodeResult,
     InvalidGraphError,
-    NumericSummary,
+    StemFamily,
     StructuredDag,
     analyze,
     export_dot,
+    fixed_nodes_layered,
+    fixed_nodes_oracle,
+    generic_dimension,
     graph_digest,
     report_to_json_dict,
 )
@@ -115,18 +121,25 @@ class TestReportJson:
         two = json.dumps(report_to_json_dict(analyze(golden.dag, trials=20, seed=4)))
         assert one == two
 
-    def test_numeric_summary_round_trip(self):
-        summary = NumericSummary(frozenset({1}), 10, 0)
-        assert (summary.fixed, summary.trials, summary.seed) == ({1}, 10, 0)
+    def test_every_method_gives_a_fixed_node_result(self, pair13):
+        report = analyze(pair13.dag, trials=25, seed=3)
+        assert all(isinstance(r, FixedNodeResult) for r in report.methods.values())
+        numeric = report.methods["numeric"]
+        assert (numeric.per_layer, numeric.generic_dim, numeric.method) == ((), 10, "numeric")
+        assert (report.trials, report.seed) == (25, 3)
+        assert list(report_to_json_dict(report)["methods"]["numeric"]) == [
+            "fixed", "trials", "seed", "tol",
+        ]
 
 
 class TestPublicSurface:
     def test_all_is_pinned(self):
+        assert len(fixednodes.__all__) == 25
         assert sorted(fixednodes.__all__) == [
             "AnalysisReport", "FixedNodeResult", "GeneratorConfig", "InconclusiveError",
-            "InvalidGraphError", "LayerLabeling", "LayerReport", "NumericSummary",
-            "StemFamily", "StructuredDag", "Violation", "analyze",
-            "export_dot", "fixed_nodes_layered", "fixed_nodes_oracle", "generic_dimension",
+            "InvalidGraphError", "LayerLabeling", "LayerReport", "StemFamily",
+            "StructuredDag", "Violation", "analyze", "export_dot", "fixed_nodes_layered",
+            "fixed_nodes_oracle", "generic_dimension",
             "graph_digest", "graph_from_json", "graph_to_json", "label_layers",
             "numeric_fixed_nodes", "random_layered_dag", "report_to_json_dict",
             "spread_widths", "stem_family_violations", "validate",
@@ -147,12 +160,15 @@ class TestPublicSurface:
             "sample_realization",
             "controllability_matrix",
             "ValidationReport",
+            "NumericSummary",
         ):
             assert not hasattr(fixednodes, removed)
 
     def test_options_and_parameters_are_pinned(self):
         """No option or parameter comes back unnoticed: each subcommand's
-        option dests (``-h`` aside) and the signatures of the entry points."""
+        option dests (``-h`` aside), the signatures of the entry points and
+        the fields of the result types.  The routes take only the graph: its
+        one dimension flow is cached on it, not handed over."""
         parser = fixednodes.cli._build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         dests = {
@@ -171,12 +187,34 @@ class TestPublicSurface:
         assert sum(map(len, dests.values())) == 26
         signatures = {
             fn.__name__: list(inspect.signature(fn).parameters)
-            for fn in (analyze, fixednodes.validate, export_dot)
+            for fn in (
+                analyze,
+                fixednodes.validate,
+                export_dot,
+                fixed_nodes_oracle,
+                fixed_nodes_layered,
+                generic_dimension,
+            )
         }
         assert signatures == {
             "analyze": ["dag", "methods", "trials", "seed"],
             "validate": ["dag"],
             "export_dot": ["dag", "fixed"],
+            "fixed_nodes_oracle": ["dag"],
+            "fixed_nodes_layered": ["dag"],
+            "generic_dimension": ["dag"],
+        }
+        fields = {
+            cls.__name__: [f.name for f in dataclasses.fields(cls)]
+            for cls in (StemFamily, FixedNodeResult, AnalysisReport)
+        }
+        assert fields == {
+            "StemFamily": ["stems"],
+            "FixedNodeResult": ["fixed_nodes", "per_layer", "generic_dim", "method"],
+            "AnalysisReport": [
+                "digest", "dag", "labeling", "generic_dim", "witness", "methods", "trials",
+                "seed", "elapsed",
+            ],
         }
 
 
