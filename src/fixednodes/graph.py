@@ -3,8 +3,8 @@
 A :class:`StructuredDag` is the zero/nonzero sparsity pattern of a linear
 network: nodes are states, an edge ``(u, v)`` means state ``u`` feeds state
 ``v`` with some unknown nonzero weight, and *leaders* are the states that
-receive an external input.  Construction accepts raw data; the semantic
-requirements (acyclic, source leaders, influenceable) live in :func:`validate`.
+receive an external input.  Construction refuses ids outside the node set;
+acyclicity, source leaders and reachability are checked by :func:`validate`.
 """
 
 from __future__ import annotations
@@ -27,13 +27,29 @@ class StructuredDag:
     """A directed graph pattern with a set of input-attached leader nodes.
 
     Nodes are positive integers; the external file format uses the dense range
-    ``1..n``, while induced subgraphs keep their original ids.  Instances are
-    immutable and safe to share across threads.
+    ``1..n``, while induced subgraphs keep their original ids.  Construction
+    raises :class:`InvalidGraphError` on any other id, or on an edge or leader
+    naming a non-node.  Instances are immutable and thread-safe.
     """
 
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
     leaders: frozenset[int]
+
+    def __post_init__(self) -> None:
+        nodes = self.nodes
+        problems = []
+        bad_ids = sorted(v for v in nodes if not isinstance(v, int) or v < 1)
+        if bad_ids:
+            problems.append(f"node ids must be positive integers: {bad_ids}")
+        bad_edges = sorted(e for e in self.edges if e[0] not in nodes or e[1] not in nodes)
+        if bad_edges:
+            problems.append(f"edges reference unknown nodes: {[list(e) for e in bad_edges]}")
+        unknown_leaders = sorted(x for x in self.leaders if x not in nodes)
+        if unknown_leaders:
+            problems.append(f"leaders are not nodes of the graph: {unknown_leaders}")
+        if problems:
+            raise InvalidGraphError("; ".join(problems))
 
     @classmethod
     def of(
@@ -63,20 +79,18 @@ class StructuredDag:
 
     @cached_property
     def out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Successors of every node, ascending; only in-range edges included."""
+        """Successors of every node, ascending."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
         for u, v in self.sorted_edges:
-            if u in self.nodes and v in self.nodes:
-                adj[u].append(v)
+            adj[u].append(v)
         return {u: tuple(vs) for u, vs in adj.items()}
 
     @cached_property
     def in_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Predecessors of every node, ascending; only in-range edges included."""
+        """Predecessors of every node, ascending."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
         for u, v in self.sorted_edges:
-            if u in self.nodes and v in self.nodes:
-                adj[v].append(u)
+            adj[v].append(u)
         return {v: tuple(us) for v, us in adj.items()}
 
     @cached_property
@@ -147,10 +161,10 @@ def validate(dag: StructuredDag) -> tuple[Violation, ...]:
 
     The result is empty exactly when the graph is valid: acyclic, with source
     leaders (a leader with an incoming edge is a ``leader-in-degree``
-    violation) and every node reachable from a leader.  Raw input is accepted:
-    range problems are reported rather than raised, and checks that depend on
-    a sane node/edge set are skipped once it is broken.  The violations are
-    found once per graph and shared by every caller.
+    violation) and every node reachable from a leader.  Ids are in range
+    (construction refuses the rest); an empty graph, a self-loop or no leader
+    ends the check early, as the later checks need their absence.  The
+    violations are found once per graph and shared by every caller.
     """
     return dag._violations
 
@@ -161,24 +175,6 @@ def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
     if not dag.nodes:
         return (Violation("empty-graph", "graph has no nodes"),)
 
-    bad_ids = tuple(sorted(v for v in dag.nodes if not isinstance(v, int) or v < 1))
-    if bad_ids:
-        violations.append(
-            Violation("node-id", f"node ids must be positive integers: {list(bad_ids)}", bad_ids)
-        )
-
-    bad_edges = tuple(
-        sorted(e for e in dag.edges if e[0] not in dag.nodes or e[1] not in dag.nodes)
-    )
-    if bad_edges:
-        violations.append(
-            Violation(
-                "edge-endpoint",
-                f"edges reference unknown nodes: {[list(e) for e in bad_edges]}",
-                bad_edges,
-            )
-        )
-
     loops = tuple(sorted(e for e in dag.edges if e[0] == e[1]))
     if loops:
         violations.append(
@@ -187,15 +183,6 @@ def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
 
     if not dag.leaders:
         violations.append(Violation("leaders-empty", "at least one leader is required"))
-    unknown_leaders = tuple(sorted(x for x in dag.leaders if x not in dag.nodes))
-    if unknown_leaders:
-        violations.append(
-            Violation(
-                "leader-unknown",
-                f"leaders are not nodes of the graph: {list(unknown_leaders)}",
-                unknown_leaders,
-            )
-        )
 
     if violations:
         return tuple(violations)

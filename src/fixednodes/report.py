@@ -75,6 +75,9 @@ def analyze(
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    duplicates = {name for name in methods if methods.count(name) > 1}
+    if duplicates:
+        raise ValueError(f"duplicate methods: {sorted(duplicates)}")
     if not methods:
         raise ValueError("at least one method is required")
     violations = validate(dag)

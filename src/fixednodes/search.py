@@ -105,7 +105,7 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     set is tagged ``unique-matched-set``, a rule that fixes what the
     essentiality check fixes.
     """
-    if any(dag.in_neighbors.get(x) for x in dag.leaders):
+    if any(dag.in_neighbors[x] for x in dag.leaders):
         raise InvalidGraphError("layered analysis requires source leaders")
     labeling = label_layers(dag)
     dim, witness = generic_dimension(dag)

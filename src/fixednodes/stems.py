@@ -46,10 +46,6 @@ class StemFamily:
         """All nodes appearing in any stem."""
         return frozenset(v for stem in self.stems for v in stem)
 
-    def matched(self, targets: Iterable[int]) -> frozenset[int]:
-        """Target nodes some stem ends at (targets are sinks, so ends = hits)."""
-        return self.covered & frozenset(targets)
-
 
 def stem_family_violations(dag: StructuredDag, family: StemFamily) -> list[str]:
     """Structural check of the StemFamily invariants against a graph."""
@@ -389,8 +385,6 @@ def _solve_dimension(dag: StructuredDag) -> tuple[FlowNetwork, tuple[int, StemFa
     """
     if not dag.leaders:
         raise InvalidGraphError("at least one leader is required")
-    if not dag.leaders <= dag.nodes:
-        raise InvalidGraphError("leaders must be nodes of the graph")
     net = FlowNetwork(dag)
     net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))

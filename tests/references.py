@@ -56,7 +56,7 @@ def enumerate_max_families(
 
     Exponential by nature; guarded by ``cap`` on the node count.  Families are
     deduplicated by their matched target set and returned in sorted order, so
-    the distinct matched sets are exactly ``fam.matched(targets)`` over the
+    the distinct matched sets are exactly ``matched_by(fam, targets)`` over the
     result.  With every node as a target the families are those of maximum
     total coverage, the brute-force check of ``generic_dimension``.
     """
@@ -115,6 +115,11 @@ def _disjoint_products(
     yield from assign(0, set())
 
 
+def matched_by(family: StemFamily, targets: Iterable[int]) -> frozenset[int]:
+    """Target nodes some stem of ``family`` ends at (targets are sinks, so ends = hits)."""
+    return family.covered & frozenset(targets)
+
+
 def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
     """The matched sets ``fixed_nodes_layered`` lists, by enumeration: each
     layer's distinct matched sets over every maximum family of its prefix
@@ -125,7 +130,7 @@ def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> Fixe
     for report in result.per_layer:
         prefix = induce_prefix(dag, labeling, report.layer_index)
         families = enumerate_max_families(prefix, report.targets)
-        matched = tuple(sorted({fam.matched(report.targets) for fam in families}, key=sorted))
+        matched = tuple(sorted({matched_by(fam, report.targets) for fam in families}, key=sorted))
         path = report.fast_path
         if path in ("essentiality", "unique-matched-set"):
             path = "unique-matched-set" if len(matched) == 1 else "essentiality"

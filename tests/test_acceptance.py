@@ -33,6 +33,7 @@ from references import (
     enumerate_max_families,
     exhaustive_dimension,
     induce_prefix,
+    matched_by,
 )
 
 NUMERIC_TRIALS = 50
@@ -83,7 +84,7 @@ def test_criterion_3_layer_level_matched_sets():
         prefix = induce_prefix(goldens.PAIR13.dag, labeling, k)
         layer = labeling.layers[k - 1]
         families = enumerate_max_families(prefix, layer)
-        assert {fam.matched(layer) for fam in families} == expected_sets, f"layer {k}"
+        assert {matched_by(fam, layer) for fam in families} == expected_sets, f"layer {k}"
     assert not frozenset.intersection(*expected[4])
 
 
@@ -104,7 +105,7 @@ def test_criterion_4_property_suite_on_1000_random_dags():
         enum_fixed: set[int] = set()
         for k, layer in enumerate(labeling.layers, start=1):
             prefix = induce_prefix(dag, labeling, k)
-            matched = [f.matched(layer) for f in enumerate_max_families(prefix, layer)]
+            matched = [matched_by(f, layer) for f in enumerate_max_families(prefix, layer)]
             intersection = frozenset(layer).intersection(*matched)
             enum_fixed |= intersection
             if LayerCoverage(prefix, layer).essential != intersection:

@@ -198,6 +198,38 @@ class TestDeepNesting:
         assert err == "error: graph JSON is nested too deeply\n"
 
 
+class TestOutOfRangeIds:
+    """A graph file naming an edge endpoint or a leader outside ``1..n`` is
+    refused as it is read: every graph subcommand exits 1 with one error line
+    naming the ids and writes nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"n": 2, "edges": [[1, 2], [2, 9]], "leaders": [1]}',
+                "edges reference unknown nodes: [[2, 9]]",
+            ),
+            (
+                '{"n": 2, "edges": [[1, 2]], "leaders": [1, 7]}',
+                "leaders are not nodes of the graph: [7]",
+            ),
+            (
+                '{"n": 2, "edges": [[1, 2], [2, 9]], "leaders": [1, 7]}',
+                "edges reference unknown nodes: [[2, 9]]; leaders are not nodes of the graph: [7]",
+            ),
+        ],
+        ids=["edge", "leader", "both"],
+    )
+    @pytest.mark.parametrize("command", ["label", "dim", "fixed", "verify", "export-dot"])
+    def test_exits_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "range.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 class TestVerify:
     def test_agreeing_graph_exits_0(self, graph_file, capsys):
         code, out, _ = run(capsys, "verify", graph_file(goldens.PAIR10.dag))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixednodes
 import fixednodes.graph
 from fixednodes import (
     InvalidGraphError,
@@ -62,8 +63,67 @@ class TestValidate:
         assert any(v.kind == "leaders-empty" for v in validate(dag))
 
     def test_out_of_range_edges_reported(self):
-        dag = StructuredDag.of(2, [(1, 2), (2, 9)], [1])
-        assert any(v.kind == "edge-endpoint" for v in validate(dag))
+        with pytest.raises(InvalidGraphError) as raised:
+            StructuredDag.of(2, [(1, 2), (2, 9)], [1])
+        assert str(raised.value) == "edges reference unknown nodes: [[2, 9]]"
+
+
+class TestConstruction:
+    """A graph names only its own nodes: construction refuses any other id, so
+    no route ever reads an edge or a leader outside the graph."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: StructuredDag.of(3, [(1, 2), (2, 0)], [1]),
+                "edges reference unknown nodes: [[2, 0]]",
+            ),
+            (lambda: StructuredDag.of(3, [(1, 5)], [1]), "edges reference unknown nodes: [[1, 5]]"),
+            (lambda: StructuredDag.of(3, [(1, 2)], [1, 7]), "leaders are not nodes of the graph: [7]"),
+            (
+                lambda: StructuredDag(frozenset({0, 1}), frozenset(), frozenset({1})),
+                "node ids must be positive integers: [0]",
+            ),
+        ],
+        ids=["edge-to-0", "edge-to-5", "leader-7", "node-0"],
+    )
+    def test_refuses_ids_outside_the_graph(self, build, message):
+        with pytest.raises(InvalidGraphError) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_messages_joined_in_order(self):
+        with pytest.raises(InvalidGraphError) as raised:
+            StructuredDag(frozenset({-1, 1}), frozenset({(1, 4), (-1, 1)}), frozenset({1, 3}))
+        assert str(raised.value) == (
+            "node ids must be positive integers: [-1]; "
+            "edges reference unknown nodes: [[1, 4]]; "
+            "leaders are not nodes of the graph: [3]"
+        )
+
+    def test_with_leaders_is_checked(self, single7):
+        with pytest.raises(InvalidGraphError, match=r"leaders are not nodes of the graph: \[8\]"):
+            single7.dag.with_leaders([1, 8])
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda dag: fixednodes.numeric_fixed_nodes(dag, 20, 0),
+            fixednodes.fixed_nodes_oracle,
+            fixednodes.fixed_nodes_layered,
+            fixednodes.generic_dimension,
+            lambda dag: fixednodes.export_dot(dag, [1]),
+        ],
+        ids=["numeric", "oracle", "layered", "generic-dimension", "export-dot"],
+    )
+    def test_no_route_sees_an_edge_to_node_0(self, route):
+        """Were this graph built, the flat weight index of edge (2, 0) would
+        be -2, the slot of (2, 3), and the numeric route would fix [1, 2, 3];
+        the oracle, layered and dimension routes would raise ``KeyError: 0``
+        and the DOT output would draw ``2 -> 0`` to an undeclared node."""
+        with pytest.raises(InvalidGraphError, match=r"\[\[2, 0\]\]"):
+            route(StructuredDag.of(3, [(1, 2), (2, 0)], [1]))
 
 
 class TestLabelLayers:

@@ -31,6 +31,7 @@ from references import (
     enumerate_max_families,
     exhaustive_dimension,
     induce_prefix,
+    matched_by,
     singleton_layer_nodes,
     unpruned_layer_fixed,
 )
@@ -41,7 +42,7 @@ def enumeration_fixed_set(dag):
     fixed = set()
     for k, layer in enumerate(labeling.layers, start=1):
         prefix = induce_prefix(dag, labeling, k)
-        matched = [f.matched(layer) for f in enumerate_max_families(prefix, layer)]
+        matched = [matched_by(f, layer) for f in enumerate_max_families(prefix, layer)]
         fixed |= frozenset(layer).intersection(*matched)
     return frozenset(fixed)
 
@@ -86,7 +87,7 @@ class TestAnyDagDomain:
             labeling = label_layers(dag)
             for k, layer in enumerate(labeling.layers, start=1):
                 prefix = induce_prefix(dag, labeling, k)
-                matched = [f.matched(layer) for f in enumerate_max_families(prefix, layer)]
+                matched = [matched_by(f, layer) for f in enumerate_max_families(prefix, layer)]
                 coverage = LayerCoverage(prefix, layer)
                 expected = frozenset(layer).intersection(*matched)
                 assert coverage.essential == expected

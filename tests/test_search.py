@@ -199,6 +199,16 @@ class TestLayered:
         tags = {r.layer_index: r.fast_path for r in result.per_layer}
         assert tags[1] == tags[2] == tags[5] == "singleton-layer"
 
+    def test_layer_with_no_candidate_tagged_none(self):
+        """Node 2 is a source but no leader, so the witness covers only node 1
+        and prunes all of layer 2 = {3, 4}.  The graph fails validation
+        (``unreachable``), but its ids are in range and the route runs."""
+        result = fixed_nodes_layered(StructuredDag.of(4, [(2, 3), (2, 4)], [1]))
+        tags = {r.layer_index: r.fast_path for r in result.per_layer}
+        assert tags[2] == fixednodes.search.FAST_PATH_NONE == "none"
+        assert result.per_layer[1].fixed == frozenset()
+        assert sorted(result.fixed_nodes) == [1]
+
     def test_nonsource_leader_refused_before_any_flow(self, monkeypatch):
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow network was built")

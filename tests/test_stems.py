@@ -35,6 +35,7 @@ from references import (
     exhaustive_dimension,
     heap_dijkstra,
     induce_prefix,
+    matched_by,
     residual_reaching_sink,
 )
 
@@ -168,7 +169,7 @@ class TestMaxLayerCoverage:
         prefix, targets = layer_problem(pair13, 2)
         coverage = LayerCoverage(prefix, targets)
         assert coverage.mu == 2
-        assert coverage.witness.matched(targets) in ({3, 5}, {4, 5})
+        assert matched_by(coverage.witness, targets) in ({3, 5}, {4, 5})
         assert not stem_family_violations(prefix, coverage.witness)
 
     def test_pair13_layer5(self, pair13):
@@ -179,7 +180,7 @@ class TestMaxLayerCoverage:
         prefix, targets = layer_problem(golden, 1)
         coverage = LayerCoverage(prefix, targets)
         assert coverage.mu == len(golden.dag.leaders)
-        assert coverage.witness.matched(targets) == golden.dag.leaders
+        assert matched_by(coverage.witness, targets) == golden.dag.leaders
 
 
 class TestEssentiality:
@@ -202,13 +203,13 @@ class TestEnumeration:
     def test_pair13_layer4_families(self, pair13):
         prefix, targets = layer_problem(pair13, 4)
         families = enumerate_max_families(prefix, targets)
-        assert {fam.matched(targets) for fam in families} == pair13.matched_sets[4]
+        assert {matched_by(fam, targets) for fam in families} == pair13.matched_sets[4]
         assert len(families) == 3
 
     def test_pair9_layer3_families(self, pair9):
         prefix, targets = layer_problem(pair9, 3)
         families = enumerate_max_families(prefix, targets)
-        assert {fam.matched(targets) for fam in families} == pair9.matched_sets[3]
+        assert {matched_by(fam, targets) for fam in families} == pair9.matched_sets[3]
 
     def test_single_path_has_unique_family(self):
         dag = StructuredDag.of(4, [(1, 2), (2, 3), (3, 4)], [1])
@@ -250,7 +251,7 @@ class TestAgainstExhaustiveSearch:
             for k, layer in enumerate(labeling.layers, start=1):
                 prefix = induce_prefix(dag, labeling, k)
                 families = enumerate_max_families(prefix, layer)
-                matched_sets = [fam.matched(layer) for fam in families]
+                matched_sets = [matched_by(fam, layer) for fam in families]
                 coverage = LayerCoverage(prefix, layer)
                 assert coverage.mu == max(len(s) for s in matched_sets)
                 intersection = frozenset(layer).intersection(*matched_sets)

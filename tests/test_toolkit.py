@@ -63,6 +63,10 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="unknown methods"):
             analyze(single7.dag, ("oracle", "psychic"))
 
+    def test_rejects_repeated_method(self, single7):
+        with pytest.raises(ValueError, match=r"^duplicate methods: \['oracle'\]$"):
+            analyze(single7.dag, ("oracle", "layered", "oracle"))
+
     def test_rejects_invalid_graph(self):
         dag = StructuredDag.of(2, [(1, 2), (2, 1)], [1])
         with pytest.raises(InvalidGraphError, match="validation"):
