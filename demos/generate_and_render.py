@@ -4,6 +4,7 @@ Run with:  python demos/generate_and_render.py [seed]
 """
 
 import sys
+import time
 
 from fixednodes import (
     GeneratorConfig,
@@ -26,12 +27,14 @@ dag = random_layered_dag(config)
 print(f"generated: {dag.node_count} nodes, {len(dag.edges)} edges, "
       f"leaders {sorted(dag.leaders)} (seed {seed})")
 
+started = time.perf_counter()
 report = analyze(dag, ("layered", "oracle", "numeric"), trials=20, seed=0)
+elapsed = time.perf_counter() - started
 print(f"generic dimension: {report.generic_dim}")
 for name, fixed in report.fixed_sets.items():
     print(f"  {name:<8} fixed set: {sorted(fixed)}")
 print(f"methods agree: {report.consistent}")
-print(f"analysis took {report.elapsed * 1000:.0f} ms")
+print(f"analysis took {elapsed * 1000:.0f} ms")
 
 dot = export_dot(dag, report.fixed_sets["layered"])
 print("\nDOT rendering (pipe into `dot -Tsvg` to draw):")

@@ -3,7 +3,7 @@
 Run with:  python demos/layer_walkthrough.py
 """
 
-from fixednodes import StructuredDag, fixed_nodes_layered, label_layers
+from fixednodes import StructuredDag, fixed_nodes_layered, generic_dimension, label_layers
 
 # Two leaders feed a five-layer hierarchy.  Node 5 funnels everything leader 2
 # can reach, node 6 funnels the overlap of leader 1's branches, and layer 4
@@ -42,4 +42,4 @@ for report in result.per_layer:
     print(f"  fixed here:         {sorted(report.fixed) or '(none)'} ({report.fast_path})")
 
 print(f"\nfixed nodes of the whole network: {sorted(result.fixed_nodes)}")
-print(f"generic dimension of the controllable subspace: {result.generic_dim}")
+print(f"generic dimension of the controllable subspace: {generic_dimension(dag)[0]}")

@@ -58,11 +58,16 @@ class StructuredDag:
         edges: Iterable[tuple[int, int]],
         leaders: Iterable[int],
     ) -> "StructuredDag":
-        """Build a graph on nodes ``1..node_count`` from raw edge/leader data."""
+        """Build a graph on nodes ``1..node_count``; a non-integral count or id raises."""
+
+        def integer(value: object) -> int:
+            if not hasattr(value, "__index__"):
+                raise InvalidGraphError(f"node count and ids must be integers, got {value!r}")
+            return int(value)
         return cls(
-            nodes=frozenset(range(1, int(node_count) + 1)),
-            edges=frozenset((int(u), int(v)) for u, v in edges),
-            leaders=frozenset(int(x) for x in leaders),
+            nodes=frozenset(range(1, integer(node_count) + 1)),
+            edges=frozenset((integer(u), integer(v)) for u, v in edges),
+            leaders=frozenset(integer(x) for x in leaders),
         )
 
     @property
@@ -78,20 +83,20 @@ class StructuredDag:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Successors of every node, ascending."""
+    def out_neighbors(self) -> Mapping[int, tuple[int, ...]]:
+        """Successors of every node, ascending; read-only, as every caller shares it."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
         for u, v in self.sorted_edges:
             adj[u].append(v)
-        return {u: tuple(vs) for u, vs in adj.items()}
+        return MappingProxyType({u: tuple(vs) for u, vs in adj.items()})
 
     @cached_property
-    def in_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Predecessors of every node, ascending."""
+    def in_neighbors(self) -> Mapping[int, tuple[int, ...]]:
+        """Predecessors of every node, ascending; read-only, as every caller shares it."""
         adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
         for u, v in self.sorted_edges:
             adj[v].append(u)
-        return {v: tuple(us) for v, us in adj.items()}
+        return MappingProxyType({v: tuple(us) for v, us in adj.items()})
 
     @cached_property
     def source_layers(self) -> tuple[tuple[int, ...], ...]:

@@ -2,15 +2,14 @@
 
 :func:`analyze` validates a graph, labels its layers, computes the generic
 dimension with a witness, runs the requested fixed-node methods, and flags any
-disagreement between them.  Reports serialize to a versioned JSON schema; the
-wall-clock timing stays on the in-memory object only, so identical inputs and
-seeds always produce byte-identical report text.
+disagreement between them.  Reports serialize to a versioned JSON schema; no
+result object carries time, so equal inputs and seeds give equal results and
+byte-identical report text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 
 from .errors import InvalidGraphError
@@ -40,7 +39,6 @@ class AnalysisReport:
     methods: dict[str, FixedNodeResult]
     trials: int
     seed: int
-    elapsed: float  # seconds; deliberately absent from the JSON form
 
     @property
     def fixed_sets(self) -> dict[str, frozenset[int]]:
@@ -85,8 +83,6 @@ def analyze(
         details = "; ".join(v.message for v in violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
     digest = graph_digest(dag)
-
-    started = time.perf_counter()
     labeling = label_layers(dag)
     dim, witness = generic_dimension(dag)
     results: dict[str, FixedNodeResult] = {}
@@ -97,13 +93,12 @@ def analyze(
             results[name] = fixed_nodes_oracle(dag)
         else:
             fixed = numeric_fixed_nodes(dag, trials, seed, expected_dim=dim)
-            results[name] = FixedNodeResult(fixed, (), dim, name)
-    elapsed = time.perf_counter() - started
-    return AnalysisReport(digest, dag, labeling, dim, witness, results, trials, seed, elapsed)
+            results[name] = FixedNodeResult(fixed, ())
+    return AnalysisReport(digest, dag, labeling, dim, witness, results, trials, seed)
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
-    """The documented report schema (schema 1); timing is intentionally omitted."""
+    """The documented report schema (schema 1): every result field, and no time."""
     methods_json: dict[str, dict] = {}
     for name, result in report.methods.items():
         entry: dict = {"fixed": sorted(result.fixed_nodes)}

@@ -27,8 +27,7 @@ check, not a third route.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidGraphError
@@ -55,15 +54,12 @@ class LayerReport:
     fixed: frozenset[int]
     fast_path: str
     matched_sets: tuple[frozenset[int], ...] | None = None
-    elapsed: float = field(default=0.0, compare=False)  # seconds; not in the JSON form
 
 
 @dataclass(frozen=True)
 class FixedNodeResult:
     fixed_nodes: frozenset[int]
     per_layer: tuple[LayerReport, ...]
-    generic_dim: int
-    method: str
 
 
 def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
@@ -79,10 +75,9 @@ def fixed_nodes_oracle(dag: StructuredDag) -> FixedNodeResult:
 
     The optimal flow is the graph's cached one behind :func:`generic_dimension`.
     """
-    dim, _ = generic_dimension(dag)
     distances = _dimension_flow(dag).in_copy_distances_to_sink()
     fixed = dag.leaders | {v for v, d in distances.items() if d == 0}
-    return FixedNodeResult(fixed, (), dim, "oracle")
+    return FixedNodeResult(fixed, ())
 
 
 def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
@@ -108,14 +103,13 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     if any(dag.in_neighbors[x] for x in dag.leaders):
         raise InvalidGraphError("layered analysis requires source leaders")
     labeling = label_layers(dag)
-    dim, witness = generic_dimension(dag)
+    _, witness = generic_dimension(dag)
     pruned = dag.nodes - witness.covered
 
     net = FlowNetwork(dag)
     lister = FlowNetwork(dag) if dag.node_count <= MATCHED_SETS_MAX_NODES else None
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
-        started = time.perf_counter()
         net.open_layer(k)
         matched = net.matched_targets(layer)
         candidates = layer - pruned
@@ -136,11 +130,10 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
                 fixed=fixed,
                 fast_path=path,
                 matched_sets=sets,
-                elapsed=time.perf_counter() - started,
             )
         )
     all_fixed = frozenset().union(*(r.fixed for r in reports))
-    return FixedNodeResult(all_fixed, tuple(reports), dim, "layered")
+    return FixedNodeResult(all_fixed, tuple(reports))
 
 
 def _matched_sets(net: FlowNetwork, layer: frozenset[int], mu: int) -> tuple[frozenset[int], ...]:

@@ -148,7 +148,7 @@ def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
         probed, _ = generic_dimension(dag.with_leaders(dag.leaders | {v}))
         if probed == base_dim:
             fixed.add(v)
-    return FixedNodeResult(frozenset(fixed), (), base_dim, "oracle")
+    return FixedNodeResult(frozenset(fixed), ())
 
 
 def singleton_layer_nodes(dag: StructuredDag) -> frozenset[int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,29 @@ class TestConstruction:
             single7.dag.with_leaders([1, 8])
 
     @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: StructuredDag.of(3, [(1, 2.7), (2, 3)], [1]), "2.7"),
+            (lambda: StructuredDag.of(3, [(1, 2), (2, 3)], [1.9]), "1.9"),
+            (lambda: StructuredDag.of(3.9, [(1, 2), (2, 3)], [1]), "3.9"),
+            (lambda: StructuredDag.of(3, [(1, 2), (2, 3)], [np.float64(1)]), repr(np.float64(1))),
+            (lambda: StructuredDag.of(3, [(1, "2"), (2, 3)], [1]), "'2'"),
+        ],
+        ids=["edge-float", "leader-float", "count-float", "leader-numpy-float", "edge-str"],
+    )
+    def test_refuses_non_integral_values(self, build, value):
+        """Such a value was truncated: edge (1, 2.7) became (1, 2) and
+        leader 1.9 became 1, and a count of 3.9 built three nodes."""
+        with pytest.raises(InvalidGraphError) as raised:
+            build()
+        assert str(raised.value) == f"node count and ids must be integers, got {value}"
+
+    def test_accepts_numpy_integers(self):
+        dag = StructuredDag.of(np.int64(3), [(np.int32(1), np.int64(2)), (2, 3)], [np.int8(1)])
+        assert dag == StructuredDag.of(3, [(1, 2), (2, 3)], [1])
+        assert {type(v) for edge in dag.edges for v in edge} | {type(x) for x in dag.leaders} == {int}
+
+    @pytest.mark.parametrize(
         "route",
         [
             lambda dag: fixednodes.numeric_fixed_nodes(dag, 20, 0),
@@ -149,6 +173,17 @@ class TestLabelLayers:
         with pytest.raises(TypeError):
             labeling.layer_of[1] = 2
         assert labeling.layer_of[1] == 1
+
+    @pytest.mark.parametrize("name", ["out_neighbors", "in_neighbors"])
+    def test_neighbour_maps_are_read_only(self, name):
+        """Writing ``in_neighbors[3] = ()`` on the path 1 -> 2 -> 3 used to
+        make node 3 a source of layer 1 for every later caller."""
+        dag = StructuredDag.of(3, [(1, 2), (2, 3)], [1])
+        neighbors = getattr(dag, name)
+        with pytest.raises(TypeError):
+            neighbors[3] = ()
+        assert getattr(dag, name) is neighbors
+        assert label_layers(dag).layers == (frozenset({1}), frozenset({2}), frozenset({3}))
 
     def test_cycle_stalls_labeling(self):
         dag = StructuredDag.of(3, [(1, 2), (2, 3), (3, 2)], [1])

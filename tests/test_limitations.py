@@ -5,8 +5,9 @@ graph.  An edge that skips a layer lets a stem bypass that layer entirely, and
 then covering one more *target* of a layer can cost covered nodes elsewhere,
 so per-layer target coverage stops being a proxy for the whole-graph dimension.
 The add-a-leader oracle and the numeric oracle work from the dimension itself
-and stay exact; the cross-method ``verify`` command reports such graphs as
-disagreements by design.
+and are not affected; the cross-method ``verify`` command reports such graphs
+as disagreements by design.  The numeric oracle has a limit of its own, on
+long chains, pinned at the end of this file.
 
 Both counterexamples were worked out by hand and are locked in here so the
 boundary stays visible.  Everything the layered machinery claims about itself
@@ -17,14 +18,21 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import goldens
 from fixednodes import (
+    InconclusiveError,
+    StructuredDag,
     analyze,
     fixed_nodes_layered,
     fixed_nodes_oracle,
     generic_dimension,
+    graph_to_json,
     label_layers,
+    numeric_fixed_nodes,
 )
+from fixednodes.cli import main
 from randgraphs import random_dag
 from references import singleton_layer_nodes
 
@@ -89,3 +97,29 @@ class TestDivergenceIsConfinedToSkipGraphs:
                 diverged += 1
                 assert has_skip_edge(dag)
         assert diverged > 0  # the scan is expected to hit the boundary
+
+
+class TestNumericRouteOnLongChains:
+    """The numeric route is a sampled floating-point rank check, not an exact
+    one: on a 200-node path the smallest singular values of every draw fall
+    under its 1e-8 threshold, so no draw reaches the true dimension and the
+    route gives up where the oracle fixes every node.  An exact numeric route
+    would flip these tests."""
+
+    PATH = StructuredDag.of(200, [(i, i + 1) for i in range(1, 200)], [1])
+
+    def test_oracle_fixes_the_whole_path(self):
+        assert fixed_nodes_oracle(self.PATH).fixed_nodes == self.PATH.nodes
+        assert generic_dimension(self.PATH)[0] == 200
+
+    def test_numeric_route_is_inconclusive(self):
+        with pytest.raises(InconclusiveError, match=r"rank 200 in 9 trials \(best \d+\)$"):
+            numeric_fixed_nodes(self.PATH, trials=3, seed=0, expected_dim=200)
+
+    def test_cli_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "path200.graph.json"
+        path.write_text(graph_to_json(self.PATH))
+        assert main(["fixed", str(path), "--trials", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric verification inconclusive" in captured.err

@@ -10,6 +10,7 @@ import fixednodes.graph
 import fixednodes.search
 import fixednodes.stems
 from fixednodes import (
+    FixedNodeResult,
     GeneratorConfig,
     InvalidGraphError,
     StemFamily,
@@ -37,10 +38,8 @@ DATA = Path(__file__).parent / "data"
 
 class TestOracle:
     def test_golden_fixed_sets(self, golden):
-        result = fixed_nodes_oracle(golden.dag)
-        assert result.fixed_nodes == golden.fixed
-        assert result.generic_dim == golden.generic_dim
-        assert result.method == "oracle"
+        assert fixed_nodes_oracle(golden.dag) == FixedNodeResult(golden.fixed, ())
+        assert generic_dimension(golden.dag)[0] == golden.generic_dim
 
     def test_probing_a_chain_fork_raises_the_dimension(self, single7):
         base, _ = generic_dimension(single7.dag)
@@ -66,8 +65,17 @@ class TestOracle:
 
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", refused)
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "solve_min_cost", refused)
-        result = fixed_nodes_oracle(dag)
-        assert (result.fixed_nodes, result.generic_dim) == (pair13.fixed, pair13.generic_dim)
+        assert fixed_nodes_oracle(dag) == FixedNodeResult(pair13.fixed, ())
+
+    def test_reads_only_the_flow(self, pair13, monkeypatch):
+        """The oracle takes the cached flow and never asks for the dimension."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle asked for the generic dimension")
+
+        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        assert fixed_nodes_oracle(dag).fixed_nodes == pair13.fixed
 
 
 class TestOracleAgainstResolving:
@@ -76,8 +84,7 @@ class TestOracleAgainstResolving:
 
     @staticmethod
     def assert_matches(dag):
-        fast, slow = fixed_nodes_oracle(dag), resolving_oracle(dag)
-        assert (fast.fixed_nodes, fast.generic_dim) == (slow.fixed_nodes, slow.generic_dim)
+        assert fixed_nodes_oracle(dag) == resolving_oracle(dag)
 
     @pytest.mark.parametrize(
         "name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
@@ -112,7 +119,7 @@ class TestSingleLeader:
         result = fixed_nodes_layered(single7.dag)
         assert result.fixed_nodes == singleton_layer_nodes(single7.dag) == {1, 2, 7}
         assert fixed_nodes_oracle(single7.dag).fixed_nodes == {1, 2, 7}
-        assert result.generic_dim == 5
+        assert generic_dimension(single7.dag)[0] == 5
         singles = [r.layer_index for r in result.per_layer if r.fast_path == "singleton-layer"]
         assert singles == [1, 2, 5]
 
@@ -121,7 +128,7 @@ class TestSingleLeader:
         dag = StructuredDag.of(q, [(i, i + 1) for i in range(1, q)], [1])
         for result in (fixed_nodes_layered(dag), fixed_nodes_oracle(dag)):
             assert result.fixed_nodes == frozenset(range(1, q + 1))
-            assert result.generic_dim == q
+        assert generic_dimension(dag)[0] == q
 
     def test_star_fixes_only_the_leader(self):
         dag = StructuredDag.of(3, [(1, 2), (1, 3)], [1])
@@ -167,8 +174,7 @@ class TestLayered:
     def test_golden_fixed_sets(self, golden):
         result = fixed_nodes_layered(golden.dag)
         assert result.fixed_nodes == golden.fixed
-        assert result.generic_dim == golden.generic_dim
-        assert result.method == "layered"
+        assert generic_dimension(golden.dag)[0] == golden.generic_dim
 
     def test_per_layer_union_equals_total(self, golden):
         result = fixed_nodes_layered(golden.dag)

@@ -16,6 +16,7 @@ from fixednodes import (
     AnalysisReport,
     FixedNodeResult,
     InvalidGraphError,
+    LayerReport,
     StemFamily,
     StructuredDag,
     analyze,
@@ -92,11 +93,6 @@ class TestAnalyze:
         assert not report.consistent
         assert report.fixed_sets["layered"] != report.fixed_sets["oracle"]
 
-    def test_elapsed_recorded_but_not_serialized(self, single7):
-        report = analyze(single7.dag, ("oracle",))
-        assert report.elapsed >= 0.0
-        assert "elapsed" not in json.dumps(report_to_json_dict(report))
-
 
 class TestReportJson:
     def test_schema_and_payload(self, pair13):
@@ -129,7 +125,7 @@ class TestReportJson:
         report = analyze(pair13.dag, trials=25, seed=3)
         assert all(isinstance(r, FixedNodeResult) for r in report.methods.values())
         numeric = report.methods["numeric"]
-        assert (numeric.per_layer, numeric.generic_dim, numeric.method) == ((), 10, "numeric")
+        assert (numeric.per_layer, report.generic_dim) == ((), 10)
         assert (report.trials, report.seed) == (25, 3)
         assert list(report_to_json_dict(report)["methods"]["numeric"]) == [
             "fixed", "trials", "seed", "tol",
@@ -210,14 +206,14 @@ class TestPublicSurface:
         }
         fields = {
             cls.__name__: [f.name for f in dataclasses.fields(cls)]
-            for cls in (StemFamily, FixedNodeResult, AnalysisReport)
+            for cls in (StemFamily, LayerReport, FixedNodeResult, AnalysisReport)
         }
         assert fields == {
             "StemFamily": ["stems"],
-            "FixedNodeResult": ["fixed_nodes", "per_layer", "generic_dim", "method"],
+            "LayerReport": ["layer_index", "targets", "mu", "fixed", "fast_path", "matched_sets"],
+            "FixedNodeResult": ["fixed_nodes", "per_layer"],
             "AnalysisReport": [
-                "digest", "dag", "labeling", "generic_dim", "witness", "methods", "trials",
-                "seed", "elapsed",
+                "digest", "dag", "labeling", "generic_dim", "witness", "methods", "trials", "seed",
             ],
         }
 
