@@ -13,8 +13,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NoReturn
 
 from .errors import InvalidGraphError
 
@@ -28,8 +29,8 @@ class StructuredDag:
 
     Nodes are positive integers; the external file format uses the dense range
     ``1..n``, while induced subgraphs keep their original ids.  Construction
-    raises :class:`InvalidGraphError` on any other id, or on an edge or leader
-    naming a non-node.  Instances are immutable and thread-safe.
+    raises :class:`InvalidGraphError` on any other id, a ``bool`` included,
+    or on an edge or leader naming a non-node.  Instances are immutable and thread-safe.
     """
 
     nodes: frozenset[int]
@@ -38,6 +39,8 @@ class StructuredDag:
 
     def __post_init__(self) -> None:
         nodes = self.nodes
+        if bool in set(map(type, _ids(self))):  # ``True`` would pass as node 1
+            _refuse(next(v for v in _ids(self) if type(v) is bool))
         problems = []
         bad_ids = sorted(v for v in nodes if not isinstance(v, int) or v < 1)
         if bad_ids:
@@ -58,12 +61,14 @@ class StructuredDag:
         edges: Iterable[tuple[int, int]],
         leaders: Iterable[int],
     ) -> "StructuredDag":
-        """Build a graph on nodes ``1..node_count``; a non-integral count or id raises."""
+        """Build a graph on nodes ``1..node_count``; a non-integral count or id,
+        a ``bool`` included, raises."""
 
         def integer(value: object) -> int:
-            if not hasattr(value, "__index__"):
-                raise InvalidGraphError(f"node count and ids must be integers, got {value!r}")
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                _refuse(value)
             return int(value)
+
         return cls(
             nodes=frozenset(range(1, integer(node_count) + 1)),
             edges=frozenset((integer(u), integer(v)) for u, v in edges),
@@ -132,6 +137,15 @@ class StructuredDag:
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""
         return StructuredDag(self.nodes, self.edges, frozenset(leaders))
+
+
+def _ids(dag: StructuredDag) -> Iterator[object]:
+    """Every id the graph names: its nodes, edge endpoints and leaders."""
+    return chain(dag.nodes, chain.from_iterable(dag.edges), dag.leaders)
+
+
+def _refuse(value: object) -> NoReturn:
+    raise InvalidGraphError(f"node count and ids must be integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -277,26 +291,27 @@ def graph_from_json(text: str) -> StructuredDag:
 
     if not isinstance(raw["edges"], list):
         raise InvalidGraphError('"edges" must be an array of [u, v] pairs')
+    # JSON values come as exact types: an id is an ``int``, never a ``bool``
     edges: list[tuple[int, int]] = []
     for item in raw["edges"]:
         if (
-            not isinstance(item, list)
+            type(item) is not list
             or len(item) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in item)
+            or type(item[0]) is not int
+            or type(item[1]) is not int
         ):
             raise InvalidGraphError(f"bad edge entry: {item!r}")
         edges.append((item[0], item[1]))
-    counts = Counter(edges)
-    if len(counts) != len(edges):
-        dupes = sorted(e for e, c in counts.items() if c > 1)
+    edge_set = frozenset(edges)
+    if len(edge_set) != len(edges):
+        dupes = sorted(e for e, c in Counter(edges).items() if c > 1)
         raise InvalidGraphError(f"duplicate edges: {[list(e) for e in dupes]}")
 
-    if not isinstance(raw["leaders"], list) or any(
-        isinstance(x, bool) or not isinstance(x, int) for x in raw["leaders"]
-    ):
+    leaders = raw["leaders"]
+    if type(leaders) is not list or any(type(x) is not int for x in leaders):
         raise InvalidGraphError('"leaders" must be an array of integers')
-    leaders = list(raw["leaders"])
-    if len(leaders) != len(set(leaders)):
+    leader_set = frozenset(leaders)
+    if len(leaders) != len(leader_set):
         raise InvalidGraphError("duplicate leaders")
 
     # Every non-leader node needs an in-edge to be reachable, so a larger n can
@@ -306,7 +321,7 @@ def graph_from_json(text: str) -> StructuredDag:
             f'"n" is {n}, but a graph with {len(leaders)} leaders and {len(edges)} '
             f"edges has at most {len(leaders) + len(edges)} reachable nodes"
         )
-    return StructuredDag.of(n, edges, leaders)
+    return StructuredDag(frozenset(range(1, n + 1)), edge_set, leader_set)
 
 
 def graph_to_json(dag: StructuredDag) -> str:

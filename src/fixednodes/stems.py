@@ -16,7 +16,11 @@ additionally needs a cheapest flow under a profit of one per covered node
 potentials seeded in topological order; each graph solves it once and caches
 it.  The second and third need only a maximum flow into the sink arcs that
 are open, which ignores the costs; the layered sweep in ``search`` asks both,
-the third by one max flow per candidate set.  The brute-force enumerator the
+the third by one max flow per candidate set.  The sweep keeps one maximum
+flow and moves it down a layer at a time: each unit stranded by closing the
+layer above is pushed on to the sink through the residual network from the
+node it was stranded at, and only a unit with no such path is retracted to
+the source and re-found by augmentation.  The brute-force enumerator the
 tests check all three against lives in ``tests/references.py``.
 """
 
@@ -145,35 +149,70 @@ class FlowNetwork:
     def open_layer(self, k: int) -> None:
         """Move the sink arcs from layer ``k - 1`` to layer ``k``; re-maximize.
 
-        Each unit ending at a node ``u`` of layer ``k - 1`` leaves ``u``'s sink
-        arc and goes on along ``u``'s first out-edge into a free node of layer
-        ``k``, ending there; with no such node its stem is retracted to the
-        source.  The flow stays feasible for layers ``1..k``, and BFS
-        augmentations over their split indices make it maximum.
+        Closing the sink arcs of layer ``k - 1`` strands the units that ended
+        there, each at the out-copy of its last node.  Each is repaired in
+        place by :meth:`_carry_on`, which pushes it on to the sink through the
+        residual of layers ``1..k``; only a unit with no such path has its
+        stem retracted to the source.  The flow stays feasible for layers
+        ``1..k``, and BFS augmentations over their split indices make it
+        maximum.  While every source arc carries a unit, which repairs keep,
+        :meth:`max_flow` skips them.
         """
-        lo, hi = self._bound[k - 1], self._bound[k]
-        self.open_sinks(self._layers[k - 1])
+        hi = self._bound[k]
+        stranded = []
         for u in self._layers[k - 2] if k > 1 else ():
             arc = self._sink_arc[u]
             self._cap[arc] = 0
             self._open.discard(u)
             if self._cap[arc ^ 1]:
                 self._cap[arc ^ 1] = 0
-                self._carry_on(self._out[u], lo, hi)
+                stranded.append(self._out[u])
+        self.open_sinks(self._layers[k - 1])
+        for x in stranded:
+            if not self._carry_on(x, hi):
+                self._retract(x)
         self.max_flow(hi)
 
-    def _carry_on(self, x: int, lo: int, hi: int) -> None:
-        """Extend the stem stranded at out-copy ``x`` by one edge into a free
-        in-copy in ``(lo, hi]``, or walk it back to the source."""
-        for arc in self._adj[x]:
-            w = self._head[arc]
-            if arc % 2 == 0 and lo < w <= hi:
+    def _carry_on(self, x: int, hi: int) -> bool:
+        """Push the unit stranded at out-copy ``x`` to the sink, if it can go.
+
+        A breadth-first search of the residual from ``x`` (the standard move
+        from a node with excess; Ahuja, Magnanti & Orlin, *Network Flows*,
+        1993, ch. 6-7) through split indices up to ``hi``, the bound of the
+        newest layer, whose sink arcs are the only open ones.  Deeper indices
+        carry no flow, so no path through them returns to the sink; the
+        source is never entered, so every leader keeps its unit.  Most units
+        go one edge on into a free node of the newest layer, which is tried
+        first; the others take a path that reroutes earlier stems.  Returns
+        whether a path was found.
+        """
+        head, cap, adj, sink = self._head, self._cap, self._adj, self.sink
+        for arc in adj[x]:
+            w = head[arc]
+            if arc % 2 == 0 and w <= hi:
                 v = self._ext_of_pos[w // 2]
-                if self._cap[self._through[v]]:
-                    self._push(arc)
-                    self._push(self._through[v])
-                    self._push(self._sink_arc[v])
-                    return
+                if cap[self._through[v]]:
+                    for step in (arc, self._through[v], self._sink_arc[v]):
+                        self._push(step)
+                    return True
+        parent = {x: -1, self.source: -1}  # the source is never entered
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for arc in adj[u]:
+                v = head[arc]
+                if cap[arc] and v not in parent:
+                    if v == sink:
+                        parent[v] = arc
+                        self._augment(parent, x)
+                        return True
+                    if v <= hi:
+                        parent[v] = arc
+                        queue.append(v)
+        return False
+
+    def _retract(self, x: int) -> None:
+        """Walk the stem stranded at out-copy ``x`` back to the source."""
         while x != self.source:
             arc = next(a for a in self._adj[x] if a % 2 and self._cap[a])
             self._push(arc)
@@ -219,6 +258,14 @@ class FlowNetwork:
         Arc insertion gives ascending head order within adjacency lists and the
         split indices follow topological order, so the relaxation pass is exact
         and augmenting-path ties resolve toward lower external ids.
+
+        No search from the source enters a node without a potential, so
+        :meth:`_forward_dijkstra` does not test for one.  A node has a
+        potential iff the source reached it before any flow was pushed.  A
+        forward arc with residual capacity had it from the start, so it leads
+        from a node the source reached then to another one.  A reverse arc
+        with residual capacity lies on an earlier augmenting path, all of
+        whose nodes that search reached.
         """
         potential = [_INF] * self.size
         potential[self.source] = 0
@@ -233,45 +280,44 @@ class FlowNetwork:
                         potential[v] = d
 
         for _ in range(value):
-            dist, parent = self._dijkstra(potential, self.source)
+            dist, parent = self._forward_dijkstra(potential)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
             potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
             self._augment(parent)
         self._potential = potential
 
-    def _augment(self, parent: list[int]) -> None:
-        """Push one unit along the source-sink path recorded in ``parent``."""
+    def _augment(self, parent: list[int] | dict[int, int], start: int = 0) -> None:
+        """Push one unit along the path from ``start`` (the source by default)
+        to the sink recorded in ``parent``."""
         v = self.sink
-        while v != self.source:
+        while v != start:
             arc = parent[v]
             self._push(arc)
             v = self._head[arc ^ 1]
 
-    def _dijkstra(
-        self, potential: list[float], start: int, backward: bool = False
-    ) -> tuple[list[float], list[int]]:
-        """Reduced-cost residual distances from ``start``, or to it when
-        ``backward`` (``a ^ 1`` enters ``u`` from ``head[a]``, walked in reverse).
+    def _forward_dijkstra(self, potential: list[float]) -> tuple[list[float], list[int]]:
+        """Reduced-cost residual distances from the source, and the arc that
+        last improved each node's distance.
 
-        Nodes without a potential are never entered.  Between the others the
-        reduced costs are integers and none is negative on a residual arc, so
-        a node never settles below the distance of the one settled before it.
-        A bucket queue (Dial, CACM 1969) keyed by distance, with a heap of node
-        ids inside each bucket, therefore settles nodes in ascending
-        ``(distance, id)`` order, the order of one heap of ``(distance, id)``
-        pairs; ``parent`` changes only on a strict improvement, so ties and
-        augmenting paths resolve exactly as with that heap.  When every
-        reached node sits at distance 0, as in most successive-shortest-path
-        steps here, only the id heap of bucket 0 is ever touched.
+        The reduced costs are integers and none is negative on a residual
+        arc, so a node never settles below the distance of the one settled
+        before it.  A bucket queue (Dial, CACM 1969) keyed by distance, with a
+        heap of node ids inside each bucket, therefore settles nodes in
+        ascending ``(distance, id)`` order, the order of one heap of
+        ``(distance, id)`` pairs; ``parent`` changes only on a strict
+        improvement, so ties and augmenting paths resolve exactly as with that
+        heap.  When every reached node sits at distance 0, as in most
+        successive-shortest-path steps here, only the id heap of bucket 0 is
+        ever touched.  Every node the search enters has a potential (see
+        :meth:`solve_min_cost`), so it reads no test for one.
         """
-        flip, sign = (1, -1) if backward else (0, 1)
         head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
         push, pop = heapq.heappush, heapq.heappop
         dist = [_INF] * self.size
         parent = [-1] * self.size
-        dist[start] = 0
-        buckets = {0: [start]}  # distance -> heap of node ids
+        dist[self.source] = 0
+        buckets = {0: [self.source]}  # distance -> heap of node ids
         keys = [0]  # heap of the distances in ``buckets``
         while keys:
             d = pop(keys)
@@ -280,27 +326,58 @@ class FlowNetwork:
                 u = pop(bucket)
                 if dist[u] < d:
                     continue
-                base = d + sign * potential[u]
+                base = d + potential[u]
                 for arc in adj[u]:
-                    step = arc ^ flip
-                    if cap[step] <= 0:
-                        continue
+                    if cap[arc]:
+                        v = head[arc]
+                        nd = base + cost[arc] - potential[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            parent[v] = arc
+                            if nd == d:
+                                push(bucket, v)
+                            elif nd in buckets:
+                                push(buckets[nd], v)
+                            else:
+                                buckets[nd] = [v]
+                                push(keys, nd)
+        return dist, parent
+
+    def _backward_dijkstra(self, potential: list[float]) -> list[float]:
+        """Reduced-cost residual distances to the sink: the bucket queue of
+        :meth:`_forward_dijkstra` walked backwards, arc ``a ^ 1`` entering
+        ``u`` from ``head[a]``.  Nodes without a potential, which no leader
+        reaches, are never entered.
+        """
+        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        push, pop = heapq.heappush, heapq.heappop
+        dist = [_INF] * self.size
+        dist[self.sink] = 0
+        buckets = {0: [self.sink]}
+        keys = [0]
+        while keys:
+            d = pop(keys)
+            bucket = buckets.pop(d)
+            while bucket:
+                u = pop(bucket)
+                if dist[u] < d:
+                    continue
+                base = d - potential[u]
+                for arc in adj[u]:
                     v = head[arc]
                     pv = potential[v]
-                    if pv == _INF:
-                        continue
-                    nd = base + cost[step] - sign * pv
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = arc
-                        if nd == d:
-                            push(bucket, v)
-                        elif nd in buckets:
-                            push(buckets[nd], v)
-                        else:
-                            buckets[nd] = [v]
-                            push(keys, nd)
-        return dist, parent
+                    if cap[arc ^ 1] and pv < _INF:
+                        nd = base + cost[arc ^ 1] + pv
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            if nd == d:
+                                push(bucket, v)
+                            elif nd in buckets:
+                                push(buckets[nd], v)
+                            else:
+                                buckets[nd] = [v]
+                                push(keys, nd)
+        return dist
 
     # -- reading the solved flow --------------------------------------------
 
@@ -371,7 +448,7 @@ class FlowNetwork:
         no leader reaches have no potential and are left out.
         """
         potential = self._potential
-        dist, _ = self._dijkstra(potential, self.sink, backward=True)
+        dist = self._backward_dijkstra(potential)
         offset = potential[self.sink]
         return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
 

@@ -1,10 +1,10 @@
-"""Seeded random graph helpers shared by the property and acceptance suites."""
+"""Seeded random graph helpers shared by the test suites."""
 
 from __future__ import annotations
 
 import random
 
-from fixednodes import GeneratorConfig, StructuredDag, random_layered_dag
+from fixednodes import GeneratorConfig, StructuredDag, random_layered_dag, spread_widths
 
 
 def random_dag(
@@ -46,6 +46,19 @@ def random_dag(
         leader_count=leaders,
         seed=rng.randrange(2**32),
         edge_count=edge_count,
+        skip_layer_prob=skip_prob,
+    )
+    return random_layered_dag(config)
+
+
+def shaped_dag(depth: int, width: int, leaders: int, skip_prob: float, seed: int) -> StructuredDag:
+    """A generated graph of the benchmark's n=1000 shapes (3000 edges)."""
+    config = GeneratorConfig(
+        depth=depth,
+        widths=spread_widths(depth, width, leaders),
+        leader_count=leaders,
+        seed=seed,
+        edge_count=3000,
         skip_layer_prob=skip_prob,
     )
     return random_layered_dag(config)

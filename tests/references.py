@@ -212,7 +212,9 @@ def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
 def heap_dijkstra(
     net: FlowNetwork, potential: list[float], start: int, backward: bool = False
 ) -> tuple[list[float], list[int]]:
-    """``FlowNetwork._dijkstra`` with one heap of ``(distance, node)`` pairs."""
+    """``FlowNetwork._forward_dijkstra`` from the source, or, when ``backward``,
+    ``FlowNetwork._backward_dijkstra`` to the sink, with one heap of
+    ``(distance, node)`` pairs; both skip every node without a potential."""
     flip, sign = (1, -1) if backward else (0, 1)
     dist = [_INF] * net.size
     parent = [-1] * net.size

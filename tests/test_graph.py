@@ -125,6 +125,28 @@ class TestConstruction:
             build()
         assert str(raised.value) == f"node count and ids must be integers, got {value}"
 
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: StructuredDag.of(2, [(True, 2)], [True]), "True"),
+            (lambda: StructuredDag.of(2, [(1, 2)], [True]), "True"),
+            (lambda: StructuredDag.of(2, [(False, 2)], [1]), "False"),
+            (lambda: StructuredDag.of(True, [], [1]), "True"),
+            (lambda: StructuredDag(frozenset({1, 2}), frozenset({(True, 2)}), frozenset({1})), "True"),
+            (lambda: StructuredDag(frozenset({True, 2}), frozenset({(1, 2)}), frozenset({1})), "True"),
+            (lambda: StructuredDag(frozenset({1, 2}), frozenset({(1, 2)}), frozenset({True})), "True"),
+            (lambda: StructuredDag.of(2, [(1, 2)], [1]).with_leaders([True]), "True"),
+        ],
+        ids=["of-edge", "of-leader", "of-false", "of-count", "edge", "node", "leader", "with-leaders"],
+    )
+    def test_refuses_bools(self, build, value):
+        """``bool`` is an ``int`` with ``__index__``, and ``True == 1``: a
+        ``True`` id passed as node 1, so ``of(2, [(True, 2)], [True])`` built
+        edge (1, 2) with leader 1."""
+        with pytest.raises(InvalidGraphError) as raised:
+            build()
+        assert str(raised.value) == f"node count and ids must be integers, got {value}"
+
     def test_accepts_numpy_integers(self):
         dag = StructuredDag.of(np.int64(3), [(np.int32(1), np.int64(2)), (2, 3)], [np.int8(1)])
         assert dag == StructuredDag.of(3, [(1, 2), (2, 3)], [1])
@@ -276,6 +298,19 @@ class TestGraphJson:
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(InvalidGraphError):
             graph_from_json(text)
+
+    def test_parsed_ids_are_not_converted_again(self, single7, monkeypatch):
+        """``graph_from_json`` has checked every id's type already, so it
+        builds the graph without ``StructuredDag.of``'s per-id conversion."""
+        text = graph_to_json(single7.dag)
+
+        def refused(*args):
+            raise AssertionError("StructuredDag.of was called")
+
+        monkeypatch.setattr(StructuredDag, "of", refused)
+        parsed = graph_from_json(text)
+        assert parsed == single7.dag
+        assert {type(v) for v in fixednodes.graph._ids(parsed)} == {int}
 
     def test_serialization_needs_dense_ids(self):
         sparse = StructuredDag(frozenset({1, 3}), frozenset({(1, 3)}), frozenset({1}))

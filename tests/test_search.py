@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import random
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from fixednodes import (
     spread_widths,
     stem_family_violations,
 )
-from randgraphs import random_dag
+from fixednodes.stems import FlowNetwork
+from randgraphs import random_dag, shaped_dag
 from references import (
     enumerated_matched_sets,
     layer_coverages,
@@ -34,6 +36,42 @@ from references import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """Every repair of a stranded unit by the layered sweep, as
+    ``(node, found, searched)``: the node the unit was stranded at, whether
+    it reached the sink, and whether a residual search ran (a step into a
+    free successor needs none).  Each search is checked to queue only split
+    indices of layers ``1..k``, starting at the stranded out-copy and never
+    holding the source."""
+    log = []
+    queued = []
+
+    class RecordingDeque(collections.deque):
+        def __init__(self, items=()):
+            items = list(items)
+            queued.extend(items)
+            super().__init__(items)
+
+        def append(self, item):
+            queued.append(item)
+            super().append(item)
+
+    carry_on = FlowNetwork._carry_on
+
+    def recorded(net, x, hi):
+        queued.clear()
+        found = carry_on(net, x, hi)
+        if queued:
+            assert queued[0] == x and all(0 < v <= hi for v in queued), (x, hi, queued)
+        log.append((net._ext_of_pos[(x - 1) // 2], found, bool(queued)))
+        return found
+
+    monkeypatch.setattr(fixednodes.stems, "deque", RecordingDeque)
+    monkeypatch.setattr(FlowNetwork, "_carry_on", recorded)
+    return log
 
 
 class TestOracle:
@@ -274,6 +312,67 @@ class TestLayeredSweep:
             dag = random_layered_dag(config)
             assert 60 <= dag.node_count <= 500
             self.assert_matches(dag)
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6, 0.9])
+    def test_repaired_units_on_random_dags(self, skip_prob, repairs):
+        """500 graphs per skip probability, 2,000 in all, reach both outcomes
+        of a search: a unit rerouted through earlier stems, and a stem
+        retracted because no path exists."""
+        rng = random.Random(0x4E9A + int(skip_prob * 10))
+        for _ in range(500):
+            self.assert_matches(random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob))
+        outcomes = {(found, searched) for _, found, searched in repairs}
+        assert {(True, True), (False, True)} <= outcomes
+
+    @pytest.mark.parametrize("shape", [(100, 10, 4, 0.3), (20, 50, 25, 0.3)], ids=["deep", "wide"])
+    def test_repaired_units_on_thousand_node_shapes(self, shape, repairs):
+        dag = shaped_dag(*shape, seed=11)
+        assert dag.node_count == 1000
+        self.assert_matches(dag)
+        assert repairs
+
+    def test_a_stranded_unit_reroutes_an_earlier_stem(self, repairs):
+        """Opening layer 3 strands units at 3 and 4.  Node 3 steps on to 5,
+        its first free successor.  Node 4's only successor is then taken, so
+        its search moves 3's stem over to 6 and takes 5; nothing is
+        retracted."""
+        dag = StructuredDag.of(6, [(1, 3), (2, 4), (3, 5), (3, 6), (4, 5)], [1, 2])
+        net = FlowNetwork(dag)
+        for k in (1, 2, 3):
+            net.open_layer(k)
+        assert net.stems() == StemFamily(((1, 3, 6), (2, 4, 5)))
+        assert repairs == [(1, True, False), (2, True, False), (3, True, False), (4, True, True)]
+        repairs.clear()
+        self.assert_matches(dag)
+        assert [found for _, found, _ in repairs] == [True] * 4
+
+    def test_a_unit_with_no_path_is_retracted(self, repairs, monkeypatch):
+        """Three stranded units have no residual path to the sink through the
+        open layers: 3 in layer 2, whose successors lie deeper, 4 in layer 3
+        and 7 in layer 4.  Their stems are retracted.  A search that entered
+        the source would send 4's unit back out along leader 3's free arc
+        into 6, and one that passed the bound would queue 6 and 7 from 3, so
+        either fails here."""
+        dag = StructuredDag.of(
+            8, [(1, 4), (2, 5), (3, 6), (3, 7), (4, 8), (5, 6), (5, 7), (6, 8)], [1, 2, 3]
+        )
+        retracted = []
+        retract = FlowNetwork._retract
+
+        def recorded(net, x):
+            retracted.append(net._ext_of_pos[(x - 1) // 2])
+            retract(net, x)
+
+        monkeypatch.setattr(FlowNetwork, "_retract", recorded)
+        result = fixed_nodes_layered(dag)
+        assert repairs == [
+            (1, True, False), (2, True, False), (3, False, True),
+            (4, False, True), (5, True, False),
+            (6, True, False), (7, False, True),
+        ]
+        assert retracted == [3, 4, 7]
+        assert [r.mu for r in result.per_layer] == [3, 2, 2, 1]
+        self.assert_matches(dag)
 
     def test_analyze_shares_its_labeling_and_flow(self, monkeypatch, solves):
         """Counted on fresh graphs, whose caches are empty: ``analyze`` builds

@@ -27,7 +27,7 @@ from fixednodes import (
     stem_family_violations,
 )
 from fixednodes.stems import FlowNetwork, _dimension_flow
-from randgraphs import random_dag
+from randgraphs import random_dag, shaped_dag
 from references import (
     LayerCoverage,
     all_matched_targets,
@@ -41,19 +41,6 @@ from references import (
 
 DATA = Path(__file__).parent / "data"
 PINNED = ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
-
-
-def shaped_dag(depth, width, leaders, skip_prob, seed):
-    """A generated graph of the benchmark's n=1000 shapes (3000 edges)."""
-    config = GeneratorConfig(
-        depth=depth,
-        widths=spread_widths(depth, width, leaders),
-        leader_count=leaders,
-        seed=seed,
-        edge_count=3000,
-        skip_layer_prob=skip_prob,
-    )
-    return random_layered_dag(config)
 
 
 def layer_problem(golden: goldens.Golden, k: int):
@@ -354,15 +341,22 @@ class TestFlowKernels:
 
     @staticmethod
     def assert_kernels_match(dags, monkeypatch):
-        dijkstra = FlowNetwork._dijkstra
+        forward = FlowNetwork._forward_dijkstra
+        backward = FlowNetwork._backward_dijkstra
         reaching = FlowNetwork.targets_reaching_sink
         open_layer = FlowNetwork.open_layer
         calls = {"forward": 0, "backward": 0, "reaching": 0}
 
-        def checked_dijkstra(net, potential, start, backward=False):
-            got = dijkstra(net, potential, start, backward)
-            assert got == heap_dijkstra(net, potential, start, backward)
-            calls["backward" if backward else "forward"] += 1
+        def checked_forward(net, potential):
+            got = forward(net, potential)
+            assert got == heap_dijkstra(net, potential, net.source)
+            calls["forward"] += 1
+            return got
+
+        def checked_backward(net, potential):
+            got = backward(net, potential)
+            assert got == heap_dijkstra(net, potential, net.sink, backward=True)[0]
+            calls["backward"] += 1
             return got
 
         def checked_reaching(net, targets):
@@ -380,7 +374,8 @@ class TestFlowKernels:
             for targets in (layer, matched):
                 assert net.targets_reaching_sink(targets) == residual_reaching_sink(net, targets)
 
-        monkeypatch.setattr(FlowNetwork, "_dijkstra", checked_dijkstra)
+        monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked_forward)
+        monkeypatch.setattr(FlowNetwork, "_backward_dijkstra", checked_backward)
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", checked_reaching)
         monkeypatch.setattr(FlowNetwork, "open_layer", checked_open_layer)
         for dag in dags:
@@ -438,8 +433,9 @@ class TestFlowKernels:
     def test_saturated_source_skips_the_breadth_first_search(self, monkeypatch):
         """With every source arc saturated no augmenting path can exist, so
         ``max_flow`` returns before it builds its 2n+2 search list; on a deep
-        graph with four leaders that is most of the sweep's layers.  Each
-        search starts from a ``deque`` holding only the source."""
+        graph with four leaders, whose stranded units are all repaired in
+        place, that is every layer after the first.  Each search starts from
+        a ``deque`` holding only the source."""
         dag = shaped_dag(100, 10, 4, 0.0, seed=11)
         searches = 0
 
@@ -465,8 +461,38 @@ class TestFlowKernels:
         monkeypatch.setattr(FlowNetwork, "max_flow", counted)
         result = fixed_nodes_layered(dag)
         assert len(result.per_layer) == 100
-        # 83 of the 100 layers skip; one search per layer would be 100 or more
-        assert len(skipped) >= 80 and searches < 100
+        # layer 1 augments once per leader and ends with one failed search
+        assert len(skipped) == 99 and searches == 5
+
+    def test_repair_and_max_flow_pop_few_nodes(self, monkeypatch):
+        """On a deep skip graph the sweep's repairs and augmentations together
+        pop fewer queue entries than one pass over the 2n+2 split indices."""
+        dag = shaped_dag(100, 10, 4, 0.3, seed=11)
+        pops = 0
+        counting = False
+
+        class CountingDeque(collections.deque):
+            def popleft(self):
+                nonlocal pops
+                pops += counting
+                return super().popleft()
+
+        def counted(method):
+            def run(*args):
+                nonlocal counting
+                counting = True
+                try:
+                    return method(*args)
+                finally:
+                    counting = False
+
+            return run
+
+        monkeypatch.setattr(fixednodes.stems, "deque", CountingDeque)
+        for name in ("_carry_on", "max_flow"):
+            monkeypatch.setattr(FlowNetwork, name, counted(getattr(FlowNetwork, name)))
+        fixed_nodes_layered(dag)
+        assert 0 < pops < 2 * dag.node_count + 2
 
 
 class TestReset:
