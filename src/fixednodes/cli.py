@@ -150,7 +150,79 @@ def _emit(args, text: str) -> int:
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` and a newline, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one generator per
+    container; this writer appends the same chunks to one list instead.  It
+    takes only what the payloads hold: dicts with ``str`` keys, lists, ``str``,
+    ``int``, ``bool``, ``float`` and ``None``; anything else raises
+    ``TypeError``.
+    """
+    chunks: list[str] = []
+    _write(payload, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _write(value, newline: str, out) -> None:
+    """Append the encoding of ``value``; ``newline`` is a newline and the
+    indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_float(value))
+    elif isinstance(value, list):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            out("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        out("[" + inner)
+        _write(value[0], inner, out)
+        for item in value[1:]:
+            out("," + inner)
+            _write(item, inner, out)
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(separator + _quote(key) + ": ")
+            _write(item, inner, out)
+            separator = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    """A float as ``json`` writes it, ``NaN`` and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _cmd_label(args) -> int:

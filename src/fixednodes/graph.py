@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NoReturn
 from .errors import InvalidGraphError
 
 if TYPE_CHECKING:
-    from .stems import FlowNetwork, StemFamily
+    from .stems import FlowNetwork, StemFamily, _ArcTable
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,13 @@ class StructuredDag:
     def _violations(self) -> tuple[Violation, ...]:
         """The violations :func:`validate` returns, found once per graph."""
         return _find_violations(self)
+
+    @cached_property
+    def _arcs(self) -> _ArcTable:
+        """The node-split arc table every flow network over this graph shares."""
+        from .stems import _build_arcs  # stems imports this module
+
+        return _build_arcs(self)
 
     @cached_property
     def _dimension(self) -> tuple[FlowNetwork, tuple[int, StemFamily]]:

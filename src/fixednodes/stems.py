@@ -14,14 +14,22 @@ vertex-disjoint leader-rooted paths (Menger's theorem).  The first question
 additionally needs a cheapest flow under a profit of one per covered node
 (each ``in -> out`` arc costs -1), solved by successive shortest paths with
 potentials seeded in topological order; each graph solves it once and caches
-it.  The second and third need only a maximum flow into the sink arcs that
-are open, which ignores the costs; the layered sweep in ``search`` asks both,
-the third by one max flow per candidate set.  The sweep keeps one maximum
-flow and moves it down a layer at a time: each unit stranded by closing the
-layer above is pushed on to the sink through the residual network from the
-node it was stranded at, and only a unit with no such path is retracted to
-the source and re-found by augmentation.  The brute-force enumerator the
-tests check all three against lives in ``tests/references.py``.
+it.  Each search starts with a zero phase that follows only the arcs of
+reduced cost 0.  Reduced costs are never negative, so those arcs reach
+exactly the nodes at distance 0, in the order a heap would settle them.  An
+augmentation only reverses arcs between reached nodes, so no search reaches
+more nodes than the one before it; when the zero phase reaches as many, it
+has found every distance, all 0, and no potential moves.  Most searches end
+there; the others go on with a bucket queue.  The second and third need only
+a maximum flow into the sink arcs that are open, which ignores the costs;
+the layered sweep in ``search`` asks both, the third by one max flow per
+candidate set.  The sweep keeps one maximum flow and moves it down a layer at
+a time: each unit stranded by closing the layer above is pushed on to the
+sink through the residual network from the node it was stranded at, and only
+a unit with no such path is retracted to the source and re-found by
+augmentation.  Every network over a graph shares the graph's one arc table
+and keeps only its own capacities.  The brute-force enumerator the tests
+check all three against lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidGraphError
 from .graph import StructuredDag, label_layers
@@ -73,6 +81,87 @@ def stem_family_violations(dag: StructuredDag, family: StemFamily) -> list[str]:
     return problems
 
 
+class _ArcTable(NamedTuple):
+    """A graph's node-split arc arrays (see :class:`FlowNetwork`), built once
+    per graph and shared read-only by every network over it."""
+
+    layers: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]  # external id of each split pair, layer by layer
+    bound: list[int]  # highest split index of layers 1..k, at k
+    in_copy: dict[int, int]
+    out_copy: dict[int, int]
+    through: dict[int, int]  # the ``in -> out`` arc of each node
+    sink_arc: dict[int, int]
+    head: list[int]
+    cost: list[int]
+    cap: list[int]  # the capacities of a network as built
+    adj: list[list[int]]
+
+
+def _build_arcs(dag: StructuredDag) -> _ArcTable:
+    """The arc table of ``dag``, built from slices and one pass over the edges.
+
+    Arc pairs come in four runs: the source arcs (leaders ascending), the
+    ``in -> out`` arcs (split order), the edge arcs (edges ascending) and the
+    sink arcs (nodes ascending).  Arc ``a`` is forward when even, and
+    ``a ^ 1`` is its reverse.  Each adjacency list holds its node's arcs in
+    arc order, the order every search reads them in.
+    """
+    label_layers(dag)  # raises on a cycle
+    layers = dag.source_layers
+    order = tuple(v for layer in layers for v in layer)
+    leaders, edges, nodes = sorted(dag.leaders), dag.sorted_edges, dag.sorted_nodes
+    n, m = len(order), len(edges)
+    sink = 2 * n + 1
+    in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
+    out_copy = {v: 2 + 2 * i for i, v in enumerate(order)}
+    first_through = 2 * len(leaders)
+    first_edge = first_through + 2 * n
+    first_sink = first_edge + 2 * m
+    end = first_sink + 2 * n
+
+    head = [0] * end
+    head[0::2] = (
+        [in_copy[x] for x in leaders]
+        + list(range(2, sink, 2))
+        + [in_copy[v] for _, v in edges]
+        + [sink] * n
+    )
+    head[1::2] = (
+        [0] * len(leaders)
+        + list(range(1, sink, 2))
+        + [out_copy[u] for u, _ in edges]
+        + [out_copy[v] for v in nodes]
+    )
+    cost = [0] * end
+    cost[first_through:first_edge:2] = [-1] * n
+    cost[first_through + 1 : first_edge : 2] = [1] * n
+    cap = [1, 0] * (first_sink // 2) + [0] * (2 * n)
+
+    through = {v: first_through + 2 * i for i, v in enumerate(order)}
+    sink_arc = {v: first_sink + 2 * j for j, v in enumerate(nodes)}
+    adj: list[list[int]] = [[]] * (sink + 1)  # every slot is replaced below
+    adj[0] = list(range(0, first_through, 2))
+    adj[sink] = list(range(first_sink + 1, end, 2))
+    # in-copies: source arc, in -> out arc, then the edges in, ascending by tail
+    adj[1:sink:2] = [[arc] for arc in range(first_through, first_edge, 2)]
+    for j, x in enumerate(leaders):
+        adj[in_copy[x]].insert(0, 2 * j + 1)
+    arc = first_edge + 1
+    for _, v in edges:
+        adj[in_copy[v]].append(arc)
+        arc += 2
+    # out-copies: in -> out arc, the edges out (one run of arcs), sink arc
+    runs = [*accumulate((2 * len(dag.out_neighbors[v]) for v in nodes), initial=first_edge)]
+    for v, start, stop in zip(nodes, runs, runs[1:]):
+        x = out_copy[v]
+        adj[x] = [first_through + x - 1, *range(start, stop, 2), sink_arc[v]]
+    bound = [0, *accumulate(2 * len(layer) for layer in layers)]
+    return _ArcTable(
+        layers, order, bound, in_copy, out_copy, through, sink_arc, head, cost, cap, adj
+    )
+
+
 class FlowNetwork:
     """Unit-capacity residual network over the node-split graph.
 
@@ -87,41 +176,24 @@ class FlowNetwork:
     underlying graph must be acyclic, which keeps shortest paths under
     negative costs well defined and makes flow decomposition cycle-free; a
     cyclic graph raises :class:`InvalidGraphError`.
+
+    The arcs, costs and adjacency lists are the graph's one arc table, shared
+    by every network over it; a network owns only its capacities and its set
+    of open sink arcs.
     """
 
     def __init__(self, dag: StructuredDag):
-        label_layers(dag)  # raises on a cycle
-        self._layers = dag.source_layers
-        order = tuple(v for layer in self._layers for v in layer)
-        self._ext_of_pos = order
-        self._bound = [0, *accumulate(2 * len(layer) for layer in self._layers)]
+        arcs = dag._arcs
+        self._layers, self._ext_of_pos, self._bound = arcs.layers, arcs.order, arcs.bound
+        self._in, self._out = arcs.in_copy, arcs.out_copy
+        self._through, self._sink_arc = arcs.through, arcs.sink_arc
+        self._head, self._cost, self._adj = arcs.head, arcs.cost, arcs.adj
+        self._blank = arcs.cap
         self.source = 0
-        self.sink = 2 * len(order) + 1
-        self.size = self.sink + 1
-        self._in = {v: 1 + 2 * i for i, v in enumerate(order)}
-        self._out = {v: 2 + 2 * i for i, v in enumerate(order)}
-
-        self._head: list[int] = []
-        self._cap: list[int] = []
-        self._cost: list[int] = []
-        self._adj: list[list[int]] = [[] for _ in range(self.size)]
+        self.size = len(arcs.adj)
+        self.sink = self.size - 1
+        self._cap = arcs.cap.copy()
         self._open: set[int] = set()  # nodes whose sink arc is open
-
-        for leader in sorted(dag.leaders):
-            self._add_arc(self.source, self._in[leader], 0)
-        self._through = {v: self._add_arc(self._in[v], self._out[v], -1) for v in order}
-        for u, v in dag.sorted_edges:
-            self._add_arc(self._out[u], self._in[v], 0)
-        self._sink_arc = {v: self._add_arc(self._out[v], self.sink, 0, 0) for v in dag.sorted_nodes}
-
-    def _add_arc(self, u: int, v: int, cost: int, cap: int = 1) -> int:
-        arc = len(self._head)
-        self._head.extend((v, u))
-        self._cap.extend((cap, 0))
-        self._cost.extend((cost, -cost))
-        self._adj[u].append(arc)
-        self._adj[v].append(arc + 1)
-        return arc
 
     def _push(self, arc: int) -> None:
         self._cap[arc] -= 1
@@ -130,12 +202,7 @@ class FlowNetwork:
     def reset(self) -> None:
         """Drop all flow and close every sink arc: the network as built, with
         capacity one on every forward arc but the sink arcs."""
-        cap = self._cap
-        half = len(cap) // 2
-        cap[0::2] = [1] * half
-        cap[1::2] = [0] * half
-        for arc in self._sink_arc.values():
-            cap[arc] = 0
+        self._cap[:] = self._blank
         self._open.clear()
 
     def open_sinks(self, nodes: Iterable[int]) -> None:
@@ -255,9 +322,8 @@ class FlowNetwork:
     def solve_min_cost(self, value: int) -> None:
         """Successive shortest paths; potentials from one topological pass.
 
-        Arc insertion gives ascending head order within adjacency lists and the
-        split indices follow topological order, so the relaxation pass is exact
-        and augmenting-path ties resolve toward lower external ids.
+        The split indices follow topological order, so the relaxation pass is
+        exact, and augmenting-path ties resolve toward lower external ids.
 
         No search from the source enters a node without a potential, so
         :meth:`_forward_dijkstra` does not test for one.  A node has a
@@ -266,6 +332,15 @@ class FlowNetwork:
         from a node the source reached then to another one.  A reverse arc
         with residual capacity lies on an earlier augmenting path, all of
         whose nodes that search reached.
+
+        Each search starts with a zero phase over the tight arcs, those of
+        reduced cost 0, which the solve lists per node, in adjacency order and
+        whatever their capacity.  A search that leaves every reached node at
+        distance 0 moves no potential, so the lists stay exact; they are
+        rebuilt only after a search that left some node at a positive
+        distance.  The solve also keeps how many nodes the last search
+        reached (first, the nodes with a potential), which no later search
+        can exceed: an augmentation only reverses arcs between reached nodes.
         """
         potential = [_INF] * self.size
         potential[self.source] = 0
@@ -279,13 +354,28 @@ class FlowNetwork:
                     if d < potential[v]:
                         potential[v] = d
 
+        self._reach = self.size - potential.count(_INF)
+        self._tight = self._tight_arcs(potential)
         for _ in range(value):
             dist, parent = self._forward_dijkstra(potential)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
-            potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
+            self._reach = self.size - dist.count(_INF)
+            if dist.count(0) < self._reach:  # some node was left at a positive distance
+                potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
+                self._tight = self._tight_arcs(potential)
             self._augment(parent)
         self._potential = potential
+        del self._reach, self._tight  # search state, read only during the solve
+
+    def _tight_arcs(self, potential: list[float]) -> list[list[int]]:
+        """Per node with a potential, its arcs of reduced cost 0 in adjacency
+        order, with or without residual capacity; none for the other nodes."""
+        head, cost, adj = self._head, self._cost, self._adj
+        return [
+            [arc for arc in adj[u] if cost[arc] + p == potential[head[arc]]] if p < _INF else []
+            for u, p in enumerate(potential)
+        ]
 
     def _augment(self, parent: list[int] | dict[int, int], start: int = 0) -> None:
         """Push one unit along the path from ``start`` (the source by default)
@@ -307,18 +397,74 @@ class FlowNetwork:
         ascending ``(distance, id)`` order, the order of one heap of
         ``(distance, id)`` pairs; ``parent`` changes only on a strict
         improvement, so ties and augmenting paths resolve exactly as with that
-        heap.  When every reached node sits at distance 0, as in most
-        successive-shortest-path steps here, only the id heap of bucket 0 is
-        ever touched.  Every node the search enters has a potential (see
+        heap.  Every node the search enters has a potential (see
         :meth:`solve_min_cost`), so it reads no test for one.
+
+        Bucket 0 comes first, as a zero phase that follows only the tight
+        residual arcs of :meth:`solve_min_cost`'s lists.  It pops nodes in the
+        heap's order, the least id found and not yet popped: it scans split
+        indices upward, and a node found below the scan position waits in a
+        small heap, which goes first.  A node's parent is then the first tight
+        arc that reaches it, the arc that set its distance to 0 in the bucket
+        queue.  When the zero phase reaches as many nodes as the previous
+        search did, as in most successive-shortest-path steps here, it has
+        reached every node the source reaches, all at distance 0, and the
+        search ends there.  Otherwise :meth:`_bucket_pass` completes it.
         """
-        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        head, cap, tight = self._head, self._cap, self._tight
         push, pop = heapq.heappush, heapq.heappop
         dist = [_INF] * self.size
         parent = [-1] * self.size
         dist[self.source] = 0
-        buckets = {0: [self.source]}  # distance -> heap of node ids
-        keys = [0]  # heap of the distances in ``buckets``
+        zero = []  # the nodes at distance 0, in pop order
+        below = []  # heap of the nodes found below ``scan`` and not yet popped
+        scan = 0  # every node found at or above it is yet to be popped
+        while True:
+            if below:
+                u = pop(below)
+            else:
+                try:
+                    u = dist.index(0, scan)
+                except ValueError:
+                    break
+                scan = u + 1
+            zero.append(u)
+            for arc in tight[u]:
+                if cap[arc]:
+                    v = head[arc]
+                    if dist[v]:
+                        dist[v] = 0
+                        parent[v] = arc
+                        if v < scan:
+                            push(below, v)
+        if len(zero) < self._reach:
+            self._bucket_pass(potential, dist, parent, zero)
+        return dist, parent
+
+    def _bucket_pass(
+        self, potential: list[float], dist: list[float], parent: list[int], zero: list[int]
+    ) -> None:
+        """The rest of the bucket queue after the zero phase: every residual
+        arc of the ``zero`` nodes relaxed in their pop order, as bucket 0
+        relaxes them, then the buckets of positive distance."""
+        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        push, pop = heapq.heappush, heapq.heappop
+        buckets: dict[float, list[int]] = {}  # distance -> heap of node ids
+        keys: list[float] = []  # heap of the distances in ``buckets``
+        for u in zero:
+            base = potential[u]
+            for arc in adj[u]:
+                if cap[arc]:
+                    v = head[arc]
+                    nd = base + cost[arc] - potential[v]
+                    if nd < dist[v]:  # never 0: that node is in ``zero``
+                        dist[v] = nd
+                        parent[v] = arc
+                        if nd in buckets:
+                            push(buckets[nd], v)
+                        else:
+                            buckets[nd] = [v]
+                            push(keys, nd)
         while keys:
             d = pop(keys)
             bucket = buckets.pop(d)
@@ -341,7 +487,6 @@ class FlowNetwork:
                             else:
                                 buckets[nd] = [v]
                                 push(keys, nd)
-        return dist, parent
 
     def _backward_dijkstra(self, potential: list[float]) -> list[float]:
         """Reduced-cost residual distances to the sink: the bucket queue of
@@ -423,19 +568,25 @@ class FlowNetwork:
         stops as soon as every target is reached; a target is reported
         unreached only once the search is exhausted.
         """
-        outs = {self._out[v]: v for v in targets}
-        queue = deque(self._out[v] for v in self._open if self._cap[self._sink_arc[v]])
-        reached = {self.sink, *queue}
-        missing = outs.keys() - reached
+        out, head, cap, adj = self._out, self._head, self._cap, self._adj
+        targets = tuple(targets)
+        state = bytearray(self.size)  # 1 marks a target not yet reached, 2 a reached node
+        for v in targets:
+            state[out[v]] = 1
+        queue = deque(out[v] for v in self._open if cap[self._sink_arc[v]])
+        for x in (self.sink, *queue):
+            state[x] = 2
+        missing = state.count(1)
         while missing and queue:
             x = queue.popleft()
-            for arc in self._adj[x]:
-                u = self._head[arc]
-                if self._cap[arc ^ 1] > 0 and u not in reached:
-                    reached.add(u)
-                    missing.discard(u)
-                    queue.append(u)
-        return frozenset(v for x, v in outs.items() if x in reached)
+            for arc in adj[x]:
+                if cap[arc ^ 1]:
+                    u = head[arc]
+                    if state[u] < 2:
+                        missing -= state[u]
+                        state[u] = 2
+                        queue.append(u)
+        return frozenset(v for v in targets if state[out[v]] == 2)
 
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.

@@ -51,14 +51,17 @@ def random_dag(
     return random_layered_dag(config)
 
 
-def shaped_dag(depth: int, width: int, leaders: int, skip_prob: float, seed: int) -> StructuredDag:
-    """A generated graph of the benchmark's n=1000 shapes (3000 edges)."""
+def shaped_dag(
+    depth: int, width: int, leaders: int, skip_prob: float, seed: int, edges: int = 3000
+) -> StructuredDag:
+    """A generated graph of the benchmark's shapes: n=1000 with 3000 edges by
+    default, n=200 with 400 edges for ``shaped_dag(10, 20, 10, p, seed, 400)``."""
     config = GeneratorConfig(
         depth=depth,
         widths=spread_widths(depth, width, leaders),
         leader_count=leaders,
         seed=seed,
-        edge_count=3000,
+        edge_count=edges,
         skip_layer_prob=skip_prob,
     )
     return random_layered_dag(config)

@@ -239,6 +239,21 @@ def heap_dijkstra(
     return dist, parent
 
 
+def tight_arcs(net: FlowNetwork, potential: list[float]) -> list[list[int]]:
+    """Per node, the arcs of reduced cost 0 under ``potential``, with or
+    without residual capacity: the lists ``FlowNetwork.solve_min_cost`` keeps
+    for its zero phase.  Arcs at a node without a potential have no reduced
+    cost and are left out."""
+    tight: list[list[int]] = [[] for _ in range(net.size)]
+    for u in range(net.size):
+        for arc in net._adj[u]:
+            v = net._head[arc]
+            if _INF not in (potential[u], potential[v]):
+                if net._cost[arc] + potential[u] - potential[v] == 0:
+                    tight[u].append(arc)
+    return tight
+
+
 def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozenset[int]:
     """``FlowNetwork.targets_reaching_sink`` as one whole reverse search from
     the sink, through every arc into it."""

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import goldens
 import fixednodes.cli
@@ -519,3 +521,65 @@ class TestDeterminism:
         _, first_dot, _ = run(capsys, "export-dot", path)
         _, second_dot, _ = run(capsys, "export-dot", path)
         assert first_dot == second_dot
+
+
+class TestDump:
+    """``cli._dump`` writes exactly ``json.dumps(payload, indent=2)`` and a newline."""
+
+    @staticmethod
+    def assert_same_bytes(payload):
+        assert fixednodes.cli._dump(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.report.json")), ids=lambda p: p.name)
+    def test_pinned_reports(self, path):
+        text = path.read_text()
+        assert fixednodes.cli._dump(json.loads(text)) == text
+
+    def test_every_subcommand_on_the_pinned_graphs(self, capsys, monkeypatch):
+        dump = fixednodes.cli._dump
+        payloads = []
+
+        def recorded(payload):
+            payloads.append(payload)
+            return dump(payload)
+
+        monkeypatch.setattr(fixednodes.cli, "_dump", recorded)
+        for path in sorted(DATA.glob("*.graph.json")):
+            methods = ("layered", "oracle", "numeric", "all")
+            for argv in (
+                ("label",),
+                ("dim",),
+                ("verify", "--trials", "5"),
+                *(("fixed", "--method", m, "--trials", "5") for m in methods),
+            ):
+                code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+                assert code in (0, 2)
+                assert out == json.dumps(payloads[-1], indent=2) + "\n"
+        assert len(payloads) == 7 * len(list(DATA.glob("*.graph.json")))
+
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.sampled_from([1e-08, -0.0, 1e300, float("inf"), float("-inf")])
+        | st.text()
+        | st.text(st.characters(max_codepoint=0x1F))
+    )
+    payloads = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    @example({"a": [], "b": {}, "c": [[], [{}], [[1, 2], [True, None]]]})
+    @example([[1, [2, [3, [1e-08, "é\u2028\x00\x1f"]]]]])
+    def test_generated_payloads(self, payload):
+        self.assert_same_bytes(payload)
+
+    @pytest.mark.parametrize("value", [(1, 2), {1, 2}, {1: "a"}, b"x", object()])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            fixednodes.cli._dump({"value": [value]})

@@ -37,6 +37,7 @@ from references import (
     induce_prefix,
     matched_by,
     residual_reaching_sink,
+    tight_arcs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -335,9 +336,10 @@ class TestEssentialityBeyondEnumeration:
 
 
 class TestFlowKernels:
-    """The bucket-queue Dijkstra, the seeded early-stopping reverse search and
-    the layer-local matched read against the plain kernels in ``references``,
-    on every call the oracle's solve and the layered sweep make."""
+    """The zero-phase and bucket-queue Dijkstras, the seeded early-stopping
+    reverse search and the layer-local matched read against the plain kernels
+    in ``references``, on every call the oracle's solve and the layered sweep
+    make."""
 
     @staticmethod
     def assert_kernels_match(dags, monkeypatch):
@@ -493,6 +495,127 @@ class TestFlowKernels:
             monkeypatch.setattr(FlowNetwork, name, counted(getattr(FlowNetwork, name)))
         fixed_nodes_layered(dag)
         assert 0 < pops < 2 * dag.node_count + 2
+
+
+class TestZeroPhase:
+    """The dimension solve's searches start with a zero phase over the tight
+    arcs and take the bucket pass only when that phase leaves some node the
+    source reaches unreached."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch) -> list[bool]:
+        """One entry per forward search: whether it took the bucket pass.  Each
+        search is checked to read tight lists that hold exactly the arcs of
+        reduced cost 0 under the potentials it is given."""
+        forward = FlowNetwork._forward_dijkstra
+        bucket_pass = FlowNetwork._bucket_pass
+        log: list[bool] = []
+
+        def checked(net, potential):
+            assert net._tight == tight_arcs(net, potential)
+            log.append(False)
+            return forward(net, potential)
+
+        def counted(net, *args):
+            log[-1] = True
+            return bucket_pass(net, *args)
+
+        monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked)
+        monkeypatch.setattr(FlowNetwork, "_bucket_pass", counted)
+        return log
+
+    @staticmethod
+    def skip_graphs():
+        rng = random.Random(0x2E20)
+        dags = [shaped_dag(10, 20, 10, p, seed, edges=400) for p in (0.0, 0.3) for seed in (1, 2)]
+        small = [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=0.6) for _ in range(100)]
+        return dags + small
+
+    def test_tight_lists_follow_the_potentials(self, searches):
+        """Every search after one that moved the potentials reads rebuilt lists."""
+        moved = 0
+        for dag in self.skip_graphs():
+            searches.clear()
+            _dimension_flow(dag)
+            moved += any(searches[:-1])
+        assert moved >= 10
+
+    def test_both_phases_match_the_heap(self, searches, monkeypatch):
+        """On 200-node graphs of the benchmark's shape and on small skip graphs
+        some searches take the bucket pass, and every search still equals
+        ``references.heap_dijkstra``."""
+        TestFlowKernels.assert_kernels_match(self.skip_graphs(), monkeypatch)
+        assert any(searches) and not all(searches)
+
+    @pytest.mark.parametrize(
+        "shape, most", [((100, 10, 4, 0.3), 0), ((20, 50, 25, 0.0), 2)], ids=["deep", "wide"]
+    )
+    def test_thousand_node_searches_end_in_the_zero_phase(self, shape, most, searches):
+        """On the deep shape every search ends in the zero phase; on the wide
+        one at most two of its 25 take the bucket pass (one on this graph, 5
+        in 500 searches over seeds 1-20 of that shape)."""
+        dag = shaped_dag(*shape, seed=11)
+        _dimension_flow(dag)
+        assert len(searches) == len(dag.leaders)
+        assert sum(searches) <= most
+
+    def test_searches_read_few_adjacency_lists(self, monkeypatch):
+        """On the wide 1000-node shape the solve reads its adjacency lists fewer
+        times than five passes over the network: once for the potentials,
+        once for the first tight lists, and again only in its one bucket pass
+        and the rebuild after it.  One bucket-queue search per leader, as
+        before the zero phase, reads 25 passes."""
+        dag = shaped_dag(20, 50, 25, 0.0, seed=11)
+        reads = 0
+
+        class CountingList(list):
+            def __getitem__(self, index):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(index)
+
+        solve = FlowNetwork.solve_min_cost
+
+        def counted(net, value):
+            net._adj = CountingList(net._adj)
+            solve(net, value)
+
+        monkeypatch.setattr(FlowNetwork, "solve_min_cost", counted)
+        net = _dimension_flow(dag)
+        assert 0 < reads < 5 * net.size
+
+
+class TestArcTable:
+    def test_one_table_per_graph(self, pair13, monkeypatch):
+        """The dimension flow, the sweep and the matched-set lister of a
+        13-node graph share one arc table; later networks build no arcs."""
+        built = []
+        build = fixednodes.stems._build_arcs
+
+        def counting(dag):
+            built.append(dag)
+            return build(dag)
+
+        monkeypatch.setattr(fixednodes.stems, "_build_arcs", counting)
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        analyze(dag, ("layered", "oracle"))
+        second, third = FlowNetwork(dag), FlowNetwork(dag)
+        assert built == [dag]
+        flow = _dimension_flow(dag)
+        for name in ("_adj", "_head", "_cost", "_in", "_out", "_sink_arc"):
+            assert getattr(second, name) is getattr(third, name) is getattr(flow, name)
+
+    def test_networks_keep_their_own_capacities(self, pair13):
+        dag = pair13.dag.with_leaders(pair13.dag.leaders)
+        flow = _dimension_flow(dag)
+        solved = flow._cap.copy()
+        second, third = FlowNetwork(dag), FlowNetwork(dag)
+        second.open_sinks(dag.nodes)
+        assert second.max_flow() == len(dag.leaders)
+        for k in range(1, len(dag.source_layers) + 1):
+            third.open_layer(k)
+        assert flow._cap == solved and flow._open == dag.nodes
+        assert third._open == set(dag.source_layers[-1]) and second._cap != third._cap
 
 
 class TestReset:
