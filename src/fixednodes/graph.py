@@ -29,8 +29,9 @@ class StructuredDag:
 
     Nodes are positive integers; the external file format uses the dense range
     ``1..n``, while induced subgraphs keep their original ids.  Construction
-    raises :class:`InvalidGraphError` on any other id, a ``bool`` included,
-    or on an edge or leader naming a non-node.  Instances are immutable and thread-safe.
+    raises :class:`InvalidGraphError` on any id that is not an ``int`` (a
+    ``bool``, a float or a numpy integer included) or not positive, or on an
+    edge or leader naming a non-node.  Instances are immutable and thread-safe.
     """
 
     nodes: frozenset[int]
@@ -39,10 +40,11 @@ class StructuredDag:
 
     def __post_init__(self) -> None:
         nodes = self.nodes
-        if bool in set(map(type, _ids(self))):  # ``True`` would pass as node 1
-            _refuse(next(v for v in _ids(self) if type(v) is bool))
+        # only an ``int`` is an id: ``True``, ``1.0`` or ``np.int64(1)`` would pass as node 1
+        if not set(map(type, _ids(self))) <= {int}:
+            _refuse(next(v for v in _ids(self) if type(v) is not int))
         problems = []
-        bad_ids = sorted(v for v in nodes if not isinstance(v, int) or v < 1)
+        bad_ids = sorted(v for v in nodes if v < 1)
         if bad_ids:
             problems.append(f"node ids must be positive integers: {bad_ids}")
         bad_edges = sorted(e for e in self.edges if e[0] not in nodes or e[1] not in nodes)

@@ -15,21 +15,19 @@ additionally needs a cheapest flow under a profit of one per covered node
 (each ``in -> out`` arc costs -1), solved by successive shortest paths with
 potentials seeded in topological order; each graph solves it once and caches
 it.  Each search starts with a zero phase that follows only the arcs of
-reduced cost 0.  Reduced costs are never negative, so those arcs reach
-exactly the nodes at distance 0, in the order a heap would settle them.  An
-augmentation only reverses arcs between reached nodes, so no search reaches
-more nodes than the one before it; when the zero phase reaches as many, it
-has found every distance, all 0, and no potential moves.  Most searches end
-there; the others go on with a bucket queue.  The second and third need only
-a maximum flow into the sink arcs that are open, which ignores the costs;
-the layered sweep in ``search`` asks both, the third by one max flow per
-candidate set.  The sweep keeps one maximum flow and moves it down a layer at
-a time: each unit stranded by closing the layer above is pushed on to the
-sink through the residual network from the node it was stranded at, and only
-a unit with no such path is retracted to the source and re-found by
-augmentation.  Every network over a graph shares the graph's one arc table
-and keeps only its own capacities.  The brute-force enumerator the tests
-check all three against lives in ``tests/references.py``.
+reduced cost 0; as none is negative, it settles the nodes at distance 0 as a
+heap would.  Most searches end there, and the others go on with a bucket
+queue, which also finds the oracle's distances to the sink by running from it
+on the mirrored residual.  The second and third need only a maximum flow into
+the sink arcs that are open, which ignores the costs; the layered sweep in
+``search`` asks both, the third by one max flow per candidate set.  One
+breadth-first search serves them: from the source it finds an augmenting path.
+The sweep keeps one maximum flow and moves it down a layer at a time,
+starting the same search at each unit stranded by closing the layer above; the
+unit goes on to the sink if a residual path allows, and back to the source
+otherwise.  Every network over a graph shares the graph's one arc table and
+keeps only its own capacities.  The brute-force enumerator the tests check all
+three against lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -170,7 +168,10 @@ class FlowNetwork:
     closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
     it.  A unit of flow on an arc shows as residual capacity on its reverse.
     The ``in -> out`` arcs cost -1 each, so a min-cost flow maximizes covered
-    nodes; only the min-cost solve and its distances read the costs.  Split
+    nodes; only the min-cost solve and its distances read the costs.  Two
+    searches answer everything: a bucket-queue Dijkstra
+    (:meth:`_bucket_pass`), from the source or, on the mirrored residual,
+    from the sink, and a breadth-first search (:meth:`_push_path`).  Split
     indices follow the graph's layer labeling, layer by layer, so layers
     ``1..k`` are exactly the indices up to ``2·|layers 1..k|``.  The
     underlying graph must be acyclic, which keeps shortest paths under
@@ -219,11 +220,9 @@ class FlowNetwork:
         Closing the sink arcs of layer ``k - 1`` strands the units that ended
         there, each at the out-copy of its last node.  Each is repaired in
         place by :meth:`_carry_on`, which pushes it on to the sink through the
-        residual of layers ``1..k``; only a unit with no such path has its
-        stem retracted to the source.  The flow stays feasible for layers
-        ``1..k``, and BFS augmentations over their split indices make it
-        maximum.  While every source arc carries a unit, which repairs keep,
-        :meth:`max_flow` skips them.
+        residual of layers ``1..k``, or else back to the source.  The flow
+        stays feasible for layers ``1..k``, and augmentations over their split
+        indices make it maximum.
         """
         hi = self._bound[k]
         stranded = []
@@ -236,25 +235,16 @@ class FlowNetwork:
                 stranded.append(self._out[u])
         self.open_sinks(self._layers[k - 1])
         for x in stranded:
-            if not self._carry_on(x, hi):
-                self._retract(x)
+            self._carry_on(x, hi)
         self.max_flow(hi)
 
     def _carry_on(self, x: int, hi: int) -> bool:
-        """Push the unit stranded at out-copy ``x`` to the sink, if it can go.
-
-        A breadth-first search of the residual from ``x`` (the standard move
-        from a node with excess; Ahuja, Magnanti & Orlin, *Network Flows*,
-        1993, ch. 6-7) through split indices up to ``hi``, the bound of the
-        newest layer, whose sink arcs are the only open ones.  Deeper indices
-        carry no flow, so no path through them returns to the sink; the
-        source is never entered, so every leader keeps its unit.  Most units
-        go one edge on into a free node of the newest layer, which is tried
-        first; the others take a path that reroutes earlier stems.  Returns
-        whether a path was found.
-        """
-        head, cap, adj, sink = self._head, self._cap, self._adj, self.sink
-        for arc in adj[x]:
+        """Move the unit stranded at out-copy ``x`` by :meth:`_push_path`
+        through split indices up to ``hi``, the newest layer's bound (deeper
+        ones carry no flow, so no path through them returns to the sink),
+        after trying the step most units take: one edge on into a free node."""
+        head, cap = self._head, self._cap
+        for arc in self._adj[x]:
             w = head[arc]
             if arc % 2 == 0 and w <= hi:
                 v = self._ext_of_pos[w // 2]
@@ -262,60 +252,45 @@ class FlowNetwork:
                     for step in (arc, self._through[v], self._sink_arc[v]):
                         self._push(step)
                     return True
-        parent = {x: -1, self.source: -1}  # the source is never entered
-        queue = deque([x])
+        return self._push_path(x, hi)
+
+    def _push_path(self, start: int, last: int) -> bool:
+        """Push the unit at ``start`` along a shortest residual path to the
+        sink, through split indices up to ``last``; return whether one exists.
+
+        A breadth-first search (Ahuja, Magnanti & Orlin, *Network Flows*,
+        1993, ch. 6-7) that expands the source only as ``start``, so every
+        leader that carries a unit keeps it.  With no path to the sink, a unit stranded
+        at ``start`` goes back to the source along the search's path to it,
+        which exists: the reverse arcs of the unit's own stem lead there.
+        """
+        head, cap, adj, source, sink = self._head, self._cap, self._adj, self.source, self.sink
+        parent = {start: -1}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
             for arc in adj[u]:
                 v = head[arc]
-                if cap[arc] and v not in parent:
+                if cap[arc] and v not in parent and (v <= last or v == sink):
+                    parent[v] = arc
                     if v == sink:
-                        parent[v] = arc
-                        self._augment(parent, x)
+                        self._augment(parent, start, sink)
                         return True
-                    if v <= hi:
-                        parent[v] = arc
+                    if v != source:
                         queue.append(v)
+        if start != source:
+            self._augment(parent, start, source)
         return False
 
-    def _retract(self, x: int) -> None:
-        """Walk the stem stranded at out-copy ``x`` back to the source."""
-        while x != self.source:
-            arc = next(a for a in self._adj[x] if a % 2 and self._cap[a])
-            self._push(arc)
-            x = self._head[arc]
-
     def max_flow(self, last: int | None = None) -> int:
-        """BFS augmentations over positive-capacity residual arcs until none is
-        left, through split indices up to ``last`` (all by default) and the sink.
-
-        An augmenting path leaves the source through an unsaturated source
-        arc, so with none left the search is skipped; the layered sweep's deep
-        layers mostly end here, in O(|leaders|) instead of O(n).
-        """
-        if not any(self._cap[arc] for arc in self._adj[self.source]):
-            return 0
+        """Augment from the source until no path is left, through split
+        indices up to ``last`` (all by default) and the sink.  With every
+        source arc saturated, a search reads only those arcs."""
         last = self.sink - 1 if last is None else last
-        # indices past ``last`` start out marked as reached, so no search enters them
-        unvisited = [-1] * (last + 1) + [-3] * (self.sink - last - 1) + [-1]
         value = 0
-        while True:
-            parent = unvisited.copy()
-            parent[self.source] = -2
-            queue = deque([self.source])
-            while queue:
-                u = queue.popleft()
-                if u == self.sink:
-                    break
-                for arc in self._adj[u]:
-                    v = self._head[arc]
-                    if self._cap[arc] > 0 and parent[v] == -1:
-                        parent[v] = arc
-                        queue.append(v)
-            if parent[self.sink] == -1:
-                return value
-            self._augment(parent)
+        while self._push_path(self.source, last):
             value += 1
+        return value
 
     # -- min-cost flow of a fixed value (generic dimension) -----------------
 
@@ -333,14 +308,10 @@ class FlowNetwork:
         with residual capacity lies on an earlier augmenting path, all of
         whose nodes that search reached.
 
-        Each search starts with a zero phase over the tight arcs, those of
-        reduced cost 0, which the solve lists per node, in adjacency order and
-        whatever their capacity.  A search that leaves every reached node at
-        distance 0 moves no potential, so the lists stay exact; they are
-        rebuilt only after a search that left some node at a positive
-        distance.  The solve also keeps how many nodes the last search
-        reached (first, the nodes with a potential), which no later search
-        can exceed: an augmentation only reverses arcs between reached nodes.
+        The ``tight`` arcs, of reduced cost 0, are listed per node whatever
+        their capacity, and rebuilt only after a search that moved a
+        potential.  ``reach`` counts the nodes the last search reached, which
+        no later one exceeds: an augmentation only reverses arcs between them.
         """
         potential = [_INF] * self.size
         potential[self.source] = 0
@@ -354,19 +325,18 @@ class FlowNetwork:
                     if d < potential[v]:
                         potential[v] = d
 
-        self._reach = self.size - potential.count(_INF)
-        self._tight = self._tight_arcs(potential)
+        reach = self.size - potential.count(_INF)
+        tight = self._tight_arcs(potential)
         for _ in range(value):
-            dist, parent = self._forward_dijkstra(potential)
+            dist, parent = self._forward_dijkstra(potential, tight, reach)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
-            self._reach = self.size - dist.count(_INF)
-            if dist.count(0) < self._reach:  # some node was left at a positive distance
+            reach = self.size - dist.count(_INF)
+            if dist.count(0) < reach:  # some node was left at a positive distance
                 potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
-                self._tight = self._tight_arcs(potential)
-            self._augment(parent)
+                tight = self._tight_arcs(potential)
+            self._augment(parent, self.source, self.sink)
         self._potential = potential
-        del self._reach, self._tight  # search state, read only during the solve
 
     def _tight_arcs(self, potential: list[float]) -> list[list[int]]:
         """Per node with a potential, its arcs of reduced cost 0 in adjacency
@@ -377,16 +347,18 @@ class FlowNetwork:
             for u, p in enumerate(potential)
         ]
 
-    def _augment(self, parent: list[int] | dict[int, int], start: int = 0) -> None:
-        """Push one unit along the path from ``start`` (the source by default)
-        to the sink recorded in ``parent``."""
-        v = self.sink
+    def _augment(self, parent: list[int] | dict[int, int], start: int, end: int) -> None:
+        """Push one unit along the path from ``start`` to ``end`` recorded in
+        ``parent``."""
+        v = end
         while v != start:
             arc = parent[v]
             self._push(arc)
             v = self._head[arc ^ 1]
 
-    def _forward_dijkstra(self, potential: list[float]) -> tuple[list[float], list[int]]:
+    def _forward_dijkstra(
+        self, potential: list[float], tight: list[list[int]], reach: int
+    ) -> tuple[list[float], list[int]]:
         """Reduced-cost residual distances from the source, and the arc that
         last improved each node's distance.
 
@@ -400,18 +372,16 @@ class FlowNetwork:
         heap.  Every node the search enters has a potential (see
         :meth:`solve_min_cost`), so it reads no test for one.
 
-        Bucket 0 comes first, as a zero phase that follows only the tight
-        residual arcs of :meth:`solve_min_cost`'s lists.  It pops nodes in the
-        heap's order, the least id found and not yet popped: it scans split
-        indices upward, and a node found below the scan position waits in a
-        small heap, which goes first.  A node's parent is then the first tight
-        arc that reaches it, the arc that set its distance to 0 in the bucket
-        queue.  When the zero phase reaches as many nodes as the previous
-        search did, as in most successive-shortest-path steps here, it has
-        reached every node the source reaches, all at distance 0, and the
-        search ends there.  Otherwise :meth:`_bucket_pass` completes it.
+        Bucket 0 comes first, as a zero phase over the ``tight`` residual
+        arcs.  It pops nodes in the heap's order, the least id found and not
+        yet popped: it scans split indices upward, and a node found below the
+        scan position waits in a small heap, which goes first.  A node's
+        parent is then the first tight arc that reaches it, as in the bucket
+        queue.  When the zero phase reaches ``reach`` nodes, as in most
+        searches here, every distance is 0 and the search ends there;
+        otherwise :meth:`_bucket_pass` completes it.
         """
-        head, cap, tight = self._head, self._cap, self._tight
+        head, cap = self._head, self._cap
         push, pop = heapq.heappush, heapq.heappop
         dist = [_INF] * self.size
         parent = [-1] * self.size
@@ -437,17 +407,25 @@ class FlowNetwork:
                         parent[v] = arc
                         if v < scan:
                             push(below, v)
-        if len(zero) < self._reach:
-            self._bucket_pass(potential, dist, parent, zero)
+        if len(zero) < reach:
+            self._bucket_pass(potential, dist, parent, zero, cap, self._cost)
         return dist, parent
 
     def _bucket_pass(
-        self, potential: list[float], dist: list[float], parent: list[int], zero: list[int]
+        self,
+        potential: list[float],
+        dist: list[float],
+        parent: list[int],
+        zero: list[int],
+        cap: list[int],
+        cost: list[int],
     ) -> None:
-        """The rest of the bucket queue after the zero phase: every residual
-        arc of the ``zero`` nodes relaxed in their pop order, as bucket 0
-        relaxes them, then the buckets of positive distance."""
-        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        """The bucket queue from the ``zero`` nodes, settled at distance 0 in
+        this order, over the arcs with capacities ``cap`` and costs ``cost``:
+        every residual arc of theirs relaxed in their order, as bucket 0
+        relaxes them, then the buckets in ascending distance.  After the zero
+        phase ``zero`` holds every node at distance 0."""
+        head, adj = self._head, self._adj
         push, pop = heapq.heappush, heapq.heappop
         buckets: dict[float, list[int]] = {}  # distance -> heap of node ids
         keys: list[float] = []  # heap of the distances in ``buckets``
@@ -457,7 +435,7 @@ class FlowNetwork:
                 if cap[arc]:
                     v = head[arc]
                     nd = base + cost[arc] - potential[v]
-                    if nd < dist[v]:  # never 0: that node is in ``zero``
+                    if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = arc
                         if nd in buckets:
@@ -487,42 +465,6 @@ class FlowNetwork:
                             else:
                                 buckets[nd] = [v]
                                 push(keys, nd)
-
-    def _backward_dijkstra(self, potential: list[float]) -> list[float]:
-        """Reduced-cost residual distances to the sink: the bucket queue of
-        :meth:`_forward_dijkstra` walked backwards, arc ``a ^ 1`` entering
-        ``u`` from ``head[a]``.  Nodes without a potential, which no leader
-        reaches, are never entered.
-        """
-        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
-        push, pop = heapq.heappush, heapq.heappop
-        dist = [_INF] * self.size
-        dist[self.sink] = 0
-        buckets = {0: [self.sink]}
-        keys = [0]
-        while keys:
-            d = pop(keys)
-            bucket = buckets.pop(d)
-            while bucket:
-                u = pop(bucket)
-                if dist[u] < d:
-                    continue
-                base = d - potential[u]
-                for arc in adj[u]:
-                    v = head[arc]
-                    pv = potential[v]
-                    if cap[arc ^ 1] and pv < _INF:
-                        nd = base + cost[arc ^ 1] + pv
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            if nd == d:
-                                push(bucket, v)
-                            elif nd in buckets:
-                                push(buckets[nd], v)
-                            else:
-                                buckets[nd] = [v]
-                                push(keys, nd)
-        return dist
 
     # -- reading the solved flow --------------------------------------------
 
@@ -591,15 +533,23 @@ class FlowNetwork:
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.
 
-        One backward Dijkstra from the sink on the reduced costs of the
-        potentials :meth:`solve_min_cost` keeps, none negative on a residual
-        arc: each forward Dijkstra of the solve reaches the sink, and from it
-        every stem backwards and every node off the stems forwards, so every
-        node a leader reaches takes part in every potential update.  In-copies
-        no leader reaches have no potential and are left out.
+        A path to the sink is a path from it in the mirrored residual, whose
+        arc ``a`` has the capacity and cost of ``a ^ 1``: capacities swap in
+        pairs, and costs change sign.  The reduced cost of ``a ^ 1`` under
+        the potentials :meth:`solve_min_cost` keeps equals that of mirrored
+        ``a`` under their negation, none negative on a residual arc (every
+        node a leader reaches takes part in every potential update), so one
+        :meth:`_bucket_pass` from the sink finds every distance.  A node no
+        leader reaches has no potential, negated to -inf, so every arc into
+        it costs +inf and is never relaxed; its in-copy is left out.
         """
         potential = self._potential
-        dist = self._backward_dijkstra(potential)
+        cap = self._cap.copy()
+        cap[0::2], cap[1::2] = self._cap[1::2], self._cap[0::2]
+        cost = [-c for c in self._cost]
+        dist = [_INF] * self.size
+        dist[self.sink] = 0
+        self._bucket_pass([-p for p in potential], dist, [-1] * self.size, [self.sink], cap, cost)
         offset = potential[self.sink]
         return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
 

@@ -51,6 +51,15 @@ def random_dag(
     return random_layered_dag(config)
 
 
+def redrawn_leaders(rng: random.Random, dag: StructuredDag) -> StructuredDag:
+    """``dag`` with some of its source leaders dropped, which leaves nodes no
+    leader reaches, and up to two inner nodes promoted, which gives leaders
+    with in-edges."""
+    kept = rng.sample(sorted(dag.leaders), rng.randint(1, len(dag.leaders)))
+    others = sorted(dag.nodes - dag.leaders)
+    return dag.with_leaders(kept + rng.sample(others, rng.randint(0, min(2, len(others)))))
+
+
 def shaped_dag(
     depth: int, width: int, leaders: int, skip_prob: float, seed: int, edges: int = 3000
 ) -> StructuredDag:

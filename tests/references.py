@@ -213,8 +213,10 @@ def heap_dijkstra(
     net: FlowNetwork, potential: list[float], start: int, backward: bool = False
 ) -> tuple[list[float], list[int]]:
     """``FlowNetwork._forward_dijkstra`` from the source, or, when ``backward``,
-    ``FlowNetwork._backward_dijkstra`` to the sink, with one heap of
-    ``(distance, node)`` pairs; both skip every node without a potential."""
+    the distances to the sink that ``FlowNetwork.in_copy_distances_to_sink``
+    reads, with one heap of ``(distance, node)`` pairs: a backward search
+    follows arc ``a ^ 1`` into ``u`` from ``head[a]``.  Both skip every node
+    without a potential."""
     flip, sign = (1, -1) if backward else (0, 1)
     dist = [_INF] * net.size
     parent = [-1] * net.size

@@ -69,6 +69,10 @@ class TestValidate:
         assert str(raised.value) == "edges reference unknown nodes: [[2, 9]]"
 
 
+NODES3 = frozenset({1, 2, 3})
+ONE = np.int64(1)
+
+
 class TestConstruction:
     """A graph names only its own nodes: construction refuses any other id, so
     no route ever reads an edge or a leader outside the graph."""
@@ -115,12 +119,24 @@ class TestConstruction:
             (lambda: StructuredDag.of(3.9, [(1, 2), (2, 3)], [1]), "3.9"),
             (lambda: StructuredDag.of(3, [(1, 2), (2, 3)], [np.float64(1)]), repr(np.float64(1))),
             (lambda: StructuredDag.of(3, [(1, "2"), (2, 3)], [1]), "'2'"),
+            (lambda: StructuredDag(NODES3, frozenset({(1.0, 2), (2, 3)}), frozenset({1})), "1.0"),
+            (lambda: StructuredDag(NODES3, frozenset({(1, 2)}), frozenset({ONE})), repr(ONE)),
+            (lambda: StructuredDag(frozenset({1.0, 2}), frozenset(), frozenset({2})), "1.0"),
+            (lambda: StructuredDag.of(3, [(1, 2)], [1]).with_leaders([ONE]), repr(ONE)),
         ],
-        ids=["edge-float", "leader-float", "count-float", "leader-numpy-float", "edge-str"],
+        ids=[
+            "edge-float", "leader-float", "count-float", "leader-numpy-float", "edge-str",
+            "direct-edge-float", "direct-leader-numpy-int", "direct-node-float",
+            "with-leaders-numpy-int",
+        ],
     )
     def test_refuses_non_integral_values(self, build, value):
-        """Such a value was truncated: edge (1, 2.7) became (1, 2) and
-        leader 1.9 became 1, and a count of 3.9 built three nodes."""
+        """Through ``of`` such a value was truncated: edge (1, 2.7) became
+        (1, 2) and leader 1.9 became 1, and a count of 3.9 built three nodes.
+        Built directly, an id equal to a node passed every membership check:
+        with edge (1.0, 2) ``graph_to_json`` wrote ``[1.0, 2]`` and
+        ``export_dot`` wrote ``1.0 -> 2;``, and with leader ``np.int64(1)``
+        ``analyze`` failed with a ``TypeError`` writing its JSON."""
         with pytest.raises(InvalidGraphError) as raised:
             build()
         assert str(raised.value) == f"node count and ids must be integers, got {value}"

@@ -24,9 +24,10 @@ from fixednodes import (
     random_layered_dag,
     spread_widths,
     stem_family_violations,
+    validate,
 )
 from fixednodes.stems import FlowNetwork
-from randgraphs import random_dag, shaped_dag
+from randgraphs import random_dag, redrawn_leaders, shaped_dag
 from references import (
     enumerated_matched_sets,
     layer_coverages,
@@ -147,6 +148,21 @@ class TestOracleAgainstResolving:
             extra = rng.sample(inner, rng.randint(1, 2))
             self.assert_matches(dag.with_leaders(dag.leaders | set(extra)))
             checked += 1
+
+    def test_redrawn_leaders(self):
+        """1,000 graphs with redrawn leaders: some have nodes no leader
+        reaches, which have no potential, and some have leaders with in-edges."""
+        rng = random.Random(0x0AC2)
+        unreached = inner = 0
+        for _ in range(1000):
+            skip_prob = rng.choice([0.0, 0.3, 0.6])
+            dag = random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob)
+            dag = redrawn_leaders(rng, dag)
+            kinds = {violation.kind for violation in validate(dag)}
+            unreached += "unreachable" in kinds
+            inner += "leader-in-degree" in kinds
+            self.assert_matches(dag)
+        assert unreached >= 300 and inner >= 300
 
 
 class TestSingleLeader:
@@ -316,8 +332,8 @@ class TestLayeredSweep:
     @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6, 0.9])
     def test_repaired_units_on_random_dags(self, skip_prob, repairs):
         """500 graphs per skip probability, 2,000 in all, reach both outcomes
-        of a search: a unit rerouted through earlier stems, and a stem
-        retracted because no path exists."""
+        of a search: a unit rerouted through earlier stems, and a unit
+        retracted to the source because no path to the sink exists."""
         rng = random.Random(0x4E9A + int(skip_prob * 10))
         for _ in range(500):
             self.assert_matches(random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob))
@@ -349,21 +365,25 @@ class TestLayeredSweep:
     def test_a_unit_with_no_path_is_retracted(self, repairs, monkeypatch):
         """Three stranded units have no residual path to the sink through the
         open layers: 3 in layer 2, whose successors lie deeper, 4 in layer 3
-        and 7 in layer 4.  Their stems are retracted.  A search that entered
-        the source would send 4's unit back out along leader 3's free arc
-        into 6, and one that passed the bound would queue 6 and 7 from 3, so
-        either fails here."""
+        and 7 in layer 4.  Each goes back to the source, so the source sends
+        one unit fewer.  A search that expanded the source would send 4's
+        unit back out along leader 3's free arc into 6, and one that passed
+        the bound would queue 6 and 7 from 3, so either fails here."""
         dag = StructuredDag.of(
             8, [(1, 4), (2, 5), (3, 6), (3, 7), (4, 8), (5, 6), (5, 7), (6, 8)], [1, 2, 3]
         )
         retracted = []
-        retract = FlowNetwork._retract
+        push_path = FlowNetwork._push_path
 
-        def recorded(net, x):
-            retracted.append(net._ext_of_pos[(x - 1) // 2])
-            retract(net, x)
+        def recorded(net, start, last):
+            sent = sum(net._cap[arc ^ 1] for arc in net._adj[net.source])
+            found = push_path(net, start, last)
+            if start != net.source and not found:
+                assert sum(net._cap[arc ^ 1] for arc in net._adj[net.source]) == sent - 1
+                retracted.append(net._ext_of_pos[(start - 1) // 2])
+            return found
 
-        monkeypatch.setattr(FlowNetwork, "_retract", recorded)
+        monkeypatch.setattr(FlowNetwork, "_push_path", recorded)
         result = fixed_nodes_layered(dag)
         assert repairs == [
             (1, True, False), (2, True, False), (3, False, True),

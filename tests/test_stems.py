@@ -27,7 +27,7 @@ from fixednodes import (
     stem_family_violations,
 )
 from fixednodes.stems import FlowNetwork, _dimension_flow
-from randgraphs import random_dag, shaped_dag
+from randgraphs import random_dag, redrawn_leaders, shaped_dag
 from references import (
     LayerCoverage,
     all_matched_targets,
@@ -336,30 +336,30 @@ class TestEssentialityBeyondEnumeration:
 
 
 class TestFlowKernels:
-    """The zero-phase and bucket-queue Dijkstras, the seeded early-stopping
-    reverse search and the layer-local matched read against the plain kernels
-    in ``references``, on every call the oracle's solve and the layered sweep
-    make."""
+    """The zero-phase Dijkstra, the bucket pass the oracle runs from the sink
+    on the mirrored residual, the seeded early-stopping reverse search and the
+    layer-local matched read against the plain kernels in ``references``, on
+    every call the oracle's solve and the layered sweep make."""
 
     @staticmethod
     def assert_kernels_match(dags, monkeypatch):
         forward = FlowNetwork._forward_dijkstra
-        backward = FlowNetwork._backward_dijkstra
+        bucket_pass = FlowNetwork._bucket_pass
         reaching = FlowNetwork.targets_reaching_sink
         open_layer = FlowNetwork.open_layer
         calls = {"forward": 0, "backward": 0, "reaching": 0}
 
-        def checked_forward(net, potential):
-            got = forward(net, potential)
+        def checked_forward(net, potential, tight, reach):
+            got = forward(net, potential, tight, reach)
             assert got == heap_dijkstra(net, potential, net.source)
             calls["forward"] += 1
             return got
 
-        def checked_backward(net, potential):
-            got = backward(net, potential)
-            assert got == heap_dijkstra(net, potential, net.sink, backward=True)[0]
-            calls["backward"] += 1
-            return got
+        def checked_bucket_pass(net, potential, dist, parent, zero, cap, cost):
+            bucket_pass(net, potential, dist, parent, zero, cap, cost)
+            if zero[0] == net.sink:  # the oracle's pass; a forward one starts at the source
+                assert dist == heap_dijkstra(net, net._potential, net.sink, backward=True)[0]
+                calls["backward"] += 1
 
         def checked_reaching(net, targets):
             targets = frozenset(targets)
@@ -377,7 +377,7 @@ class TestFlowKernels:
                 assert net.targets_reaching_sink(targets) == residual_reaching_sink(net, targets)
 
         monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked_forward)
-        monkeypatch.setattr(FlowNetwork, "_backward_dijkstra", checked_backward)
+        monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked_bucket_pass)
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", checked_reaching)
         monkeypatch.setattr(FlowNetwork, "open_layer", checked_open_layer)
         for dag in dags:
@@ -403,6 +403,17 @@ class TestFlowKernels:
         dag = shaped_dag(*shape, seed=11)
         assert dag.node_count == 1000
         self.assert_kernels_match([dag], monkeypatch)
+
+    def test_redrawn_leaders(self, monkeypatch):
+        """Nodes no leader reaches have no potential; the oracle's pass never
+        enters them, as the heap skips them.  The layered route needs source
+        leaders, so graphs with a promoted inner node are left out."""
+        rng = random.Random(0x1EAF)
+        dags = [random_dag(rng, max_nodes=16, max_leaders=4) for _ in range(400)]
+        dags = [redrawn_leaders(rng, dag) for dag in dags]
+        dags = [dag for dag in dags if not any(dag.in_neighbors[x] for x in dag.leaders)]
+        assert sum(len(dag.leaders) < len(dag.source_layers[0]) for dag in dags) >= 75
+        self.assert_kernels_match(dags, monkeypatch)
 
     def test_reverse_searches_stay_near_the_newest_layer(self, monkeypatch):
         """On a deep graph whose edges join adjacent layers, the sweep's reverse
@@ -432,39 +443,45 @@ class TestFlowKernels:
         fixed_nodes_layered(dag)
         assert 0 < reads < 3 * (2 * dag.node_count + 2)
 
-    def test_saturated_source_skips_the_breadth_first_search(self, monkeypatch):
-        """With every source arc saturated no augmenting path can exist, so
-        ``max_flow`` returns before it builds its 2n+2 search list; on a deep
-        graph with four leaders, whose stranded units are all repaired in
-        place, that is every layer after the first.  Each search starts from
-        a ``deque`` holding only the source."""
+    def test_saturated_source_ends_the_search_at_the_source(self, monkeypatch):
+        """With every source arc saturated no augmenting path can exist, and
+        ``max_flow``'s one search pops only the source and reads only its
+        arcs; on a deep graph with four leaders, whose stranded units are all
+        repaired in place, that is every layer after the first.  Each search
+        from the source starts from a ``deque`` holding only it."""
         dag = shaped_dag(100, 10, 4, 0.0, seed=11)
-        searches = 0
+        searches = []  # the nodes each search from the source pops
 
-        def counting_deque(items=()):
-            nonlocal searches
-            items = list(items)
-            searches += items == [0]  # a breadth-first search from the source
-            return collections.deque(items)
+        class RecordingDeque(collections.deque):
+            def __init__(self, items=()):
+                super().__init__(items)
+                self.popped = []
+                if list(self) == [0]:
+                    searches.append(self.popped)
+
+            def popleft(self):
+                u = super().popleft()
+                self.popped.append(u)
+                return u
 
         max_flow = FlowNetwork.max_flow
-        skipped = []
+        saturated = []
 
         def counted(net, last=None):
-            saturated = not any(net._cap[arc] for arc in net._adj[net.source])
-            before = searches
+            full = not any(net._cap[arc] for arc in net._adj[net.source])
+            before = len(searches)
             value = max_flow(net, last)
-            if saturated:
-                assert searches == before and value == 0
-                skipped.append(last)
+            if full:
+                assert searches[before:] == [[0]] and value == 0
+                saturated.append(last)
             return value
 
-        monkeypatch.setattr(fixednodes.stems, "deque", counting_deque)
+        monkeypatch.setattr(fixednodes.stems, "deque", RecordingDeque)
         monkeypatch.setattr(FlowNetwork, "max_flow", counted)
         result = fixed_nodes_layered(dag)
         assert len(result.per_layer) == 100
         # layer 1 augments once per leader and ends with one failed search
-        assert len(skipped) == 99 and searches == 5
+        assert len(saturated) == 99 and len(searches) == 5 + 99
 
     def test_repair_and_max_flow_pop_few_nodes(self, monkeypatch):
         """On a deep skip graph the sweep's repairs and augmentations together
@@ -504,21 +521,23 @@ class TestZeroPhase:
 
     @pytest.fixture
     def searches(self, monkeypatch) -> list[bool]:
-        """One entry per forward search: whether it took the bucket pass.  Each
-        search is checked to read tight lists that hold exactly the arcs of
-        reduced cost 0 under the potentials it is given."""
+        """One entry per forward search: whether it took the bucket pass; the
+        oracle's pass from the sink is not counted.  Each search is checked to
+        read tight lists that hold exactly the arcs of reduced cost 0 under
+        the potentials it is given."""
         forward = FlowNetwork._forward_dijkstra
         bucket_pass = FlowNetwork._bucket_pass
         log: list[bool] = []
 
-        def checked(net, potential):
-            assert net._tight == tight_arcs(net, potential)
+        def checked(net, potential, tight, reach):
+            assert tight == tight_arcs(net, potential)
             log.append(False)
-            return forward(net, potential)
+            return forward(net, potential, tight, reach)
 
-        def counted(net, *args):
-            log[-1] = True
-            return bucket_pass(net, *args)
+        def counted(net, potential, dist, parent, zero, *arrays):
+            if zero[0] == net.source:
+                log[-1] = True
+            return bucket_pass(net, potential, dist, parent, zero, *arrays)
 
         monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked)
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", counted)
