@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .graph import StructuredDag
 
 
@@ -100,6 +98,8 @@ def spread_widths(depth: int, width: int, leader_count: int) -> tuple[int, ...]:
 
 def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
     """Draw a graph for the configuration; identical seeds give identical graphs."""
+    import numpy as np  # loaded only by the calls that draw
+
     rng = np.random.default_rng(config.seed)
     layers: list[list[int]] = []
     nxt = 1

@@ -12,15 +12,19 @@ that stream and depends only on the pattern, the seed and ``i``.  Draws are
 ranked in batches: their ``A`` matrices are stacked, the blocks built for the
 whole batch and one stacked SVD ranks them all, with a batch size set by n
 alone.  Each draw keeps its own rank and residuals, and the verdicts and the
-draw that ends sampling are those of ranking one draw at a time.
+draw that ends sampling are those of ranking one draw at a time.  numpy is
+imported by the functions that use it, so importing the package leaves it out.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InconclusiveError, InvalidGraphError
 from .graph import StructuredDag
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TRIALS = 50
 # Relative rank threshold: a singular value counts when it exceeds TOL times
@@ -62,6 +66,7 @@ def numeric_fixed_nodes(
     retry is a batch of one draw.  Per batch, only the draws at the batch's
     top rank are projected, so the floor is the one a fold in draw order gives.
     """
+    import numpy as np
     if trials < 1:
         raise ValueError("at least one trial is required")
     index, b = _pattern(dag)
@@ -104,6 +109,7 @@ def numeric_fixed_nodes(
 def _pattern(dag: StructuredDag) -> tuple[np.ndarray, np.ndarray]:
     """The flat positions ``(v-1)*n + u-1`` of the weights of ``A``, one per
     edge ``(u, v)`` in sorted order, and ``B``, one unit column per leader."""
+    import numpy as np
     if dag.nodes != frozenset(range(1, dag.node_count + 1)):
         raise InvalidGraphError("realizations need contiguous node ids 1..n")
     if not dag.leaders:
@@ -123,6 +129,7 @@ def _draw_weights(rng: np.random.Generator, count: int, edges: int) -> np.ndarra
     One double per weight gives magnitudes uniform in [0.5, 2.0] and a random
     sign; ``x == 0`` gives 0.5, so no weight is ever zero.
     """
+    import numpy as np
     span = _MAG_HIGH - _MAG_LOW
     x = rng.uniform(-span, span, size=(count, edges))
     w = np.abs(x)
@@ -144,6 +151,7 @@ def _column_spaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     stacked blocks ``(draws, n, K)``, by descending singular value, and their
     ranks, each the count of singular values above ``TOL`` times that draw's
     largest."""
+    import numpy as np
     u, s, _ = np.linalg.svd(_stack_blocks(a, b), full_matrices=False)
     return u, np.count_nonzero(s > TOL * s[:, :1], axis=1)
 
@@ -156,6 +164,7 @@ def _stack_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     draw's column space unchanged for any pattern; on a DAG it keeps about
     ``depth * |leaders|`` columns instead of ``n * |leaders|``.
     """
+    import numpy as np
     blocks = [np.broadcast_to(b, (len(a), *b.shape))]
     for _ in range(a.shape[1] - 1):
         block = a @ blocks[-1]

@@ -26,8 +26,9 @@ The sweep keeps one maximum flow and moves it down a layer at a time,
 starting the same search at each unit stranded by closing the layer above; the
 unit goes on to the sink if a residual path allows, and back to the source
 otherwise.  Every network over a graph shares the graph's one arc table and
-keeps only its own capacities.  The brute-force enumerator the tests check all
-three against lives in ``tests/references.py``.
+keeps only its own capacities; a node's out-copy, ``in -> out`` arc and sink
+arc lie at fixed offsets from its in-copy.  The brute-force enumerator the
+tests check all three against lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidGraphError
@@ -81,15 +82,16 @@ def stem_family_violations(dag: StructuredDag, family: StemFamily) -> list[str]:
 
 class _ArcTable(NamedTuple):
     """A graph's node-split arc arrays (see :class:`FlowNetwork`), built once
-    per graph and shared read-only by every network over it."""
+    per graph and shared read-only by every network over it.  A node's
+    out-copy is its in-copy + 1, and its ``in -> out`` and sink arcs are its
+    in-copy plus ``to_through`` and ``to_sink``."""
 
     layers: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]  # external id of each split pair, layer by layer
     bound: list[int]  # highest split index of layers 1..k, at k
     in_copy: dict[int, int]
-    out_copy: dict[int, int]
-    through: dict[int, int]  # the ``in -> out`` arc of each node
-    sink_arc: dict[int, int]
+    to_through: int
+    to_sink: int
     head: list[int]
     cost: list[int]
     cap: list[int]  # the capacities of a network as built
@@ -97,67 +99,44 @@ class _ArcTable(NamedTuple):
 
 
 def _build_arcs(dag: StructuredDag) -> _ArcTable:
-    """The arc table of ``dag``, built from slices and one pass over the edges.
+    """The arc table of ``dag``, built from one sequence of ``(tail, head)`` pairs.
 
-    Arc pairs come in four runs: the source arcs (leaders ascending), the
+    The pairs come in four runs: the source arcs (leaders ascending), the
     ``in -> out`` arcs (split order), the edge arcs (edges ascending) and the
-    sink arcs (nodes ascending).  Arc ``a`` is forward when even, and
-    ``a ^ 1`` is its reverse.  Each adjacency list holds its node's arcs in
-    arc order, the order every search reads them in.
+    sink arcs (split order).  Pair ``j`` is forward arc ``2j`` and reverse arc
+    ``2j + 1``; one pass over the pairs lists each node's arcs in arc order,
+    the order every search reads them in.  Only the sink's list depends on
+    where the sink arcs come, and no search depends on its order: each
+    out-copy has one arc from the sink, the searches that expand the sink
+    pop nodes by id, and the others never expand it.
     """
     label_layers(dag)  # raises on a cycle
     layers = dag.source_layers
     order = tuple(v for layer in layers for v in layer)
-    leaders, edges, nodes = sorted(dag.leaders), dag.sorted_edges, dag.sorted_nodes
-    n, m = len(order), len(edges)
+    n = len(order)
     sink = 2 * n + 1
     in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
-    out_copy = {v: 2 + 2 * i for i, v in enumerate(order)}
-    first_through = 2 * len(leaders)
-    first_edge = first_through + 2 * n
-    first_sink = first_edge + 2 * m
-    end = first_sink + 2 * n
-
-    head = [0] * end
-    head[0::2] = (
-        [in_copy[x] for x in leaders]
-        + list(range(2, sink, 2))
-        + [in_copy[v] for _, v in edges]
-        + [sink] * n
+    # one pass reads the pairs, each freed before the next is made, so the
+    # build adds no garbage-collection passes
+    pairs = chain(
+        ((0, in_copy[x]) for x in sorted(dag.leaders)),
+        ((x, x + 1) for x in range(1, sink, 2)),
+        ((in_copy[u] + 1, in_copy[v]) for u, v in dag.sorted_edges),
+        ((x, sink) for x in range(2, sink, 2)),
     )
-    head[1::2] = (
-        [0] * len(leaders)
-        + list(range(1, sink, 2))
-        + [out_copy[u] for u, _ in edges]
-        + [out_copy[v] for v in nodes]
-    )
-    cost = [0] * end
-    cost[first_through:first_edge:2] = [-1] * n
-    cost[first_through + 1 : first_edge : 2] = [1] * n
-    cap = [1, 0] * (first_sink // 2) + [0] * (2 * n)
-
-    through = {v: first_through + 2 * i for i, v in enumerate(order)}
-    sink_arc = {v: first_sink + 2 * j for j, v in enumerate(nodes)}
-    adj: list[list[int]] = [[]] * (sink + 1)  # every slot is replaced below
-    adj[0] = list(range(0, first_through, 2))
-    adj[sink] = list(range(first_sink + 1, end, 2))
-    # in-copies: source arc, in -> out arc, then the edges in, ascending by tail
-    adj[1:sink:2] = [[arc] for arc in range(first_through, first_edge, 2)]
-    for j, x in enumerate(leaders):
-        adj[in_copy[x]].insert(0, 2 * j + 1)
-    arc = first_edge + 1
-    for _, v in edges:
-        adj[in_copy[v]].append(arc)
-        arc += 2
-    # out-copies: in -> out arc, the edges out (one run of arcs), sink arc
-    runs = [*accumulate((2 * len(dag.out_neighbors[v]) for v in nodes), initial=first_edge)]
-    for v, start, stop in zip(nodes, runs, runs[1:]):
-        x = out_copy[v]
-        adj[x] = [first_through + x - 1, *range(start, stop, 2), sink_arc[v]]
+    head: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    for u, v in pairs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += v, u
+    to_through, to_sink = 2 * len(dag.leaders) - 1, len(head) - sink
+    cost = [0] * len(head)
+    cost[to_through + 1 : to_through + sink] = [-1, 1] * n
+    cap = [1, 0] * (len(head) // 2)
+    cap[to_sink + 1 :] = [0] * (2 * n)
     bound = [0, *accumulate(2 * len(layer) for layer in layers)]
-    return _ArcTable(
-        layers, order, bound, in_copy, out_copy, through, sink_arc, head, cost, cap, adj
-    )
+    return _ArcTable(layers, order, bound, in_copy, to_through, to_sink, head, cost, cap, adj)
 
 
 class FlowNetwork:
@@ -180,14 +159,14 @@ class FlowNetwork:
 
     The arcs, costs and adjacency lists are the graph's one arc table, shared
     by every network over it; a network owns only its capacities and its set
-    of open sink arcs.
+    of open sink arcs.  A node with in-copy ``x`` has out-copy ``x + 1``,
+    ``in -> out`` arc ``x + _to_through`` and sink arc ``x + _to_sink``.
     """
 
     def __init__(self, dag: StructuredDag):
         arcs = dag._arcs
         self._layers, self._ext_of_pos, self._bound = arcs.layers, arcs.order, arcs.bound
-        self._in, self._out = arcs.in_copy, arcs.out_copy
-        self._through, self._sink_arc = arcs.through, arcs.sink_arc
+        self._in, self._to_through, self._to_sink = arcs.in_copy, arcs.to_through, arcs.to_sink
         self._head, self._cost, self._adj = arcs.head, arcs.cost, arcs.adj
         self._blank = arcs.cap
         self.source = 0
@@ -209,7 +188,7 @@ class FlowNetwork:
     def open_sinks(self, nodes: Iterable[int]) -> None:
         """Give the sink arcs of ``nodes`` capacity one."""
         for v in nodes:
-            self._cap[self._sink_arc[v]] = 1
+            self._cap[self._in[v] + self._to_sink] = 1
             self._open.add(v)
 
     # -- plain max flow (layer coverage) ------------------------------------
@@ -227,12 +206,12 @@ class FlowNetwork:
         hi = self._bound[k]
         stranded = []
         for u in self._layers[k - 2] if k > 1 else ():
-            arc = self._sink_arc[u]
+            arc = self._in[u] + self._to_sink
             self._cap[arc] = 0
             self._open.discard(u)
             if self._cap[arc ^ 1]:
                 self._cap[arc ^ 1] = 0
-                stranded.append(self._out[u])
+                stranded.append(self._in[u] + 1)
         self.open_sinks(self._layers[k - 1])
         for x in stranded:
             self._carry_on(x, hi)
@@ -246,12 +225,10 @@ class FlowNetwork:
         head, cap = self._head, self._cap
         for arc in self._adj[x]:
             w = head[arc]
-            if arc % 2 == 0 and w <= hi:
-                v = self._ext_of_pos[w // 2]
-                if cap[self._through[v]]:
-                    for step in (arc, self._through[v], self._sink_arc[v]):
-                        self._push(step)
-                    return True
+            if arc % 2 == 0 and w <= hi and cap[w + self._to_through]:
+                for step in (arc, w + self._to_through, w + self._to_sink):
+                    self._push(step)
+                return True
         return self._push_path(x, hi)
 
     def _push_path(self, start: int, last: int) -> bool:
@@ -470,25 +447,17 @@ class FlowNetwork:
 
     def stems(self) -> StemFamily:
         """Decode the integral flow into leader-rooted node sequences."""
+        head, cap, adj = self._head, self._cap, self._adj
         found: list[tuple[int, ...]] = []
-        for arc in self._adj[self.source]:
-            if arc % 2 or not self._cap[arc ^ 1]:
-                continue
-            stem: list[int] = []
-            u = self._head[arc]
-            while u != self.sink:
-                pos = (u - 1) // 2
-                if u % 2 == 1:  # in-copy: record the node, cross to its out-copy
-                    stem.append(self._ext_of_pos[pos])
-                u = self._follow(u)
-            found.append(tuple(stem))
+        for arc in adj[self.source]:
+            if arc % 2 == 0 and cap[arc ^ 1]:
+                stem: list[int] = []
+                x = head[arc]
+                while x != self.sink:  # from in-copy x, the unit leaves x + 1 by one forward arc
+                    stem.append(self._ext_of_pos[x // 2])
+                    x = next(head[a] for a in adj[x + 1] if a % 2 == 0 and cap[a ^ 1])
+                found.append(tuple(stem))
         return StemFamily(tuple(sorted(found)))
-
-    def _follow(self, u: int) -> int:
-        for arc in self._adj[u]:
-            if arc % 2 == 0 and self._cap[arc ^ 1]:
-                return self._head[arc]
-        raise AssertionError("flow conservation broken while decoding stems")
 
     def matched_targets(self, nodes: Iterable[int]) -> frozenset[int]:
         """The ``nodes`` whose sink arc carries a unit.
@@ -496,7 +465,7 @@ class FlowNetwork:
         Only the sink arcs of ``nodes`` are read; in the layered sweep these
         are the newest layer's, the only sink arcs open there.
         """
-        return frozenset(v for v in nodes if self._cap[self._sink_arc[v] ^ 1])
+        return frozenset(v for v in nodes if self._cap[(self._in[v] + self._to_sink) ^ 1])
 
     def targets_reaching_sink(self, targets: Iterable[int]) -> frozenset[int]:
         """The ``targets`` whose out-copy reaches the sink in the residual network.
@@ -510,12 +479,12 @@ class FlowNetwork:
         stops as soon as every target is reached; a target is reported
         unreached only once the search is exhausted.
         """
-        out, head, cap, adj = self._out, self._head, self._cap, self._adj
+        in_copy, head, cap, adj = self._in, self._head, self._cap, self._adj
         targets = tuple(targets)
         state = bytearray(self.size)  # 1 marks a target not yet reached, 2 a reached node
         for v in targets:
-            state[out[v]] = 1
-        queue = deque(out[v] for v in self._open if cap[self._sink_arc[v]])
+            state[in_copy[v] + 1] = 1
+        queue = deque(in_copy[v] + 1 for v in self._open if cap[in_copy[v] + self._to_sink])
         for x in (self.sink, *queue):
             state[x] = 2
         missing = state.count(1)
@@ -528,7 +497,7 @@ class FlowNetwork:
                         missing -= state[u]
                         state[u] = 2
                         queue.append(u)
-        return frozenset(v for v in targets if state[out[v]] == 2)
+        return frozenset(v for v in targets if state[in_copy[v] + 1] == 2)
 
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.

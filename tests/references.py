@@ -138,6 +138,48 @@ def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> Fixe
     return replace(result, per_layer=tuple(enriched))
 
 
+def disjoint_stems_into(dag: StructuredDag, targets: Iterable[int]) -> int:
+    """How many of ``targets`` vertex-disjoint stems can end at (Menger): the
+    value of a unit-capacity flow found by depth-first augmenting paths on
+    the node-split graph, kept as a dict of residual capacities."""
+    residual: dict[tuple[object, object], int] = {}
+    neighbors: dict[object, set[object]] = {}
+
+    def add(a: object, b: object) -> None:
+        residual[a, b] = residual.get((a, b), 0) + 1
+        residual.setdefault((b, a), 0)
+        neighbors.setdefault(a, set()).add(b)
+        neighbors.setdefault(b, set()).add(a)
+
+    for v in dag.nodes:
+        add(("in", v), ("out", v))
+    for u, v in dag.edges:
+        add(("out", u), ("in", v))
+    for x in dag.leaders:
+        add("source", ("in", x))
+    for t in targets:
+        add(("out", t), "sink")
+    flow = 0
+    while True:
+        parent: dict[object, object] = {"source": None}
+        stack: list[object] = ["source"]
+        while stack and "sink" not in parent:
+            a = stack.pop()
+            for b in neighbors.get(a, ()):
+                if b not in parent and residual[a, b]:
+                    parent[b] = a
+                    stack.append(b)
+        if "sink" not in parent:
+            return flow
+        b = "sink"
+        while parent[b] is not None:
+            a = parent[b]
+            residual[a, b] -= 1
+            residual[b, a] += 1
+            b = a
+        flow += 1
+
+
 def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
     """The fixed-node definition applied literally: promote each non-leader to
     a leader, solve the generic dimension again, and keep the nodes where it
@@ -149,6 +191,18 @@ def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
         if probed == base_dim:
             fixed.add(v)
     return FixedNodeResult(frozenset(fixed), ())
+
+
+def peeled_layers(edges: list[list[int]], n: int) -> list[list[int]]:
+    """Source peeling by longest path: a node's layer is one more than the
+    deepest of its predecessors', 1 for a source."""
+    layer: dict[int, int] = {}
+    while len(layer) < n:
+        for v in range(1, n + 1):
+            preds = [u for u, w in edges if w == v]
+            if v not in layer and all(u in layer for u in preds):
+                layer[v] = 1 + max((layer[u] for u in preds), default=0)
+    return [sorted(v for v in layer if layer[v] == k) for k in range(1, max(layer.values()) + 1)]
 
 
 def singleton_layer_nodes(dag: StructuredDag) -> frozenset[int]:
@@ -207,6 +261,42 @@ def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
 
 
 # -- flow kernels: the plain versions the FlowNetwork methods are checked against
+
+
+def arcs_one_at_a_time(
+    dag: StructuredDag,
+) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """``head``, ``cost``, initial ``cap`` and adjacency lists of the
+    node-split graph, each arc pair added by ``add_arc``: the source arcs
+    (leaders ascending), the ``in -> out`` arcs (layer by layer, ids
+    ascending), the edge arcs (edges ascending) and the closed sink arcs
+    (nodes ascending).  Arc ``a`` is forward when even, ``a ^ 1`` its reverse."""
+    order = [v for layer in label_layers(dag).layers for v in sorted(layer)]
+    in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
+    out_copy = {v: 2 + 2 * i for i, v in enumerate(order)}
+    sink = 2 * len(order) + 1
+    head: list[int] = []
+    cost: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+
+    def add_arc(u: int, v: int, arc_cost: int, arc_cap: int = 1) -> None:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head.extend((v, u))
+        cost.extend((arc_cost, -arc_cost))
+        cap.extend((arc_cap, 0))
+
+    for leader in sorted(dag.leaders):
+        add_arc(0, in_copy[leader], 0)
+    for v in order:
+        add_arc(in_copy[v], out_copy[v], -1)
+    for u, v in sorted(dag.edges):
+        add_arc(out_copy[u], in_copy[v], 0)
+    for v in sorted(dag.nodes):
+        add_arc(out_copy[v], sink, 0, 0)
+    return head, cost, cap, adj
+
 
 
 def heap_dijkstra(
@@ -269,12 +359,12 @@ def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozense
             if net._cap[arc ^ 1] > 0 and not reached[u]:
                 reached[u] = True
                 stack.append(u)
-    return frozenset(v for v in targets if reached[net._out[v]])
+    return frozenset(v for v in targets if reached[net._in[v] + 1])
 
 
 def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
     """Every node whose sink arc carries a unit, read over all sink arcs."""
-    return frozenset(v for v, arc in net._sink_arc.items() if net._cap[arc ^ 1])
+    return frozenset(v for v, x in net._in.items() if net._cap[(x + net._to_sink) ^ 1])
 
 
 # -- numeric route: one draw at a time

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +524,33 @@ class TestDeterminism:
         _, first_dot, _ = run(capsys, "export-dot", path)
         _, second_dot, _ = run(capsys, "export-dot", path)
         assert first_dot == second_dot
+
+
+class TestNumpyOffTheCombinatorialPath:
+    """A cold process that runs a command which never samples weights does
+    not import numpy."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("label",), ("dim",), ("export-dot", "--method", "layered"), ("fixed", "--method", "oracle")],
+        ids=" ".join,
+    )
+    def test_command_leaves_numpy_unloaded(self, argv):
+        src = str(Path(fixednodes.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        script = (
+            "import sys\n"
+            "from fixednodes.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+        )
+        graph = str(DATA / "pair13.graph.json")
+        done = subprocess.run(
+            [sys.executable, "-c", script, argv[0], graph, *argv[1:]],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stderr.split() == ["False", "0"]
 
 
 class TestDump:

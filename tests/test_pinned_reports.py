@@ -8,7 +8,9 @@ layer-skipping counterexamples, the criterion-6 instance
 n=200 skip graph (``gen --p 10 --width 20 --edges 400 --leaders 10 --seed 7
 --skip-prob 0.3``).  The two generated graph files are pinned too, which
 keeps ``gen`` output byte-stable.  A refactor that changes any verdict, tag,
-witness or ordering fails here.
+witness or ordering fails here.  A byte pin cannot tell a right re-pin from
+a wrong one, so every pinned report is also checked for soundness against the
+slow references of ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,24 @@ from pathlib import Path
 
 import pytest
 
-from fixednodes import analyze, graph_from_json, graph_to_json, report_to_json_dict
+from fixednodes import (
+    FixedNodeResult,
+    LayerReport,
+    StemFamily,
+    analyze,
+    graph_from_json,
+    graph_to_json,
+    report_to_json_dict,
+    stem_family_violations,
+)
 from fixednodes.cli import main
+from references import (
+    disjoint_stems_into,
+    enumerated_matched_sets,
+    exhaustive_dimension,
+    peeled_layers,
+    resolving_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,3 +101,55 @@ def test_equal_inputs_give_equal_reports(graph):
 def test_generated_graph_is_byte_identical(graph, capsys):
     out = cli_stdout(capsys, "gen", *GENERATED[graph])
     assert out == (DATA / f"{graph}.graph.json").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pinned_report_is_sound(case):
+    """Each pinned report states the truth by the slow references: its
+    labeling, a valid witness of ``generic_dim`` nodes, that dimension by
+    exhaustive search (n <= 15), fixed sets equal to the literal
+    definition's, each layer's ``mu`` by augmenting paths and its matched
+    sets by enumeration (n <= 15), the layer's fixed nodes as those whose
+    removal lowers ``mu``, less the nodes the witness leaves uncovered, and
+    ``consistent``."""
+    graph, _ = CASES[case]
+    text = (DATA / f"{graph}.graph.json").read_text()
+    dag = graph_from_json(text)
+    report = json.loads((DATA / f"{case}.report.json").read_text())
+    methods = report["methods"]
+    small = dag.node_count <= 15
+
+    assert report["labeling"]["layers"] == peeled_layers(json.loads(text)["edges"], dag.node_count)
+    witness = StemFamily(tuple(map(tuple, report["witness"])))
+    assert not stem_family_violations(dag, witness)
+    assert len(witness.covered) == report["generic_dim"]
+    if small:
+        assert report["generic_dim"] == exhaustive_dimension(dag)
+    for name in ("oracle", "numeric"):
+        if name in methods:
+            assert methods[name]["fixed"] == sorted(resolving_oracle(dag).fixed_nodes)
+
+    layers = methods["layered"]["layers"]
+    uncovered = dag.nodes - witness.covered
+    for layer in layers:
+        targets = set(layer["targets"])
+        mu = disjoint_stems_into(dag, targets)
+        essential = {v for v in targets if disjoint_stems_into(dag, targets - {v}) < mu}
+        assert layer["mu"] == mu
+        assert layer["fixed"] == sorted(essential - uncovered)
+    assert methods["layered"]["fixed"] == sorted({v for layer in layers for v in layer["fixed"]})
+    if small:
+        pinned = FixedNodeResult(
+            frozenset(methods["layered"]["fixed"]),
+            tuple(
+                LayerReport(
+                    layer["layer"], frozenset(layer["targets"]), layer["mu"],
+                    frozenset(layer["fixed"]), layer["fast_path"],
+                )
+                for layer in layers
+            ),
+        )
+        for layer, ref in zip(layers, enumerated_matched_sets(dag, pinned).per_layer, strict=True):
+            assert layer["matched_sets"] == [sorted(m) for m in ref.matched_sets]
+            assert layer["fast_path"] == ref.fast_path
+    assert report["consistent"] == (len({tuple(m["fixed"]) for m in methods.values()}) == 1)

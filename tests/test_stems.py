@@ -26,11 +26,12 @@ from fixednodes import (
     spread_widths,
     stem_family_violations,
 )
-from fixednodes.stems import FlowNetwork, _dimension_flow
+from fixednodes.stems import FlowNetwork, _build_arcs, _dimension_flow
 from randgraphs import random_dag, redrawn_leaders, shaped_dag
 from references import (
     LayerCoverage,
     all_matched_targets,
+    arcs_one_at_a_time,
     enumerate_max_families,
     exhaustive_dimension,
     heap_dijkstra,
@@ -621,8 +622,61 @@ class TestArcTable:
         second, third = FlowNetwork(dag), FlowNetwork(dag)
         assert built == [dag]
         flow = _dimension_flow(dag)
-        for name in ("_adj", "_head", "_cost", "_in", "_out", "_sink_arc"):
+        for name in ("_adj", "_head", "_cost", "_in", "_to_through", "_to_sink"):
             assert getattr(second, name) is getattr(third, name) is getattr(flow, name)
+
+    @staticmethod
+    def arc_lists(head, cost, cap, adj):
+        """Per node, ``(head, cost, initial capacity, forward)`` of each of
+        its arcs, in adjacency order."""
+        return [[(head[a], cost[a], cap[a], a % 2 == 0) for a in arcs] for arcs in adj]
+
+    @staticmethod
+    def table_graphs():
+        rng = random.Random(0xA4C5)
+        yield from (graph_from_json((DATA / f"{name}.graph.json").read_text()) for name in PINNED)
+        for p in (0.0, 0.3, 0.6, 0.9):
+            yield from (random_dag(rng, max_nodes=16, skip_prob=p) for _ in range(250))
+        yield shaped_dag(100, 10, 4, 0.3, seed=5)
+        yield shaped_dag(20, 50, 25, 0.3, seed=5)
+
+    def test_table_matches_the_arc_by_arc_builder(self):
+        """Every adjacency list but the sink's lists the arcs of the builder
+        that adds one arc pair at a time, in its order; the sink's holds the
+        same arcs.  Each node's out-copy, ``in -> out`` arc and sink arc sit
+        at the table's offsets from its in-copy."""
+        for dag in self.table_graphs():
+            table = _build_arcs(dag)
+            got = self.arc_lists(table.head, table.cost, table.cap, table.adj)
+            want = self.arc_lists(*arcs_one_at_a_time(dag))
+            assert got[:-1] == want[:-1]
+            assert sorted(got[-1]) == sorted(want[-1])
+            sink = len(table.adj) - 1
+            for x in table.in_copy.values():
+                through, to_sink = x + table.to_through, x + table.to_sink
+                assert (table.head[through ^ 1], table.head[through]) == (x, x + 1)
+                assert (table.head[to_sink ^ 1], table.head[to_sink]) == (x + 1, sink)
+                assert table.cost[through] == -1 and table.cap[to_sink] == 0
+
+    def test_answers_do_not_depend_on_the_sink_arc_order(self):
+        """Witness stems, oracle distances and layered reports stay the same
+        with the sink's adjacency list reversed."""
+        rng = random.Random(0x51C4)
+        dags = [g.dag for g in goldens.GOLDENS]
+        dags += [random_dag(rng, max_nodes=16, skip_prob=p) for p in (0.0, 0.3, 0.6) for _ in range(60)]
+        dags += [shaped_dag(100, 10, 4, 0.0, seed=3), shaped_dag(20, 50, 25, 0.3, seed=3)]
+        for dag in dags:
+            flipped = dag.with_leaders(dag.leaders)
+            flipped._arcs.adj[-1].reverse()
+            answers = [
+                (
+                    generic_dimension(g),
+                    _dimension_flow(g).in_copy_distances_to_sink(),
+                    fixed_nodes_layered(g),
+                )
+                for g in (dag, flipped)
+            ]
+            assert answers[0] == answers[1]
 
     def test_networks_keep_their_own_capacities(self, pair13):
         dag = pair13.dag.with_leaders(pair13.dag.leaders)
