@@ -5,6 +5,16 @@ every deeper node receives one backbone edge from the directly preceding
 layer (influenceability and the intended layer widths follow), and extra
 edges only ever point to deeper layers.
 
+Extra edges come from two pools of candidate pairs, adjacent and skipping,
+that are never listed.  A ``_VirtualPool`` numbers its pairs as the listed
+pool would, layer pair by layer pair, and stores only the positions already
+taken, so the random stream, and with it every graph, is the listed pools'
+(the slow reference ``pooled_layered_dag`` in ``tests/references.py``
+lists them).  In ``edge_count`` mode each extra edge costs
+O(log blocks + removed pairs in its block), where a block is one layer pair;
+``edge_prob`` mode still draws one uniform per candidate pair, but in chunks
+of bounded memory.
+
 Layer-skipping extras are off by default.  They produce perfectly valid DAGs,
 but on such graphs the layered fixed-node criterion loses its equivalence
 with the add-a-leader oracle, so the safe default keeps generated instances
@@ -13,6 +23,7 @@ inside the domain where all methods agree.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -97,29 +108,39 @@ def spread_widths(depth: int, width: int, leader_count: int) -> tuple[int, ...]:
 
 
 def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
-    """Draw a graph for the configuration; identical seeds give identical graphs."""
+    """Draw a graph for the configuration; identical seeds give identical graphs.
+
+    The stream is that of two listed pools, adjacent and skipping pairs in
+    ``_layer_pairs()`` order and u-major inside a layer pair, the backbone
+    left out: ``edge_count`` pops a uniform index from one pool per extra
+    edge, ``edge_prob`` keeps each pair of a pool on one uniform.  Each
+    pool is a ``_VirtualPool`` instead, which gives the same pairs for the
+    same numbers without listing any.
+    """
     import numpy as np  # loaded only by the calls that draw
 
     rng = np.random.default_rng(config.seed)
-    layers: list[list[int]] = []
-    nxt = 1
-    for w in config.widths:
-        layers.append(list(range(nxt, nxt + w)))
-        nxt += w
+    widths = config.widths
+    firsts = [1]
+    for w in widths:
+        firsts.append(firsts[-1] + w)
 
     edges: set[tuple[int, int]] = set()
+    backbone: list[list[int]] = [[]]
     for k in range(1, config.depth):
-        for v in layers[k]:
-            u = layers[k - 1][int(rng.integers(len(layers[k - 1])))]
-            edges.add((u, v))
+        taken = []
+        for iv in range(widths[k]):
+            iu = int(rng.integers(widths[k - 1]))
+            edges.add((firsts[k - 1] + iu, firsts[k] + iv))
+            taken.append(iu * widths[k] + iv)
+        backbone.append(sorted(taken))
 
-    adjacent: list[tuple[int, int]] = []
-    skipping: list[tuple[int, int]] = []
+    blocks: tuple[list[_Block], list[_Block]] = ([], [])  # adjacent, skipping
     for a, b in config._layer_pairs():
-        pool = adjacent if b == a + 1 else skipping
-        pool.extend(
-            (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
-        )
+        skips = b > a + 1
+        removed = [] if skips else backbone[b]
+        blocks[skips].append((firsts[a], firsts[b], widths[a] * widths[b], widths[b], removed))
+    adjacent, skipping = map(_VirtualPool, blocks)
 
     if config.edge_count is not None:
         for _ in range(config.edge_count - len(edges)):
@@ -136,7 +157,84 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
         ):
             if prob <= 0.0:
                 continue
-            keep = rng.random(len(pool)) < prob
-            edges.update(e for e, take in zip(pool, keep) if take)
+            edges.update(pool.sample(rng, prob))
 
-    return StructuredDag.of(nxt - 1, edges, layers[0])
+    return StructuredDag.of(firsts[-1] - 1, edges, range(1, firsts[1]))
+
+
+# One layer pair's candidates: first u, first v, pair count, width of v's
+# layer, and the ascending positions ``iu * w_v + iv`` no longer in the pool.
+_Block = tuple[int, int, int, int, list[int]]
+
+_CHUNK = 1 << 16  # uniforms per draw in edge_prob mode: 512 KB of doubles
+
+
+class _VirtualPool:
+    """The remaining pairs of a run of blocks, numbered as if listed block by
+    block and u-major inside a block, without listing them.
+
+    A Fenwick tree over the blocks' remaining counts finds the block that
+    holds the i-th remaining pair.  Inside it, the i-th remaining position p
+    is the least fixpoint of ``p = i + #(removed <= p)``, reached by
+    bisecting the removed list from ``p = i``.  So ``pop(i)`` returns what
+    ``list.pop(i)`` on the listed pool would.
+    """
+
+    def __init__(self, blocks: list[_Block]):
+        self.blocks = blocks
+        self.tree = tree = [0] + [count - len(removed) for _, _, count, _, removed in blocks]
+        self.size = sum(tree)
+        for i in range(1, len(tree)):
+            up = i + (i & -i)
+            if up < len(tree):
+                tree[up] += tree[i]
+        self.top = 1 << len(blocks).bit_length() >> 1  # highest power of 2 <= len(blocks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def pop(self, i: int) -> tuple[int, int]:
+        tree, end = self.tree, len(self.tree)
+        block, step = 0, self.top
+        while step:
+            if block + step < end and tree[block + step] <= i:
+                block += step
+                i -= tree[block]
+            step >>= 1
+        first_u, first_v, _, w_v, removed = self.blocks[block]
+        p = i + bisect_right(removed, i)
+        while (q := i + bisect_right(removed, p)) != p:
+            p = q
+        insort(removed, p)
+        self.size -= 1
+        block += 1
+        while block < end:
+            tree[block] -= 1
+            block += block & -block
+        iu, iv = divmod(p, w_v)
+        return first_u + iu, first_v + iv
+
+    def sample(self, rng, prob: float) -> Iterator[tuple[int, int]]:
+        """Each remaining pair with probability ``prob``: one uniform per pair
+        in pool order, drawn ``_CHUNK`` at a time."""
+        import numpy as np
+
+        if not self.size:
+            return
+        firsts_u, firsts_v, counts, w_v = (
+            np.array(column, dtype=np.int64) for column in list(zip(*self.blocks))[:4]
+        )
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        gone = np.array(
+            [s + p for s, (*_, removed) in zip(starts.tolist(), self.blocks) for p in removed],
+            dtype=np.int64,
+        )
+        # the k-th removed position has gone[k] - k remaining pairs before it
+        gone -= np.arange(len(gone))
+        for lo in range(0, self.size, _CHUNK):
+            rank = lo + np.flatnonzero(rng.random(min(_CHUNK, self.size - lo)) < prob)
+            at = rank + np.searchsorted(gone, rank, side="right")
+            block = np.searchsorted(ends, at, side="right")
+            iu, iv = np.divmod(at - starts[block], w_v[block])
+            yield from zip((firsts_u[block] + iu).tolist(), (firsts_v[block] + iv).tolist())

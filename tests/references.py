@@ -12,6 +12,7 @@ import numpy as np
 import fixednodes.numeric
 from fixednodes import (
     FixedNodeResult,
+    GeneratorConfig,
     InconclusiveError,
     InvalidGraphError,
     LayerLabeling,
@@ -459,3 +460,51 @@ def per_draw_numeric_fixed_nodes(
     if expected_dim is not None and top < expected_dim:
         raise InconclusiveError(f"no draw reached rank {expected_dim} in {budget} trials")
     return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)
+
+
+# -- the generator with its candidate pools listed
+
+
+def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
+    """``random_layered_dag`` with both pools listed and drawn by
+    ``list.pop``: the stream every generated graph is pinned to."""
+    rng = np.random.default_rng(config.seed)
+    layers: list[list[int]] = []
+    nxt = 1
+    for w in config.widths:
+        layers.append(list(range(nxt, nxt + w)))
+        nxt += w
+
+    edges: set[tuple[int, int]] = set()
+    for k in range(1, config.depth):
+        for v in layers[k]:
+            u = layers[k - 1][int(rng.integers(len(layers[k - 1])))]
+            edges.add((u, v))
+
+    adjacent: list[tuple[int, int]] = []
+    skipping: list[tuple[int, int]] = []
+    for a, b in config._layer_pairs():
+        pool = adjacent if b == a + 1 else skipping
+        pool.extend(
+            (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
+        )
+
+    if config.edge_count is not None:
+        for _ in range(config.edge_count - len(edges)):
+            want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
+            pool = skipping if want_skip else adjacent
+            if not pool:
+                pool = adjacent or skipping
+            edge = pool.pop(int(rng.integers(len(pool))))
+            edges.add(edge)
+    else:
+        for pool, prob in (
+            (adjacent, config.edge_prob),
+            (skipping, config.edge_prob * config.skip_layer_prob),
+        ):
+            if prob <= 0.0:
+                continue
+            keep = rng.random(len(pool)) < prob
+            edges.update(e for e, take in zip(pool, keep) if take)
+
+    return StructuredDag.of(nxt - 1, edges, layers[0])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,8 @@ from fixednodes import (
     spread_widths,
     validate,
 )
+from fixednodes.cli import main
+from references import pooled_layered_dag
 
 
 def test_identical_seeds_identical_graphs():
@@ -143,3 +146,75 @@ def test_spread_widths_pins_leaders_and_total():
     assert sum(spread_widths(5, 7, 3)) == 35
     with pytest.raises(ValueError):
         spread_widths(1, 10, 4)
+
+
+def random_config(rng: random.Random) -> GeneratorConfig:
+    """Depth 1-6, widths 1-5, skip 0, 0.3 or 1.0, and either an edge count
+    (a third of them the maximum, which drains both pools) or an edge
+    probability."""
+    leaders = rng.randint(1, 4)
+    widths = (leaders,) + tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 5)))
+    shape = dict(
+        depth=len(widths),
+        widths=widths,
+        leader_count=leaders,
+        seed=rng.randrange(2**32),
+        skip_layer_prob=rng.choice([0.0, 0.3, 1.0]),
+    )
+    if rng.random() < 0.5:
+        return GeneratorConfig(**shape, edge_prob=rng.choice([0.0, 0.2, 0.7, 1.0]))
+    backbone = sum(widths) - leaders
+    most = GeneratorConfig(**shape, edge_count=backbone)._max_edges()
+    edge_count = rng.choice([most, backbone, rng.randint(backbone, most)])
+    return GeneratorConfig(**shape, edge_count=edge_count)
+
+
+def test_virtual_pools_draw_the_listed_pools_graphs():
+    rng = random.Random(21)
+    configs = [random_config(rng) for _ in range(1500)]
+    for config in configs:
+        assert graph_to_json(random_layered_dag(config)) == graph_to_json(pooled_layered_dag(config))
+    drained = [c for c in configs if c.edge_count is not None and c.edge_count == c._max_edges()]
+    assert sum(c.skip_layer_prob > 0.0 and c.depth > 2 for c in drained) >= 100
+    assert sum(c.edge_prob is not None and c.skip_layer_prob > 0.0 for c in configs) >= 200
+    assert sum(1 in c.widths[1:] for c in configs) >= 500
+
+
+@pytest.mark.parametrize("density", [dict(edge_count=3000 + 50), dict(edge_prob=2e-5)])
+def test_no_candidate_pool_is_listed(density):
+    """About 2.25M candidate pairs, 3000 backbone edges and few extras: a
+    listed pool holds every pair as a tuple (hundreds of MB), the virtual
+    one only the positions it left out."""
+    config = GeneratorConfig(3, (2, 1500, 1500), 2, seed=3, skip_layer_prob=0.3, **density)
+    tracemalloc.start()
+    try:
+        random_layered_dag(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+_SCALE = {
+    "deep-n10000": (
+        ("--p", "250", "--width", "40", "--leaders", "40", "--edges", "30000", "--seed", "7"),
+        "65238267947520a751444eed64dae83b6a888370fdc54295404760d7bb0aa4a4",
+    ),
+    "wide-n5000-skip": (
+        (
+            "--p", "20", "--width", "250", "--leaders", "125", "--edges", "15000",
+            "--seed", "7", "--skip-prob", "0.3",
+        ),
+        "ec2bce1e365c657c40565850ae8c566deb15066f025062926c8557ccb82e05c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE))
+def test_large_generated_graph_is_pinned(name, capsys):
+    """``gen`` output well past the bench's sizes: the deep n=10^4 graph draws
+    20,000 extras from 249 adjacent layer pairs, and the wide n=5000 skip
+    graph about 3,000 of its extras from 171 skipping layer pairs."""
+    argv, digest = _SCALE[name]
+    assert main(["gen", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

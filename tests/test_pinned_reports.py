@@ -10,12 +10,16 @@ n=200 skip graph (``gen --p 10 --width 20 --edges 400 --leaders 10 --seed 7
 keeps ``gen`` output byte-stable.  A refactor that changes any verdict, tag,
 witness or ordering fails here.  A byte pin cannot tell a right re-pin from
 a wrong one, so every pinned report is also checked for soundness against the
-slow references of ``tests/references.py``.
+slow references of ``tests/references.py``.  ``tests/data/repin.py``
+rewrites every pin with the current program; a test here checks that it
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ from fixednodes import (
     LayerReport,
     StemFamily,
     analyze,
+    graph_digest,
     graph_from_json,
     graph_to_json,
     report_to_json_dict,
@@ -103,15 +108,27 @@ def test_generated_graph_is_byte_identical(graph, capsys):
     assert out == (DATA / f"{graph}.graph.json").read_text()
 
 
+def test_repin_script_reproduces_every_pin(tmp_path):
+    """``tests/data/repin.py`` writes every ``GENERATED`` graph and ``CASES``
+    report, byte for byte the files checked in here."""
+    subprocess.run([sys.executable, str(DATA / "repin.py"), str(tmp_path)], check=True)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(
+        [f"{name}.graph.json" for name in GENERATED] + [f"{case}.report.json" for case in CASES]
+    )
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pinned_report_is_sound(case):
-    """Each pinned report states the truth by the slow references: its
-    labeling, a valid witness of ``generic_dim`` nodes, that dimension by
-    exhaustive search (n <= 15), fixed sets equal to the literal
-    definition's, each layer's ``mu`` by augmenting paths and its matched
-    sets by enumeration (n <= 15), the layer's fixed nodes as those whose
-    removal lowers ``mu``, less the nodes the witness leaves uncovered, and
-    ``consistent``."""
+    """Each pinned report states the truth by the slow references: the
+    digest of its graph, its labeling, a valid witness of ``generic_dim``
+    nodes, that dimension by exhaustive search (n <= 15), fixed sets equal to
+    the literal definition's, each layer's ``mu`` by augmenting paths and its
+    matched sets by enumeration (n <= 15), the layer's fixed nodes as those
+    whose removal lowers ``mu``, less the nodes the witness leaves uncovered,
+    and ``consistent``."""
     graph, _ = CASES[case]
     text = (DATA / f"{graph}.graph.json").read_text()
     dag = graph_from_json(text)
@@ -119,6 +136,7 @@ def test_pinned_report_is_sound(case):
     methods = report["methods"]
     small = dag.node_count <= 15
 
+    assert report["digest"] == graph_digest(dag)
     assert report["labeling"]["layers"] == peeled_layers(json.loads(text)["edges"], dag.node_count)
     witness = StemFamily(tuple(map(tuple, report["witness"])))
     assert not stem_family_violations(dag, witness)
