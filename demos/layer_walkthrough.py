@@ -25,21 +25,24 @@ print(f"hierarchy depth {labeling.depth}:")
 for k, layer in enumerate(labeling.layers, start=1):
     print(f"  layer {k}: {sorted(layer)}")
 
+dim = generic_dimension(dag)[0]
 print()
 print("Per layer: disjoint leader-rooted paths try to cover as many layer")
-print("nodes as possible; a node that appears in EVERY maximum matched set")
-print("stays controllable no matter how the edge weights vary.")
-print("A set of layer nodes is a maximum matched set when a max flow into")
-print("exactly those nodes reaches the layer's max coverage; the layered")
-print("search lists these sets itself on graphs of at most 15 nodes.")
+print("nodes as possible (the layer's max coverage, mu); a node that appears")
+print("in EVERY maximum matched set stays controllable no matter how the edge")
+print("weights vary.  The layered search decides this from one flow per layer,")
+print("without listing the sets; fast_path names the rule that decided.")
+print("Each verdict is then checked against the definition: v is fixed iff")
+print("promoting v to a leader leaves the generic dimension unchanged.")
 result = fixed_nodes_layered(dag)
 for report in result.per_layer:
-    k, layer = report.layer_index, report.targets
-    pinned = layer.intersection(*report.matched_sets)
-    print(f"\nlayer {k}: targets {sorted(layer)}, max coverage {report.mu}")
-    print(f"  all matched sets:   {[sorted(s) for s in report.matched_sets]}")
-    print(f"  in every set:       {sorted(pinned) or '(none)'}")
-    print(f"  fixed here:         {sorted(report.fixed) or '(none)'} ({report.fast_path})")
+    print(f"\nlayer {report.layer_index}: targets {sorted(report.targets)}, mu {report.mu}")
+    print(f"  fixed here: {sorted(report.fixed) or '(none)'} ({report.fast_path})")
+    for v in sorted(report.targets):
+        promoted = generic_dimension(dag.with_leaders(dag.leaders | {v}))[0]
+        if (promoted == dim) != (v in report.fixed):
+            raise SystemExit(f"node {v}: the verdict contradicts the definition")
+        print(f"    node {v} as a leader: dimension {promoted} (the graph's is {dim})")
 
 print(f"\nfixed nodes of the whole network: {sorted(result.fixed_nodes)}")
-print(f"generic dimension of the controllable subspace: {generic_dimension(dag)[0]}")
+print(f"generic dimension of the controllable subspace: {dim}")

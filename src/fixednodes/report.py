@@ -24,7 +24,7 @@ from .numeric import DEFAULT_TRIALS, TOL, numeric_fixed_nodes
 from .search import FixedNodeResult, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 ALL_METHODS = ("layered", "oracle", "numeric")
 
@@ -98,7 +98,7 @@ def analyze(
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
-    """The documented report schema (schema 1): every result field, and no time."""
+    """The documented report schema (schema 2): every result field, and no time."""
     methods_json: dict[str, dict] = {}
     for name, result in report.methods.items():
         entry: dict = {"fixed": sorted(result.fixed_nodes)}
@@ -112,11 +112,6 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
                     "mu": lr.mu,
                     "fixed": sorted(lr.fixed),
                     "fast_path": lr.fast_path,
-                    **(
-                        {"matched_sets": [sorted(s) for s in lr.matched_sets]}
-                        if lr.matched_sets is not None
-                        else {}
-                    ),
                 }
                 for lr in result.per_layer
             ]

@@ -11,7 +11,6 @@ generic dimension of the controllable subspace.  Two routes are implemented:
   one maximum family leaves uncovered.  One flow network over the whole graph
   is swept layer by layer: opening layer ``k`` carries the previous layer's
   maximum flow one edge further and re-maximizes it over layers ``1..k``.
-  On small graphs it also lists each layer's maximum matched sets.
 
 Both take only the graph: the optimal flow and the maximum family they read
 are the ones behind :func:`generic_dimension`, solved once per graph.
@@ -28,20 +27,14 @@ check, not a third route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvalidGraphError
 from .graph import StructuredDag, label_layers
 from .stems import FlowNetwork, _dimension_flow, generic_dimension
 
 FAST_PATH_SINGLETON = "singleton-layer"
-FAST_PATH_UNIQUE_MATCHED = "unique-matched-set"
 FAST_PATH_ESSENTIALITY = "essentiality"
 FAST_PATH_NONE = "none"
-
-# Largest graph whose layers get their matched sets listed: a layer of t
-# targets has C(t, mu) candidate sets, each tested by one max flow.
-MATCHED_SETS_MAX_NODES = 15
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,6 @@ class LayerReport:
     mu: int
     fixed: frozenset[int]
     fast_path: str
-    matched_sets: tuple[frozenset[int], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -95,10 +87,10 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     sink arc is the only open one and is saturated, so the residual search
     finds nothing and the node is fixed unless pruned.
 
-    On a graph of at most ``MATCHED_SETS_MAX_NODES`` nodes each layer also
-    lists its maximum matched sets, and one of several nodes with a single
-    set is tagged ``unique-matched-set``, a rule that fixes what the
-    essentiality check fixes.
+    Each layer is tagged by what decided it: ``singleton-layer`` for a layer
+    of one node, ``none`` when the witness leaves every target uncovered,
+    and ``essentiality`` otherwise.  The matched sets themselves are never
+    listed; ``tests/references.py`` enumerates them to check the verdicts.
     """
     if any(dag.in_neighbors[x] for x in dag.leaders):
         raise InvalidGraphError("layered analysis requires source leaders")
@@ -107,7 +99,6 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     pruned = dag.nodes - witness.covered
 
     net = FlowNetwork(dag)
-    lister = FlowNetwork(dag) if dag.node_count <= MATCHED_SETS_MAX_NODES else None
     reports: list[LayerReport] = []
     for k, layer in enumerate(labeling.layers, start=1):
         net.open_layer(k)
@@ -115,13 +106,12 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
         candidates = layer - pruned
         kept = candidates & matched
         fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
-        sets = None if lister is None else _matched_sets(lister, layer, len(matched))
         if len(layer) == 1:
             path = FAST_PATH_SINGLETON
         elif not candidates:
             path = FAST_PATH_NONE
         else:
-            path = FAST_PATH_UNIQUE_MATCHED if sets and len(sets) == 1 else FAST_PATH_ESSENTIALITY
+            path = FAST_PATH_ESSENTIALITY
         reports.append(
             LayerReport(
                 layer_index=k,
@@ -129,28 +119,7 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
                 mu=len(matched),
                 fixed=fixed,
                 fast_path=path,
-                matched_sets=sets,
             )
         )
     all_fixed = frozenset().union(*(r.fixed for r in reports))
     return FixedNodeResult(all_fixed, tuple(reports))
-
-
-def _matched_sets(net: FlowNetwork, layer: frozenset[int], mu: int) -> tuple[frozenset[int], ...]:
-    """Every maximum matched set of ``layer``, whose maximum coverage is ``mu``.
-
-    The matched sets are the bases of a gammoid (Perfect, 1968): by Menger's
-    theorem a set of ``mu`` layer nodes is one iff a max flow into exactly
-    those nodes has value ``mu``.  So each ``mu``-subset of the layer is
-    tested by one max flow with only its sink arcs open, on ``net``, which
-    :meth:`FlowNetwork.reset` empties between candidate sets.  Edges point
-    deeper, so that flow never enters a deeper layer.  The subsets come in
-    ascending order, the order of the report's lists.
-    """
-    found = []
-    for nodes in combinations(sorted(layer), mu):
-        net.reset()
-        net.open_sinks(nodes)
-        if net.max_flow() == mu:
-            found.append(frozenset(nodes))
-    return tuple(found)

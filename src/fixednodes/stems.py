@@ -6,7 +6,7 @@ length-1 stem).  Three questions drive everything here:
 * how many nodes can a family of pairwise vertex-disjoint stems cover in the
   whole graph (the generic dimension of the controllable subspace),
 * how many nodes of one target layer can such a family reach, and
-* which sets of layer nodes the maximum families reach (the matched sets).
+* which layer nodes every maximum family reaches (those in every matched set).
 
 All reduce to unit-capacity flow on the node-split graph: every node becomes
 an ``in -> out`` arc of capacity one, so any integral flow decomposes into
@@ -19,13 +19,13 @@ reduced cost 0; as none is negative, it settles the nodes at distance 0 as a
 heap would.  Most searches end there, and the others go on with a bucket
 queue, which also finds the oracle's distances to the sink by running from it
 on the mirrored residual.  The second and third need only a maximum flow into
-the sink arcs that are open, which ignores the costs; the layered sweep in
-``search`` asks both, the third by one max flow per candidate set.  One
-breadth-first search serves them: from the source it finds an augmenting path.
-The sweep keeps one maximum flow and moves it down a layer at a time,
-starting the same search at each unit stranded by closing the layer above; the
-unit goes on to the sink if a residual path allows, and back to the source
-otherwise.  Every network over a graph shares the graph's one arc table and
+the sink arcs that are open, which ignores the costs, and for the third one
+residual search back from the sink; the layered sweep in ``search`` asks
+both.  One breadth-first search serves the flow: from the source it finds an
+augmenting path.  The sweep keeps one maximum flow and moves it down a layer
+at a time, starting the same search at each unit stranded by closing the
+layer above; the unit goes on to the sink if a residual path allows, and back
+to the source otherwise.  Every network over a graph shares the graph's one arc table and
 keeps only its own capacities; a node's out-copy, ``in -> out`` arc and sink
 arc lie at fixed offsets from its in-copy.  The brute-force enumerator the
 tests check all three against lives in ``tests/references.py``.
@@ -168,7 +168,6 @@ class FlowNetwork:
         self._layers, self._ext_of_pos, self._bound = arcs.layers, arcs.order, arcs.bound
         self._in, self._to_through, self._to_sink = arcs.in_copy, arcs.to_through, arcs.to_sink
         self._head, self._cost, self._adj = arcs.head, arcs.cost, arcs.adj
-        self._blank = arcs.cap
         self.source = 0
         self.size = len(arcs.adj)
         self.sink = self.size - 1
@@ -178,12 +177,6 @@ class FlowNetwork:
     def _push(self, arc: int) -> None:
         self._cap[arc] -= 1
         self._cap[arc ^ 1] += 1
-
-    def reset(self) -> None:
-        """Drop all flow and close every sink arc: the network as built, with
-        capacity one on every forward arc but the sink arcs."""
-        self._cap[:] = self._blank
-        self._open.clear()
 
     def open_sinks(self, nodes: Iterable[int]) -> None:
         """Give the sink arcs of ``nodes`` capacity one."""

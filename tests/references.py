@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -121,22 +120,25 @@ def matched_by(family: StemFamily, targets: Iterable[int]) -> frozenset[int]:
     return family.covered & frozenset(targets)
 
 
-def enumerated_matched_sets(dag: StructuredDag, result: FixedNodeResult) -> FixedNodeResult:
-    """The matched sets ``fixed_nodes_layered`` lists, by enumeration: each
-    layer's distinct matched sets over every maximum family of its prefix
-    graph, in sorted order.  A layer the route tags by essentiality or by a
-    unique set is tagged ``unique-matched-set`` iff it has one such set."""
+def enumerated_matched_sets(dag: StructuredDag) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Each layer's distinct maximum matched sets, in sorted order: the
+    matched sets of every maximum family of the layer's prefix graph."""
     labeling = label_layers(dag)
-    enriched = []
-    for report in result.per_layer:
-        prefix = induce_prefix(dag, labeling, report.layer_index)
-        families = enumerate_max_families(prefix, report.targets)
-        matched = tuple(sorted({matched_by(fam, report.targets) for fam in families}, key=sorted))
-        path = report.fast_path
-        if path in ("essentiality", "unique-matched-set"):
-            path = "unique-matched-set" if len(matched) == 1 else "essentiality"
-        enriched.append(replace(report, matched_sets=matched, fast_path=path))
-    return replace(result, per_layer=tuple(enriched))
+    per_layer = []
+    for k, layer in enumerate(labeling.layers, start=1):
+        families = enumerate_max_families(induce_prefix(dag, labeling, k), layer)
+        per_layer.append(tuple(sorted({matched_by(fam, layer) for fam in families}, key=sorted)))
+    return tuple(per_layer)
+
+
+def layer_fast_path(targets: Iterable[int], covered: Iterable[int]) -> str:
+    """The tag of a layered report's layer: ``singleton-layer`` for one
+    target, ``none`` when the witness, covering ``covered``, leaves every
+    target out, and ``essentiality`` otherwise."""
+    targets = frozenset(targets)
+    if len(targets) == 1:
+        return "singleton-layer"
+    return "essentiality" if targets & frozenset(covered) else "none"
 
 
 def disjoint_stems_into(dag: StructuredDag, targets: Iterable[int]) -> int:

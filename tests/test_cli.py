@@ -19,7 +19,6 @@ import fixednodes.report
 import fixednodes.stems
 from fixednodes import StructuredDag, analyze, graph_to_json
 from fixednodes.cli import main
-from fixednodes.search import MATCHED_SETS_MAX_NODES
 
 DATA = Path(__file__).parent / "data"
 
@@ -91,21 +90,25 @@ class TestFixed:
         assert code == 0
         assert list(payload["methods"]) == ["oracle"]
 
-    def test_matched_sets_attached_within_budget(self, graph_file, capsys):
+    def test_layer_entries_on_pair13(self, graph_file, capsys):
         code, out, _ = run(capsys, "fixed", graph_file(goldens.PAIR13.dag), "--method", "layered")
-        payload = json.loads(out)
-        layers = payload["methods"]["layered"]["layers"]
-        assert layers[3]["matched_sets"] == [[9, 10], [9, 11], [10, 11]]
-        assert layers[4]["fast_path"] == "unique-matched-set"
+        assert code == 0
+        layers = json.loads(out)["methods"]["layered"]["layers"]
+        assert [entry["fixed"] for entry in layers] == [[1, 2], [5], [6], [], [12, 13]]
+        assert {entry["fast_path"] for entry in layers} == {"essentiality"}
 
-    def test_enum_cap_suppresses_matched_sets(self, graph_file, capsys):
-        for n, attached in ((MATCHED_SETS_MAX_NODES, True), (MATCHED_SETS_MAX_NODES + 1, False)):
+    def test_layer_entries_keep_one_shape_at_every_n(self, graph_file, capsys):
+        """The 15- and 16-node paths give layer entries with the same five
+        keys: no field of the report depends on the graph's size."""
+        keys = set()
+        for n in (15, 16):
             path = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
             code, out, _ = run(capsys, "fixed", graph_file(path), "--method", "layered")
             assert code == 0
             layers = json.loads(out)["methods"]["layered"]["layers"]
             assert len(layers) == n
-            assert all(("matched_sets" in entry) == attached for entry in layers)
+            keys |= {tuple(entry) for entry in layers}
+        assert keys == {("layer", "targets", "mu", "fixed", "fast_path")}
 
     def test_output_file(self, graph_file, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -126,27 +129,22 @@ class TestFixed:
             assert "leaders must have no incoming edges" in err
             assert "warning:" not in err
 
-    def test_dense_graph_tests_each_candidate_set_once(self, graph_file, capsys, monkeypatch):
+    def test_dense_graph_sweep_builds_one_network(self, graph_file, capsys, monkeypatch):
         """Four leaders over a chain of 11 nodes that each leader feeds: every
-        leader roots 2^11 paths, too many to enumerate, while the matched sets
-        of every layer take one flow network, emptied between candidate sets."""
+        leader roots 2^11 paths, too many to enumerate, while the layered
+        sweep builds one flow network and decides every layer on it."""
         edges = [(u, v) for u in range(1, 5) for v in range(5, 16)]
         edges += [(u, v) for u in range(5, 16) for v in range(u + 1, 16)]
         dag = StructuredDag.of(15, edges, range(1, 5))
         assert len(dag.edges) == 99
-        sweeping, built, emptied = [], [], set()
+        sweeping, built = [], []
         init = fixednodes.stems.FlowNetwork.__init__
-        reset = fixednodes.stems.FlowNetwork.reset
         sweep = fixednodes.report.fixed_nodes_layered
 
         def counting_init(self, *args, **kwargs):
             if sweeping:
                 built.append(self)
             init(self, *args, **kwargs)
-
-        def counting_reset(self):
-            emptied.add(id(self))
-            reset(self)
 
         def counted_sweep(*args, **kwargs):
             sweeping.append(True)
@@ -156,19 +154,16 @@ class TestFixed:
                 sweeping.pop()
 
         monkeypatch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
-        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "reset", counting_reset)
         monkeypatch.setattr(fixednodes.report, "fixed_nodes_layered", counted_sweep)
         code, out, _ = run(capsys, "fixed", graph_file(dag), "--method", "all")
         assert code == 0
         payload = json.loads(out)
         assert payload["consistent"] is True
         layers = payload["methods"]["layered"]["layers"]
-        assert [entry["matched_sets"] for entry in layers] == [[[1, 2, 3, 4]]] + [
-            [[v]] for v in range(5, 16)
+        assert [(entry["mu"], entry["fixed"]) for entry in layers] == [(4, [1, 2, 3, 4])] + [
+            (1, [v]) for v in range(5, 16)
         ]
-        # the sweep's own network and one listing network, the only one emptied
-        assert len(built) == 2
-        assert emptied == {id(built[1])}
+        assert len(built) == 1
 
     def test_oversized_n_exits_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         def build(*_args, **_kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 from fixednodes import (
     GeneratorConfig,
+    StructuredDag,
     graph_to_json,
     label_layers,
     random_layered_dag,
@@ -54,6 +55,25 @@ def test_widths_reproduced_by_labeling():
         labeling = label_layers(dag)
         assert tuple(len(layer) for layer in labeling.layers) == widths
         assert labeling.layers[0] == dag.leaders
+
+
+def test_graph_built_without_id_conversion(monkeypatch):
+    """Every id the generator makes is already an ``int``, so it builds the
+    graph directly, not through ``StructuredDag.of``, in both density modes;
+    the graph's own type and range check still runs on it."""
+    configs = (
+        GeneratorConfig(4, (2, 3, 3, 2), 2, seed=99, edge_count=14, skip_layer_prob=0.3),
+        GeneratorConfig(3, (2, 3, 3), 2, seed=5, edge_prob=0.5, skip_layer_prob=0.5),
+    )
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the generator converted its ids")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(StructuredDag, "of", classmethod(refused))
+        dags = [random_layered_dag(config) for config in configs]
+    for dag in dags:
+        assert dag == StructuredDag.of(dag.node_count, dag.edges, dag.leaders)
 
 
 def test_zero_skip_probability_means_no_skip_edges():

@@ -25,8 +25,6 @@ from pathlib import Path
 import pytest
 
 from fixednodes import (
-    FixedNodeResult,
-    LayerReport,
     StemFamily,
     analyze,
     graph_digest,
@@ -40,6 +38,7 @@ from references import (
     disjoint_stems_into,
     enumerated_matched_sets,
     exhaustive_dimension,
+    layer_fast_path,
     peeled_layers,
     resolving_oracle,
 )
@@ -79,7 +78,7 @@ def test_fixed_report_is_byte_identical(case, capsys):
 
 @pytest.mark.parametrize("case", sorted(case for case in CASES if case.endswith("-all")))
 def test_library_report_matches_the_cli(case):
-    """``analyze`` carries every field the CLI prints, matched sets included."""
+    """``analyze`` carries every field the CLI prints, per-layer entries included."""
     graph, _ = CASES[case]
     dag = graph_from_json((DATA / f"{graph}.graph.json").read_text())
     text = json.dumps(report_to_json_dict(analyze(dag, trials=20, seed=11)), indent=2) + "\n"
@@ -125,10 +124,11 @@ def test_pinned_report_is_sound(case):
     """Each pinned report states the truth by the slow references: the
     digest of its graph, its labeling, a valid witness of ``generic_dim``
     nodes, that dimension by exhaustive search (n <= 15), fixed sets equal to
-    the literal definition's, each layer's ``mu`` by augmenting paths and its
-    matched sets by enumeration (n <= 15), the layer's fixed nodes as those
-    whose removal lowers ``mu``, less the nodes the witness leaves uncovered,
-    and ``consistent``."""
+    the literal definition's, each layer's ``mu`` by augmenting paths, the
+    layer's fixed nodes as those whose removal lowers ``mu`` and (n <= 15) as
+    those in every matched set by enumeration, both less the nodes the
+    witness leaves uncovered, each layer's ``fast_path`` from its targets and
+    the witness, and ``consistent``."""
     graph, _ = CASES[case]
     text = (DATA / f"{graph}.graph.json").read_text()
     dag = graph_from_json(text)
@@ -155,19 +155,10 @@ def test_pinned_report_is_sound(case):
         essential = {v for v in targets if disjoint_stems_into(dag, targets - {v}) < mu}
         assert layer["mu"] == mu
         assert layer["fixed"] == sorted(essential - uncovered)
+        assert layer["fast_path"] == layer_fast_path(targets, witness.covered)
     assert methods["layered"]["fixed"] == sorted({v for layer in layers for v in layer["fixed"]})
     if small:
-        pinned = FixedNodeResult(
-            frozenset(methods["layered"]["fixed"]),
-            tuple(
-                LayerReport(
-                    layer["layer"], frozenset(layer["targets"]), layer["mu"],
-                    frozenset(layer["fixed"]), layer["fast_path"],
-                )
-                for layer in layers
-            ),
-        )
-        for layer, ref in zip(layers, enumerated_matched_sets(dag, pinned).per_layer, strict=True):
-            assert layer["matched_sets"] == [sorted(m) for m in ref.matched_sets]
-            assert layer["fast_path"] == ref.fast_path
+        for layer, sets in zip(layers, enumerated_matched_sets(dag), strict=True):
+            in_every_set = frozenset(layer["targets"]).intersection(*sets)
+            assert layer["fixed"] == sorted(in_every_set - uncovered)
     assert report["consistent"] == (len({tuple(m["fixed"]) for m in methods.values()}) == 1)

@@ -21,6 +21,7 @@ from fixednodes import (
     fixed_nodes_oracle,
     generic_dimension,
     graph_from_json,
+    label_layers,
     random_layered_dag,
     spread_widths,
     stem_family_violations,
@@ -31,6 +32,7 @@ from randgraphs import random_dag, redrawn_leaders, shaped_dag
 from references import (
     enumerated_matched_sets,
     layer_coverages,
+    layer_fast_path,
     resolving_oracle,
     singleton_layer_nodes,
     unpruned_layer_fixed,
@@ -242,15 +244,12 @@ class TestLayered:
         assert fixed_nodes_layered(golden.dag).fixed_nodes == unpruned
 
     def test_pair13_layer_tags(self, pair13):
-        """Layers 1 and 5 have one maximum matched set each, the others
-        several."""
+        """Every layer has several targets, some covered by the witness, so
+        the essentiality check decides each, whether the layer has one
+        maximum matched set (layers 1 and 5) or several."""
         result = fixed_nodes_layered(pair13.dag)
         tags = {r.layer_index: r.fast_path for r in result.per_layer}
-        assert tags == {
-            1: "unique-matched-set",
-            **{k: "essentiality" for k in range(2, 5)},
-            5: "unique-matched-set",
-        }
+        assert tags == {k: "essentiality" for k in range(1, 6)}
         mus = {r.layer_index: r.mu for r in result.per_layer}
         assert mus == {1: 2, 2: 2, 3: 2, 4: 2, 5: 2}
 
@@ -445,64 +444,45 @@ class TestLayeredSweep:
 
 
 def layers_with_one_matched_set(dag: StructuredDag) -> frozenset[int]:
-    result = fixed_nodes_layered(dag)
-    return frozenset(r.layer_index for r in result.per_layer if len(r.matched_sets) == 1)
+    sets = enumerated_matched_sets(dag)
+    return frozenset(k for k, layer_sets in enumerate(sets, start=1) if len(layer_sets) == 1)
 
 
 class TestUniqueMatchedSetLayers:
+    """The goldens' hand-worked matched sets, against the enumerator in
+    ``references``."""
+
     def test_golden_unique_layers(self, golden):
         if golden.unique_matched_layers:
             assert layers_with_one_matched_set(golden.dag) == golden.unique_matched_layers
+
+    def test_golden_matched_sets(self, golden):
+        sets = enumerated_matched_sets(golden.dag)
+        for k, expected in golden.matched_sets.items():
+            assert set(sets[k - 1]) == expected, f"layer {k}"
 
     def test_path_graph_all_layers_unique(self):
         dag = StructuredDag.of(5, [(i, i + 1) for i in range(1, 5)], [1])
         assert layers_with_one_matched_set(dag) == frozenset({1, 2, 3, 4, 5})
 
 
-class TestMatchedSetEnrichment:
-    def test_pair13_attaches_golden_sets(self, pair13):
-        result = fixed_nodes_layered(pair13.dag)
-        by_layer = {r.layer_index: r for r in result.per_layer}
-        for k, expected in pair13.matched_sets.items():
-            assert set(by_layer[k].matched_sets) == expected
-        assert by_layer[5].fast_path == "unique-matched-set"
-        assert by_layer[4].fast_path == "essentiality"
-        assert result.fixed_nodes == pair13.fixed
-
-    def test_budget_refused_before_any_network(self, monkeypatch):
-        """Up to 15 nodes the sweep builds one listing network next to its
-        own; from 16 nodes on it builds none and lists no sets."""
-        built = []
-        init = fixednodes.stems.FlowNetwork.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        for n, listed in ((15, True), (16, False)):
-            dag = StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1])
-            generic_dimension(dag)  # the dimension flow's network, built before counting
-            with monkeypatch.context() as patch:
-                patch.setattr(fixednodes.stems.FlowNetwork, "__init__", counting_init)
-                result = fixed_nodes_layered(dag)
-            assert len(built) == (2 if listed else 1)
-            assert all((r.matched_sets is not None) == listed for r in result.per_layer)
-            built.clear()
-
-
 class TestMatchedSetsAgainstEnumeration:
-    """Matched sets tested one max flow per candidate set, against the
-    enumerator in ``references``, which lists every product of leader-rooted
-    paths on each layer's prefix graph."""
+    """Each layer of the layered route against the matched sets the
+    enumerator in ``references`` lists on the layer's prefix graph: ``mu`` is
+    their size, ``fixed`` their intersection less the nodes the witness
+    leaves uncovered, and ``fast_path`` the tag those targets call for."""
 
     @staticmethod
     def assert_matches(dag):
-        result = fixed_nodes_layered(dag)
-        by_flow = result.per_layer
-        by_enumeration = enumerated_matched_sets(dag, result).per_layer
-        assert [(r.layer_index, r.matched_sets, r.fast_path) for r in by_flow] == [
-            (r.layer_index, r.matched_sets, r.fast_path) for r in by_enumeration
+        covered = generic_dimension(dag)[1].covered
+        layers = zip(label_layers(dag).layers, enumerated_matched_sets(dag), strict=True)
+        expected = [
+            (k, layer, len(sets[0]), layer.intersection(*sets) & covered)
+            for k, (layer, sets) in enumerate(layers, start=1)
         ]
+        result = fixed_nodes_layered(dag).per_layer
+        assert [(r.layer_index, r.targets, r.mu, r.fixed) for r in result] == expected
+        assert [r.fast_path for r in result] == [layer_fast_path(r.targets, covered) for r in result]
 
     @pytest.mark.parametrize("name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7"])
     def test_pinned_graphs(self, name):
@@ -518,7 +498,7 @@ class TestMatchedSetsAgainstEnumeration:
     @pytest.mark.parametrize("skip_prob", [0.0, 0.5])
     def test_dense_dags(self, skip_prob):
         """Edge probabilities up to 0.8 and up to 6 leaders, where leaders
-        root many paths and many candidate sets fail."""
+        root many paths and a layer has many matched sets."""
         rng = random.Random(0xDE45 + int(skip_prob * 10))
         for _ in range(100):
             leaders = rng.randint(2, 6)

@@ -690,29 +690,3 @@ class TestArcTable:
         assert flow._cap == solved and flow._open == dag.nodes
         assert third._open == set(dag.source_layers[-1]) and second._cap != third._cap
 
-
-class TestReset:
-    def test_reset_restores_the_network_as_built(self):
-        """After a max flow, a layered sweep or a min-cost solve, ``reset``
-        leaves the capacities of a freshly built network and no open sink."""
-        rng = random.Random(0x2E5E)
-        dags = [g.dag for g in goldens.GOLDENS]
-        dags += [random_dag(rng, skip_prob=p) for p in (0.0, 0.3, 0.6) for _ in range(20)]
-        for dag in dags:
-            for min_cost in (False, True):
-                fresh = FlowNetwork(dag)
-                used = FlowNetwork(dag)
-                used.open_sinks(dag.nodes)
-                if min_cost:
-                    used.solve_min_cost(len(dag.leaders))
-                else:
-                    used.max_flow()
-                used.reset()
-                assert used._cap == fresh._cap and not used._open
-                for k in range(1, len(dag.source_layers) + 1):
-                    used.open_layer(k)
-                used.reset()
-                assert used._cap == fresh._cap and not used._open
-                for net in (used, fresh):
-                    net.open_sinks(dag.sorted_nodes[-1:])
-                assert used.max_flow() == fresh.max_flow()

@@ -98,15 +98,16 @@ class TestReportJson:
     def test_schema_and_payload(self, pair13):
         report = analyze(pair13.dag, trials=25, seed=0)
         payload = report_to_json_dict(report)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["digest"] == graph_digest(pair13.dag)
         assert payload["generic_dim"] == 10
         assert payload["labeling"]["depth"] == 5
         assert payload["consistent"] is True
         layered = payload["methods"]["layered"]
         assert layered["fixed"] == sorted(pair13.fixed)
-        layer2 = layered["layers"][1]
-        assert layer2["matched_sets"] == [[3, 5], [4, 5]]
+        assert layered["layers"][1] == {
+            "layer": 2, "targets": [3, 4, 5], "mu": 2, "fixed": [5], "fast_path": "essentiality",
+        }
         assert payload["methods"]["numeric"]["trials"] == 25
         json.dumps(payload)  # must be serializable as-is
 
@@ -210,7 +211,7 @@ class TestPublicSurface:
         }
         assert fields == {
             "StemFamily": ["stems"],
-            "LayerReport": ["layer_index", "targets", "mu", "fixed", "fast_path", "matched_sets"],
+            "LayerReport": ["layer_index", "targets", "mu", "fixed", "fast_path"],
             "FixedNodeResult": ["fixed_nodes", "per_layer"],
             "AnalysisReport": [
                 "digest", "dag", "labeling", "generic_dim", "witness", "methods", "trials", "seed",
