@@ -8,12 +8,12 @@ generic dimension of the controllable subspace.  Two routes are implemented:
   optimal flow (the reference everything else is measured against),
 * :func:`fixed_nodes_layered` walks the layers top-down and keeps the targets
   that belong to every maximum matched set of their layer, except the nodes
-  one maximum family leaves uncovered.  One flow network over the whole graph
+  some maximum family leaves uncovered.  One flow network over the whole graph
   is swept layer by layer: opening layer ``k`` carries the previous layer's
   maximum flow one edge further and re-maximizes it over layers ``1..k``.
 
-Both take only the graph: the optimal flow and the maximum family they read
-are the ones behind :func:`generic_dimension`, solved once per graph.
+Both take only the graph: the optimal flow they read is the one behind
+:func:`generic_dimension`, solved once per graph.
 
 The layered route evaluates each layer inside its prefix graph.  On graphs
 with layer-skipping edges this per-layer criterion is known to disagree with
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidGraphError
 from .graph import StructuredDag, label_layers
-from .stems import FlowNetwork, _dimension_flow, generic_dimension
+from .stems import FlowNetwork, _dimension_flow
 
 FAST_PATH_SINGLETON = "singleton-layer"
 FAST_PATH_ESSENTIALITY = "essentiality"
@@ -80,23 +80,23 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
     cannot reach the sink in the residual.  One flow network over the whole
     graph serves every layer; :meth:`FlowNetwork.open_layer` moves the sinks
     down one layer, carries the previous flow along and re-maximizes it over
-    layers ``1..k``.  Nodes left uncovered by one maximum whole-graph family
-    (the witness of :func:`generic_dimension`) are pruned: promoting one adds
-    its length-1 stem to that family, so the dimension rises and it is never
-    fixed.  A singleton layer needs no rule of its own: its matched node's
-    sink arc is the only open one and is saturated, so the residual search
-    finds nothing and the node is fixed unless pruned.
+    layers ``1..k``.  Every node that some maximum whole-graph family leaves
+    uncovered is pruned: promoting one adds its length-1 stem to that family,
+    so the dimension rises and it is never fixed.  The optimal flow tells
+    these nodes apart (:meth:`FlowNetwork.in_every_family`), whichever
+    maximum family its witness is.  A singleton layer needs no rule of its
+    own: its matched node's sink arc is the only open one and is saturated,
+    so the residual search finds nothing and the node is fixed unless pruned.
 
     Each layer is tagged by what decided it: ``singleton-layer`` for a layer
-    of one node, ``none`` when the witness leaves every target uncovered,
-    and ``essentiality`` otherwise.  The matched sets themselves are never
-    listed; ``tests/references.py`` enumerates them to check the verdicts.
+    of one node, ``none`` when every target is pruned, and ``essentiality``
+    otherwise.  The matched sets themselves are never listed;
+    ``tests/references.py`` enumerates them to check the verdicts.
     """
     if any(dag.in_neighbors[x] for x in dag.leaders):
         raise InvalidGraphError("layered analysis requires source leaders")
     labeling = label_layers(dag)
-    _, witness = generic_dimension(dag)
-    pruned = dag.nodes - witness.covered
+    pruned = dag.nodes - _dimension_flow(dag).in_every_family()
 
     net = FlowNetwork(dag)
     reports: list[LayerReport] = []

@@ -12,23 +12,25 @@ All reduce to unit-capacity flow on the node-split graph: every node becomes
 an ``in -> out`` arc of capacity one, so any integral flow decomposes into
 vertex-disjoint leader-rooted paths (Menger's theorem).  The first question
 additionally needs a cheapest flow under a profit of one per covered node
-(each ``in -> out`` arc costs -1), solved by successive shortest paths with
+(each ``in -> out`` arc costs -1), solved in primal-dual phases from
 potentials seeded in topological order; each graph solves it once and caches
-it.  Each search starts with a zero phase that follows only the arcs of
-reduced cost 0; as none is negative, it settles the nodes at distance 0 as a
-heap would.  Most searches end there, and the others go on with a bucket
-queue, which also finds the oracle's distances to the sink by running from it
-on the mirrored residual.  The second and third need only a maximum flow into
-the sink arcs that are open, which ignores the costs, and for the third one
-residual search back from the sink; the layered sweep in ``search`` asks
-both.  One breadth-first search serves the flow: from the source it finds an
-augmenting path.  The sweep keeps one maximum flow and moves it down a layer
-at a time, starting the same search at each unit stranded by closing the
-layer above; the unit goes on to the sink if a residual path allows, and back
-to the source otherwise.  Every network over a graph shares the graph's one arc table and
-keeps only its own capacities; a node's out-copy, ``in -> out`` arc and sink
-arc lie at fixed offsets from its in-copy.  The brute-force enumerator the
-tests check all three against lives in ``tests/references.py``.
+it.  A phase pushes units by depth-first search along the residual arcs of
+reduced cost 0, and a bucket queue moves the potentials between phases; the
+same bucket queue finds the oracle's distances to the sink by running from it
+on the mirrored residual.  The same solved flow tells which nodes every
+maximum family covers, from the components of its arcs of reduced cost 0.
+The second and third questions need only a maximum flow into the sink arcs
+that are open, which ignores the costs, and for the third one residual
+search back from the sink; the layered sweep in ``search`` asks both.  One
+breadth-first search serves the flow: from the source it finds an augmenting
+path.  The sweep keeps one maximum flow and moves it down a layer at a time,
+starting the same search at each unit stranded by closing the layer above;
+the unit goes on to the sink if a residual path allows, and back to the
+source otherwise.  Every network over a graph shares the graph's one arc
+table and keeps only its own capacities; a node's out-copy, ``in -> out`` arc
+and sink arc lie at fixed offsets from its in-copy.  The brute-force
+enumerator and the successive-shortest-path solver the tests check these
+against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ class FlowNetwork:
     closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
     it.  A unit of flow on an arc shows as residual capacity on its reverse.
     The ``in -> out`` arcs cost -1 each, so a min-cost flow maximizes covered
-    nodes; only the min-cost solve and its distances read the costs.  Two
-    searches answer everything: a bucket-queue Dijkstra
+    nodes; only the min-cost solve and what is read off it use the costs.
+    Three searches answer everything: a bucket-queue Dijkstra
     (:meth:`_bucket_pass`), from the source or, on the mirrored residual,
-    from the sink, and a breadth-first search (:meth:`_push_path`).  Split
+    from the sink, a depth-first search over the arcs of reduced cost 0
+    (:meth:`_tight_walk`) and a breadth-first search (:meth:`_push_path`).  Split
     indices follow the graph's layer labeling, layer by layer, so layers
     ``1..k`` are exactly the indices up to ``2·|layers 1..k|``.  The
     underlying graph must be acyclic, which keeps shortest paths under
@@ -252,36 +255,44 @@ class FlowNetwork:
             self._augment(parent, start, source)
         return False
 
-    def max_flow(self, last: int | None = None) -> int:
+    def _augment(self, parent: list[int] | dict[int, int], start: int, end: int) -> None:
+        """Push one unit along the path from ``start`` to ``end`` recorded in
+        ``parent``."""
+        v = end
+        while v != start:
+            arc = parent[v]
+            self._push(arc)
+            v = self._head[arc ^ 1]
+
+    def max_flow(self, last: int) -> None:
         """Augment from the source until no path is left, through split
-        indices up to ``last`` (all by default) and the sink.  With every
-        source arc saturated, a search reads only those arcs."""
-        last = self.sink - 1 if last is None else last
-        value = 0
+        indices up to ``last`` and the sink.  With every source arc
+        saturated, a search reads only those arcs."""
         while self._push_path(self.source, last):
-            value += 1
-        return value
+            pass
 
     # -- min-cost flow of a fixed value (generic dimension) -----------------
 
     def solve_min_cost(self, value: int) -> None:
-        """Successive shortest paths; potentials from one topological pass.
+        """Primal-dual phases (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+        §9.8) from potentials of one topological pass.
 
-        The split indices follow topological order, so the relaxation pass is
-        exact, and augmenting-path ties resolve toward lower external ids.
+        The split indices follow topological order, so that pass is exact.  A
+        phase keeps the potentials and pushes one unit at a time along a
+        residual path of reduced cost 0, which :meth:`_tight_walk` finds; such
+        a path is a shortest one, as in successive shortest paths.  A node
+        the walk marks dead stays dead for the phase: an augmentation adds
+        arcs only between nodes of its own path, all of which reached the
+        sink.  When no such path is left, one :meth:`_bucket_pass` from the
+        source gives every reduced-cost distance, and moving the potentials
+        by them makes a shortest path tight again.
 
-        No search from the source enters a node without a potential, so
-        :meth:`_forward_dijkstra` does not test for one.  A node has a
-        potential iff the source reached it before any flow was pushed.  A
+        No search from the source enters a node without a potential.  A node
+        has one iff the source reached it before any flow was pushed.  A
         forward arc with residual capacity had it from the start, so it leads
         from a node the source reached then to another one.  A reverse arc
         with residual capacity lies on an earlier augmenting path, all of
         whose nodes that search reached.
-
-        The ``tight`` arcs, of reduced cost 0, are listed per node whatever
-        their capacity, and rebuilt only after a search that moved a
-        potential.  ``reach`` counts the nodes the last search reached, which
-        no later one exceeds: an augmentation only reverses arcs between them.
         """
         potential = [_INF] * self.size
         potential[self.source] = 0
@@ -295,91 +306,75 @@ class FlowNetwork:
                     if d < potential[v]:
                         potential[v] = d
 
-        reach = self.size - potential.count(_INF)
-        tight = self._tight_arcs(potential)
-        for _ in range(value):
-            dist, parent = self._forward_dijkstra(potential, tight, reach)
+        while True:
+            dead = [0] * self.size
+            dead[self.source] = 1  # a path to the sink never re-enters it
+            while value and self._tight_walk(potential, self.source, dead, self.sink):
+                value -= 1
+            if not value:
+                break
+            dist = [_INF] * self.size
+            dist[self.source] = 0
+            self._bucket_pass(potential, dist, [-1] * self.size, [self.source], self._cap, self._cost)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
-            reach = self.size - dist.count(_INF)
-            if dist.count(0) < reach:  # some node was left at a positive distance
-                potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
-                tight = self._tight_arcs(potential)
-            self._augment(parent, self.source, self.sink)
+            potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
         self._potential = potential
 
-    def _tight_arcs(self, potential: list[float]) -> list[list[int]]:
-        """Per node with a potential, its arcs of reduced cost 0 in adjacency
-        order, with or without residual capacity; none for the other nodes."""
-        head, cost, adj = self._head, self._cost, self._adj
-        return [
-            [arc for arc in adj[u] if cost[arc] + p == potential[head[arc]]] if p < _INF else []
-            for u, p in enumerate(potential)
-        ]
+    def _tight_walk(self, potential: list[float], start: int, done: list[int], target: int) -> bool:
+        """Depth-first search from ``start`` over the residual arcs of reduced
+        cost 0 that skips every node ``done`` marks.  On meeting ``target``
+        it pushes one unit along its path there and returns True.
 
-    def _augment(self, parent: list[int] | dict[int, int], start: int, end: int) -> None:
-        """Push one unit along the path from ``start`` to ``end`` recorded in
-        ``parent``."""
-        v = end
-        while v != start:
-            arc = parent[v]
-            self._push(arc)
-            v = self._head[arc ^ 1]
+        Tarjan's low links (SIAM J. Comput. 1972) find each strongly connected
+        component the search finishes, and it marks every node of one in
+        ``done`` with the component's first node + 1.  Each arc out of such a
+        component ends inside it or at a marked node, so none of its nodes
+        reaches an unmarked ``target``.  A node whose search met one still on
+        the stack stays unmarked until that node's component finishes, as the
+        path found may pass through it.
 
-    def _forward_dijkstra(
-        self, potential: list[float], tight: list[list[int]], reach: int
-    ) -> tuple[list[float], list[int]]:
-        """Reduced-cost residual distances from the source, and the arc that
-        last improved each node's distance.
-
-        The reduced costs are integers and none is negative on a residual
-        arc, so a node never settles below the distance of the one settled
-        before it.  A bucket queue (Dial, CACM 1969) keyed by distance, with a
-        heap of node ids inside each bucket, therefore settles nodes in
-        ascending ``(distance, id)`` order, the order of one heap of
-        ``(distance, id)`` pairs; ``parent`` changes only on a strict
-        improvement, so ties and augmenting paths resolve exactly as with that
-        heap.  Every node the search enters has a potential (see
-        :meth:`solve_min_cost`), so it reads no test for one.
-
-        Bucket 0 comes first, as a zero phase over the ``tight`` residual
-        arcs.  It pops nodes in the heap's order, the least id found and not
-        yet popped: it scans split indices upward, and a node found below the
-        scan position waits in a small heap, which goes first.  A node's
-        parent is then the first tight arc that reaches it, as in the bucket
-        queue.  When the zero phase reaches ``reach`` nodes, as in most
-        searches here, every distance is 0 and the search ends there;
-        otherwise :meth:`_bucket_pass` completes it.
+        Each node's arcs are read last to first.  From an out-copy that tries
+        the sink arc first and the way back up the node's own stem last, so a
+        unit seldom takes a long detour through the stems already laid.
         """
-        head, cap = self._head, self._cap
-        push, pop = heapq.heappush, heapq.heappop
-        dist = [_INF] * self.size
-        parent = [-1] * self.size
-        dist[self.source] = 0
-        zero = []  # the nodes at distance 0, in pop order
-        below = []  # heap of the nodes found below ``scan`` and not yet popped
-        scan = 0  # every node found at or above it is yet to be popped
-        while True:
-            if below:
-                u = pop(below)
-            else:
-                try:
-                    u = dist.index(0, scan)
-                except ValueError:
-                    break
-                scan = u + 1
-            zero.append(u)
-            for arc in tight[u]:
+        head, cap, cost, adj = self._head, self._cap, self._cost, self._adj
+        order = {start: 0}  # entry index of each node this search entered
+        frames = [[start, reversed(adj[start]), 0]]  # node, arcs left, least index met
+        path: list[int] = []  # the arc into each frame's node but the first
+        trail = [start]  # the entered nodes whose component is not finished
+        while frames:
+            frame = frames[-1]
+            u, arcs, _ = frame
+            base = potential[u]
+            for arc in arcs:
                 if cap[arc]:
                     v = head[arc]
-                    if dist[v]:
-                        dist[v] = 0
-                        parent[v] = arc
-                        if v < scan:
-                            push(below, v)
-        if len(zero) < reach:
-            self._bucket_pass(potential, dist, parent, zero, cap, self._cost)
-        return dist, parent
+                    if cost[arc] + base == potential[v] and not done[v]:
+                        if v == target:
+                            for a in (*path, arc):
+                                self._push(a)
+                            return True
+                        if v not in order:
+                            order[v] = len(order)
+                            trail.append(v)
+                            path.append(arc)
+                            frames.append([v, reversed(adj[v]), order[v]])
+                            break
+                        if order[v] < frame[2]:
+                            frame[2] = order[v]
+            else:
+                frames.pop()
+                if frame[2] == order[u]:
+                    x = -1
+                    while x != u:
+                        x = trail.pop()
+                        done[x] = u + 1
+                if frames:
+                    path.pop()
+                    if frame[2] < frames[-1][2]:
+                        frames[-1][2] = frame[2]
+        return False
 
     def _bucket_pass(
         self,
@@ -393,8 +388,14 @@ class FlowNetwork:
         """The bucket queue from the ``zero`` nodes, settled at distance 0 in
         this order, over the arcs with capacities ``cap`` and costs ``cost``:
         every residual arc of theirs relaxed in their order, as bucket 0
-        relaxes them, then the buckets in ascending distance.  After the zero
-        phase ``zero`` holds every node at distance 0."""
+        relaxes them, then the buckets in ascending distance.
+
+        The reduced costs are integers and none is negative on a residual
+        arc, so a node never settles below the distance of the one settled
+        before it (Dial, CACM 1969).  Each bucket is a heap of node ids, so
+        nodes settle in ascending ``(distance, id)`` order, the order of one
+        heap of such pairs; ``parent`` changes only on a strict improvement,
+        so ties resolve as with that heap."""
         head, adj = self._head, self._adj
         push, pop = heapq.heappush, heapq.heappop
         buckets: dict[float, list[int]] = {}  # distance -> heap of node ids
@@ -491,6 +492,32 @@ class FlowNetwork:
                         state[u] = 2
                         queue.append(u)
         return frozenset(v for v in targets if state[in_copy[v] + 1] == 2)
+
+    def in_every_family(self) -> frozenset[int]:
+        """The nodes every maximum family covers, read off the solved flow.
+
+        Another minimum-cost flow of the same value differs from this one by
+        residual cycles, each of reduced cost 0 as no residual arc has a
+        negative one (complementary slackness).  So node ``v`` keeps its unit
+        in every optimal flow iff its ``in -> out`` arc carries one and either
+        the reverse of that arc is not tight or ``v_in`` and ``v_out`` lie in
+        different strongly connected components of the tight residual arcs.
+        :meth:`_tight_walk` labels the components, from each in-copy that
+        needs one.
+        """
+        potential, cap, through = self._potential, self._cap, self._to_through
+        component = [0] * self.size
+        kept = []
+        for v, x in self._in.items():
+            if cap[x + through]:
+                continue  # no unit to keep
+            if potential[x] == potential[x + 1] + 1:
+                if not component[x]:
+                    self._tight_walk(potential, x, component, -1)
+                if component[x] == component[x + 1]:
+                    continue
+            kept.append(v)
+        return frozenset(kept)
 
     def in_copy_distances_to_sink(self) -> dict[int, float]:
         """Cheapest residual path cost from every node's in-copy to the sink.

@@ -74,3 +74,22 @@ def shaped_dag(
         skip_layer_prob=skip_prob,
     )
     return random_layered_dag(config)
+
+
+def layered_n1000_graphs(seed: int) -> list[StructuredDag]:
+    """The four graphs of the benchmark's ``layered-n1000`` workload at
+    ``seed``: deep (100 layers of 10) and wide (20 of 50), each at skip 0 and
+    0.3, drawn as ``bench/workloads.py`` draws them."""
+    rng = random.Random(f"layered-n1000/{seed}")
+    return [
+        shaped_dag(depth, width, leaders, skip, rng.randrange(2**32))
+        for depth, width, leaders in ((100, 10, 4), (20, 50, 25))
+        for skip in (0.0, 0.3)
+    ]
+
+
+def all_n200_graphs(seed: int) -> list[StructuredDag]:
+    """The two 200-node graphs of the benchmark's ``all-n200`` workload at
+    ``seed``, at skip 0 and 0.3."""
+    rng = random.Random(f"all-n200/{seed}")
+    return [shaped_dag(10, 20, 10, skip, rng.randrange(2**32), edges=400) for skip in (0.0, 0.3)]

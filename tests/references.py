@@ -131,10 +131,31 @@ def enumerated_matched_sets(dag: StructuredDag) -> tuple[tuple[frozenset[int], .
     return tuple(per_layer)
 
 
+def without_node(dag: StructuredDag, v: int) -> StructuredDag:
+    """``dag`` less node ``v``: its edges go, and it stops being a leader."""
+    return StructuredDag(
+        nodes=dag.nodes - {v},
+        edges=frozenset(e for e in dag.edges if v not in e),
+        leaders=dag.leaders - {v},
+    )
+
+
+def in_every_max_family(dag: StructuredDag, nodes: Iterable[int] | None = None) -> frozenset[int]:
+    """The ``nodes`` (all by default) that every maximum family covers: those
+    whose removal lowers the generic dimension, as a maximum family that
+    misses ``v`` is a family of ``dag`` less ``v``."""
+    dim, _ = generic_dimension(dag)
+    return frozenset(
+        v
+        for v in (dag.nodes if nodes is None else nodes)
+        if dag.leaders == {v} or generic_dimension(without_node(dag, v))[0] < dim
+    )
+
+
 def layer_fast_path(targets: Iterable[int], covered: Iterable[int]) -> str:
     """The tag of a layered report's layer: ``singleton-layer`` for one
-    target, ``none`` when the witness, covering ``covered``, leaves every
-    target out, and ``essentiality`` otherwise."""
+    target, ``none`` when no target is in ``covered``, the nodes every
+    maximum family covers, and ``essentiality`` otherwise."""
     targets = frozenset(targets)
     if len(targets) == 1:
         return "singleton-layer"
@@ -234,9 +255,10 @@ class LayerCoverage:
         self.targets = frozenset(targets)
         net = FlowNetwork(prefix)
         net.open_sinks(self.targets)
-        self.mu = net.max_flow()
+        net.max_flow(net.sink - 1)
         self.witness = net.stems()
         self.matched = net.matched_targets(self.targets)
+        self.mu = len(self.matched)
         self.essential = self.matched - net.targets_reaching_sink(self.matched)
 
 
@@ -302,10 +324,92 @@ def arcs_one_at_a_time(
 
 
 
+def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
+    """``FlowNetwork.solve_min_cost`` by successive shortest paths, one search
+    per unit: the solver the primal-dual phases replaced, kept to check them.
+
+    Potentials come from one topological pass.  Each search is
+    :func:`zero_phase_dijkstra`, and the potentials move only after one that
+    left some node at a positive distance; ``tight`` then lists the arcs of
+    reduced cost 0 again.  ``reach`` counts the nodes the last search
+    reached, which no later one exceeds: an augmentation only reverses arcs
+    between them.  Augmenting-path ties resolve toward lower external ids."""
+    potential = [_INF] * net.size
+    potential[net.source] = 0
+    for u in range(net.size):
+        if potential[u] < _INF:
+            for arc in net._adj[u]:
+                if net._cap[arc] > 0:
+                    v = net._head[arc]
+                    potential[v] = min(potential[v], potential[u] + net._cost[arc])
+    reach = net.size - potential.count(_INF)
+    tight = tight_arcs(net, potential)
+    for _ in range(value):
+        dist, parent = zero_phase_dijkstra(net, potential, tight, reach)
+        if dist[net.sink] == _INF:
+            raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
+        reach = net.size - dist.count(_INF)
+        if dist.count(0) < reach:  # some node was left at a positive distance
+            potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
+            tight = tight_arcs(net, potential)
+        net._augment(parent, net.source, net.sink)
+    net._potential = potential
+
+
+def zero_phase_dijkstra(
+    net: FlowNetwork, potential: list[float], tight: list[list[int]], reach: int
+) -> tuple[list[float], list[int]]:
+    """Reduced-cost residual distances from the source, and the arc that last
+    improved each node's distance, settled in ascending ``(distance, id)``
+    order as one heap of such pairs would settle them.
+
+    A zero phase comes first: it follows only the ``tight`` residual arcs and
+    pops the least id found and not yet popped, scanning split indices
+    upward, with a small heap for the nodes found below the scan position.
+    When it reaches ``reach`` nodes every distance is 0; otherwise
+    ``FlowNetwork._bucket_pass`` completes the search from the nodes it
+    popped, in their order."""
+    dist = [_INF] * net.size
+    parent = [-1] * net.size
+    dist[net.source] = 0
+    zero = []  # the nodes at distance 0, in pop order
+    below: list[int] = []  # heap of the nodes found below ``scan`` and not yet popped
+    scan = 0  # every node found at or above it is yet to be popped
+    while True:
+        if below:
+            u = heapq.heappop(below)
+        else:
+            try:
+                u = dist.index(0, scan)
+            except ValueError:
+                break
+            scan = u + 1
+        zero.append(u)
+        for arc in tight[u]:
+            if net._cap[arc]:
+                v = net._head[arc]
+                if dist[v]:
+                    dist[v] = 0
+                    parent[v] = arc
+                    if v < scan:
+                        heapq.heappush(below, v)
+    if len(zero) < reach:
+        net._bucket_pass(potential, dist, parent, zero, net._cap, net._cost)
+    return dist, parent
+
+
+def ssp_flow(dag: StructuredDag) -> FlowNetwork:
+    """The dimension flow of ``dag`` solved by :func:`ssp_solve_min_cost`."""
+    net = FlowNetwork(dag)
+    net.open_sinks(dag.nodes)
+    ssp_solve_min_cost(net, len(dag.leaders))
+    return net
+
+
 def heap_dijkstra(
     net: FlowNetwork, potential: list[float], start: int, backward: bool = False
 ) -> tuple[list[float], list[int]]:
-    """``FlowNetwork._forward_dijkstra`` from the source, or, when ``backward``,
+    """:func:`zero_phase_dijkstra` from the source, or, when ``backward``,
     the distances to the sink that ``FlowNetwork.in_copy_distances_to_sink``
     reads, with one heap of ``(distance, node)`` pairs: a backward search
     follows arc ``a ^ 1`` into ``u`` from ``head[a]``.  Both skip every node
@@ -336,7 +440,7 @@ def heap_dijkstra(
 
 def tight_arcs(net: FlowNetwork, potential: list[float]) -> list[list[int]]:
     """Per node, the arcs of reduced cost 0 under ``potential``, with or
-    without residual capacity: the lists ``FlowNetwork.solve_min_cost`` keeps
+    without residual capacity: the lists :func:`ssp_solve_min_cost` keeps
     for its zero phase.  Arcs at a node without a potential have no reduced
     cost and are left out."""
     tight: list[list[int]] = [[] for _ in range(net.size)]

@@ -225,6 +225,20 @@ class TestNumericFixedNodes:
             else:
                 assert worst[v - 1] > 1e-4
 
+    def test_small_residual_is_not_fixed(self, monkeypatch):
+        """Leader 1 feeds nodes 2 and 3 with weights 1 and 1e-5, so every
+        draw's column space is spanned by e1 and (0, 1, 1e-5), and node 2's
+        residual is about 1e-5.  Promoting node 2 adds a stem, so it is not
+        fixed, and the cut ``TOL`` must lie below that residual."""
+        dag = StructuredDag.of(3, [(1, 2), (1, 3)], [1])
+
+        def weights(rng, count, edges):
+            return np.tile([1.0, 1e-5], (count, 1))
+
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", weights)
+        assert fixed_nodes_oracle(dag).fixed_nodes == {1}
+        assert numeric_fixed_nodes(dag, trials=3, seed=0, expected_dim=2) == {1}
+
     def test_memory_does_not_grow_with_the_draw_count(self):
         """Each draw folds into the running floor, so ten times the draws
         keeps the traced peak within twice that of three draws."""

@@ -38,6 +38,7 @@ from references import (
     disjoint_stems_into,
     enumerated_matched_sets,
     exhaustive_dimension,
+    in_every_max_family,
     layer_fast_path,
     peeled_layers,
     resolving_oracle,
@@ -126,9 +127,9 @@ def test_pinned_report_is_sound(case):
     nodes, that dimension by exhaustive search (n <= 15), fixed sets equal to
     the literal definition's, each layer's ``mu`` by augmenting paths, the
     layer's fixed nodes as those whose removal lowers ``mu`` and (n <= 15) as
-    those in every matched set by enumeration, both less the nodes the
-    witness leaves uncovered, each layer's ``fast_path`` from its targets and
-    the witness, and ``consistent``."""
+    those in every matched set by enumeration, both less the nodes some
+    maximum family misses, each layer's ``fast_path`` from its targets and
+    the nodes every maximum family covers, and ``consistent``."""
     graph, _ = CASES[case]
     text = (DATA / f"{graph}.graph.json").read_text()
     dag = graph_from_json(text)
@@ -148,17 +149,17 @@ def test_pinned_report_is_sound(case):
             assert methods[name]["fixed"] == sorted(resolving_oracle(dag).fixed_nodes)
 
     layers = methods["layered"]["layers"]
-    uncovered = dag.nodes - witness.covered
+    avoidable = dag.nodes - in_every_max_family(dag)
     for layer in layers:
         targets = set(layer["targets"])
         mu = disjoint_stems_into(dag, targets)
         essential = {v for v in targets if disjoint_stems_into(dag, targets - {v}) < mu}
         assert layer["mu"] == mu
-        assert layer["fixed"] == sorted(essential - uncovered)
-        assert layer["fast_path"] == layer_fast_path(targets, witness.covered)
+        assert layer["fixed"] == sorted(essential - avoidable)
+        assert layer["fast_path"] == layer_fast_path(targets, dag.nodes - avoidable)
     assert methods["layered"]["fixed"] == sorted({v for layer in layers for v in layer["fixed"]})
     if small:
         for layer, sets in zip(layers, enumerated_matched_sets(dag), strict=True):
             in_every_set = frozenset(layer["targets"]).intersection(*sets)
-            assert layer["fixed"] == sorted(in_every_set - uncovered)
+            assert layer["fixed"] == sorted(in_every_set - avoidable)
     assert report["consistent"] == (len({tuple(m["fixed"]) for m in methods.values()}) == 1)

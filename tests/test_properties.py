@@ -30,6 +30,7 @@ from references import (
     LayerCoverage,
     enumerate_max_families,
     exhaustive_dimension,
+    in_every_max_family,
     induce_prefix,
     matched_by,
     singleton_layer_nodes,
@@ -98,8 +99,7 @@ class TestAnyDagDomain:
             dag = random_dag(rng, skip_prob=rng.choice([0.0, 0.4]))
             unpruned = frozenset().union(*unpruned_layer_fixed(dag))
             assert unpruned == enumeration_fixed_set(dag)
-            uncovered = dag.nodes - generic_dimension(dag)[1].covered
-            assert fixed_nodes_layered(dag).fixed_nodes == unpruned - uncovered
+            assert fixed_nodes_layered(dag).fixed_nodes == in_every_max_family(dag, unpruned)
 
     def test_pruning_never_removes_oracle_fixed_nodes(self):
         rng = random.Random(31340)
@@ -127,8 +127,8 @@ class TestAnyDagDomain:
 @given(data=st.data())
 def test_prefix_layer_reports_are_prefix_stable(data):
     """Analyzing a prefix graph reproduces the first layers' results: the same
-    targets and optima, and the same fixed sets up to what each graph's own
-    maximum family leaves uncovered."""
+    targets and optima, and the same fixed sets up to the nodes some maximum
+    family of each graph misses."""
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     dag = random_dag(random.Random(seed), skip_prob=0.3)
     labeling = label_layers(dag)
@@ -142,9 +142,8 @@ def test_prefix_layer_reports_are_prefix_stable(data):
     unpruned = unpruned_layer_fixed(dag)
     assert unpruned_layer_fixed(prefix) == unpruned[:k]
     for graph, layered in ((dag, result), (prefix, sub_result)):
-        uncovered = graph.nodes - generic_dimension(graph)[1].covered
         assert [r.fixed for r in layered.per_layer] == [
-            fixed - uncovered for fixed in unpruned[: len(layered.per_layer)]
+            in_every_max_family(graph, fixed) for fixed in unpruned[: len(layered.per_layer)]
         ]
 
 

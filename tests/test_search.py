@@ -31,6 +31,7 @@ from fixednodes.stems import FlowNetwork
 from randgraphs import random_dag, redrawn_leaders, shaped_dag
 from references import (
     enumerated_matched_sets,
+    in_every_max_family,
     layer_coverages,
     layer_fast_path,
     resolving_oracle,
@@ -114,7 +115,7 @@ class TestOracle:
         def refused(*args, **kwargs):
             raise AssertionError("the oracle asked for the generic dimension")
 
-        monkeypatch.setattr(fixednodes.search, "generic_dimension", refused)
+        monkeypatch.setattr(fixednodes.stems, "generic_dimension", refused)
         dag = pair13.dag.with_leaders(pair13.dag.leaders)
         assert fixed_nodes_oracle(dag).fixed_nodes == pair13.fixed
 
@@ -284,8 +285,9 @@ class TestLayeredSweep:
 
     @staticmethod
     def assert_matches(dag):
+        """Each layer's ``fixed`` is its unpruned set less the nodes some
+        maximum family misses, found by removing each node in turn."""
         result = fixed_nodes_layered(dag)
-        pruned = dag.nodes - generic_dimension(dag)[1].covered
         coverages = layer_coverages(dag)
         unpruned = unpruned_layer_fixed(dag)
         assert len(result.per_layer) == len(coverages) == len(unpruned)
@@ -293,7 +295,7 @@ class TestLayeredSweep:
             k = report.layer_index
             assert report.targets == coverage.targets, k
             assert report.mu == coverage.mu, k
-            assert report.fixed == fixed - pruned, k
+            assert report.fixed == in_every_max_family(dag, fixed), k
 
     @pytest.mark.parametrize(
         "name", ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
@@ -469,12 +471,12 @@ class TestUniqueMatchedSetLayers:
 class TestMatchedSetsAgainstEnumeration:
     """Each layer of the layered route against the matched sets the
     enumerator in ``references`` lists on the layer's prefix graph: ``mu`` is
-    their size, ``fixed`` their intersection less the nodes the witness
-    leaves uncovered, and ``fast_path`` the tag those targets call for."""
+    their size, ``fixed`` their intersection less the nodes some maximum
+    family misses, and ``fast_path`` the tag those targets call for."""
 
     @staticmethod
     def assert_matches(dag):
-        covered = generic_dimension(dag)[1].covered
+        covered = in_every_max_family(dag)
         layers = zip(label_layers(dag).layers, enumerated_matched_sets(dag), strict=True)
         expected = [
             (k, layer, len(sets[0]), layer.intersection(*sets) & covered)

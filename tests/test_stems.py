@@ -11,6 +11,7 @@ import pytest
 
 import fixednodes.stems
 import goldens
+import references
 from fixednodes import (
     GeneratorConfig,
     InvalidGraphError,
@@ -27,7 +28,7 @@ from fixednodes import (
     stem_family_violations,
 )
 from fixednodes.stems import FlowNetwork, _build_arcs, _dimension_flow
-from randgraphs import random_dag, redrawn_leaders, shaped_dag
+from randgraphs import all_n200_graphs, layered_n1000_graphs, random_dag, redrawn_leaders, shaped_dag
 from references import (
     LayerCoverage,
     all_matched_targets,
@@ -35,14 +36,27 @@ from references import (
     enumerate_max_families,
     exhaustive_dimension,
     heap_dijkstra,
+    in_every_max_family,
     induce_prefix,
     matched_by,
     residual_reaching_sink,
+    ssp_flow,
+    ssp_solve_min_cost,
     tight_arcs,
 )
 
 DATA = Path(__file__).parent / "data"
 PINNED = ["single7", "pair9", "pair10", "pair13", "skip4", "skip7", "crit6", "skip200"]
+
+
+class CountingList(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
 
 
 def layer_problem(golden: goldens.Golden, k: int):
@@ -337,14 +351,15 @@ class TestEssentialityBeyondEnumeration:
 
 
 class TestFlowKernels:
-    """The zero-phase Dijkstra, the bucket pass the oracle runs from the sink
-    on the mirrored residual, the seeded early-stopping reverse search and the
-    layer-local matched read against the plain kernels in ``references``, on
-    every call the oracle's solve and the layered sweep make."""
+    """The searches of both dimension solvers, the bucket pass the oracle
+    runs from the sink on the mirrored residual, the seeded early-stopping
+    reverse search and the layer-local matched read against the plain
+    kernels in ``references``, on every call the oracle and the layered
+    sweep make and on every search of ``references.ssp_solve_min_cost``."""
 
     @staticmethod
     def assert_kernels_match(dags, monkeypatch):
-        forward = FlowNetwork._forward_dijkstra
+        forward = references.zero_phase_dijkstra
         bucket_pass = FlowNetwork._bucket_pass
         reaching = FlowNetwork.targets_reaching_sink
         open_layer = FlowNetwork.open_layer
@@ -361,6 +376,9 @@ class TestFlowKernels:
             if zero[0] == net.sink:  # the oracle's pass; a forward one starts at the source
                 assert dist == heap_dijkstra(net, net._potential, net.sink, backward=True)[0]
                 calls["backward"] += 1
+            elif zero == [net.source]:  # a primal-dual phase ends only when no tight path is left
+                assert dist == heap_dijkstra(net, potential, net.source)[0]
+                assert dist[net.sink] > 0
 
         def checked_reaching(net, targets):
             targets = frozenset(targets)
@@ -377,11 +395,12 @@ class TestFlowKernels:
             for targets in (layer, matched):
                 assert net.targets_reaching_sink(targets) == residual_reaching_sink(net, targets)
 
-        monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked_forward)
+        monkeypatch.setattr(references, "zero_phase_dijkstra", checked_forward)
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked_bucket_pass)
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", checked_reaching)
         monkeypatch.setattr(FlowNetwork, "open_layer", checked_open_layer)
         for dag in dags:
+            ssp_flow(dag)
             fixed_nodes_oracle(dag)
             fixed_nodes_layered(dag)
         assert calls["forward"] >= len(dags) and calls["backward"] >= len(dags)
@@ -422,19 +441,13 @@ class TestFlowKernels:
         the network.  One whole-residual search per layer, as in
         ``references.residual_reaching_sink``, reads about depth * n."""
         dag = shaped_dag(100, 10, 4, 0.0, seed=11)
-        reads = 0
-
-        class CountingList(list):
-            def __getitem__(self, index):
-                nonlocal reads
-                reads += 1
-                return super().__getitem__(index)
-
         reaching = FlowNetwork.targets_reaching_sink
+        lists = CountingList()
 
         def counted(net, targets):
             plain = net._adj
-            net._adj = CountingList(plain)
+            lists[:] = plain
+            net._adj = lists
             try:
                 return reaching(net, targets)
             finally:
@@ -442,7 +455,7 @@ class TestFlowKernels:
 
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", counted)
         fixed_nodes_layered(dag)
-        assert 0 < reads < 3 * (2 * dag.node_count + 2)
+        assert 0 < lists.reads < 3 * (2 * dag.node_count + 2)
 
     def test_saturated_source_ends_the_search_at_the_source(self, monkeypatch):
         """With every source arc saturated no augmenting path can exist, and
@@ -468,14 +481,14 @@ class TestFlowKernels:
         max_flow = FlowNetwork.max_flow
         saturated = []
 
-        def counted(net, last=None):
+        def counted(net, last):
             full = not any(net._cap[arc] for arc in net._adj[net.source])
             before = len(searches)
-            value = max_flow(net, last)
+            matched = net.matched_targets(net._open)
+            max_flow(net, last)
             if full:
-                assert searches[before:] == [[0]] and value == 0
+                assert searches[before:] == [[0]] and net.matched_targets(net._open) == matched
                 saturated.append(last)
-            return value
 
         monkeypatch.setattr(fixednodes.stems, "deque", RecordingDeque)
         monkeypatch.setattr(FlowNetwork, "max_flow", counted)
@@ -516,31 +529,38 @@ class TestFlowKernels:
 
 
 class TestZeroPhase:
-    """The dimension solve's searches start with a zero phase over the tight
-    arcs and take the bucket pass only when that phase leaves some node the
+    """The searches of ``references.ssp_solve_min_cost``, the solver the
+    primal-dual phases replaced, start with a zero phase over the tight arcs
+    and take the bucket pass only when that phase leaves some node the
     source reaches unreached."""
 
     @pytest.fixture
     def searches(self, monkeypatch) -> list[bool]:
-        """One entry per forward search: whether it took the bucket pass; the
-        oracle's pass from the sink is not counted.  Each search is checked to
-        read tight lists that hold exactly the arcs of reduced cost 0 under
-        the potentials it is given."""
-        forward = FlowNetwork._forward_dijkstra
+        """One entry per search of the reference solver: whether it took the
+        bucket pass; the passes of ``FlowNetwork.solve_min_cost`` and the
+        oracle's pass from the sink are not counted.  Each search is checked
+        to read tight lists that hold exactly the arcs of reduced cost 0
+        under the potentials it is given."""
+        forward = references.zero_phase_dijkstra
         bucket_pass = FlowNetwork._bucket_pass
         log: list[bool] = []
+        inside: list[bool] = []  # holds an entry while a reference search runs
 
         def checked(net, potential, tight, reach):
             assert tight == tight_arcs(net, potential)
             log.append(False)
-            return forward(net, potential, tight, reach)
+            inside.append(True)
+            try:
+                return forward(net, potential, tight, reach)
+            finally:
+                inside.pop()
 
-        def counted(net, potential, dist, parent, zero, *arrays):
-            if zero[0] == net.source:
+        def counted(net, *args):
+            if inside:
                 log[-1] = True
-            return bucket_pass(net, potential, dist, parent, zero, *arrays)
+            return bucket_pass(net, *args)
 
-        monkeypatch.setattr(FlowNetwork, "_forward_dijkstra", checked)
+        monkeypatch.setattr(references, "zero_phase_dijkstra", checked)
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", counted)
         return log
 
@@ -556,7 +576,7 @@ class TestZeroPhase:
         moved = 0
         for dag in self.skip_graphs():
             searches.clear()
-            _dimension_flow(dag)
+            ssp_flow(dag)
             moved += any(searches[:-1])
         assert moved >= 10
 
@@ -575,34 +595,150 @@ class TestZeroPhase:
         one at most two of its 25 take the bucket pass (one on this graph, 5
         in 500 searches over seeds 1-20 of that shape)."""
         dag = shaped_dag(*shape, seed=11)
-        _dimension_flow(dag)
+        ssp_flow(dag)
         assert len(searches) == len(dag.leaders)
         assert sum(searches) <= most
 
-    def test_searches_read_few_adjacency_lists(self, monkeypatch):
-        """On the wide 1000-node shape the solve reads its adjacency lists fewer
-        times than five passes over the network: once for the potentials,
-        once for the first tight lists, and again only in its one bucket pass
-        and the rebuild after it.  One bucket-queue search per leader, as
-        before the zero phase, reads 25 passes."""
+    def test_searches_read_few_adjacency_lists(self):
+        """On the wide 1000-node shape the reference solve reads its adjacency
+        lists fewer times than five passes over the network: once for the
+        potentials, once for the first tight lists, and again only in its one
+        bucket pass and the rebuild after it.  One bucket-queue search per
+        leader, as before the zero phase, reads 25 passes."""
         dag = shaped_dag(20, 50, 25, 0.0, seed=11)
-        reads = 0
+        net = FlowNetwork(dag)
+        net.open_sinks(dag.nodes)
+        net._adj = CountingList(net._adj)
+        ssp_solve_min_cost(net, len(dag.leaders))
+        assert 0 < net._adj.reads < 5 * net.size
 
-        class CountingList(list):
-            def __getitem__(self, index):
-                nonlocal reads
-                reads += 1
-                return super().__getitem__(index)
 
-        solve = FlowNetwork.solve_min_cost
+def solved_answers(dag: StructuredDag):
+    """Everything the routes read of a graph's dimension flow: the dimension,
+    every oracle distance and, for source leaders, the layered result; the
+    witness is checked to be a valid family of that many nodes."""
+    dim, witness = generic_dimension(dag)
+    assert not stem_family_violations(dag, witness)
+    assert len(witness.covered) == dim and len(witness.stems) == len(dag.leaders)
+    distances = _dimension_flow(dag).in_copy_distances_to_sink()
+    sources = not any(dag.in_neighbors[x] for x in dag.leaders)
+    return dim, distances, fixed_nodes_layered(dag) if sources else None
 
-        def counted(net, value):
-            net._adj = CountingList(net._adj)
-            solve(net, value)
 
-        monkeypatch.setattr(FlowNetwork, "solve_min_cost", counted)
+# seed-1 sweep-small graphs g039 and g237, where a second solver's witness
+# moved the layered set while the route pruned what its witness left out
+SWEEP_SMALL_G039 = StructuredDag.of(
+    17,
+    [(2, 5), (2, 12), (2, 14), (3, 6), (3, 7), (3, 13), (4, 6), (4, 7), (4, 8), (5, 14), (8, 9),
+     (9, 10), (9, 11), (9, 12), (9, 13), (10, 15), (10, 17), (11, 15), (11, 16), (11, 17), (12, 14)],
+    [1, 2, 3, 4],
+)
+SWEEP_SMALL_G237 = StructuredDag.of(
+    16,
+    [(1, 4), (1, 5), (1, 6), (1, 8), (1, 12), (2, 4), (2, 5), (2, 8), (2, 11), (3, 4), (3, 6),
+     (4, 7), (4, 8), (4, 9), (5, 8), (6, 7), (6, 8), (6, 9), (7, 10), (7, 11), (7, 12), (8, 11),
+     (8, 14), (10, 13), (11, 13), (11, 15), (11, 16), (12, 14), (12, 16)],
+    [1, 2, 3],
+)
+# seed-1 sweep-small g020: every node is in every maximum family
+SWEEP_SMALL_G020 = StructuredDag.of(6, [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (4, 6), (5, 6)], [1, 2, 3])
+
+
+class TestPrimalDualPhases:
+    """``FlowNetwork.solve_min_cost`` against ``references.ssp_solve_min_cost``,
+    the successive-shortest-path solver it replaced.  Their witnesses may
+    differ; the dimension, every oracle distance and the whole layered
+    result, each layer's ``mu``, ``fixed`` and ``fast_path`` included, may
+    not."""
+
+    @staticmethod
+    def assert_same_answers(dags, monkeypatch):
+        """Also checks that a phase ends only when no tight path is left: each
+        bucket pass from the source finds the sink at a positive distance."""
+        bucket_pass = FlowNetwork._bucket_pass
+
+        def checked(net, potential, dist, parent, zero, *arrays):
+            bucket_pass(net, potential, dist, parent, zero, *arrays)
+            assert zero != [net.source] or dist[net.sink] > 0
+
+        monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked)
+        for dag in dags:
+            phases = solved_answers(dag.with_leaders(dag.leaders))
+            with monkeypatch.context() as patch:
+                patch.setattr(FlowNetwork, "solve_min_cost", ssp_solve_min_cost)
+                assert solved_answers(dag.with_leaders(dag.leaders)) == phases
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob, monkeypatch):
+        rng = random.Random(0x9D1A + int(skip_prob * 10))
+        dags = [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob) for _ in range(350)]
+        dags += [redrawn_leaders(rng, dag) for dag in dags[:100]]
+        self.assert_same_answers(dags, monkeypatch)
+
+    def test_benchmark_graphs(self, monkeypatch):
+        """The 12 ``layered-n1000`` graphs of seeds 1-3, the ``all-n200``
+        graphs of seed 1 and the two small graphs above."""
+        dags = [dag for seed in (1, 2, 3) for dag in layered_n1000_graphs(seed)]
+        dags += all_n200_graphs(1) + [SWEEP_SMALL_G039, SWEEP_SMALL_G237]
+        self.assert_same_answers(dags, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "shape", [(100, 10, 4, 0.3), (20, 50, 25, 0.0)], ids=["deep", "wide"]
+    )
+    def test_thousand_node_shapes(self, shape, monkeypatch):
+        self.assert_same_answers([shaped_dag(*shape, seed=11)], monkeypatch)
+
+    def test_walks_read_few_adjacency_lists(self, monkeypatch):
+        """On the wide 1000-node shape the depth-first walks of all 25 units
+        together read fewer adjacency lists than one pass over the network.
+        From an out-copy a walk tries the sink first and its way back up the
+        node's own stem last; in adjacency order the walks wander up and down
+        the stems and read over eight passes."""
+        dag = shaped_dag(20, 50, 25, 0.0, seed=11)
+        walk = FlowNetwork._tight_walk
+        lists = CountingList()
+
+        def counted(net, *args):
+            plain = net._adj
+            lists[:] = plain
+            net._adj = lists
+            try:
+                return walk(net, *args)
+            finally:
+                net._adj = plain
+
+        monkeypatch.setattr(FlowNetwork, "_tight_walk", counted)
         net = _dimension_flow(dag)
-        assert 0 < reads < 5 * net.size
+        assert 0 < lists.reads < net.size
+
+
+class TestEveryFamily:
+    """``FlowNetwork.in_every_family``, one pass over the components of the
+    tight residual arcs, against its definition: the nodes whose removal
+    lowers the generic dimension."""
+
+    @staticmethod
+    def assert_matches(dag):
+        assert _dimension_flow(dag).in_every_family() == in_every_max_family(dag)
+
+    def test_every_node_covered(self):
+        """Each node's ``in -> out`` arc carries a unit, and some in-copy
+        shares a component with its out-copy through arcs whose reverse
+        ``in -> out`` arc is not tight; no node can be left out."""
+        self.assert_matches(SWEEP_SMALL_G020)
+        assert _dimension_flow(SWEEP_SMALL_G020).in_every_family() == SWEEP_SMALL_G020.nodes
+
+    def test_pinned_graphs(self):
+        for name in PINNED:
+            self.assert_matches(graph_from_json((DATA / f"{name}.graph.json").read_text()))
+
+    @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
+    def test_random_dags(self, skip_prob):
+        rng = random.Random(0xEF0A + int(skip_prob * 10))
+        for _ in range(300):
+            dag = random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob)
+            self.assert_matches(dag)
+            self.assert_matches(redrawn_leaders(rng, dag))
 
 
 class TestArcTable:
@@ -684,7 +820,8 @@ class TestArcTable:
         solved = flow._cap.copy()
         second, third = FlowNetwork(dag), FlowNetwork(dag)
         second.open_sinks(dag.nodes)
-        assert second.max_flow() == len(dag.leaders)
+        second.max_flow(second.sink - 1)
+        assert len(second.matched_targets(dag.nodes)) == len(dag.leaders)
         for k in range(1, len(dag.source_layers) + 1):
             third.open_layer(k)
         assert flow._cap == solved and flow._open == dag.nodes
