@@ -92,18 +92,25 @@ class StructuredDag:
     @cached_property
     def out_neighbors(self) -> Mapping[int, tuple[int, ...]]:
         """Successors of every node, ascending; read-only, as every caller shares it."""
-        adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
-        for u, v in self.sorted_edges:
-            adj[u].append(v)
-        return MappingProxyType({u: tuple(vs) for u, vs in adj.items()})
+        return self._neighbors[0]
 
     @cached_property
     def in_neighbors(self) -> Mapping[int, tuple[int, ...]]:
         """Predecessors of every node, ascending; read-only, as every caller shares it."""
-        adj: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
+        return self._neighbors[1]
+
+    @cached_property
+    def _neighbors(self) -> tuple[Mapping[int, tuple[int, ...]], Mapping[int, tuple[int, ...]]]:
+        """Both neighbour maps from one pass over the sorted edges."""
+        succ: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
+        pred: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
         for u, v in self.sorted_edges:
-            adj[v].append(u)
-        return MappingProxyType({v: tuple(us) for v, us in adj.items()})
+            succ[u].append(v)
+            pred[v].append(u)
+        return (
+            MappingProxyType({u: tuple(vs) for u, vs in succ.items()}),
+            MappingProxyType({v: tuple(us) for v, us in pred.items()}),
+        )
 
     @cached_property
     def source_layers(self) -> tuple[tuple[int, ...], ...]:
@@ -193,6 +200,12 @@ def validate(dag: StructuredDag) -> tuple[Violation, ...]:
     (construction refuses the rest); an empty graph, a self-loop or no leader
     ends the check early, as the later checks need their absence.  The
     violations are found once per graph and shared by every caller.
+
+    The reachability search runs only when the source peel can not settle it.
+    When the peel covers every node and every layer-1 node is a leader, every
+    node is reachable: a node of layer ``k >= 2`` has a predecessor in layer
+    ``k - 1``, so by induction on ``k`` a path from layer 1 reaches it.  In
+    every other case the search runs and names the nodes no leader reaches.
     """
     return dag._violations
 
@@ -225,13 +238,17 @@ def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
             )
         )
 
-    cyclic = set(dag.nodes).difference(*dag.source_layers)
-    if cyclic:
+    layers = dag.source_layers
+    peeled = sum(map(len, layers)) == dag.node_count
+    if not peeled:
+        cyclic = sorted(set(dag.nodes).difference(*layers))
         violations.append(
-            Violation("cycle", f"edge relation contains a cycle through: {sorted(cyclic)}", tuple(sorted(cyclic)))
+            Violation("cycle", f"edge relation contains a cycle through: {cyclic}", tuple(cyclic))
         )
 
-    unreachable = _unreachable_from_leaders(dag)
+    # a full peel whose sources are all leaders reaches every node (see validate)
+    reached = peeled and dag.leaders.issuperset(layers[0])
+    unreachable = () if reached else _unreachable_from_leaders(dag)
     if unreachable:
         violations.append(
             Violation(
@@ -277,10 +294,11 @@ def graph_from_json(text: str) -> StructuredDag:
 
     The format is a JSON object with exactly the keys ``n`` (positive integer),
     ``edges`` (array of ``[u, v]`` integer pairs) and ``leaders`` (array of
-    integers).  Duplicate edges or leaders and unknown keys are errors.
+    integers).  Duplicate edges or leaders and unknown or repeated keys are
+    errors.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from None
     except RecursionError:
@@ -330,19 +348,37 @@ def graph_from_json(text: str) -> StructuredDag:
             f'"n" is {n}, but a graph with {len(leaders)} leaders and {len(edges)} '
             f"edges has at most {len(leaders) + len(edges)} reachable nodes"
         )
-    return StructuredDag(frozenset(range(1, n + 1)), edge_set, leader_set)
+    dag = StructuredDag(frozenset(range(1, n + 1)), edge_set, leader_set)
+    # the list holds each edge once; sorting it is linear on a file whose
+    # edges come in order, as graph_to_json writes them
+    edges.sort()
+    vars(dag)["sorted_edges"] = tuple(edges)
+    return dag
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, refused if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        repeated = sorted(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise InvalidGraphError(f"repeated keys in graph JSON: {repeated}")
+    return obj
 
 
 def graph_to_json(dag: StructuredDag) -> str:
-    """Canonical serialization of a dense-id graph (sorted edges and leaders)."""
+    """Canonical serialization of a dense-id graph (sorted edges and leaders).
+
+    The bytes are those of ``json.dumps`` with ``separators=(", ", ": ")``,
+    written directly: every id is an exact ``int``, so ``%d`` spells it as
+    ``json`` does.
+    """
     if dag.nodes != frozenset(range(1, dag.node_count + 1)):
         raise InvalidGraphError("only graphs with contiguous ids 1..n can be serialized")
-    payload = {
-        "n": dag.node_count,
-        "edges": [[u, v] for u, v in dag.sorted_edges],
-        "leaders": sorted(dag.leaders),
-    }
-    return json.dumps(payload, separators=(", ", ": ")) + "\n"
+    return '{"n": %d, "edges": [%s], "leaders": [%s]}\n' % (
+        dag.node_count,
+        ", ".join(["[%d, %d]" % edge for edge in dag.sorted_edges]),
+        ", ".join(["%d" % x for x in sorted(dag.leaders)]),
+    )
 
 
 def _unreachable_from_leaders(dag: StructuredDag) -> set[int]:

@@ -98,7 +98,12 @@ def analyze(
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
-    """The documented report schema (schema 2): every result field, and no time."""
+    """The documented report schema (schema 2): every result field, and no time.
+
+    Layers and targets are listed from the graph's source peel, whose tuples
+    are the labeling's layers in ascending order.
+    """
+    layers = report.dag.source_layers
     methods_json: dict[str, dict] = {}
     for name, result in report.methods.items():
         entry: dict = {"fixed": sorted(result.fixed_nodes)}
@@ -108,7 +113,7 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
             entry["layers"] = [
                 {
                     "layer": lr.layer_index,
-                    "targets": sorted(lr.targets),
+                    "targets": list(layers[lr.layer_index - 1]),
                     "mu": lr.mu,
                     "fixed": sorted(lr.fixed),
                     "fast_path": lr.fast_path,
@@ -123,7 +128,7 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
         "leaders": sorted(report.dag.leaders),
         "labeling": {
             "depth": report.labeling.depth,
-            "layers": [sorted(layer) for layer in report.labeling.layers],
+            "layers": [list(layer) for layer in layers],
         },
         "generic_dim": report.generic_dim,
         "witness": [list(stem) for stem in report.witness.stems],

@@ -39,7 +39,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidGraphError
@@ -101,16 +101,16 @@ class _ArcTable(NamedTuple):
 
 
 def _build_arcs(dag: StructuredDag) -> _ArcTable:
-    """The arc table of ``dag``, built from one sequence of ``(tail, head)`` pairs.
+    """The arc table of ``dag``, built from one list of tails and one of heads.
 
-    The pairs come in four runs: the source arcs (leaders ascending), the
+    The arcs come in four runs: the source arcs (leaders ascending), the
     ``in -> out`` arcs (split order), the edge arcs (edges ascending) and the
-    sink arcs (split order).  Pair ``j`` is forward arc ``2j`` and reverse arc
-    ``2j + 1``; one pass over the pairs lists each node's arcs in arc order,
-    the order every search reads them in.  Only the sink's list depends on
-    where the sink arcs come, and no search depends on its order: each
-    out-copy has one arc from the sink, the searches that expand the sink
-    pop nodes by id, and the others never expand it.
+    sink arcs (split order).  Arc ``j`` of the lists is forward arc ``2j``
+    and reverse arc ``2j + 1``; one pass over them lists each node's arcs in
+    arc order, the order every search reads them in.  Only the sink's list
+    depends on where the sink arcs come, and no search depends on its order:
+    each out-copy has one arc from the sink, the searches that expand the
+    sink pop nodes by id, and the others never expand it.
     """
     label_layers(dag)  # raises on a cycle
     layers = dag.source_layers
@@ -118,20 +118,22 @@ def _build_arcs(dag: StructuredDag) -> _ArcTable:
     n = len(order)
     sink = 2 * n + 1
     in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
-    # one pass reads the pairs, each freed before the next is made, so the
-    # build adds no garbage-collection passes
-    pairs = chain(
-        ((0, in_copy[x]) for x in sorted(dag.leaders)),
-        ((x, x + 1) for x in range(1, sink, 2)),
-        ((in_copy[u] + 1, in_copy[v]) for u, v in dag.sorted_edges),
-        ((x, sink) for x in range(2, sink, 2)),
-    )
-    head: list[int] = []
+    ins, outs = range(1, sink, 2), range(2, sink, 2)
+    # flat lists of ints, not pairs, so the build adds no garbage-collection passes
+    tails = [0] * len(dag.leaders)
+    tails += ins
+    tails += [in_copy[u] + 1 for u, _ in dag.sorted_edges]
+    tails += outs
+    heads = [in_copy[x] for x in sorted(dag.leaders)]
+    heads += outs
+    heads += [in_copy[v] for _, v in dag.sorted_edges]
+    heads += [sink] * n
+    head = [0] * (2 * len(tails))
+    head[::2], head[1::2] = heads, tails
     adj: list[list[int]] = [[] for _ in range(sink + 1)]
-    for u, v in pairs:
-        adj[u].append(len(head))
-        adj[v].append(len(head) + 1)
-        head += v, u
+    for arc, u, v in zip(range(0, len(head), 2), tails, heads):
+        adj[u].append(arc)
+        adj[v].append(arc + 1)
     to_through, to_sink = 2 * len(dag.leaders) - 1, len(head) - sink
     cost = [0] * len(head)
     cost[to_through + 1 : to_through + sink] = [-1, 1] * n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from typing import Iterable, Iterator
 
@@ -20,6 +21,7 @@ from fixednodes import (
     generic_dimension,
     label_layers,
 )
+from fixednodes.graph import Violation
 from fixednodes.numeric import DEFAULT_TRIALS, TOL
 from fixednodes.stems import FlowNetwork
 
@@ -283,6 +285,85 @@ def unpruned_layer_fixed(dag: StructuredDag) -> list[frozenset[int]]:
         else:
             fixed.append(coverage.essential)
     return fixed
+
+
+# -- the graph module: validation that always searches, and the json.dumps writer
+
+
+def searching_violations(dag: StructuredDag) -> tuple[Violation, ...]:
+    """``graph.validate``'s violations, found with the reachability search run
+    on every graph that gets that far, as it was before the source peel could
+    prove that every node is reached."""
+    if not dag.nodes:
+        return (Violation("empty-graph", "graph has no nodes"),)
+    violations: list[Violation] = []
+    loops = tuple(sorted(e for e in dag.edges if e[0] == e[1]))
+    if loops:
+        violations.append(
+            Violation("self-loop", f"self-loops are not allowed: {[list(e) for e in loops]}", loops)
+        )
+    if not dag.leaders:
+        violations.append(Violation("leaders-empty", "at least one leader is required"))
+    if violations:
+        return tuple(violations)
+
+    fed = {v for _, v in dag.edges}
+    nonsource = tuple(sorted(dag.leaders & fed))
+    if nonsource:
+        violations.append(
+            Violation(
+                "leader-in-degree",
+                f"leaders must have no incoming edges: {list(nonsource)}",
+                nonsource,
+            )
+        )
+    cyclic = tuple(sorted(dag.nodes - {v for layer in _kahn_layers(dag) for v in layer}))
+    if cyclic:
+        violations.append(
+            Violation("cycle", f"edge relation contains a cycle through: {list(cyclic)}", cyclic)
+        )
+    reached = set(dag.leaders)
+    frontier = list(dag.leaders)
+    while frontier:
+        u = frontier.pop()
+        for a, b in dag.edges:
+            if a == u and b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    unreachable = tuple(sorted(dag.nodes - reached))
+    if unreachable:
+        violations.append(
+            Violation(
+                "unreachable",
+                f"graph is not influenceable; no leader reaches: {list(unreachable)}",
+                unreachable,
+            )
+        )
+    return tuple(violations)
+
+
+def _kahn_layers(dag: StructuredDag) -> list[set[int]]:
+    """Source peeling that stops when no node of in-degree 0 is left."""
+    layers: list[set[int]] = []
+    left = set(dag.nodes)
+    while True:
+        layer = {v for v in left if not any(b == v and a in left for a, b in dag.edges)}
+        if not layer:
+            return layers
+        layers.append(layer)
+        left -= layer
+
+
+def dumped_graph_json(dag: StructuredDag) -> str:
+    """``graph_to_json`` as ``json.dumps`` writes it from ``[u, v]`` lists."""
+    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
+        raise InvalidGraphError("only graphs with contiguous ids 1..n can be serialized")
+    payload = {
+        "n": dag.node_count,
+        "edges": [[u, v] for u, v in sorted(dag.edges)],
+        "leaders": sorted(dag.leaders),
+    }
+    return json.dumps(payload, separators=(", ", ": ")) + "\n"
 
 
 # -- flow kernels: the plain versions the FlowNetwork methods are checked against

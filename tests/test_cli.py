@@ -199,9 +199,10 @@ class TestDeepNesting:
 
 
 class TestOutOfRangeIds:
-    """A graph file naming an edge endpoint or a leader outside ``1..n`` is
-    refused as it is read: every graph subcommand exits 1 with one error line
-    naming the ids and writes nothing to stdout."""
+    """A graph file naming an edge endpoint or a leader outside ``1..n``, or
+    repeating a key, is refused as it is read: every graph subcommand exits 1
+    with one error line naming the ids or the key and writes nothing to
+    stdout."""
 
     @pytest.mark.parametrize(
         "text, message",
@@ -218,8 +219,12 @@ class TestOutOfRangeIds:
                 '{"n": 2, "edges": [[1, 2], [2, 9]], "leaders": [1, 7]}',
                 "edges reference unknown nodes: [[2, 9]]; leaders are not nodes of the graph: [7]",
             ),
+            (
+                '{"n": 3, "edges": [[1, 2]], "leaders": [1], "n": 2}',
+                "repeated keys in graph JSON: ['n']",
+            ),
         ],
-        ids=["edge", "leader", "both"],
+        ids=["edge", "leader", "both", "repeated-key"],
     )
     @pytest.mark.parametrize("command", ["label", "dim", "fixed", "verify", "export-dot"])
     def test_exits_1(self, tmp_path, capsys, command, text, message):

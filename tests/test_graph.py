@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import json
+import random
+from collections import Counter
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,8 @@ from fixednodes import (
     label_layers,
     validate,
 )
-from references import induce_prefix
+from randgraphs import layered_n1000_graphs, random_dag, redrawn_leaders
+from references import dumped_graph_json, induce_prefix, searching_violations
 
 
 class TestValidate:
@@ -309,6 +315,8 @@ class TestGraphJson:
             '{"n": 2, "edges": [[1, 2.5]], "leaders": [1]}',
             '{"n": 2, "edges": {}, "leaders": [1]}',
             '{"n": 2, "edges": [], "leaders": "1"}',
+            # a repeated key used to be read with its last value winning
+            '{"n": 3, "edges": [[1, 2]], "leaders": [1], "n": 2}',
         ],
     )
     def test_malformed_documents_rejected(self, text):
@@ -337,6 +345,70 @@ class TestGraphJson:
         text = graph_to_json(single7.dag)
         assert text == graph_to_json(single7.dag)
         assert text.index("[1, 2]") < text.index("[2, 3]")
+
+
+def varied_graphs(count: int, seed: int) -> Iterator[StructuredDag]:
+    """Random graphs of every kind ``validate`` tells apart: valid ones, ones
+    with redrawn leaders (non-leader sources, unreachable nodes, leaders with
+    in-edges), a cycle closed by a back edge, a 2-cycle that nothing feeds,
+    and an isolated non-leader node; at skip 0, 0.3 and 0.9."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dag = random_dag(rng, max_nodes=12, max_leaders=4, skip_prob=(0.0, 0.3, 0.9)[i % 3])
+        kind, n = (i // 3) % 5, dag.node_count
+        if kind == 1:
+            dag = redrawn_leaders(rng, dag)
+        elif kind == 2 and dag.edges:
+            u, v = rng.choice(sorted(dag.edges))
+            dag = StructuredDag(dag.nodes, dag.edges | {(v, u)}, dag.leaders)
+        elif kind == 3:
+            cycle = {(n + 1, n + 2), (n + 2, n + 1)}
+            dag = StructuredDag(dag.nodes | {n + 1, n + 2}, dag.edges | cycle, dag.leaders)
+        elif kind == 4:
+            dag = StructuredDag(dag.nodes | {n + 1}, dag.edges, dag.leaders)
+        yield dag
+
+
+@pytest.fixture(scope="module")
+def varied() -> list[StructuredDag]:
+    return list(varied_graphs(1200, seed=25))
+
+
+class TestAgainstReferences:
+    """``validate``, ``graph_to_json`` and a parsed graph's ``sorted_edges``
+    against the references that search, re-encode and sort every time."""
+
+    def test_violations_match_the_always_searching_finder(self, varied):
+        """The reachability search is skipped only where the peel proves
+        that every node is reached; the violations stay the same."""
+        kinds: Counter[str] = Counter()
+        for dag in varied:
+            found = validate(dag)
+            assert found == searching_violations(dag)
+            kinds.update(v.kind for v in found)
+            kinds["valid"] += not found
+        assert min(kinds[k] for k in ("valid", "leader-in-degree", "cycle", "unreachable")) >= 100
+
+    def test_writer_matches_json_dumps(self, varied):
+        for dag in varied + layered_n1000_graphs(1):
+            assert graph_to_json(dag) == dumped_graph_json(dag)
+
+    def test_parsed_sorted_edges_ignore_the_file_order(self, varied):
+        """A file whose edges and leaders come in any order parses to the
+        sorted edge tuple and writes back the canonical bytes."""
+        rng = random.Random(26)
+        parsable = [dag for dag in varied if dag.node_count <= len(dag.leaders) + len(dag.edges)]
+        assert len(parsable) >= 1000
+        for dag in parsable + layered_n1000_graphs(1):
+            text = graph_to_json(dag)
+            raw = json.loads(text)
+            rng.shuffle(raw["edges"])
+            rng.shuffle(raw["leaders"])
+            parsed = graph_from_json(json.dumps(raw))
+            assert parsed == dag
+            assert parsed.sorted_edges == tuple(sorted(dag.edges))
+            assert graph_to_json(parsed) == text
+            assert graph_from_json(text).sorted_edges == tuple(sorted(dag.edges))
 
 
 @st.composite

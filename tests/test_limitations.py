@@ -34,7 +34,7 @@ from fixednodes import (
 )
 from fixednodes.cli import main
 from randgraphs import random_dag
-from references import singleton_layer_nodes
+from references import induce_prefix, singleton_layer_nodes
 
 
 def has_skip_edge(dag) -> bool:
@@ -97,6 +97,52 @@ class TestDivergenceIsConfinedToSkipGraphs:
                 diverged += 1
                 assert has_skip_edge(dag)
         assert diverged > 0  # the scan is expected to hit the boundary
+
+
+def prefix_verdicts(dag, k: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The fixed nodes of layer ``k`` by the oracle on the prefix graph of
+    layers ``1..k`` and by the oracle on the whole graph."""
+    labeling = label_layers(dag)
+    layer = labeling.layers[k - 1]
+    prefix = fixed_nodes_oracle(induce_prefix(dag, labeling, k)).fixed_nodes
+    return prefix & layer, fixed_nodes_oracle(dag).fixed_nodes & layer
+
+
+class TestPrefixLocality:
+    """A graph and its prefix of layers ``1..k`` share those layers, so a rule
+    that reads only them, as the layered route does, gives a layer-``k`` node
+    the verdict the oracle gives it on the prefix.  That verdict is the
+    whole-graph one on adjacent-layer graphs and can overshoot on skip graphs,
+    so no such rule can be exact there."""
+
+    def test_adjacent_layer_graphs_keep_every_verdict(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            dag = random_dag(rng, max_nodes=12, max_leaders=4)
+            for k in range(1, label_layers(dag).depth + 1):
+                prefix, whole = prefix_verdicts(dag, k)
+                assert prefix == whole
+
+    def test_skip_graphs_overshoot(self):
+        """Where the verdicts differ, the prefix oracle fixes more (seen on
+        every differing layer of this scan)."""
+        rng = random.Random(11)
+        differing = 0
+        for _ in range(300):
+            dag = random_dag(rng, max_nodes=12, max_leaders=4, skip_prob=0.6)
+            for k in range(1, label_layers(dag).depth + 1):
+                prefix, whole = prefix_verdicts(dag, k)
+                assert prefix >= whole
+                differing += prefix != whole
+        assert differing >= 40
+
+    @pytest.mark.parametrize(
+        "dag, overshoot",
+        [(goldens.SKIP4, {2}), (goldens.SKIP7, {3, 4})],
+        ids=["skip4", "skip7"],
+    )
+    def test_counterexamples_overshoot_in_layer_2(self, dag, overshoot):
+        assert prefix_verdicts(dag, 2) == (overshoot, frozenset())
 
 
 class TestNumericRouteOnLongChains:
