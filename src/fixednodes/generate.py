@@ -160,9 +160,7 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
             edges.update(pool.sample(rng, prob))
 
     # every id is already an ``int``, so the graph skips ``of``'s conversion
-    return StructuredDag(
-        frozenset(range(1, firsts[-1])), frozenset(edges), frozenset(range(1, firsts[1]))
-    )
+    return StructuredDag(firsts[-1] - 1, frozenset(edges), frozenset(range(1, firsts[1])))
 
 
 # One layer pair's candidates: first u, first v, pair count, width of v's

@@ -3,8 +3,9 @@
 A :class:`StructuredDag` is the zero/nonzero sparsity pattern of a linear
 network: nodes are states, an edge ``(u, v)`` means state ``u`` feeds state
 ``v`` with some unknown nonzero weight, and *leaders* are the states that
-receive an external input.  Construction refuses ids outside the node set;
-acyclicity, source leaders and reachability are checked by :func:`validate`.
+receive an external input.  Nodes are ``1..n``, and construction refuses any
+other id; acyclicity, source leaders and reachability are checked by
+:func:`validate`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from .errors import InvalidGraphError
 
@@ -25,34 +24,41 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class StructuredDag:
-    """A directed graph pattern with a set of input-attached leader nodes.
+    """A directed graph pattern on nodes ``1..n`` with a set of input-attached
+    leader nodes.
 
-    Nodes are positive integers; the external file format uses the dense range
-    ``1..n``, while induced subgraphs keep their original ids.  Construction
-    raises :class:`InvalidGraphError` on any id that is not an ``int`` (a
-    ``bool``, a float or a numpy integer included) or not positive, or on an
-    edge or leader naming a non-node.  Instances are immutable and thread-safe.
+    Construction raises :class:`InvalidGraphError` on a count or id that is
+    not an ``int`` (a ``bool``, a float or a numpy integer included), on a
+    count below 1, or on an edge or leader naming an id outside ``1..n``.  So
+    a subgraph is a graph of its own, numbered ``1..k``.  Per-node state is a
+    tuple indexed by id, whose index 0 is unused.  Instances are immutable and
+    thread-safe.
     """
 
-    nodes: frozenset[int]
+    n: int
     edges: frozenset[tuple[int, int]]
     leaders: frozenset[int]
 
     def __post_init__(self) -> None:
-        nodes = self.nodes
-        # only an ``int`` is an id: ``True``, ``1.0`` or ``np.int64(1)`` would pass as node 1
-        if not set(map(type, _ids(self))) <= {int}:
-            _refuse(next(v for v in _ids(self) if type(v) is not int))
+        n = self.n
+        # only an ``int`` is a count or an id: ``True``, ``1.0`` or ``np.int64(1)`` would pass as 1
+        if type(n) is not int:
+            _refuse(n)
+        if n < 1:
+            raise InvalidGraphError(f"node count must be positive, got {n}")
+        bad_edges = [
+            (u, v) for u, v in self.edges
+            if not (type(u) is int is type(v) and 0 < u <= n and 0 < v <= n)
+        ]
+        unknown_leaders = [x for x in self.leaders if not (type(x) is int and 0 < x <= n)]
+        for v in (*(v for edge in bad_edges for v in edge), *unknown_leaders):
+            if type(v) is not int:
+                _refuse(v)
         problems = []
-        bad_ids = sorted(v for v in nodes if v < 1)
-        if bad_ids:
-            problems.append(f"node ids must be positive integers: {bad_ids}")
-        bad_edges = sorted(e for e in self.edges if e[0] not in nodes or e[1] not in nodes)
         if bad_edges:
-            problems.append(f"edges reference unknown nodes: {[list(e) for e in bad_edges]}")
-        unknown_leaders = sorted(x for x in self.leaders if x not in nodes)
+            problems.append(f"edges reference unknown nodes: {sorted(map(list, bad_edges))}")
         if unknown_leaders:
-            problems.append(f"leaders are not nodes of the graph: {unknown_leaders}")
+            problems.append(f"leaders are not nodes of the graph: {sorted(unknown_leaders)}")
         if problems:
             raise InvalidGraphError("; ".join(problems))
 
@@ -72,45 +78,45 @@ class StructuredDag:
             return int(value)
 
         return cls(
-            nodes=frozenset(range(1, integer(node_count) + 1)),
-            edges=frozenset((integer(u), integer(v)) for u, v in edges),
-            leaders=frozenset(integer(x) for x in leaders),
+            integer(node_count),
+            frozenset((integer(u), integer(v)) for u, v in edges),
+            frozenset(integer(x) for x in leaders),
         )
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self.n
 
     @cached_property
-    def sorted_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
+    def nodes(self) -> frozenset[int]:
+        """The node set ``1..n``."""
+        return frozenset(range(1, self.n + 1))
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def out_neighbors(self) -> Mapping[int, tuple[int, ...]]:
-        """Successors of every node, ascending; read-only, as every caller shares it."""
+    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Successors of every node, ascending, indexed by id; read-only, as
+        every caller shares it."""
         return self._neighbors[0]
 
     @cached_property
-    def in_neighbors(self) -> Mapping[int, tuple[int, ...]]:
-        """Predecessors of every node, ascending; read-only, as every caller shares it."""
+    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Predecessors of every node, ascending, indexed by id; read-only, as
+        every caller shares it."""
         return self._neighbors[1]
 
     @cached_property
-    def _neighbors(self) -> tuple[Mapping[int, tuple[int, ...]], Mapping[int, tuple[int, ...]]]:
-        """Both neighbour maps from one pass over the sorted edges."""
-        succ: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
-        pred: dict[int, list[int]] = {v: [] for v in self.sorted_nodes}
+    def _neighbors(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Both neighbour tuples from one pass over the sorted edges."""
+        succ: list[list[int]] = [[] for _ in range(self.n + 1)]
+        pred: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.sorted_edges:
             succ[u].append(v)
             pred[v].append(u)
-        return (
-            MappingProxyType({u: tuple(vs) for u, vs in succ.items()}),
-            MappingProxyType({v: tuple(us) for v, us in pred.items()}),
-        )
+        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     @cached_property
     def source_layers(self) -> tuple[tuple[int, ...], ...]:
@@ -125,11 +131,14 @@ class StructuredDag:
     def _labeling(self) -> LayerLabeling:
         """The labeling :func:`label_layers` returns, built once per graph."""
         layers = self.source_layers
-        layer_of = {v: k for k, layer in enumerate(layers, start=1) for v in layer}
-        if len(layer_of) != self.node_count:
-            stuck = sorted(set(self.nodes) - set(layer_of))
+        layer_of = [0] * (self.n + 1)
+        for k, layer in enumerate(layers, start=1):
+            for v in layer:
+                layer_of[v] = k
+        if sum(map(len, layers)) != self.n:
+            stuck = [v for v in range(1, self.n + 1) if not layer_of[v]]
             raise InvalidGraphError(f"labeling stalled; cycle through nodes {stuck}")
-        return LayerLabeling(MappingProxyType(layer_of), tuple(map(frozenset, layers)))
+        return LayerLabeling(tuple(layer_of), tuple(map(frozenset, layers)))
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -152,12 +161,7 @@ class StructuredDag:
 
     def with_leaders(self, leaders: Iterable[int]) -> "StructuredDag":
         """Same pattern with a different leader set."""
-        return StructuredDag(self.nodes, self.edges, frozenset(leaders))
-
-
-def _ids(dag: StructuredDag) -> Iterator[object]:
-    """Every id the graph names: its nodes, edge endpoints and leaders."""
-    return chain(dag.nodes, chain.from_iterable(dag.edges), dag.leaders)
+        return StructuredDag(self.n, self.edges, frozenset(leaders))
 
 
 def _refuse(value: object) -> NoReturn:
@@ -179,11 +183,11 @@ class LayerLabeling:
 
     ``layers[k-1]`` is the node set of layer ``k``; edges always point from a
     shallower layer to a strictly deeper one (possibly skipping layers).
-    ``layer_of`` is read-only, since every caller shares the graph's one
-    labeling.
+    ``layer_of[v]`` is node ``v``'s layer, in a tuple indexed by id, read-only
+    since every caller shares the graph's one labeling.
     """
 
-    layer_of: Mapping[int, int]
+    layer_of: tuple[int, ...]
     layers: tuple[frozenset[int], ...]
 
     @property
@@ -197,9 +201,9 @@ def validate(dag: StructuredDag) -> tuple[Violation, ...]:
     The result is empty exactly when the graph is valid: acyclic, with source
     leaders (a leader with an incoming edge is a ``leader-in-degree``
     violation) and every node reachable from a leader.  Ids are in range
-    (construction refuses the rest); an empty graph, a self-loop or no leader
-    ends the check early, as the later checks need their absence.  The
-    violations are found once per graph and shared by every caller.
+    (construction refuses the rest); a self-loop or no leader ends the check
+    early, as the later checks need their absence.  The violations are found
+    once per graph and shared by every caller.
 
     The reachability search runs only when the source peel can not settle it.
     When the peel covers every node and every layer-1 node is a leader, every
@@ -212,9 +216,6 @@ def validate(dag: StructuredDag) -> tuple[Violation, ...]:
 
 def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
     violations: list[Violation] = []
-
-    if not dag.nodes:
-        return (Violation("empty-graph", "graph has no nodes"),)
 
     loops = tuple(sorted(e for e in dag.edges if e[0] == e[1]))
     if loops:
@@ -241,7 +242,7 @@ def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
     layers = dag.source_layers
     peeled = sum(map(len, layers)) == dag.node_count
     if not peeled:
-        cyclic = sorted(set(dag.nodes).difference(*layers))
+        cyclic = sorted(dag.nodes.difference(*layers))
         violations.append(
             Violation("cycle", f"edge relation contains a cycle through: {cyclic}", tuple(cyclic))
         )
@@ -253,8 +254,8 @@ def _find_violations(dag: StructuredDag) -> tuple[Violation, ...]:
         violations.append(
             Violation(
                 "unreachable",
-                f"graph is not influenceable; no leader reaches: {sorted(unreachable)}",
-                tuple(sorted(unreachable)),
+                f"graph is not influenceable; no leader reaches: {list(unreachable)}",
+                unreachable,
             )
         )
 
@@ -274,8 +275,8 @@ def label_layers(dag: StructuredDag) -> LayerLabeling:
 
 
 def _peel_layers(dag: StructuredDag) -> tuple[tuple[int, ...], ...]:
-    indegree = {v: len(dag.in_neighbors[v]) for v in dag.sorted_nodes}
-    current = [v for v in dag.sorted_nodes if indegree[v] == 0]
+    indegree = list(map(len, dag.in_neighbors))
+    current = [v for v in range(1, dag.n + 1) if indegree[v] == 0]
     layers: list[tuple[int, ...]] = []
     while current:
         layers.append(tuple(current))
@@ -312,47 +313,39 @@ def graph_from_json(text: str) -> StructuredDag:
     if missing:
         raise InvalidGraphError(f"missing keys in graph JSON: {sorted(missing)}")
 
-    n = raw["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidGraphError('"n" must be a positive integer')
-
-    if not isinstance(raw["edges"], list):
+    n, edges, leaders = raw["n"], raw["edges"], raw["leaders"]
+    if type(edges) is not list:
         raise InvalidGraphError('"edges" must be an array of [u, v] pairs')
-    # JSON values come as exact types: an id is an ``int``, never a ``bool``
-    edges: list[tuple[int, int]] = []
-    for item in raw["edges"]:
-        if (
-            type(item) is not list
-            or len(item) != 2
-            or type(item[0]) is not int
-            or type(item[1]) is not int
-        ):
-            raise InvalidGraphError(f"bad edge entry: {item!r}")
-        edges.append((item[0], item[1]))
-    edge_set = frozenset(edges)
-    if len(edge_set) != len(edges):
-        dupes = sorted(e for e, c in Counter(edges).items() if c > 1)
-        raise InvalidGraphError(f"duplicate edges: {[list(e) for e in dupes]}")
-
-    leaders = raw["leaders"]
-    if type(leaders) is not list or any(type(x) is not int for x in leaders):
+    if not ({list} >= set(map(type, edges)) and {2} >= set(map(len, edges))):
+        bad = next(item for item in edges if type(item) is not list or len(item) != 2)
+        raise InvalidGraphError(f"bad edge entry: {bad!r}")
+    if type(leaders) is not list:
         raise InvalidGraphError('"leaders" must be an array of integers')
-    leader_set = frozenset(leaders)
-    if len(leaders) != len(leader_set):
+
+    # the graph checks the count, and each id's type and range, as it is built
+    pairs = list(map(tuple, edges))
+    try:
+        edge_set, leader_set = frozenset(pairs), frozenset(leaders)
+    except TypeError:  # an array or an object in place of an id: no set holds one
+        _refuse(next(v for ids in (*pairs, leaders) for v in ids if type(v) in (list, dict)))
+    dag = StructuredDag(n, edge_set, leader_set)
+    if len(edge_set) != len(pairs):
+        dupes = sorted(e for e, c in Counter(pairs).items() if c > 1)
+        raise InvalidGraphError(f"duplicate edges: {[list(e) for e in dupes]}")
+    if len(leader_set) != len(leaders):
         raise InvalidGraphError("duplicate leaders")
 
     # Every non-leader node needs an in-edge to be reachable, so a larger n can
     # never validate; rejecting it here keeps n from sizing any allocation.
-    if n > len(leaders) + len(edges):
+    if n > len(leaders) + len(pairs):
         raise InvalidGraphError(
-            f'"n" is {n}, but a graph with {len(leaders)} leaders and {len(edges)} '
-            f"edges has at most {len(leaders) + len(edges)} reachable nodes"
+            f'"n" is {n}, but a graph with {len(leaders)} leaders and {len(pairs)} '
+            f"edges has at most {len(leaders) + len(pairs)} reachable nodes"
         )
-    dag = StructuredDag(frozenset(range(1, n + 1)), edge_set, leader_set)
     # the list holds each edge once; sorting it is linear on a file whose
     # edges come in order, as graph_to_json writes them
-    edges.sort()
-    vars(dag)["sorted_edges"] = tuple(edges)
+    pairs.sort()
+    vars(dag)["sorted_edges"] = tuple(pairs)
     return dag
 
 
@@ -366,28 +359,28 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def graph_to_json(dag: StructuredDag) -> str:
-    """Canonical serialization of a dense-id graph (sorted edges and leaders).
+    """Canonical serialization (sorted edges and leaders).
 
     The bytes are those of ``json.dumps`` with ``separators=(", ", ": ")``,
     written directly: every id is an exact ``int``, so ``%d`` spells it as
     ``json`` does.
     """
-    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
-        raise InvalidGraphError("only graphs with contiguous ids 1..n can be serialized")
     return '{"n": %d, "edges": [%s], "leaders": [%s]}\n' % (
-        dag.node_count,
+        dag.n,
         ", ".join(["[%d, %d]" % edge for edge in dag.sorted_edges]),
         ", ".join(["%d" % x for x in sorted(dag.leaders)]),
     )
 
 
-def _unreachable_from_leaders(dag: StructuredDag) -> set[int]:
-    reached = set(dag.leaders)
+def _unreachable_from_leaders(dag: StructuredDag) -> tuple[int, ...]:
+    reached = bytearray(dag.n + 1)
     stack = list(dag.leaders)
+    for x in stack:
+        reached[x] = 1
     while stack:
         v = stack.pop()
         for w in dag.out_neighbors[v]:
-            if w not in reached:
-                reached.add(w)
+            if not reached[w]:
+                reached[w] = 1
                 stack.append(w)
-    return set(dag.nodes) - reached
+    return tuple(v for v in range(1, dag.n + 1) if not reached[v])

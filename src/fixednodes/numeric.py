@@ -110,8 +110,6 @@ def _pattern(dag: StructuredDag) -> tuple[np.ndarray, np.ndarray]:
     """The flat positions ``(v-1)*n + u-1`` of the weights of ``A``, one per
     edge ``(u, v)`` in sorted order, and ``B``, one unit column per leader."""
     import numpy as np
-    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
-        raise InvalidGraphError("realizations need contiguous node ids 1..n")
     if not dag.leaders:
         raise InvalidGraphError("at least one leader is required")
     n = dag.node_count

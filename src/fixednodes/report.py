@@ -64,9 +64,9 @@ def analyze(
     """Run the requested methods and cross-compare their fixed sets.
 
     The graph is validated first (its cached :func:`validate` result), then
-    digested, so an invalid graph, a leader with an incoming edge or ids other
-    than ``1..n`` are refused before the labeling, the dimension flow or any
-    method runs.  The numeric method receives the combinatorial dimension as
+    digested, so an invalid graph or a leader with an incoming edge is refused
+    before the labeling, the dimension flow or any method runs; ids outside
+    ``1..n`` never reach it, as no graph holds one.  The numeric method receives the combinatorial dimension as
     its expected rank, so degenerate sampling surfaces as an error instead of
     a silently wrong set.  Every route reads the graph's one dimension flow.
     """

@@ -91,7 +91,7 @@ class _ArcTable(NamedTuple):
     layers: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]  # external id of each split pair, layer by layer
     bound: list[int]  # highest split index of layers 1..k, at k
-    in_copy: dict[int, int]
+    in_copy: list[int]  # the in-copy of each node, indexed by id
     to_through: int
     to_sink: int
     head: list[int]
@@ -117,8 +117,10 @@ def _build_arcs(dag: StructuredDag) -> _ArcTable:
     order = tuple(v for layer in layers for v in layer)
     n = len(order)
     sink = 2 * n + 1
-    in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
     ins, outs = range(1, sink, 2), range(2, sink, 2)
+    in_copy = [0] * (n + 1)
+    for x, v in zip(ins, order):
+        in_copy[v] = x
     # flat lists of ints, not pairs, so the build adds no garbage-collection passes
     tails = [0] * len(dag.leaders)
     tails += ins
@@ -510,7 +512,7 @@ class FlowNetwork:
         potential, cap, through = self._potential, self._cap, self._to_through
         component = [0] * self.size
         kept = []
-        for v, x in self._in.items():
+        for x, v in zip(range(1, self.sink, 2), self._ext_of_pos):
             if cap[x + through]:
                 continue  # no unit to keep
             if potential[x] == potential[x + 1] + 1:
@@ -542,7 +544,11 @@ class FlowNetwork:
         dist[self.sink] = 0
         self._bucket_pass([-p for p in potential], dist, [-1] * self.size, [self.sink], cap, cost)
         offset = potential[self.sink]
-        return {v: dist[i] - potential[i] + offset for v, i in self._in.items() if dist[i] < _INF}
+        return {
+            v: dist[x] - potential[x] + offset
+            for x, v in zip(range(1, self.sink, 2), self._ext_of_pos)
+            if dist[x] < _INF
+        }
 
 
 def _solve_dimension(dag: StructuredDag) -> tuple[FlowNetwork, tuple[int, StemFamily]]:

@@ -37,15 +37,19 @@ def induce_prefix(dag: StructuredDag, labeling: LayerLabeling, k: int) -> Struct
     """Induced subgraph on the union of layers 1..k, with the same leaders.
 
     Nodes of layer ``k`` have zero out-degree in the result; for ``k`` equal to
-    the depth the result equals the input graph.
+    the depth the result equals the input graph.  The prefix keeps the ids of
+    its nodes, so they must be ``1..|prefix|``: they are on a graph numbered
+    layer by layer, as the generator and every graph in ``tests/data`` are.
     """
     if not 1 <= k <= labeling.depth:
         raise InvalidGraphError(f"layer index {k} out of range 1..{labeling.depth}")
     kept = frozenset().union(*labeling.layers[:k])
+    if max(kept) != len(kept):
+        raise InvalidGraphError(f"layers 1..{k} are not numbered 1..{len(kept)}")
     return StructuredDag(
-        nodes=kept,
-        edges=frozenset(e for e in dag.edges if e[0] in kept and e[1] in kept),
-        leaders=dag.leaders,
+        len(kept),
+        frozenset(e for e in dag.edges if e[0] in kept and e[1] in kept),
+        dag.leaders,
     )
 
 
@@ -134,11 +138,16 @@ def enumerated_matched_sets(dag: StructuredDag) -> tuple[tuple[frozenset[int], .
 
 
 def without_node(dag: StructuredDag, v: int) -> StructuredDag:
-    """``dag`` less node ``v``: its edges go, and it stops being a leader."""
+    """``dag`` less node ``v``: its edges go, it stops being a leader, and
+    every id above ``v`` moves down by one, so the nodes stay ``1..n-1``."""
+
+    def shift(x: int) -> int:
+        return x - (x > v)
+
     return StructuredDag(
-        nodes=dag.nodes - {v},
-        edges=frozenset(e for e in dag.edges if v not in e),
-        leaders=dag.leaders - {v},
+        dag.n - 1,
+        frozenset((shift(a), shift(b)) for a, b in dag.edges if v not in (a, b)),
+        frozenset(shift(x) for x in dag.leaders - {v}),
     )
 
 
@@ -146,7 +155,7 @@ def in_every_max_family(dag: StructuredDag, nodes: Iterable[int] | None = None) 
     """The ``nodes`` (all by default) that every maximum family covers: those
     whose removal lowers the generic dimension, as a maximum family that
     misses ``v`` is a family of ``dag`` less ``v``."""
-    dim, _ = generic_dimension(dag)
+    dim, _ = generic_dimension(dag)  # renumbering the nodes keeps a dimension
     return frozenset(
         v
         for v in (dag.nodes if nodes is None else nodes)
@@ -294,8 +303,6 @@ def searching_violations(dag: StructuredDag) -> tuple[Violation, ...]:
     """``graph.validate``'s violations, found with the reachability search run
     on every graph that gets that far, as it was before the source peel could
     prove that every node is reached."""
-    if not dag.nodes:
-        return (Violation("empty-graph", "graph has no nodes"),)
     violations: list[Violation] = []
     loops = tuple(sorted(e for e in dag.edges if e[0] == e[1]))
     if loops:
@@ -356,8 +363,6 @@ def _kahn_layers(dag: StructuredDag) -> list[set[int]]:
 
 def dumped_graph_json(dag: StructuredDag) -> str:
     """``graph_to_json`` as ``json.dumps`` writes it from ``[u, v]`` lists."""
-    if dag.nodes != frozenset(range(1, dag.node_count + 1)):
-        raise InvalidGraphError("only graphs with contiguous ids 1..n can be serialized")
     payload = {
         "n": dag.node_count,
         "edges": [[u, v] for u, v in sorted(dag.edges)],
@@ -552,7 +557,7 @@ def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozense
 
 def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
     """Every node whose sink arc carries a unit, read over all sink arcs."""
-    return frozenset(v for v, x in net._in.items() if net._cap[(x + net._to_sink) ^ 1])
+    return frozenset(v for v in net._ext_of_pos if net._cap[(net._in[v] + net._to_sink) ^ 1])
 
 
 # -- numeric route: one draw at a time

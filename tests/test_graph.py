@@ -75,13 +75,13 @@ class TestValidate:
         assert str(raised.value) == "edges reference unknown nodes: [[2, 9]]"
 
 
-NODES3 = frozenset({1, 2, 3})
 ONE = np.int64(1)
 
 
 class TestConstruction:
-    """A graph names only its own nodes: construction refuses any other id, so
-    no route ever reads an edge or a leader outside the graph."""
+    """A graph lives on nodes ``1..n``: construction refuses a count below 1
+    and any other id, so no route ever reads an edge or a leader outside the
+    graph, and no graph has ids that skip a number."""
 
     @pytest.mark.parametrize(
         "build, message",
@@ -92,12 +92,43 @@ class TestConstruction:
             ),
             (lambda: StructuredDag.of(3, [(1, 5)], [1]), "edges reference unknown nodes: [[1, 5]]"),
             (lambda: StructuredDag.of(3, [(1, 2)], [1, 7]), "leaders are not nodes of the graph: [7]"),
+            (lambda: StructuredDag(0, frozenset(), frozenset()), "node count must be positive, got 0"),
+            # a path on ids 2, 3, 4 names n + 1 when n = 3
             (
-                lambda: StructuredDag(frozenset({0, 1}), frozenset(), frozenset({1})),
-                "node ids must be positive integers: [0]",
+                lambda: StructuredDag(3, frozenset({(2, 3), (3, 4)}), frozenset({2})),
+                "edges reference unknown nodes: [[3, 4]]",
+            ),
+            # an edge 1 -> 3 names n + 1 when n = 2
+            (
+                lambda: StructuredDag(2, frozenset({(1, 3)}), frozenset({1})),
+                "edges reference unknown nodes: [[1, 3]]",
+            ),
+            (
+                lambda: StructuredDag(2, frozenset({(3, 2)}), frozenset({1})),
+                "edges reference unknown nodes: [[3, 2]]",
+            ),
+            (
+                lambda: StructuredDag(2, frozenset({(0, 2)}), frozenset({1})),
+                "edges reference unknown nodes: [[0, 2]]",
+            ),
+            (
+                lambda: StructuredDag(2, frozenset({(1, 2)}), frozenset({0})),
+                "leaders are not nodes of the graph: [0]",
+            ),
+            (
+                lambda: StructuredDag(2, frozenset({(1, 2)}), frozenset({1, 3})),
+                "leaders are not nodes of the graph: [3]",
+            ),
+            (
+                lambda: StructuredDag(-1, frozenset(), frozenset({1})),
+                "node count must be positive, got -1",
             ),
         ],
-        ids=["edge-to-0", "edge-to-5", "leader-7", "node-0"],
+        ids=[
+            "edge-to-0", "edge-to-5", "leader-7", "node-0", "path-2-3-4",
+            "edge-to-n+1", "edge-from-n+1", "edge-from-0", "leader-0", "leader-n+1",
+            "count-negative",
+        ],
     )
     def test_refuses_ids_outside_the_graph(self, build, message):
         with pytest.raises(InvalidGraphError) as raised:
@@ -106,10 +137,9 @@ class TestConstruction:
 
     def test_messages_joined_in_order(self):
         with pytest.raises(InvalidGraphError) as raised:
-            StructuredDag(frozenset({-1, 1}), frozenset({(1, 4), (-1, 1)}), frozenset({1, 3}))
+            StructuredDag(1, frozenset({(1, 4), (-1, 1)}), frozenset({1, 3}))
         assert str(raised.value) == (
-            "node ids must be positive integers: [-1]; "
-            "edges reference unknown nodes: [[1, 4]]; "
+            "edges reference unknown nodes: [[-1, 1], [1, 4]]; "
             "leaders are not nodes of the graph: [3]"
         )
 
@@ -125,9 +155,9 @@ class TestConstruction:
             (lambda: StructuredDag.of(3.9, [(1, 2), (2, 3)], [1]), "3.9"),
             (lambda: StructuredDag.of(3, [(1, 2), (2, 3)], [np.float64(1)]), repr(np.float64(1))),
             (lambda: StructuredDag.of(3, [(1, "2"), (2, 3)], [1]), "'2'"),
-            (lambda: StructuredDag(NODES3, frozenset({(1.0, 2), (2, 3)}), frozenset({1})), "1.0"),
-            (lambda: StructuredDag(NODES3, frozenset({(1, 2)}), frozenset({ONE})), repr(ONE)),
-            (lambda: StructuredDag(frozenset({1.0, 2}), frozenset(), frozenset({2})), "1.0"),
+            (lambda: StructuredDag(3, frozenset({(1.0, 2), (2, 3)}), frozenset({1})), "1.0"),
+            (lambda: StructuredDag(3, frozenset({(1, 2)}), frozenset({ONE})), repr(ONE)),
+            (lambda: StructuredDag(2.0, frozenset(), frozenset({2})), "2.0"),
             (lambda: StructuredDag.of(3, [(1, 2)], [1]).with_leaders([ONE]), repr(ONE)),
         ],
         ids=[
@@ -154,9 +184,9 @@ class TestConstruction:
             (lambda: StructuredDag.of(2, [(1, 2)], [True]), "True"),
             (lambda: StructuredDag.of(2, [(False, 2)], [1]), "False"),
             (lambda: StructuredDag.of(True, [], [1]), "True"),
-            (lambda: StructuredDag(frozenset({1, 2}), frozenset({(True, 2)}), frozenset({1})), "True"),
-            (lambda: StructuredDag(frozenset({True, 2}), frozenset({(1, 2)}), frozenset({1})), "True"),
-            (lambda: StructuredDag(frozenset({1, 2}), frozenset({(1, 2)}), frozenset({True})), "True"),
+            (lambda: StructuredDag(2, frozenset({(True, 2)}), frozenset({1})), "True"),
+            (lambda: StructuredDag(True, frozenset(), frozenset({1})), "True"),
+            (lambda: StructuredDag(2, frozenset({(1, 2)}), frozenset({True})), "True"),
             (lambda: StructuredDag.of(2, [(1, 2)], [1]).with_leaders([True]), "True"),
         ],
         ids=["of-edge", "of-leader", "of-false", "of-count", "edge", "node", "leader", "with-leaders"],
@@ -334,12 +364,8 @@ class TestGraphJson:
         monkeypatch.setattr(StructuredDag, "of", refused)
         parsed = graph_from_json(text)
         assert parsed == single7.dag
-        assert {type(v) for v in fixednodes.graph._ids(parsed)} == {int}
-
-    def test_serialization_needs_dense_ids(self):
-        sparse = StructuredDag(frozenset({1, 3}), frozenset({(1, 3)}), frozenset({1}))
-        with pytest.raises(InvalidGraphError, match="contiguous"):
-            graph_to_json(sparse)
+        ids = [parsed.n, *(v for edge in parsed.edges for v in edge), *parsed.leaders]
+        assert set(map(type, ids)) == {int}
 
     def test_serialization_is_sorted_and_stable(self, single7):
         text = graph_to_json(single7.dag)
@@ -360,12 +386,12 @@ def varied_graphs(count: int, seed: int) -> Iterator[StructuredDag]:
             dag = redrawn_leaders(rng, dag)
         elif kind == 2 and dag.edges:
             u, v = rng.choice(sorted(dag.edges))
-            dag = StructuredDag(dag.nodes, dag.edges | {(v, u)}, dag.leaders)
+            dag = StructuredDag(n, dag.edges | {(v, u)}, dag.leaders)
         elif kind == 3:
             cycle = {(n + 1, n + 2), (n + 2, n + 1)}
-            dag = StructuredDag(dag.nodes | {n + 1, n + 2}, dag.edges | cycle, dag.leaders)
+            dag = StructuredDag(n + 2, dag.edges | cycle, dag.leaders)
         elif kind == 4:
-            dag = StructuredDag(dag.nodes | {n + 1}, dag.edges, dag.leaders)
+            dag = StructuredDag(n + 1, dag.edges, dag.leaders)
         yield dag
 
 

@@ -788,7 +788,7 @@ class TestArcTable:
             assert got[:-1] == want[:-1]
             assert sorted(got[-1]) == sorted(want[-1])
             sink = len(table.adj) - 1
-            for x in table.in_copy.values():
+            for x in table.in_copy[1:]:
                 through, to_sink = x + table.to_through, x + table.to_sink
                 assert (table.head[through ^ 1], table.head[through]) == (x, x + 1)
                 assert (table.head[to_sink ^ 1], table.head[to_sink]) == (x + 1, sink)

@@ -82,12 +82,6 @@ class TestAnalyze:
                 with pytest.raises(InvalidGraphError, match="leaders must have no incoming edges"):
                     analyze(dag, methods)
 
-    def test_noncontiguous_ids_refused_before_any_work(self, refuse_work):
-        dag = StructuredDag(frozenset({2, 3, 4}), frozenset({(2, 3), (3, 4)}), frozenset({2}))
-        for methods in (("layered", "oracle"), ALL_METHODS):
-            with pytest.raises(InvalidGraphError, match="contiguous ids"):
-                analyze(dag, methods)
-
     def test_disagreement_is_flagged(self):
         report = analyze(goldens.SKIP7, ("layered", "oracle"))
         assert not report.consistent
