@@ -105,7 +105,7 @@ def fixed_nodes_layered(dag: StructuredDag) -> FixedNodeResult:
         matched = net.matched_targets(layer)
         candidates = layer - pruned
         kept = candidates & matched
-        fixed = kept - net.targets_reaching_sink(kept) if kept else frozenset()
+        fixed = kept - net.targets_reaching_sink(kept, layer) if kept else frozenset()
         if len(layer) == 1:
             path = FAST_PATH_SINGLETON
         elif not candidates:

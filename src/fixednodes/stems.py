@@ -19,18 +19,19 @@ reduced cost 0, and a bucket queue moves the potentials between phases; the
 same bucket queue finds the oracle's distances to the sink by running from it
 on the mirrored residual.  The same solved flow tells which nodes every
 maximum family covers, from the components of its arcs of reduced cost 0.
-The second and third questions need only a maximum flow into the sink arcs
-that are open, which ignores the costs, and for the third one residual
-search back from the sink; the layered sweep in ``search`` asks both.  One
+The second and third questions need only a maximum flow into one layer's
+sink arcs, which ignores the costs, and for the third one residual search
+back from the sink; the layered sweep in ``search`` asks both.  One
 breadth-first search serves the flow: from the source it finds an augmenting
 path.  The sweep keeps one maximum flow and moves it down a layer at a time,
 starting the same search at each unit stranded by closing the layer above;
 the unit goes on to the sink if a residual path allows, and back to the
 source otherwise.  Every network over a graph shares the graph's one arc
 table and keeps only its own capacities; a node's out-copy, ``in -> out`` arc
-and sink arc lie at fixed offsets from its in-copy.  The brute-force
-enumerator and the successive-shortest-path solver the tests check these
-against live in ``tests/references.py``.
+and sink arc lie at fixed offsets from its in-copy, and split indices run
+layer by layer, so each layer's sink arcs form one run of the arc list.  The
+brute-force enumerator, the successive-shortest-path solver and the
+per-layer flow the tests check these against live in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class _ArcTable(NamedTuple):
     out-copy is its in-copy + 1, and its ``in -> out`` and sink arcs are its
     in-copy plus ``to_through`` and ``to_sink``."""
 
-    layers: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]  # external id of each split pair, layer by layer
     bound: list[int]  # highest split index of layers 1..k, at k
     in_copy: list[int]  # the in-copy of each node, indexed by id
@@ -96,7 +96,7 @@ class _ArcTable(NamedTuple):
     to_sink: int
     head: list[int]
     cost: list[int]
-    cap: list[int]  # the capacities of a network as built
+    cap: list[int]  # the capacities of a network as built, every sink arc open
     adj: list[list[int]]
 
 
@@ -140,82 +140,77 @@ def _build_arcs(dag: StructuredDag) -> _ArcTable:
     cost = [0] * len(head)
     cost[to_through + 1 : to_through + sink] = [-1, 1] * n
     cap = [1, 0] * (len(head) // 2)
-    cap[to_sink + 1 :] = [0] * (2 * n)
     bound = [0, *accumulate(2 * len(layer) for layer in layers)]
-    return _ArcTable(layers, order, bound, in_copy, to_through, to_sink, head, cost, cap, adj)
+    return _ArcTable(order, bound, in_copy, to_through, to_sink, head, cost, cap, adj)
 
 
 class FlowNetwork:
     """Unit-capacity residual network over the node-split graph.
 
     Node ``v`` splits into ``v_in -> v_out`` (capacity 1); a super-source feeds
-    every leader's in-copy, and every out-copy has a sink arc that starts
-    closed (capacity 0) until :meth:`open_sinks` or :meth:`open_layer` opens
-    it.  A unit of flow on an arc shows as residual capacity on its reverse.
-    The ``in -> out`` arcs cost -1 each, so a min-cost flow maximizes covered
+    every leader's in-copy, and every out-copy has a sink arc, open
+    (capacity 1) as built, as the dimension flow needs it; the layered
+    sweep's :meth:`open_layer` keeps one layer's open at a time.  A unit of
+    flow on an arc shows as residual capacity on its reverse.  The
+    ``in -> out`` arcs cost -1 each, so a min-cost flow maximizes covered
     nodes; only the min-cost solve and what is read off it use the costs.
     Three searches answer everything: a bucket-queue Dijkstra
     (:meth:`_bucket_pass`), from the source or, on the mirrored residual,
     from the sink, a depth-first search over the arcs of reduced cost 0
-    (:meth:`_tight_walk`) and a breadth-first search (:meth:`_push_path`).  Split
-    indices follow the graph's layer labeling, layer by layer, so layers
-    ``1..k`` are exactly the indices up to ``2·|layers 1..k|``.  The
-    underlying graph must be acyclic, which keeps shortest paths under
-    negative costs well defined and makes flow decomposition cycle-free; a
-    cyclic graph raises :class:`InvalidGraphError`.
+    (:meth:`_tight_walk`) and a breadth-first search (:meth:`_push_path`).
+    Split indices follow the graph's layer labeling, layer by layer, so
+    layers ``1..k`` are exactly the indices up to ``2·|layers 1..k|`` and
+    layer ``k``'s sink arcs are one run of the arc list.  The underlying
+    graph must be acyclic, which keeps shortest paths under negative costs
+    well defined and makes flow decomposition cycle-free; a cyclic graph
+    raises :class:`InvalidGraphError`.
 
     The arcs, costs and adjacency lists are the graph's one arc table, shared
-    by every network over it; a network owns only its capacities and its set
-    of open sink arcs.  A node with in-copy ``x`` has out-copy ``x + 1``,
-    ``in -> out`` arc ``x + _to_through`` and sink arc ``x + _to_sink``.
+    by every network over it; a network owns only its capacities.  A node
+    with in-copy ``x`` has out-copy ``x + 1``, ``in -> out`` arc
+    ``x + _to_through`` and sink arc ``x + _to_sink``.
     """
 
     def __init__(self, dag: StructuredDag):
         arcs = dag._arcs
-        self._layers, self._ext_of_pos, self._bound = arcs.layers, arcs.order, arcs.bound
+        self._ext_of_pos, self._bound = arcs.order, arcs.bound
         self._in, self._to_through, self._to_sink = arcs.in_copy, arcs.to_through, arcs.to_sink
         self._head, self._cost, self._adj = arcs.head, arcs.cost, arcs.adj
         self.source = 0
         self.size = len(arcs.adj)
         self.sink = self.size - 1
         self._cap = arcs.cap.copy()
-        self._open: set[int] = set()  # nodes whose sink arc is open
 
     def _push(self, arc: int) -> None:
         self._cap[arc] -= 1
         self._cap[arc ^ 1] += 1
-
-    def open_sinks(self, nodes: Iterable[int]) -> None:
-        """Give the sink arcs of ``nodes`` capacity one."""
-        for v in nodes:
-            self._cap[self._in[v] + self._to_sink] = 1
-            self._open.add(v)
 
     # -- plain max flow (layer coverage) ------------------------------------
 
     def open_layer(self, k: int) -> None:
         """Move the sink arcs from layer ``k - 1`` to layer ``k``; re-maximize.
 
-        Closing the sink arcs of layer ``k - 1`` strands the units that ended
-        there, each at the out-copy of its last node.  Each is repaired in
-        place by :meth:`_carry_on`, which pushes it on to the sink through the
-        residual of layers ``1..k``, or else back to the source.  The flow
-        stays feasible for layers ``1..k``, and augmentations over their split
-        indices make it maximum.
+        Each layer's sink arc pairs are one run of the arc list, so a layer
+        closes and opens by one slice; opening layer 1 closes every sink
+        arc, all open as built.  Closing those of layer ``k - 1`` strands
+        the units that ended there, each at the out-copy its reverse sink
+        arc leads to.  Each is repaired in place by :meth:`_carry_on`, which
+        pushes it on to the sink through the residual of layers ``1..k``,
+        or else back to the source.  The flow stays feasible for layers
+        ``1..k``, and augmentations from the source over their split indices
+        make it maximum.  Once every source arc is saturated, the last
+        search reads only those arcs.
         """
-        hi = self._bound[k]
-        stranded = []
-        for u in self._layers[k - 2] if k > 1 else ():
-            arc = self._in[u] + self._to_sink
-            self._cap[arc] = 0
-            self._open.discard(u)
-            if self._cap[arc ^ 1]:
-                self._cap[arc ^ 1] = 0
-                stranded.append(self._in[u] + 1)
-        self.open_sinks(self._layers[k - 1])
+        cap, to_sink, hi = self._cap, self._to_sink, self._bound[k]
+        lo, top = to_sink + self._bound[k - 1] + 1, to_sink + hi + 1  # layer k's sink arcs
+        start, end = (to_sink + self._bound[k - 2] + 1, lo) if k > 1 else (to_sink + 1, len(cap))
+        stranded = [self._head[arc] for arc in range(start + 1, end, 2) if cap[arc]]
+        cap[start:end] = [0] * (end - start)
+        cap[lo:top:2] = [1] * ((top - lo) // 2)
         for x in stranded:
             self._carry_on(x, hi)
-        self.max_flow(hi)
+        while self._push_path(self.source, hi):
+            pass
 
     def _carry_on(self, x: int, hi: int) -> bool:
         """Move the unit stranded at out-copy ``x`` by :meth:`_push_path`
@@ -259,7 +254,7 @@ class FlowNetwork:
             self._augment(parent, start, source)
         return False
 
-    def _augment(self, parent: list[int] | dict[int, int], start: int, end: int) -> None:
+    def _augment(self, parent: dict[int, int], start: int, end: int) -> None:
         """Push one unit along the path from ``start`` to ``end`` recorded in
         ``parent``."""
         v = end
@@ -267,13 +262,6 @@ class FlowNetwork:
             arc = parent[v]
             self._push(arc)
             v = self._head[arc ^ 1]
-
-    def max_flow(self, last: int) -> None:
-        """Augment from the source until no path is left, through split
-        indices up to ``last`` and the sink.  With every source arc
-        saturated, a search reads only those arcs."""
-        while self._push_path(self.source, last):
-            pass
 
     # -- min-cost flow of a fixed value (generic dimension) -----------------
 
@@ -317,9 +305,7 @@ class FlowNetwork:
                 value -= 1
             if not value:
                 break
-            dist = [_INF] * self.size
-            dist[self.source] = 0
-            self._bucket_pass(potential, dist, [-1] * self.size, [self.source], self._cap, self._cost)
+            dist = self._bucket_pass(potential, self.source, self._cap, self._cost)
             if dist[self.sink] == _INF:
                 raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
             potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
@@ -381,43 +367,23 @@ class FlowNetwork:
         return False
 
     def _bucket_pass(
-        self,
-        potential: list[float],
-        dist: list[float],
-        parent: list[int],
-        zero: list[int],
-        cap: list[int],
-        cost: list[int],
-    ) -> None:
-        """The bucket queue from the ``zero`` nodes, settled at distance 0 in
-        this order, over the arcs with capacities ``cap`` and costs ``cost``:
-        every residual arc of theirs relaxed in their order, as bucket 0
-        relaxes them, then the buckets in ascending distance.
+        self, potential: list[float], start: int, cap: list[int], cost: list[int]
+    ) -> list[float]:
+        """The reduced-cost distance of every node from ``start`` over the
+        arcs with capacities ``cap`` and costs ``cost``, by a bucket queue
+        (Dial, CACM 1969); a node ``start`` does not reach stays at infinity.
 
         The reduced costs are integers and none is negative on a residual
         arc, so a node never settles below the distance of the one settled
-        before it (Dial, CACM 1969).  Each bucket is a heap of node ids, so
-        nodes settle in ascending ``(distance, id)`` order, the order of one
-        heap of such pairs; ``parent`` changes only on a strict improvement,
-        so ties resolve as with that heap."""
+        before it.  Each bucket is a heap of node ids, so nodes settle in
+        ascending ``(distance, id)`` order, the order of one heap of such
+        pairs."""
         head, adj = self._head, self._adj
         push, pop = heapq.heappush, heapq.heappop
-        buckets: dict[float, list[int]] = {}  # distance -> heap of node ids
-        keys: list[float] = []  # heap of the distances in ``buckets``
-        for u in zero:
-            base = potential[u]
-            for arc in adj[u]:
-                if cap[arc]:
-                    v = head[arc]
-                    nd = base + cost[arc] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = arc
-                        if nd in buckets:
-                            push(buckets[nd], v)
-                        else:
-                            buckets[nd] = [v]
-                            push(keys, nd)
+        dist = [_INF] * self.size
+        dist[start] = 0
+        buckets: dict[float, list[int]] = {0: [start]}  # distance -> heap of node ids
+        keys: list[float] = [0]  # heap of the distances in ``buckets``
         while keys:
             d = pop(keys)
             bucket = buckets.pop(d)
@@ -432,7 +398,6 @@ class FlowNetwork:
                         nd = base + cost[arc] - potential[v]
                         if nd < dist[v]:
                             dist[v] = nd
-                            parent[v] = arc
                             if nd == d:
                                 push(bucket, v)
                             elif nd in buckets:
@@ -440,6 +405,7 @@ class FlowNetwork:
                             else:
                                 buckets[nd] = [v]
                                 push(keys, nd)
+        return dist
 
     # -- reading the solved flow --------------------------------------------
 
@@ -465,24 +431,24 @@ class FlowNetwork:
         """
         return frozenset(v for v in nodes if self._cap[(self._in[v] + self._to_sink) ^ 1])
 
-    def targets_reaching_sink(self, targets: Iterable[int]) -> frozenset[int]:
-        """The ``targets`` whose out-copy reaches the sink in the residual network.
+    def targets_reaching_sink(self, targets: Iterable[int], layer: Iterable[int]) -> frozenset[int]:
+        """The ``targets`` whose out-copy reaches the sink in the residual
+        network whose only open sink arcs are those of ``layer``.
 
         A breadth-first search backwards from the sink: arc ``a`` leaves node
         ``x``, so its reverse ``a ^ 1`` enters ``x`` and is followed backwards
         while it has residual capacity.  The only arcs into the sink with
         residual capacity are the open, unsaturated sink arcs, so the search
-        starts from their out-copies, read off the open set (in the layered
-        sweep, the newest layer) instead of the sink's adjacency list.  It
-        stops as soon as every target is reached; a target is reported
-        unreached only once the search is exhausted.
+        starts from the out-copies of ``layer``'s free sinks instead of the
+        sink's adjacency list.  It stops as soon as every target is reached;
+        a target is reported unreached only once the search is exhausted.
         """
         in_copy, head, cap, adj = self._in, self._head, self._cap, self._adj
         targets = tuple(targets)
         state = bytearray(self.size)  # 1 marks a target not yet reached, 2 a reached node
         for v in targets:
             state[in_copy[v] + 1] = 1
-        queue = deque(in_copy[v] + 1 for v in self._open if cap[in_copy[v] + self._to_sink])
+        queue = deque(in_copy[v] + 1 for v in layer if cap[in_copy[v] + self._to_sink])
         for x in (self.sink, *queue):
             state[x] = 2
         missing = state.count(1)
@@ -540,9 +506,7 @@ class FlowNetwork:
         cap = self._cap.copy()
         cap[0::2], cap[1::2] = self._cap[1::2], self._cap[0::2]
         cost = [-c for c in self._cost]
-        dist = [_INF] * self.size
-        dist[self.sink] = 0
-        self._bucket_pass([-p for p in potential], dist, [-1] * self.size, [self.sink], cap, cost)
+        dist = self._bucket_pass([-p for p in potential], self.sink, cap, cost)
         offset = potential[self.sink]
         return {
             v: dist[x] - potential[x] + offset
@@ -561,7 +525,6 @@ def _solve_dimension(dag: StructuredDag) -> tuple[FlowNetwork, tuple[int, StemFa
     if not dag.leaders:
         raise InvalidGraphError("at least one leader is required")
     net = FlowNetwork(dag)
-    net.open_sinks(dag.nodes)
     net.solve_min_cost(len(dag.leaders))
     family = net.stems()
     return net, (len(family.covered), family)

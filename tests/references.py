@@ -173,27 +173,38 @@ def layer_fast_path(targets: Iterable[int], covered: Iterable[int]) -> str:
     return "essentiality" if targets & frozenset(covered) else "none"
 
 
-def disjoint_stems_into(dag: StructuredDag, targets: Iterable[int]) -> int:
-    """How many of ``targets`` vertex-disjoint stems can end at (Menger): the
-    value of a unit-capacity flow found by depth-first augmenting paths on
-    the node-split graph, kept as a dict of residual capacities."""
-    residual: dict[tuple[object, object], int] = {}
-    neighbors: dict[object, set[object]] = {}
+Residual = dict[tuple[object, object], int]
+Neighbors = dict[object, dict[object, None]]
+
+
+def split_residual(dag: StructuredDag, targets: Iterable[int]) -> tuple[Residual, Neighbors]:
+    """The node-split graph of ``dag`` with sink arcs out of ``targets``, as
+    a dict of residual capacities keyed by ``(tail, head)``, each reverse arc
+    at 0, and each node's arc ends in the order added.  A node ``v`` splits
+    into ``("in", v)`` and ``("out", v)``; ``"source"`` feeds every leader."""
+    residual: Residual = {}
+    neighbors: Neighbors = {}
 
     def add(a: object, b: object) -> None:
         residual[a, b] = residual.get((a, b), 0) + 1
         residual.setdefault((b, a), 0)
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
+        neighbors.setdefault(a, {})[b] = None
+        neighbors.setdefault(b, {})[a] = None
 
-    for v in dag.nodes:
+    for v in sorted(dag.nodes):
         add(("in", v), ("out", v))
-    for u, v in dag.edges:
+    for u, v in sorted(dag.edges):
         add(("out", u), ("in", v))
-    for x in dag.leaders:
+    for x in sorted(dag.leaders):
         add("source", ("in", x))
-    for t in targets:
+    for t in sorted(targets):
         add(("out", t), "sink")
+    return residual, neighbors
+
+
+def max_split_flow(residual: Residual, neighbors: Neighbors) -> int:
+    """Augment ``residual`` along depth-first paths from the source to the
+    sink until none is left; return the flow value."""
     flow = 0
     while True:
         parent: dict[object, object] = {"source": None}
@@ -213,6 +224,12 @@ def disjoint_stems_into(dag: StructuredDag, targets: Iterable[int]) -> int:
             residual[b, a] += 1
             b = a
         flow += 1
+
+
+def disjoint_stems_into(dag: StructuredDag, targets: Iterable[int]) -> int:
+    """How many of ``targets`` vertex-disjoint stems can end at (Menger): the
+    value of a unit-capacity flow on the node-split graph."""
+    return max_split_flow(*split_residual(dag, targets))
 
 
 def resolving_oracle(dag: StructuredDag) -> FixedNodeResult:
@@ -259,18 +276,34 @@ class LayerCoverage:
     By flow optimality a matched target can be dropped at full value iff its
     out-copy still reaches the sink in the residual (rerouting its unit along
     that path frees its sink arc); an unmatched target is never essential.
-    The layered sweep (:meth:`FlowNetwork.open_layer`) is checked against it.
+    The flow is :func:`max_split_flow` on the dict-keyed network of
+    :func:`split_residual`, so no ``FlowNetwork`` code runs here; the layered
+    sweep (:meth:`FlowNetwork.open_layer`) is checked against it.
     """
 
     def __init__(self, prefix: StructuredDag, targets: Iterable[int]):
         self.targets = frozenset(targets)
-        net = FlowNetwork(prefix)
-        net.open_sinks(self.targets)
-        net.max_flow(net.sink - 1)
-        self.witness = net.stems()
-        self.matched = net.matched_targets(self.targets)
-        self.mu = len(self.matched)
-        self.essential = self.matched - net.targets_reaching_sink(self.matched)
+        residual, neighbors = split_residual(prefix, self.targets)
+        self.mu = max_split_flow(residual, neighbors)
+        self.matched = frozenset(t for t in self.targets if residual["sink", ("out", t)])
+        reached = {"sink"}  # every node with a residual path to the sink
+        stack: list[object] = ["sink"]
+        while stack:
+            b = stack.pop()
+            for a in neighbors.get(b, ()):
+                if a not in reached and residual[a, b]:
+                    reached.add(a)
+                    stack.append(a)
+        self.essential = frozenset(t for t in self.matched if ("out", t) not in reached)
+        stems = []
+        for x in sorted(prefix.leaders):
+            if residual[("in", x), "source"]:  # the leader's unit leaves by one arc each step
+                stem, node = [x], ("out", x)
+                while (step := next(b for b in neighbors[node] if residual[b, node])) != "sink":
+                    stem.append(step[1])
+                    node = ("out", step[1])
+                stems.append(tuple(stem))
+        self.witness = StemFamily(tuple(sorted(stems)))
 
 
 def layer_coverages(dag: StructuredDag) -> list[LayerCoverage]:
@@ -380,8 +413,9 @@ def arcs_one_at_a_time(
     """``head``, ``cost``, initial ``cap`` and adjacency lists of the
     node-split graph, each arc pair added by ``add_arc``: the source arcs
     (leaders ascending), the ``in -> out`` arcs (layer by layer, ids
-    ascending), the edge arcs (edges ascending) and the closed sink arcs
-    (nodes ascending).  Arc ``a`` is forward when even, ``a ^ 1`` its reverse."""
+    ascending), the edge arcs (edges ascending) and the sink arcs
+    (nodes ascending), every one open.  Arc ``a`` is forward when even,
+    ``a ^ 1`` its reverse."""
     order = [v for layer in label_layers(dag).layers for v in sorted(layer)]
     in_copy = {v: 1 + 2 * i for i, v in enumerate(order)}
     out_copy = {v: 2 + 2 * i for i, v in enumerate(order)}
@@ -391,12 +425,12 @@ def arcs_one_at_a_time(
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(sink + 1)]
 
-    def add_arc(u: int, v: int, arc_cost: int, arc_cap: int = 1) -> None:
+    def add_arc(u: int, v: int, arc_cost: int) -> None:
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head.extend((v, u))
         cost.extend((arc_cost, -arc_cost))
-        cap.extend((arc_cap, 0))
+        cap.extend((1, 0))
 
     for leader in sorted(dag.leaders):
         add_arc(0, in_copy[leader], 0)
@@ -405,9 +439,8 @@ def arcs_one_at_a_time(
     for u, v in sorted(dag.edges):
         add_arc(out_copy[u], in_copy[v], 0)
     for v in sorted(dag.nodes):
-        add_arc(out_copy[v], sink, 0, 0)
+        add_arc(out_copy[v], sink, 0)
     return head, cost, cap, adj
-
 
 
 def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
@@ -419,7 +452,8 @@ def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
     left some node at a positive distance; ``tight`` then lists the arcs of
     reduced cost 0 again.  ``reach`` counts the nodes the last search
     reached, which no later one exceeds: an augmentation only reverses arcs
-    between them.  Augmenting-path ties resolve toward lower external ids."""
+    between them.  Augmenting-path ties resolve toward lower external ids.
+    Each unit goes along the arcs its search recorded, by :func:`push_unit`."""
     potential = [_INF] * net.size
     potential[net.source] = 0
     for u in range(net.size):
@@ -438,8 +472,19 @@ def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
         if dist.count(0) < reach:  # some node was left at a positive distance
             potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
             tight = tight_arcs(net, potential)
-        net._augment(parent, net.source, net.sink)
+        push_unit(net, parent)
     net._potential = potential
+
+
+def push_unit(net: FlowNetwork, parent: list[int]) -> None:
+    """Push one unit from the source to the sink along the arc ``parent``
+    records into each node of the path."""
+    v = net.sink
+    while v != net.source:
+        arc = parent[v]
+        net._cap[arc] -= 1
+        net._cap[arc ^ 1] += 1
+        v = net._head[arc ^ 1]
 
 
 def zero_phase_dijkstra(
@@ -453,8 +498,8 @@ def zero_phase_dijkstra(
     pops the least id found and not yet popped, scanning split indices
     upward, with a small heap for the nodes found below the scan position.
     When it reaches ``reach`` nodes every distance is 0; otherwise
-    ``FlowNetwork._bucket_pass`` completes the search from the nodes it
-    popped, in their order."""
+    :func:`heap_settle` completes the search from the nodes it popped, in
+    their order."""
     dist = [_INF] * net.size
     parent = [-1] * net.size
     dist[net.source] = 0
@@ -480,14 +525,13 @@ def zero_phase_dijkstra(
                     if v < scan:
                         heapq.heappush(below, v)
     if len(zero) < reach:
-        net._bucket_pass(potential, dist, parent, zero, net._cap, net._cost)
+        heap_settle(net, potential, dist, parent, zero)
     return dist, parent
 
 
 def ssp_flow(dag: StructuredDag) -> FlowNetwork:
     """The dimension flow of ``dag`` solved by :func:`ssp_solve_min_cost`."""
     net = FlowNetwork(dag)
-    net.open_sinks(dag.nodes)
     ssp_solve_min_cost(net, len(dag.leaders))
     return net
 
@@ -497,18 +541,32 @@ def heap_dijkstra(
 ) -> tuple[list[float], list[int]]:
     """:func:`zero_phase_dijkstra` from the source, or, when ``backward``,
     the distances to the sink that ``FlowNetwork.in_copy_distances_to_sink``
-    reads, with one heap of ``(distance, node)`` pairs: a backward search
-    follows arc ``a ^ 1`` into ``u`` from ``head[a]``.  Both skip every node
-    without a potential."""
-    flip, sign = (1, -1) if backward else (0, 1)
+    reads, with one heap of ``(distance, node)`` pairs."""
     dist = [_INF] * net.size
     parent = [-1] * net.size
     dist[start] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
+    heap_settle(net, potential, dist, parent, [start], backward)
+    return dist, parent
+
+
+def heap_settle(
+    net: FlowNetwork,
+    potential: list[float],
+    dist: list[float],
+    parent: list[int],
+    settled: list[int],
+    backward: bool = False,
+) -> None:
+    """Finish a search whose nodes at distance 0 are ``settled``, in the
+    order one heap of ``(distance, node)`` pairs pops them: their arcs are
+    relaxed in that order, then the heap settles the rest.  ``parent``
+    changes only on a strict improvement.  A backward search follows arc
+    ``a ^ 1`` into ``u`` from ``head[a]``.  Every node without a potential
+    is skipped."""
+    flip, sign = (1, -1) if backward else (0, 1)
+    heap: list[tuple[float, int]] = []
+
+    def relax(u: int, d: float) -> None:
         for arc in net._adj[u]:
             step = arc ^ flip
             if net._cap[step] <= 0:
@@ -521,7 +579,13 @@ def heap_dijkstra(
                 dist[v] = nd
                 parent[v] = arc
                 heapq.heappush(heap, (nd, v))
-    return dist, parent
+
+    for u in settled:
+        relax(u, dist[u])
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d <= dist[u]:
+            relax(u, d)
 
 
 def tight_arcs(net: FlowNetwork, potential: list[float]) -> list[list[int]]:

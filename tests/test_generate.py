@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -16,6 +17,7 @@ from fixednodes import (
     validate,
 )
 from fixednodes.cli import main
+from fixednodes.stems import FlowNetwork
 from references import pooled_layered_dag
 
 
@@ -238,3 +240,34 @@ def test_large_generated_graph_is_pinned(name, capsys):
     argv, digest = _SCALE[name]
     assert main(["gen", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# each route's fixed set on the wide n=5000 skip graph, as its length and the
+# sha256 of its json.dumps
+_WIDE_FIXED = {
+    "layered": (148, "dcadf28a8170bf5f01b1d99b425acef38a57e48e10fa779c447cf49e2c399402"),
+    "oracle": (133, "f42f77ee0488785f165f0866c8b0963f1a494734dfe77ed0d13b65af65683e9d"),
+}
+
+
+def test_wide_skip_graph_keeps_its_fixed_sets(tmp_path, capsys, monkeypatch):
+    """The wide n=5000 skip graph's fixed sets, from ``fixed`` on its pinned
+    file.  Skipping edges are where the layered sweep retracts units to the
+    source, and on this graph some of its repairs do."""
+    retracted = []
+    push_path = FlowNetwork._push_path
+
+    def recorded(net, start, last):
+        found = push_path(net, start, last)
+        if start != net.source and not found:
+            retracted.append(start)
+        return found
+
+    monkeypatch.setattr(FlowNetwork, "_push_path", recorded)
+    graph = tmp_path / "wide.json"
+    assert main(["gen", *_SCALE["wide-n5000-skip"][0], "-o", str(graph)]) == 0
+    for method, pin in _WIDE_FIXED.items():
+        assert main(["fixed", str(graph), "--method", method]) == 0
+        fixed = json.loads(capsys.readouterr().out)["methods"][method]["fixed"]
+        assert (len(fixed), hashlib.sha256(json.dumps(fixed).encode()).hexdigest()) == pin
+    assert retracted

@@ -38,6 +38,7 @@ from references import (
     heap_dijkstra,
     in_every_max_family,
     induce_prefix,
+    layer_coverages,
     matched_by,
     residual_reaching_sink,
     ssp_flow,
@@ -184,6 +185,26 @@ class TestMaxLayerCoverage:
         coverage = LayerCoverage(prefix, targets)
         assert coverage.mu == len(golden.dag.leaders)
         assert matched_by(coverage.witness, targets) == golden.dag.leaders
+
+    @pytest.mark.parametrize("name", ["skip200", "wide"])
+    def test_the_reference_builds_no_flow_network(self, name, monkeypatch):
+        """The reference solves each layer on its own dict-keyed network, so
+        the sweep is checked against code it does not share."""
+        if name == "wide":
+            dag = shaped_dag(20, 50, 25, 0.3, seed=11)
+        else:
+            dag = graph_from_json((DATA / f"{name}.graph.json").read_text())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the reference built a flow network")
+
+        monkeypatch.setattr(FlowNetwork, "__init__", refused)
+        coverages = layer_coverages(dag)
+        assert len(coverages) == label_layers(dag).depth
+        for coverage in coverages:
+            assert coverage.mu == len(coverage.matched) == len(coverage.witness.stems) >= 1
+            assert coverage.essential <= coverage.matched
+            assert matched_by(coverage.witness, coverage.targets) == coverage.matched
 
 
 class TestEssentiality:
@@ -371,29 +392,32 @@ class TestFlowKernels:
             calls["forward"] += 1
             return got
 
-        def checked_bucket_pass(net, potential, dist, parent, zero, cap, cost):
-            bucket_pass(net, potential, dist, parent, zero, cap, cost)
-            if zero[0] == net.sink:  # the oracle's pass; a forward one starts at the source
+        def checked_bucket_pass(net, potential, start, cap, cost):
+            dist = bucket_pass(net, potential, start, cap, cost)
+            if start == net.sink:  # the oracle's pass; a forward one starts at the source
                 assert dist == heap_dijkstra(net, net._potential, net.sink, backward=True)[0]
                 calls["backward"] += 1
-            elif zero == [net.source]:  # a primal-dual phase ends only when no tight path is left
+            else:  # a primal-dual phase ends only when no tight path is left
+                assert start == net.source
                 assert dist == heap_dijkstra(net, potential, net.source)[0]
                 assert dist[net.sink] > 0
+            return dist
 
-        def checked_reaching(net, targets):
+        def checked_reaching(net, targets, layer):
             targets = frozenset(targets)
-            got = reaching(net, targets)
+            got = reaching(net, targets, layer)
             assert got == residual_reaching_sink(net, targets)
             calls["reaching"] += 1
             return got
 
         def checked_open_layer(net, k):
             open_layer(net, k)
-            layer = net._layers[k - 1]
+            layer = net._ext_of_pos[net._bound[k - 1] // 2 : net._bound[k] // 2]
             matched = net.matched_targets(layer)
             assert matched == all_matched_targets(net)
             for targets in (layer, matched):
-                assert net.targets_reaching_sink(targets) == residual_reaching_sink(net, targets)
+                got = net.targets_reaching_sink(targets, layer)
+                assert got == residual_reaching_sink(net, targets)
 
         monkeypatch.setattr(references, "zero_phase_dijkstra", checked_forward)
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked_bucket_pass)
@@ -444,12 +468,12 @@ class TestFlowKernels:
         reaching = FlowNetwork.targets_reaching_sink
         lists = CountingList()
 
-        def counted(net, targets):
+        def counted(net, *args):
             plain = net._adj
             lists[:] = plain
             net._adj = lists
             try:
-                return reaching(net, targets)
+                return reaching(net, *args)
             finally:
                 net._adj = plain
 
@@ -459,10 +483,12 @@ class TestFlowKernels:
 
     def test_saturated_source_ends_the_search_at_the_source(self, monkeypatch):
         """With every source arc saturated no augmenting path can exist, and
-        ``max_flow``'s one search pops only the source and reads only its
-        arcs; on a deep graph with four leaders, whose stranded units are all
-        repaired in place, that is every layer after the first.  Each search
-        from the source starts from a ``deque`` holding only it."""
+        a search from the source pops only the source, reads only its arcs
+        and pushes nothing.  On a deep graph with four leaders, whose
+        stranded units are all repaired in place, that one search is all
+        every layer after the first runs from the source; layer 1 runs it
+        after one augmentation per leader.  Each search from the source
+        starts from a ``deque`` holding only it."""
         dag = shaped_dag(100, 10, 4, 0.0, seed=11)
         searches = []  # the nodes each search from the source pops
 
@@ -478,26 +504,34 @@ class TestFlowKernels:
                 self.popped.append(u)
                 return u
 
-        max_flow = FlowNetwork.max_flow
+        open_layer, push_path = FlowNetwork.open_layer, FlowNetwork._push_path
+        per_layer = []  # the searches from the source each layer runs
         saturated = []
 
-        def counted(net, last):
-            full = not any(net._cap[arc] for arc in net._adj[net.source])
+        def counted_layer(net, k):
             before = len(searches)
-            matched = net.matched_targets(net._open)
-            max_flow(net, last)
+            open_layer(net, k)
+            per_layer.append(searches[before:])
+
+        def counted_search(net, start, last):
+            full = start == net.source and not any(net._cap[arc] for arc in net._adj[net.source])
+            before, cap = len(searches), net._cap.copy()
+            found = push_path(net, start, last)
             if full:
-                assert searches[before:] == [[0]] and net.matched_targets(net._open) == matched
+                assert not found and searches[before:] == [[0]] and net._cap == cap
                 saturated.append(last)
+            return found
 
         monkeypatch.setattr(fixednodes.stems, "deque", RecordingDeque)
-        monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+        monkeypatch.setattr(FlowNetwork, "open_layer", counted_layer)
+        monkeypatch.setattr(FlowNetwork, "_push_path", counted_search)
         result = fixed_nodes_layered(dag)
-        assert len(result.per_layer) == 100
+        assert len(result.per_layer) == len(per_layer) == 100
         # layer 1 augments once per leader and ends with one failed search
-        assert len(saturated) == 99 and len(searches) == 5 + 99
+        assert len(per_layer[0]) == 5 and all(s == [[0]] for s in per_layer[1:])
+        assert len(saturated) == 1 + 99 and len(searches) == 5 + 99
 
-    def test_repair_and_max_flow_pop_few_nodes(self, monkeypatch):
+    def test_repairs_and_augmentations_pop_few_nodes(self, monkeypatch):
         """On a deep skip graph the sweep's repairs and augmentations together
         pop fewer queue entries than one pass over the 2n+2 split indices."""
         dag = shaped_dag(100, 10, 4, 0.3, seed=11)
@@ -522,8 +556,7 @@ class TestFlowKernels:
             return run
 
         monkeypatch.setattr(fixednodes.stems, "deque", CountingDeque)
-        for name in ("_carry_on", "max_flow"):
-            monkeypatch.setattr(FlowNetwork, name, counted(getattr(FlowNetwork, name)))
+        monkeypatch.setattr(FlowNetwork, "open_layer", counted(FlowNetwork.open_layer))
         fixed_nodes_layered(dag)
         assert 0 < pops < 2 * dag.node_count + 2
 
@@ -531,18 +564,18 @@ class TestFlowKernels:
 class TestZeroPhase:
     """The searches of ``references.ssp_solve_min_cost``, the solver the
     primal-dual phases replaced, start with a zero phase over the tight arcs
-    and take the bucket pass only when that phase leaves some node the
-    source reaches unreached."""
+    and finish on the heap only when that phase leaves some node the source
+    reaches unreached."""
 
     @pytest.fixture
     def searches(self, monkeypatch) -> list[bool]:
-        """One entry per search of the reference solver: whether it took the
-        bucket pass; the passes of ``FlowNetwork.solve_min_cost`` and the
-        oracle's pass from the sink are not counted.  Each search is checked
-        to read tight lists that hold exactly the arcs of reduced cost 0
-        under the potentials it is given."""
+        """One entry per search of the reference solver: whether it finished
+        on the heap (``references.heap_settle``); the heap searches that
+        ``references.heap_dijkstra`` runs on its own are not counted.  Each
+        search is checked to read tight lists that hold exactly the arcs of
+        reduced cost 0 under the potentials it is given."""
         forward = references.zero_phase_dijkstra
-        bucket_pass = FlowNetwork._bucket_pass
+        settle = references.heap_settle
         log: list[bool] = []
         inside: list[bool] = []  # holds an entry while a reference search runs
 
@@ -558,10 +591,10 @@ class TestZeroPhase:
         def counted(net, *args):
             if inside:
                 log[-1] = True
-            return bucket_pass(net, *args)
+            return settle(net, *args)
 
         monkeypatch.setattr(references, "zero_phase_dijkstra", checked)
-        monkeypatch.setattr(FlowNetwork, "_bucket_pass", counted)
+        monkeypatch.setattr(references, "heap_settle", counted)
         return log
 
     @staticmethod
@@ -582,7 +615,7 @@ class TestZeroPhase:
 
     def test_both_phases_match_the_heap(self, searches, monkeypatch):
         """On 200-node graphs of the benchmark's shape and on small skip graphs
-        some searches take the bucket pass, and every search still equals
+        some searches finish on the heap, and every search still equals
         ``references.heap_dijkstra``."""
         TestFlowKernels.assert_kernels_match(self.skip_graphs(), monkeypatch)
         assert any(searches) and not all(searches)
@@ -592,7 +625,7 @@ class TestZeroPhase:
     )
     def test_thousand_node_searches_end_in_the_zero_phase(self, shape, most, searches):
         """On the deep shape every search ends in the zero phase; on the wide
-        one at most two of its 25 take the bucket pass (one on this graph, 5
+        one at most two of its 25 finish on the heap (one on this graph, 5
         in 500 searches over seeds 1-20 of that shape)."""
         dag = shaped_dag(*shape, seed=11)
         ssp_flow(dag)
@@ -603,11 +636,10 @@ class TestZeroPhase:
         """On the wide 1000-node shape the reference solve reads its adjacency
         lists fewer times than five passes over the network: once for the
         potentials, once for the first tight lists, and again only in its one
-        bucket pass and the rebuild after it.  One bucket-queue search per
-        leader, as before the zero phase, reads 25 passes."""
+        heap search and the rebuild after it.  One heap search per leader, as
+        before the zero phase, reads 25 passes."""
         dag = shaped_dag(20, 50, 25, 0.0, seed=11)
         net = FlowNetwork(dag)
-        net.open_sinks(dag.nodes)
         net._adj = CountingList(net._adj)
         ssp_solve_min_cost(net, len(dag.leaders))
         assert 0 < net._adj.reads < 5 * net.size
@@ -657,9 +689,10 @@ class TestPrimalDualPhases:
         bucket pass from the source finds the sink at a positive distance."""
         bucket_pass = FlowNetwork._bucket_pass
 
-        def checked(net, potential, dist, parent, zero, *arrays):
-            bucket_pass(net, potential, dist, parent, zero, *arrays)
-            assert zero != [net.source] or dist[net.sink] > 0
+        def checked(net, potential, start, *arrays):
+            dist = bucket_pass(net, potential, start, *arrays)
+            assert start != net.source or dist[net.sink] > 0
+            return dist
 
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked)
         for dag in dags:
@@ -687,6 +720,21 @@ class TestPrimalDualPhases:
     )
     def test_thousand_node_shapes(self, shape, monkeypatch):
         self.assert_same_answers([shaped_dag(*shape, seed=11)], monkeypatch)
+
+    def test_the_reference_solver_calls_no_kernel(self, monkeypatch):
+        """``references.ssp_solve_min_cost`` searches and pushes with code of
+        its own, so the phases are checked against code they do not share."""
+        dags = [shaped_dag(20, 50, 25, 0.0, seed=11), SWEEP_SMALL_G039, SWEEP_SMALL_G237]
+        want = [generic_dimension(dag) for dag in dags]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the reference solver called a flow kernel")
+
+        kernels = ("solve_min_cost", "_tight_walk", "_bucket_pass", "_push_path", "_augment", "_push")
+        for name in kernels:
+            monkeypatch.setattr(FlowNetwork, name, refused)
+        for dag, (dim, _) in zip(dags, want):
+            assert len(ssp_flow(dag).stems().covered) == dim
 
     def test_walks_read_few_adjacency_lists(self, monkeypatch):
         """On the wide 1000-node shape the depth-first walks of all 25 units
@@ -792,7 +840,7 @@ class TestArcTable:
                 through, to_sink = x + table.to_through, x + table.to_sink
                 assert (table.head[through ^ 1], table.head[through]) == (x, x + 1)
                 assert (table.head[to_sink ^ 1], table.head[to_sink]) == (x + 1, sink)
-                assert table.cost[through] == -1 and table.cap[to_sink] == 0
+                assert table.cost[through] == -1 and table.cap[to_sink] == 1
 
     def test_answers_do_not_depend_on_the_sink_arc_order(self):
         """Witness stems, oracle distances and layered reports stay the same
@@ -815,15 +863,35 @@ class TestArcTable:
             assert answers[0] == answers[1]
 
     def test_networks_keep_their_own_capacities(self, pair13):
+        """A sweep over every layer changes neither the solved dimension flow
+        nor a second network, which keeps every sink arc open as built."""
         dag = pair13.dag.with_leaders(pair13.dag.leaders)
         flow = _dimension_flow(dag)
         solved = flow._cap.copy()
         second, third = FlowNetwork(dag), FlowNetwork(dag)
-        second.open_sinks(dag.nodes)
-        second.max_flow(second.sink - 1)
-        assert len(second.matched_targets(dag.nodes)) == len(dag.leaders)
         for k in range(1, len(dag.source_layers) + 1):
             third.open_layer(k)
-        assert flow._cap == solved and flow._open == dag.nodes
-        assert third._open == set(dag.source_layers[-1]) and second._cap != third._cap
+        assert flow._cap == solved and second._cap == dag._arcs.cap
+        assert len(third.matched_targets(dag.nodes)) == 2 and second._cap != third._cap
+        assert all(second._cap[second._in[v] + second._to_sink] for v in dag.nodes)
+
+    @pytest.mark.parametrize(
+        "shape", [None, (100, 10, 4, 0.3), (20, 50, 25, 0.3)], ids=["skip200", "deep", "wide"]
+    )
+    def test_open_layer_leaves_only_its_layer_open(self, shape):
+        """After ``open_layer(k)`` exactly layer ``k``'s sink arcs are open,
+        and no sink arc outside layer ``k`` carries a unit: an open arc holds
+        one unit of capacity across its two directions, a closed one none,
+        so its reverse carries nothing."""
+        if shape is None:
+            dag = graph_from_json((DATA / "skip200.graph.json").read_text())
+        else:
+            dag = shaped_dag(*shape, seed=11)
+        net = FlowNetwork(dag)
+        nodes = sorted(dag.nodes)
+        sink_arcs = [net._in[v] + net._to_sink for v in nodes]
+        for k, layer in enumerate(label_layers(dag).layers, start=1):
+            net.open_layer(k)
+            units = [net._cap[a] + net._cap[a ^ 1] for a in sink_arcs]
+            assert units == [v in layer for v in nodes]
 
