@@ -11,19 +11,27 @@ one double per edge weight, read in order: draw ``i`` is the ``i``-th row of
 that stream and depends only on the pattern, the seed and ``i``.  Draws are
 ranked in batches: their ``A`` matrices are stacked, the blocks built for the
 whole batch and one stacked SVD ranks them all, with a batch size set by n
-alone.  Each draw keeps its own rank and residuals, and the verdicts and the
-draw that ends sampling are those of ranking one draw at a time.  numpy is
-imported by the functions that use it, so importing the package leaves it out.
+alone.  The first ``trials`` draws go in rounds of batches, one batch per
+usable CPU, ranked at the same time on threads (numpy's SVDs and matmuls
+release the GIL) and folded in draw order; no option controls this, and peak
+memory grows with the number of workers.  Each draw keeps its own rank and
+residuals, and the verdicts and the draw that ends sampling are those of
+ranking one draw at a time.  numpy is imported by the functions that use it,
+so importing the package leaves it out.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import AbstractContextManager, nullcontext
 from typing import TYPE_CHECKING
 
 from .errors import InconclusiveError, InvalidGraphError
 from .graph import StructuredDag
 
 if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
     import numpy as np
 
 DEFAULT_TRIALS = 50
@@ -38,6 +46,9 @@ _MAG_LOW, _MAG_HIGH = 0.5, 2.0
 
 # Entries of ``A`` that one batch of draws may stack (see ``_batch_size``).
 _BATCH_ENTRIES = 2**16
+# Entries of ``A`` that the batches of one round may hold together, one
+# buffer per worker: at n = 1000 that is 16 workers of one draw each.
+_ROUND_ENTRIES = 2**24
 
 
 def numeric_fixed_nodes(
@@ -63,8 +74,13 @@ def numeric_fixed_nodes(
     All draws come from one generator seeded with ``seed`` (see
     :func:`_draw_weights`).  The first ``trials`` draws are ranked in
     batches, one stacked SVD per batch (see :func:`_batch_size`), and each
-    retry is a batch of one draw.  Per batch, only the draws at the batch's
-    top rank are projected, so the floor is the one a fold in draw order gives.
+    retry is a batch of one draw.  Batches are ranked in rounds of as many
+    as there are usable CPUs (see :func:`_usable_cpus`), within
+    ``_ROUND_ENTRIES`` entries of ``A`` in all: the calling thread ranks a
+    round's first batch while helper threads rank the rest, and each batch
+    then folds into the floor in draw order.  Retries are rounds of one.
+    Per batch, only the draws at the batch's top rank are projected, so the
+    floor is the one a fold in draw order gives.
     """
     import numpy as np
     if trials < 1:
@@ -73,37 +89,80 @@ def numeric_fixed_nodes(
     rng = np.random.default_rng(seed)
     budget = trials if expected_dim is None else 3 * trials
     n = dag.node_count
-    size = _batch_size(n)
-    # one buffer of flattened A matrices: each batch overwrites the edge
-    # entries of its rows, and every other entry stays zero
-    a = np.zeros((min(size, trials), n * n))
+    size = min(_batch_size(n), trials)
+    workers = max(1, min(_usable_cpus(), -(-trials // size), _ROUND_ENTRIES // (size * n * n)))
+    # one buffer of flattened A matrices per worker: each batch overwrites the
+    # edge entries of its rows, and every other entry stays zero
+    buffers = np.zeros((workers, size, n * n))
     eye = np.eye(n)
     top = 0
     residual_floor = np.zeros(n)
     drawn = 0
-    while drawn < budget:
-        count = min(size, trials - drawn) if drawn < trials else 1
-        a[:count, index] = _draw_weights(rng, count, len(index))
-        u, ranks = _column_spaces(a[:count].reshape(count, n, n), b)
-        drawn += count
-        batch_top = int(ranks.max())
-        if batch_top >= top:
-            # residual of projecting each standard basis vector onto the
-            # column space, for the batch's draws at its top rank only
-            basis = u[ranks == batch_top, :, :batch_top]
-            projection = basis @ basis.transpose(0, 2, 1)
-            residuals = np.linalg.norm(eye - projection, axis=1).max(axis=0)
-            residual_floor = (
-                residuals if batch_top > top else np.maximum(residual_floor, residuals)
-            )
-            top = batch_top
-        if drawn >= trials and (expected_dim is None or top >= expected_dim):
-            break
+    with _helper_threads(workers - 1) as helpers:
+        while drawn < budget:
+            # the sizes of the round's batches: up to one per worker among
+            # the first trials draws, then one draw per retry
+            left = trials - drawn
+            counts = [min(size, left - k) for k in range(0, min(left, workers * size), size)]
+            batches = []
+            for a, count in zip(buffers, counts or [1]):
+                a[:count, index] = _draw_weights(rng, count, len(index))
+                batches.append(a[:count].reshape(count, n, n))
+                drawn += count
+            # helpers rank all but the first batch while this thread ranks
+            # it; reading the results in draw order raises the error that
+            # ranking the batches one after another would raise
+            futures = [helpers.submit(_rank_batch, a, b, eye, top) for a in batches[1:]]
+            ranked = [_rank_batch(batches[0], b, eye, top), *(f.result() for f in futures)]
+            for batch_top, residuals in ranked:
+                if batch_top >= top:
+                    residual_floor = (
+                        residuals if batch_top > top else np.maximum(residual_floor, residuals)
+                    )
+                    top = batch_top
+            if drawn >= trials and (expected_dim is None or top >= expected_dim):
+                break
     if expected_dim is not None and top < expected_dim:
         raise InconclusiveError(
             f"no draw reached rank {expected_dim} in {budget} trials (best {top})"
         )
     return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_threads(count: int) -> AbstractContextManager[Executor | None]:
+    """A pool of ``count`` threads that is shut down, waiting for every
+    thread, when its block ends; with ``count`` 0, no pool, and
+    ``concurrent.futures`` is not imported."""
+    if count == 0:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(count)
+
+
+def _rank_batch(
+    a: np.ndarray, b: np.ndarray, eye: np.ndarray, least: int
+) -> tuple[int, np.ndarray | None]:
+    """The top rank among the ``(draws, n, n)`` stack ``a``'s draws and,
+    unless that rank is below ``least``, the residual of each standard basis
+    vector projected onto their column spaces, the largest over the draws at
+    that rank."""
+    import numpy as np
+    u, ranks = _column_spaces(a, b)
+    top = int(ranks.max())
+    if top < least:
+        return top, None
+    basis = u[ranks == top, :, :top]
+    projection = basis @ basis.transpose(0, 2, 1)
+    residual = np.subtract(eye, projection, out=projection)
+    return top, np.linalg.norm(residual, axis=1).max(axis=0)
 
 
 def _pattern(dag: StructuredDag) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -239,28 +241,36 @@ class TestNumericFixedNodes:
         assert fixed_nodes_oracle(dag).fixed_nodes == {1}
         assert numeric_fixed_nodes(dag, trials=3, seed=0, expected_dim=2) == {1}
 
-    def test_memory_does_not_grow_with_the_draw_count(self):
-        """Each draw folds into the running floor, so ten times the draws
-        keeps the traced peak within twice that of three draws."""
-        config = GeneratorConfig(
-            depth=10,
-            widths=spread_widths(10, 30, 10),
-            leader_count=10,
-            seed=5,
-            edge_count=700,
-        )
-        dag = random_layered_dag(config)
-        dim = generic_dimension(dag)[0]
-        assert (dag.node_count, dim) == (300, 100)
-        peaks = []
-        for trials in (3, 30):
-            tracemalloc.start()
-            try:
-                numeric_fixed_nodes(dag, trials=trials, seed=0, expected_dim=dim)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 2 * peaks[0]
+    def test_memory_does_not_grow_with_the_draw_count(self, monkeypatch):
+        """Each draw folds into the running floor and weights are drawn one
+        round at a time, so many times the draws keep the traced peak within
+        twice that of a few.  At n = 300 a batch is one draw; at n = 40 it
+        is 40, so 120 draws are three batches and 20,000 are 500.  Peak
+        memory grows with the worker count, which is pinned to 2."""
+        monkeypatch.setattr(fixednodes.numeric, "_usable_cpus", lambda: 2)
+        for depth, width, leaders, edges, shape, trials in (
+            (10, 30, 10, 700, (300, 100), (3, 30)),
+            (4, 10, 4, 80, (40, 16), (120, 20_000)),
+        ):
+            config = GeneratorConfig(
+                depth=depth,
+                widths=spread_widths(depth, width, leaders),
+                leader_count=leaders,
+                seed=5,
+                edge_count=edges,
+            )
+            dag = random_layered_dag(config)
+            dim = generic_dimension(dag)[0]
+            assert (dag.node_count, dim) == shape
+            peaks = []
+            for count in trials:
+                tracemalloc.start()
+                try:
+                    numeric_fixed_nodes(dag, trials=count, seed=0, expected_dim=dim)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 2 * peaks[0]
 
 
 class TestBatchedDraws:
@@ -357,7 +367,8 @@ class TestBatchedDraws:
         crit6 = dags.pop("crit6")
         batches.clear()
         numeric_fixed_nodes(crit6, trials=50, expected_dim=generic_dimension(crit6)[0])
-        assert batches == [18, 18, 14]
+        # a round's batches may reach the SVD in any order
+        assert sorted(batches) == [14, 18, 18]
         rng = random.Random(0xBA7D)
         small = list(dags.values()) + [randgraphs.random_dag(rng, max_nodes=20) for _ in range(20)]
         for dag in small:
@@ -365,6 +376,104 @@ class TestBatchedDraws:
             batches.clear()
             numeric_fixed_nodes(dag, trials=50, expected_dim=generic_dimension(dag)[0])
             assert batches == [50]
+
+
+def bench_n200(seed: int, skip: float) -> StructuredDag:
+    """The all-n200 bench shape: depth 10, width 20, 10 leaders, 400 edges."""
+    config = GeneratorConfig(
+        depth=10,
+        widths=spread_widths(10, 20, 10),
+        leader_count=10,
+        seed=seed,
+        edge_count=400,
+        skip_layer_prob=skip,
+    )
+    return random_layered_dag(config)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+class TestRounds:
+    """Rounds of batches ranked on threads, one batch per usable CPU, against
+    ``references.per_draw_numeric_fixed_nodes``.  With one CPU no thread is
+    started; with four, the helpers rank all but each round's first batch."""
+
+    @staticmethod
+    def ranking_threads(monkeypatch, cpus) -> set[str]:
+        monkeypatch.setattr(fixednodes.numeric, "_usable_cpus", lambda: cpus)
+        names = set()
+        column_spaces = fixednodes.numeric._column_spaces
+
+        def recorded(a, b):
+            names.add(threading.current_thread().name)
+            return column_spaces(a, b)
+
+        monkeypatch.setattr(fixednodes.numeric, "_column_spaces", recorded)
+        return names
+
+    def test_same_fixed_sets_and_draws_as_per_draw(self, cpus, draws, monkeypatch):
+        names = self.ranking_threads(monkeypatch, cpus)
+        dags = pinned_dags()
+        dags.update(n200=bench_n200(0, 0.0), n200_skip=bench_n200(1, 0.3))
+        for dag in dags.values():
+            for trials in (7, 20):
+                for expected_dim in (None, generic_dimension(dag)[0]):
+                    TestBatchedDraws.assert_same_as_per_draw(dag, trials, expected_dim, draws)
+        helpers = names - {threading.main_thread().name}
+        assert bool(helpers) == (cpus > 1)
+
+    def test_retries_one_draw_at_a_time(self, cpus, draws, monkeypatch):
+        """skip200 ranks one draw per batch.  Draws 0 to 4 with ``A = 0``
+        reach only the leaders' rank: the first round of four falls short,
+        and the retries stop at draw 5, the first of full rank."""
+        self.ranking_threads(monkeypatch, cpus)
+        dag = pinned_dags()["skip200"]
+        dim = generic_dimension(dag)[0]
+        recorded = fixednodes.numeric._draw_weights
+
+        def sample(rng, count, edges):
+            weights = recorded(rng, count, edges)
+            weights[[i for i, d in enumerate(draws[-count:]) if d < 5]] = 0.0
+            return weights
+
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
+        TestBatchedDraws.assert_same_as_per_draw(dag, 4, dim, draws)
+        fixed = numeric_fixed_nodes(dag, 4, seed=3, expected_dim=dim)
+        assert fixed == fixed_nodes_oracle(dag).fixed_nodes
+        assert draws == list(range(6))
+
+    def test_an_error_reaches_the_caller_in_draw_order(self, cpus, monkeypatch):
+        """Batches 1 to 3 of skip200 raise, batch 1 last of all: the caller
+        gets batch 1's error, as ranking one batch after another gives, and
+        every thread the call started has ended."""
+        self.ranking_threads(monkeypatch, cpus)
+        dag = pinned_dags()["skip200"]
+        u, v = dag.sorted_edges[0]
+        batch_of = {}
+        recorded = fixednodes.numeric._draw_weights
+
+        def sample(rng, count, edges):
+            weights = recorded(rng, count, edges)
+            batch_of[weights[0, 0]] = len(batch_of)
+            return weights
+
+        column_spaces = fixednodes.numeric._column_spaces
+
+        def failing(a, b):
+            batch = batch_of[a[0, v - 1, u - 1]]
+            if batch == 1:
+                time.sleep(0.2)
+            if batch >= 1:
+                raise np.linalg.LinAlgError(f"batch {batch}")
+            return column_spaces(a, b)
+
+        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
+        monkeypatch.setattr(fixednodes.numeric, "_column_spaces", failing)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="^batch 1$"):
+            numeric_fixed_nodes(dag, trials=20, seed=0)
+        assert threading.active_count() == before
+        # the batches of the round that raised, and no more
+        assert len(batch_of) == max(cpus, 2)
 
 
 class TestOneStream:
@@ -438,18 +547,9 @@ class TestOneStream:
 
     @pytest.mark.parametrize("skip", [0.0, 0.3])
     def test_agrees_with_the_oracle_on_the_n200_bench_shape(self, skip):
-        """Depth 10, width 20, 10 leaders and 400 edges, 20 trials: the shape
-        of the all-n200 bench workload."""
+        """The shape of the all-n200 bench workload, 20 trials."""
         for seed in range(5):
-            config = GeneratorConfig(
-                depth=10,
-                widths=spread_widths(10, 20, 10),
-                leader_count=10,
-                seed=seed,
-                edge_count=400,
-                skip_layer_prob=skip,
-            )
-            dag = random_layered_dag(config)
+            dag = bench_n200(seed, skip)
             assert (dag.node_count, len(dag.edges)) == (200, 400)
             dim, _ = generic_dimension(dag)
             oracle = fixed_nodes_oracle(dag).fixed_nodes
