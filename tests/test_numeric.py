@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import threading
 import time
@@ -247,7 +248,7 @@ class TestNumericFixedNodes:
         twice that of a few.  At n = 300 a batch is one draw; at n = 40 it
         is 40, so 120 draws are three batches and 20,000 are 500.  Peak
         memory grows with the worker count, which is pinned to 2."""
-        monkeypatch.setattr(fixednodes.numeric, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fixednodes.numeric, "_workers", lambda: 2)
         for depth, width, leaders, edges, shape, trials in (
             (10, 30, 10, 700, (300, 100), (3, 30)),
             (4, 10, 4, 80, (40, 16), (120, 20_000)),
@@ -391,24 +392,32 @@ def bench_n200(seed: int, skip: float) -> StructuredDag:
     return random_layered_dag(config)
 
 
+def helper_threads_started(monkeypatch) -> set[str]:
+    """The names of the threads that rank a batch from now on, recorded as
+    ``_column_spaces`` is called."""
+    names = set()
+    column_spaces = fixednodes.numeric._column_spaces
+
+    def recorded(a, b):
+        names.add(threading.current_thread().name)
+        return column_spaces(a, b)
+
+    monkeypatch.setattr(fixednodes.numeric, "_column_spaces", recorded)
+    return names
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 class TestRounds:
-    """Rounds of batches ranked on threads, one batch per usable CPU, against
-    ``references.per_draw_numeric_fixed_nodes``.  With one CPU no thread is
-    started; with four, the helpers rank all but each round's first batch."""
+    """Rounds of batches ranked on threads, one batch per usable CPU when the
+    BLAS runs one thread, against ``references.per_draw_numeric_fixed_nodes``.
+    With one CPU no thread is started; with four, the helpers rank all but
+    each round's first batch."""
 
     @staticmethod
     def ranking_threads(monkeypatch, cpus) -> set[str]:
         monkeypatch.setattr(fixednodes.numeric, "_usable_cpus", lambda: cpus)
-        names = set()
-        column_spaces = fixednodes.numeric._column_spaces
-
-        def recorded(a, b):
-            names.add(threading.current_thread().name)
-            return column_spaces(a, b)
-
-        monkeypatch.setattr(fixednodes.numeric, "_column_spaces", recorded)
-        return names
+        monkeypatch.setattr(fixednodes.numeric, "_blas_threads", lambda cpus: 1)
+        return helper_threads_started(monkeypatch)
 
     def test_same_fixed_sets_and_draws_as_per_draw(self, cpus, draws, monkeypatch):
         names = self.ranking_threads(monkeypatch, cpus)
@@ -474,6 +483,139 @@ class TestRounds:
         assert threading.active_count() == before
         # the batches of the round that raised, and no more
         assert len(batch_of) == max(cpus, 2)
+
+
+class TestWorkerCount:
+    """A round ranks one batch per usable CPU left over by the BLAS's own
+    threads, read from the variables the BLAS numpy names reads."""
+
+    @pytest.fixture
+    def clean_env(self, monkeypatch):
+        for names in fixednodes.numeric._BLAS_THREAD_VARS.values():
+            for var in names:
+                monkeypatch.delenv(var, raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize(
+        "blas, env, workers",
+        [
+            ("scipy-openblas", {}, 1),
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 8),
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "2"}, 4),
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "3"}, 2),
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "16"}, 1),
+            ("openblas", {"OMP_NUM_THREADS": "1"}, 8),
+            ("openblas", {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "one"}, 1),
+            ("openblas", {"MKL_NUM_THREADS": "1"}, 1),
+            ("mkl", {"MKL_NUM_THREADS": "1"}, 8),
+            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ("blis", {"BLIS_NUM_THREADS": "2"}, 4),
+            ("accelerate", {"VECLIB_MAXIMUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 8),
+            ("scipy-openblas openblas 0.3.27 use_openmp haswell", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ("scipy-openblas openblas 0.3.27 use_openmp haswell", {"OMP_NUM_THREADS": "2"}, 4),
+            ("", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1),
+            ("netlib", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1),
+        ],
+    )
+    def test_workers_from_the_blas_threads(self, clean_env, blas, env, workers):
+        clean_env.setattr(fixednodes.numeric, "_usable_cpus", lambda: 8)
+        clean_env.setattr(fixednodes.numeric, "_blas_build", lambda: blas)
+        for var, value in env.items():
+            clean_env.setenv(var, value)
+        assert fixednodes.numeric._workers() == workers
+
+    def test_default_blas_starts_no_thread(self, clean_env, draws):
+        """With no thread variable set the BLAS runs one thread per CPU, so
+        even four usable CPUs rank one batch at a time."""
+        clean_env.setattr(fixednodes.numeric, "_usable_cpus", lambda: 4)
+        names = helper_threads_started(clean_env)
+        dag = pinned_dags()["skip200"]
+        numeric_fixed_nodes(dag, trials=8, seed=3)
+        assert names == {threading.main_thread().name}
+        assert draws == list(range(8))
+
+    def test_round_entries_cap_the_workers(self, draws, monkeypatch):
+        """skip200 ranks one draw per batch; with eight workers and room for
+        three draws' ``A`` in a round, the first round draws three batches."""
+        n = 200
+        monkeypatch.setattr(fixednodes.numeric, "_workers", lambda: 8)
+        monkeypatch.setattr(fixednodes.numeric, "_ROUND_ENTRIES", 3 * n * n)
+
+        def failing(a, b):
+            raise np.linalg.LinAlgError("ranked")
+
+        monkeypatch.setattr(fixednodes.numeric, "_column_spaces", failing)
+        dag = pinned_dags()["skip200"]
+        assert dag.node_count == n
+        with pytest.raises(np.linalg.LinAlgError):
+            numeric_fixed_nodes(dag, trials=20, seed=0)
+        assert draws == [0, 1, 2]
+
+    def test_one_batch_looks_up_no_worker_count(self, single7, monkeypatch):
+        """A call whose first trials draws are one batch needs one worker,
+        so it reads neither the CPUs nor the BLAS's threads."""
+
+        def unexpected():
+            raise AssertionError("worker count looked up")
+
+        monkeypatch.setattr(fixednodes.numeric, "_workers", unexpected)
+        assert numeric_fixed_nodes(single7.dag, trials=50, seed=0) == single7.fixed
+
+    def test_threads_follow_the_usable_cpus(self, monkeypatch):
+        """Unpatched CPU count, one BLAS thread: helpers rank batches exactly
+        when the process may use more than one CPU (under ``taskset -c 0``,
+        none)."""
+        monkeypatch.setattr(fixednodes.numeric, "_blas_threads", lambda cpus: 1)
+        names = helper_threads_started(monkeypatch)
+        numeric_fixed_nodes(pinned_dags()["skip200"], trials=8, seed=3)
+        helpers = names - {threading.main_thread().name}
+        assert bool(helpers) == (fixednodes.numeric._usable_cpus() > 1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_usable_cpus_within_the_affinity_mask(self, monkeypatch):
+        affinity = len(os.sched_getaffinity(0))
+        assert 1 <= fixednodes.numeric._usable_cpus() <= affinity
+        monkeypatch.setattr(fixednodes.numeric, "_cgroup_cpus", lambda: None)
+        assert fixednodes.numeric._usable_cpus() == affinity
+        monkeypatch.setattr(fixednodes.numeric, "_cgroup_cpus", lambda: 1)
+        assert fixednodes.numeric._usable_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "membership, files, cpus",
+        [
+            ("0::/box\n", {"box/cpu.max": "150000 100000\n"}, 2),
+            ("0::/box\n", {"box/cpu.max": "100000 100000\n"}, 1),
+            ("0::/box\n", {"box/cpu.max": "20000 100000\n"}, 1),
+            ("0::/box\n", {"box/cpu.max": "max 100000\n"}, None),
+            # a container sees its own cgroup at the hierarchy's root
+            ("0::/elsewhere\n", {"cpu.max": "300000 100000\n"}, 3),
+            ("0::/\n", {}, None),
+            (
+                "5:memory:/box\n4:cpu,cpuacct:/box\n",
+                {"cpu/box/cpu.cfs_quota_us": "250000\n", "cpu/box/cpu.cfs_period_us": "100000\n"},
+                3,
+            ),
+            (
+                "4:cpu,cpuacct:/box\n",
+                {"cpu/box/cpu.cfs_quota_us": "-1\n", "cpu/box/cpu.cfs_period_us": "100000\n"},
+                None,
+            ),
+            ("0::/box\n", {"box/cpu.max": "garbled\n"}, None),
+            ("0::/box\n", {"box/cpu.max": "100000 0\n"}, None),
+        ],
+    )
+    def test_cgroup_quota(self, tmp_path, membership, files, cpus):
+        (tmp_path / "cgroup").write_text(membership)
+        for name, text in files.items():
+            (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "fs" / name).write_text(text)
+        assert fixednodes.numeric._cgroup_cpus(tmp_path / "cgroup", tmp_path / "fs") == cpus
+
+    def test_no_cgroup_file(self, tmp_path):
+        assert fixednodes.numeric._cgroup_cpus(tmp_path / "missing", tmp_path) is None
 
 
 class TestOneStream:
