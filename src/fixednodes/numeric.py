@@ -6,12 +6,25 @@ matrix ``[B, AB, A^2 B, ...]``, and reads its rank and per-node
 controllability off its column space.  Works for any sparsity pattern, cyclic
 ones included; acyclicity is a concern of the combinatorial modules only.
 
+Two kernels rank the draws, chosen from the pattern alone.  Where the source
+layers hold every node, every leader is in layer 1 and every edge joins
+adjacent layers, as in the paper's p-layered DAGs, ``A^k B`` is zero outside
+layer ``k + 1``, so the controllability matrix is block diagonal with one
+block per layer.  The layer kernel draws only the blocks of ``A`` between
+adjacent layers, carries ``B``'s layer-1 rows down one layer at a time and
+ranks every layer's block with one stacked SVD, never forming an ``n x n``
+matrix.  A block-diagonal matrix has the union of its blocks' singular
+values and the direct sum of their column spaces, so with the cut at ``TOL``
+times the draw's largest singular value over all layers its ranks and
+verdicts are the whole stack's.  Every other pattern (an edge that skips a
+layer, a cycle, a leader with in-edges) is ranked as the whole stack.
+
 A call draws all its weights from one generator seeded with its ``seed``,
 one double per edge weight, read in order: draw ``i`` is the ``i``-th row of
 that stream and depends only on the pattern, the seed and ``i``.  Draws are
-ranked in batches: their ``A`` matrices are stacked, the blocks built for the
-whole batch and one stacked SVD ranks them all, with a batch size set by n
-alone.  The first ``trials`` draws go in rounds of batches, ranked at the
+ranked in batches: their weights (``A``, or its blocks between layers) are
+stacked, the blocks built for the whole batch and one stacked SVD ranks them
+all, with a batch size set by n alone, whichever the kernel.  The first ``trials`` draws go in rounds of batches, ranked at the
 same time on threads (numpy's SVDs and matmuls release the GIL) and folded
 in draw order.  A round holds one batch per usable CPU left over by the
 BLAS's own threads: with the BLAS's default of one thread per CPU that is
@@ -25,11 +38,13 @@ package leaves it out.
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconclusiveError, InvalidGraphError
 from .graph import StructuredDag
@@ -102,11 +117,16 @@ def numeric_fixed_nodes(
     Retries are rounds of one.
     Per batch, only the draws at the batch's top rank are projected, so the
     floor is the one a fold in draw order gives.
+
+    Graphs whose edges all join adjacent layers, with every leader in layer
+    1, are ranked layer by layer (see :func:`_adjacent_layers`), from the
+    same draws, with the same verdicts and the same limit on long chains,
+    whose small singular values fall under the whole draw's cut either way.
     """
     import numpy as np
     if trials < 1:
         raise ValueError("at least one trial is required")
-    index, b = _pattern(dag)
+    kernel = _kernel(dag)
     rng = np.random.default_rng(seed)
     budget = trials if expected_dim is None else 3 * trials
     n = dag.node_count
@@ -115,15 +135,14 @@ def numeric_fixed_nodes(
     # CPUs and BLAS threads are looked up only when there are several
     workers = min(-(-trials // size), _ROUND_ENTRIES // (size * n * n))
     workers = min(workers, _workers()) if workers > 1 else 1
-    # one buffer of flattened A matrices per worker: each batch overwrites the
-    # edge entries of its rows, and every other entry stays zero.  And one of
-    # projections, kept for the whole call: allocating them per batch let the
-    # allocator return the heap's top to the system after each batch and
-    # fault it back in for the next (about 2,900 more page faults and 5 ms
-    # per all-n200 call with one worker)
-    buffers = np.zeros((workers, size, n * n))
-    projections = np.empty((workers, size, n, n))
-    eye = np.eye(n)
+    # one buffer of flattened weight blocks per worker: each batch overwrites
+    # the edge entries of its rows, and every other entry stays zero.  And
+    # one of projections, kept for the whole call: allocating them per batch
+    # let the allocator return the heap's top to the system after each batch
+    # and fault it back in for the next (about 2,900 more page faults and 5
+    # ms per all-n200 call with one worker)
+    buffers = np.zeros((workers, size, math.prod(kernel.shape)))
+    projections = np.empty((workers, size, *kernel.slot))
     top = 0
     residual_floor = np.zeros(n)
     drawn = 0
@@ -135,14 +154,14 @@ def numeric_fixed_nodes(
             counts = [min(size, left - k) for k in range(0, min(left, workers * size), size)]
             batches = []
             for a, out, count in zip(buffers, projections, counts or [1]):
-                a[:count, index] = _draw_weights(rng, count, len(index))
-                batches.append((a[:count].reshape(count, n, n), out))
+                a[:count, kernel.index] = _draw_weights(rng, count, len(kernel.index))
+                batches.append((a[:count].reshape(count, *kernel.shape), out))
                 drawn += count
             # helpers rank all but the first batch while this thread ranks
             # it; reading the results in draw order raises the error that
             # ranking the batches one after another would raise
-            futures = [helpers.submit(_rank_batch, *batch, b, eye, top) for batch in batches[1:]]
-            ranked = [_rank_batch(*batches[0], b, eye, top), *(f.result() for f in futures)]
+            futures = [helpers.submit(kernel.rank, *batch, top) for batch in batches[1:]]
+            ranked = [kernel.rank(*batches[0], top), *(f.result() for f in futures)]
             for batch_top, residuals in ranked:
                 if batch_top >= top:
                     residual_floor = (
@@ -179,6 +198,7 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
+@cache
 def _cgroup_cpus(
     membership: Path = Path("/proc/self/cgroup"), root: Path = Path("/sys/fs/cgroup")
 ) -> int | None:
@@ -186,7 +206,9 @@ def _cgroup_cpus(
     rounded up: cgroup v2's ``cpu.max`` or v1's CFS quota, read in the
     process's own cgroup or, where that path is not mounted, as in a
     container, at the hierarchy's root.  None when there is no quota or
-    neither can be read.  A quota set only on an ancestor is not seen."""
+    neither can be read.  A quota set only on an ancestor is not seen.  The
+    files are read once per process, so a quota changed later is not seen
+    either."""
     try:
         lines = membership.read_text().splitlines()
     except OSError:
@@ -249,39 +271,129 @@ def _helper_threads(count: int) -> AbstractContextManager[Executor | None]:
     return ThreadPoolExecutor(count)
 
 
-def _rank_batch(
-    a: np.ndarray, out: np.ndarray, b: np.ndarray, eye: np.ndarray, least: int
-) -> tuple[int, np.ndarray | None]:
-    """The top rank among the ``(draws, n, n)`` stack ``a``'s draws and,
-    unless that rank is below ``least``, the residual of each standard basis
-    vector projected onto their column spaces, the largest over the draws at
-    that rank.  The projections are built in ``out``, one ``(n, n)`` slot
-    per draw, and the norms computed in place, as ``np.linalg.norm``
-    computes them."""
+class _Kernel(NamedTuple):
+    """How one pattern's draws are laid out and ranked.  A draw's weights
+    fill a buffer of shape ``shape``, each sorted edge's at its flat
+    position in ``index``, and every other entry is zero.
+    ``rank(a, out, least)`` ranks the ``(draws, *shape)`` batch ``a``,
+    building projections in ``out``, one ``slot`` per draw: it returns the
+    batch's top rank and, unless that rank is below ``least``, each node's
+    residual, by id, the largest over the draws at that rank."""
+
+    index: np.ndarray
+    shape: tuple[int, ...]
+    slot: tuple[int, ...]
+    rank: Callable[[np.ndarray, np.ndarray, int], tuple[int, np.ndarray | None]]
+
+
+def _kernel(dag: StructuredDag) -> _Kernel:
+    """The layer kernel where :func:`_adjacent_layers` gives layers, else
+    the whole stack's.
+
+    The whole stack's buffer is ``A`` itself, the weight of edge ``(u, v)``
+    at ``(v-1, u-1)``, and its ``B`` has one unit column per leader.  The
+    layer kernel's buffer holds the ``p - 1`` blocks of ``A`` between
+    adjacent layers, each padded to ``w x w`` for the widest layer's ``w``,
+    and its ``B`` is the layer-1 rows of the whole one, padded to ``w``
+    rows."""
     import numpy as np
+    if not dag.leaders:
+        raise InvalidGraphError("at least one leader is required")
+    leaders = sorted(dag.leaders)
+    layers = _adjacent_layers(dag)
+    if layers is None:
+        n = dag.node_count
+        index = [(v - 1) * n + u - 1 for u, v in dag.sorted_edges]
+        rows = [x - 1 for x in leaders]
+        shape, slot, rank = (n, n), (n, n), partial(_rank_stack, np.eye(n))
+    else:
+        w = max(map(len, layers))
+        # node v's place k * w + j in the (p, w) grid: the j-th node of layer k + 1
+        place = [0] * (dag.node_count + 1)
+        for k, layer in enumerate(layers):
+            for j, v in enumerate(layer):
+                place[v] = k * w + j
+        # edge (u, v) into layer k + 2 weighs entry (j_v, j_u) of block k
+        index = [(place[v] - w) * w + place[u] % w for u, v in dag.sorted_edges]
+        rows = [place[x] for x in leaders]
+        shape, slot = (len(layers) - 1, w, w), (len(layers), w, w)
+        rank = partial(_rank_layers, np.eye(w), np.array(place[1:], dtype=np.intp))
+    b = np.zeros((shape[-1], len(leaders)))
+    b[rows, np.arange(len(leaders))] = 1.0
+    return _Kernel(np.array(index, dtype=np.intp), shape, slot, partial(rank, b))
+
+
+def _adjacent_layers(dag: StructuredDag) -> tuple[tuple[int, ...], ...] | None:
+    """The source layers, when they hold every node, every leader is in
+    layer 1 and every edge joins adjacent layers; else None.  It reads the
+    peel, as :func:`~fixednodes.graph.label_layers` raises on a cycle.
+
+    There ``A^k B`` is zero outside layer ``k + 1``, so the controllability
+    matrix is block diagonal, one ``w_(k+1) x |leaders|`` block per layer:
+    ``B``'s layer-1 rows, then each block times the one between its layer
+    and the next."""
+    layers = dag.source_layers
+    layer_of = [0] * (dag.node_count + 1)
+    for k, layer in enumerate(layers, start=1):
+        for v in layer:
+            layer_of[v] = k
+    if not all(layer_of[1:]) or any(layer_of[x] != 1 for x in dag.leaders):
+        return None
+    if any(layer_of[v] != layer_of[u] + 1 for u, v in dag.edges):
+        return None
+    return layers
+
+
+def _rank_stack(
+    eye: np.ndarray, b: np.ndarray, a: np.ndarray, out: np.ndarray, least: int
+) -> tuple[int, np.ndarray | None]:
+    """The whole stack's ``rank`` (see :class:`_Kernel`) for the ``(draws,
+    n, n)`` stack ``a`` and its ``B``: each draw's column space is that of
+    its stacked blocks (see :func:`_column_spaces`)."""
     u, ranks = _column_spaces(a, b)
     top = int(ranks.max())
     if top < least:
         return top, None
-    basis = u[ranks == top, :, :top]
-    residual = np.matmul(basis, basis.transpose(0, 2, 1), out=out[: len(basis)])
+    return top, _residuals(u[ranks == top, :, :top], eye, out)
+
+
+def _rank_layers(
+    eye: np.ndarray,
+    place: np.ndarray,
+    b: np.ndarray,
+    a: np.ndarray,
+    out: np.ndarray,
+    least: int,
+) -> tuple[int, np.ndarray | None]:
+    """The layer kernel's ``rank`` (see :class:`_Kernel`) for the ``(draws,
+    p - 1, w, w)`` stack ``a`` of blocks between layers and ``B``'s layer-1
+    rows ``b``.  A block-diagonal matrix has the union of its blocks'
+    singular values and the direct sum of their column spaces, so a draw's
+    rank is the sum of its layers' ranks, all cut at ``TOL`` times its
+    largest singular value over every layer, and a node's residual is read
+    from its own layer's block, at its place in ``place``."""
+    import numpy as np
+    u, kept = _layer_spaces(a, b)
+    ranks = kept.sum(axis=1)
+    top = int(ranks.max())
+    if top < least:
+        return top, None
+    chosen = ranks == top
+    # each layer's basis is its first kept singular vectors: zero the rest
+    basis = u[chosen] * (np.arange(u.shape[-1]) < kept[chosen][..., None, None])
+    return top, _residuals(basis, eye, out).ravel()[place]
+
+
+def _residuals(basis: np.ndarray, eye: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The residual of each standard basis vector projected onto the
+    columns of each ``(..., rows, r)`` basis of the stack ``basis``, the
+    largest along its first axis.  The projections are built in ``out``
+    and the norms computed in place, as ``np.linalg.norm`` computes them."""
+    import numpy as np
+    residual = np.matmul(basis, basis.swapaxes(-1, -2), out=out[: len(basis)])
     np.subtract(eye, residual, out=residual)
     np.multiply(residual, residual, out=residual)
-    return top, np.sqrt(np.add.reduce(residual, axis=1)).max(axis=0)
-
-
-def _pattern(dag: StructuredDag) -> tuple[np.ndarray, np.ndarray]:
-    """The flat positions ``(v-1)*n + u-1`` of the weights of ``A``, one per
-    edge ``(u, v)`` in sorted order, and ``B``, one unit column per leader."""
-    import numpy as np
-    if not dag.leaders:
-        raise InvalidGraphError("at least one leader is required")
-    n = dag.node_count
-    index = np.array([(v - 1) * n + u - 1 for u, v in dag.sorted_edges], dtype=np.intp)
-    leaders = sorted(dag.leaders)
-    b = np.zeros((n, len(leaders)))
-    b[np.array(leaders) - 1, np.arange(len(leaders))] = 1.0
-    return index, b
+    return np.sqrt(np.add.reduce(residual, axis=-2)).max(axis=0)
 
 
 def _draw_weights(rng: np.random.Generator, count: int, edges: int) -> np.ndarray:
@@ -334,3 +446,29 @@ def _stack_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             break
         blocks.append(block)
     return np.concatenate(blocks, axis=2)
+
+
+def _layer_spaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the ``(draws, p - 1, w, w)`` stack ``a`` of one pattern's blocks
+    between layers and ``B``'s layer-1 rows ``b``: the left singular vectors
+    ``(draws, p, w, |leaders|)`` of each layer's block (see
+    :func:`_layer_blocks`), by descending singular value, from one stacked
+    SVD, and the count of each block's singular values above ``TOL`` times
+    its draw's largest over all layers, ``(draws, p)``."""
+    import numpy as np
+    u, s, _ = np.linalg.svd(_layer_blocks(a, b), full_matrices=False)
+    return u, np.count_nonzero(s > TOL * s.max(axis=(1, 2), keepdims=True), axis=2)
+
+
+def _layer_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each layer's block of the controllability matrix for each draw of
+    ``a``, ``(draws, p, w, |leaders|)``: ``b``, then block ``k`` of ``a``
+    times the block before, one ``(w x w) @ (w x |leaders|)`` product per
+    layer.  Block ``k`` holds the rows of layer ``k + 1`` of ``A^k B``,
+    whose other rows are zero."""
+    import numpy as np
+    blocks = np.empty((len(a), a.shape[1] + 1, *b.shape))
+    blocks[:, 0] = b
+    for k in range(a.shape[1]):
+        np.matmul(a[:, k], blocks[:, k], out=blocks[:, k + 1])
+    return blocks

@@ -66,9 +66,10 @@ def analyze(
     The graph is validated first (its cached :func:`validate` result), then
     digested, so an invalid graph or a leader with an incoming edge is refused
     before the labeling, the dimension flow or any method runs; ids outside
-    ``1..n`` never reach it, as no graph holds one.  The numeric method receives the combinatorial dimension as
-    its expected rank, so degenerate sampling surfaces as an error instead of
-    a silently wrong set.  Every route reads the graph's one dimension flow.
+    ``1..n`` never reach it, as no graph holds one.  The numeric method
+    receives the combinatorial dimension as its expected rank, so degenerate
+    sampling surfaces as an error instead of a silently wrong set.  Every
+    route reads the graph's one dimension flow.
     """
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import fixednodes.numeric
@@ -63,22 +64,42 @@ def solves(monkeypatch) -> list:
 def draw_zero(monkeypatch):
     """Draw 0 of a seed's stream as the numeric route ranks it: a function of
     ``(dag, seed)`` that runs a one-trial ``numeric_fixed_nodes`` and returns
-    the draw's ``A`` and ``B`` as ``numeric._column_spaces`` receives them
-    and the rank it returns."""
+    the draw's ``A`` and ``B`` and its rank, as the kernel the graph takes
+    receives and returns them.  The whole stack's kernel
+    (``numeric._column_spaces``) receives ``A`` and ``B`` themselves.  The
+    layer kernel's (``numeric._layer_spaces``) receives the blocks of ``A``
+    between adjacent layers and ``B``'s layer-1 rows, each padded to the
+    widest layer; they are put back at their layers' rows and columns, so a
+    weight placed anywhere else, padding included, is lost."""
     seen = []
     column_spaces = fixednodes.numeric._column_spaces
+    layer_spaces = fixednodes.numeric._layer_spaces
 
-    def recorded(a, b):
+    def stacked(a, b):
         u, ranks = column_spaces(a, b)
         seen.append((a[0].copy(), b.copy(), int(ranks[0])))
         return u, ranks
 
-    monkeypatch.setattr(fixednodes.numeric, "_column_spaces", recorded)
+    def layered(a, b):
+        u, kept = layer_spaces(a, b)
+        seen.append((a[0].copy(), b.copy(), int(kept[0].sum())))
+        return u, kept
+
+    monkeypatch.setattr(fixednodes.numeric, "_column_spaces", stacked)
+    monkeypatch.setattr(fixednodes.numeric, "_layer_spaces", layered)
 
     def run(dag, seed):
         seen.clear()
         fixednodes.numeric.numeric_fixed_nodes(dag, trials=1, seed=seed)
-        (draw,) = seen
-        return draw
+        ((a, b, rank),) = seen
+        if a.ndim == 2:
+            return a, b, rank
+        n = dag.node_count
+        rows = [[v - 1 for v in layer] for layer in dag.source_layers]
+        whole_a, whole_b = np.zeros((n, n)), np.zeros((n, b.shape[1]))
+        whole_b[rows[0]] = b[: len(rows[0])]
+        for k, block in enumerate(a):
+            whole_a[np.ix_(rows[k + 1], rows[k])] = block[: len(rows[k + 1]), : len(rows[k])]
+        return whole_a, whole_b, rank
 
     return run

@@ -6,6 +6,7 @@ import random
 import threading
 import time
 import tracemalloc
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from references import (
     loop_weight_matrix,
     numeric_generic_dimension,
     per_draw_numeric_fixed_nodes,
+    stream_weight_matrices,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -379,31 +381,43 @@ class TestBatchedDraws:
             assert batches == [50]
 
 
-def bench_n200(seed: int, skip: float) -> StructuredDag:
-    """The all-n200 bench shape: depth 10, width 20, 10 leaders, 400 edges."""
+def layered_shape(
+    depth: int, width: int, leaders: int, seed: int, edges: int, skip: float = 0.0
+) -> StructuredDag:
+    """A generated graph of ``depth * width`` nodes, as the bench builds them."""
     config = GeneratorConfig(
-        depth=10,
-        widths=spread_widths(10, 20, 10),
-        leader_count=10,
+        depth=depth,
+        widths=spread_widths(depth, width, leaders),
+        leader_count=leaders,
         seed=seed,
-        edge_count=400,
+        edge_count=edges,
         skip_layer_prob=skip,
     )
     return random_layered_dag(config)
 
 
-def helper_threads_started(monkeypatch) -> set[str]:
-    """The names of the threads that rank a batch from now on, recorded as
-    ``_column_spaces`` is called."""
-    names = set()
-    column_spaces = fixednodes.numeric._column_spaces
+def bench_n200(seed: int, skip: float) -> StructuredDag:
+    """The all-n200 bench shape: depth 10, width 20, 10 leaders, 400 edges."""
+    return layered_shape(10, 20, 10, seed, 400, skip)
 
-    def recorded(a, b):
-        names.add(threading.current_thread().name)
-        return column_spaces(a, b)
 
-    monkeypatch.setattr(fixednodes.numeric, "_column_spaces", recorded)
-    return names
+def ranking_calls(monkeypatch) -> list[tuple[str, str]]:
+    """The batches ranked from now on, one ``(kernel, thread name)`` pair
+    each, recorded as the whole stack's ``_column_spaces`` (``"stack"``) or
+    the layer kernel's ``_layer_spaces`` (``"layers"``) is called."""
+    calls = []
+    for attr, kernel in (("_column_spaces", "stack"), ("_layer_spaces", "layers")):
+
+        def recorded(a, b, spaces=getattr(fixednodes.numeric, attr), kernel=kernel):
+            calls.append((kernel, threading.current_thread().name))
+            return spaces(a, b)
+
+        monkeypatch.setattr(fixednodes.numeric, attr, recorded)
+    return calls
+
+
+def thread_names(calls: Iterable[tuple[str, str]]) -> set[str]:
+    return {name for _, name in calls}
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -414,21 +428,23 @@ class TestRounds:
     each round's first batch."""
 
     @staticmethod
-    def ranking_threads(monkeypatch, cpus) -> set[str]:
+    def ranking_threads(monkeypatch, cpus) -> list[tuple[str, str]]:
         monkeypatch.setattr(fixednodes.numeric, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(fixednodes.numeric, "_blas_threads", lambda cpus: 1)
-        return helper_threads_started(monkeypatch)
+        return ranking_calls(monkeypatch)
 
     def test_same_fixed_sets_and_draws_as_per_draw(self, cpus, draws, monkeypatch):
-        names = self.ranking_threads(monkeypatch, cpus)
+        calls = self.ranking_threads(monkeypatch, cpus)
         dags = pinned_dags()
         dags.update(n200=bench_n200(0, 0.0), n200_skip=bench_n200(1, 0.3))
         for dag in dags.values():
             for trials in (7, 20):
                 for expected_dim in (None, generic_dimension(dag)[0]):
                     TestBatchedDraws.assert_same_as_per_draw(dag, trials, expected_dim, draws)
-        helpers = names - {threading.main_thread().name}
-        assert bool(helpers) == (cpus > 1)
+        # both kernels rank batches on the helpers
+        for kernel in ("stack", "layers"):
+            names = thread_names(call for call in calls if call[0] == kernel)
+            assert bool(names - {threading.main_thread().name}) == (cpus > 1)
 
     def test_retries_one_draw_at_a_time(self, cpus, draws, monkeypatch):
         """skip200 ranks one draw per batch.  Draws 0 to 4 with ``A = 0``
@@ -531,10 +547,10 @@ class TestWorkerCount:
         """With no thread variable set the BLAS runs one thread per CPU, so
         even four usable CPUs rank one batch at a time."""
         clean_env.setattr(fixednodes.numeric, "_usable_cpus", lambda: 4)
-        names = helper_threads_started(clean_env)
+        calls = ranking_calls(clean_env)
         dag = pinned_dags()["skip200"]
         numeric_fixed_nodes(dag, trials=8, seed=3)
-        assert names == {threading.main_thread().name}
+        assert thread_names(calls) == {threading.main_thread().name}
         assert draws == list(range(8))
 
     def test_round_entries_cap_the_workers(self, draws, monkeypatch):
@@ -569,9 +585,9 @@ class TestWorkerCount:
         when the process may use more than one CPU (under ``taskset -c 0``,
         none)."""
         monkeypatch.setattr(fixednodes.numeric, "_blas_threads", lambda cpus: 1)
-        names = helper_threads_started(monkeypatch)
+        calls = ranking_calls(monkeypatch)
         numeric_fixed_nodes(pinned_dags()["skip200"], trials=8, seed=3)
-        helpers = names - {threading.main_thread().name}
+        helpers = thread_names(calls) - {threading.main_thread().name}
         assert bool(helpers) == (fixednodes.numeric._usable_cpus() > 1)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
@@ -613,6 +629,29 @@ class TestWorkerCount:
             (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / "fs" / name).write_text(text)
         assert fixednodes.numeric._cgroup_cpus(tmp_path / "cgroup", tmp_path / "fs") == cpus
+
+    def test_cgroup_quota_read_once_per_process(self, monkeypatch):
+        """The quota files are read at the first lookup of the usable CPUs
+        and not at the next, while the affinity mask is read at each."""
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        masks = []
+        if hasattr(os, "sched_getaffinity"):
+            mask = os.sched_getaffinity
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: masks.append(pid) or mask(pid))
+        monkeypatch.setattr(Path, "read_text", counted)
+        fixednodes.numeric._cgroup_cpus.cache_clear()
+        first = fixednodes.numeric._usable_cpus()
+        assert reads[0] == Path("/proc/self/cgroup")
+        read = len(reads)
+        assert fixednodes.numeric._usable_cpus() == first
+        assert len(reads) == read
+        assert len(masks) == (2 if hasattr(os, "sched_getaffinity") else 0)
 
     def test_no_cgroup_file(self, tmp_path):
         assert fixednodes.numeric._cgroup_cpus(tmp_path / "missing", tmp_path) is None
@@ -696,3 +735,173 @@ class TestOneStream:
             dim, _ = generic_dimension(dag)
             oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert numeric_fixed_nodes(dag, trials=20, seed=seed, expected_dim=dim) == oracle
+
+
+class TestLayerKernel:
+    """Graphs whose source layers hold every node, with every leader in
+    layer 1 and every edge between adjacent layers, are ranked by the layer
+    kernel; all others by the whole stack's.  The layer kernel against
+    ``references.per_draw_numeric_fixed_nodes``, which ranks the whole
+    stack one draw at a time: the same fixed set or the same
+    ``InconclusiveError``, from the same draws."""
+
+    # draw index -> its weights, for the draws a change alters: A = 0 for
+    # draws 0 to 4 and 6, so a first batch of them falls short and retries
+    # follow, or A scaled by 100 for draw 1, whose largest singular value
+    # must not set the cut of the others
+    CHANGES = {
+        "plain": lambda d, w: w,
+        "zero": lambda d, w: np.zeros_like(w) if d < 5 or d == 6 else w,
+        "scaled": lambda d, w: 100 * w if d == 1 else w,
+    }
+
+    @staticmethod
+    def outcome(route, dag, trials, expected_dim, draws):
+        """The route's fixed set, or ``InconclusiveError``, and the draws it made."""
+        draws.clear()
+        try:
+            result = route(dag, trials, seed=3, expected_dim=expected_dim)
+        except InconclusiveError:
+            result = InconclusiveError
+        return result, draws[:]
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[tuple[str, str]]:
+        return ranking_calls(monkeypatch)
+
+    def assert_same_as_per_draw(self, dag, trials, draws, calls, monkeypatch, changes=CHANGES):
+        """Compare both routes with and without the expected dimension under
+        each change of the draws; returns the layer kernel's outcomes."""
+        sample = fixednodes.numeric._draw_weights
+        outcomes = []
+        for change in changes:
+
+            def changed(rng, count, edges, change=self.CHANGES[change]):
+                weights = sample(rng, count, edges)
+                return np.array([change(d, w) for d, w in zip(draws[-count:], weights)])
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fixednodes.numeric, "_draw_weights", changed)
+                for expected_dim in (None, generic_dimension(dag)[0]):
+                    calls.clear()
+                    layered = self.outcome(numeric_fixed_nodes, dag, trials, expected_dim, draws)
+                    assert {kernel for kernel, _ in calls} == {"layers"}
+                    reference = self.outcome(
+                        per_draw_numeric_fixed_nodes, dag, trials, expected_dim, draws
+                    )
+                    assert layered == reference, (change, expected_dim)
+                    assert len(layered[1]) >= trials
+                    outcomes.append(layered[0])
+        return outcomes
+
+    @pytest.mark.parametrize("trials", [1, 2, 50])
+    def test_pinned_graphs(self, trials, draws, calls, monkeypatch):
+        dags = pinned_dags()
+        for name in ("single7", "pair10", "pair13", "crit6"):
+            self.assert_same_as_per_draw(dags[name], trials, draws, calls, monkeypatch)
+
+    def test_random_dags(self, draws, calls, monkeypatch):
+        """1,000 graphs at skip 0, a third of them with some source leaders
+        dropped, which leaves sources that are not leaders in layer 1."""
+        rng = random.Random(0x1A7E)
+        for i in range(1000):
+            dag = randgraphs.random_dag(rng, max_nodes=20, max_leaders=4)
+            if i % 3 == 0:
+                kept = rng.sample(sorted(dag.leaders), rng.randint(1, len(dag.leaders)))
+                dag = dag.with_leaders(kept)
+            changes = self.CHANGES if i % 10 == 0 else ["plain"]
+            self.assert_same_as_per_draw(dag, (1, 2, 7)[i % 3], draws, calls, monkeypatch, changes)
+
+    @pytest.mark.parametrize(
+        "depth, width, leaders, trials",
+        [(30, 8, 4, 5), (100, 10, 4, 3), (20, 10, 25, 5), (20, 50, 25, 3)],
+        ids=["deep-240", "deep-1000", "wide-200", "wide-1000"],
+    )
+    def test_deep_and_wide_graphs(self, depth, width, leaders, trials, draws, calls, monkeypatch):
+        dag = layered_shape(depth, width, leaders, depth + width, 3 * depth * width)
+        assert 200 <= dag.node_count <= 1000
+        changes = self.CHANGES if dag.node_count < 1000 else ["plain", "zero"]
+        self.assert_same_as_per_draw(dag, trials, draws, calls, monkeypatch, changes)
+
+    def test_n200_bench_shape(self, draws, calls, monkeypatch):
+        for seed in range(5):
+            self.assert_same_as_per_draw(bench_n200(seed, 0.0), 20, draws, calls, monkeypatch)
+
+    def test_deep_chain_stays_inconclusive(self, draws, calls, monkeypatch):
+        """The 200-node path of ``test_limitations`` takes the layer kernel
+        and, as with the whole stack, no draw reaches rank 200: the cut is
+        the draw's largest singular value over all layers, not each
+        layer's own."""
+        path = StructuredDag.of(200, [(i, i + 1) for i in range(1, 200)], [1])
+        outcomes = self.assert_same_as_per_draw(path, 3, draws, calls, monkeypatch, ["plain"])
+        assert outcomes[1] is InconclusiveError
+
+    def test_layer_blocks_are_the_nonzero_blocks_of_the_full_stack(self, monkeypatch):
+        """Block k of each draw holds the rows of layer k + 1 of ``A^k B``, up
+        to rounding, and zeros in its padding; every other row of ``A^k B``
+        is zero, and so is ``A^k B`` from k = p on."""
+        seen = []
+        layer_blocks = fixednodes.numeric._layer_blocks
+
+        def recorded(a, b):
+            blocks = layer_blocks(a, b)
+            seen.extend(blocks.copy())
+            return blocks
+
+        monkeypatch.setattr(fixednodes.numeric, "_layer_blocks", recorded)
+        rng = random.Random(0xB10C)
+        dags = [pinned_dags()[name] for name in ("single7", "pair10", "pair13", "crit6")]
+        dags += [randgraphs.random_dag(rng, max_nodes=20, max_leaders=4) for _ in range(100)]
+        dags += [bench_n200(0, 0.0), layered_shape(30, 8, 4, 38, 720)]
+        for dag in dags:
+            seen.clear()
+            trials = 5
+            numeric_fixed_nodes(dag, trials, seed=3)
+            assert len(seen) == trials
+            rows = [[v - 1 for v in layer] for layer in dag.source_layers]
+            b = input_matrix(dag)
+            m = b.shape[1]
+            weights = stream_weight_matrices(dag, seed=3)
+            for blocks in seen:
+                c = full_stack(next(weights), b)
+                assert (len(blocks), blocks.shape[2]) == (len(rows), m)
+                assert not c[:, len(rows) * m :].any()
+                for k, block in enumerate(blocks):
+                    part = c[:, k * m : (k + 1) * m]
+                    outside = np.ones(dag.node_count, dtype=bool)
+                    outside[rows[k]] = False
+                    assert not part[outside].any()
+                    assert not block[len(rows[k]) :].any()
+                    error = np.abs(block[: len(rows[k])] - part[rows[k]]).max()
+                    assert error <= 1e-12 * np.abs(part).max()
+
+    @pytest.mark.parametrize(
+        "name", ["skip4", "skip7", "pair9", "skip200", "cyclic-chain3", "self-loop", "inner-leader"]
+    )
+    def test_other_patterns_take_the_whole_stack(self, name, draws, calls):
+        """Layer-skipping edges, cycles and leaders with in-edges: the whole
+        stack's kernel ranks every batch, and agrees with the reference."""
+        dag = {
+            **pinned_dags(),
+            "cyclic-chain3": goldens.CYCLIC_CHAIN3,
+            "self-loop": StructuredDag.of(2, [(1, 2), (2, 2)], [1]),
+            "inner-leader": StructuredDag.of(3, [(1, 2), (2, 3)], [1, 2]),
+        }[name]
+        routed = self.outcome(numeric_fixed_nodes, dag, 7, None, draws)
+        assert routed == self.outcome(per_draw_numeric_fixed_nodes, dag, 7, None, draws)
+        assert calls and {kernel for kernel, _ in calls} == {"stack"}
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        """On the wide n = 1000 shape of the bench, two draws keep the traced
+        peak below one ``n x n`` float64 matrix: the layer kernel holds the
+        blocks between layers, never ``A``."""
+        dag = layered_shape(20, 50, 25, 7, 3000)
+        n = dag.node_count
+        assert n == 1000
+        tracemalloc.start()
+        try:
+            numeric_fixed_nodes(dag, trials=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
