@@ -1,4 +1,4 @@
-"""The two ground-truth routes: add-a-leader probing and sampled ranks.
+"""The two ground-truth routes: add-a-leader probing and exact sampled ranks.
 
 Run with:  python demos/oracle_and_numeric.py
 """
@@ -25,21 +25,40 @@ print(f"oracle result: {sorted(fixed_nodes_oracle(dag).fixed_nodes)}")
 
 # A three-state bidirectional chain driven in the middle.  Whatever the weights,
 # states 1 and 3 move in lockstep (their rows of the controllability matrix are
-# proportional), so only state 2 is robustly controllable.
+# proportional), so only state 2 is robustly controllable.  The numeric route
+# ranks each draw exactly over the integers mod the prime p = 2^31 - 1.
 chain = StructuredDag.of(3, [(1, 2), (2, 1), (2, 3), (3, 2)], [2])
+p = 2**31 - 1
 
-print("\nbidirectional 3-chain, input on state 2:")
+
+def rank_mod_p(columns):
+    """Rank of integer vectors mod p, by Gaussian elimination on Python ints."""
+    rows, rank = [list(c) for c in columns], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p
+            rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+print("\nbidirectional 3-chain, input on state 2, weights in [1, p):")
 rng = np.random.default_rng(0)
-b = np.array([[0.0], [1.0], [0.0]])
 for draw in range(3):
-    # a[v-1, u-1] weighs edge (u, v): magnitude in [0.5, 2.0], random sign
-    a = np.zeros((3, 3))
-    for u, v in sorted(chain.edges):
-        a[v - 1, u - 1] = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-    c = np.hstack([b, a @ b, a @ a @ b])
-    with np.printoptions(precision=3, suppress=True):
-        print(f"  draw {draw}: rank {np.linalg.matrix_rank(c)}, controllability matrix:")
-        print("   ", str(c).replace("\n", "\n    "))
+    weight = dict(zip(sorted(chain.edges), rng.integers(1, p, size=len(chain.edges)).tolist()))
+    # column j of the controllability matrix is A^j e_2; (A x)[v] sums w(u, v) x[u]
+    columns = [[0, 1, 0]]
+    for _ in range(2):
+        x = columns[-1]
+        columns.append([sum(w * x[u - 1] for (u, v), w in weight.items() if v == t) % p for t in (1, 2, 3)])
+    unit_ranks = [rank_mod_p(columns + [[int(t == v) for t in (1, 2, 3)]]) for v in (1, 2, 3)]
+    print(f"  draw {draw}: rank {rank_mod_p(columns)}, columns mod p: {columns}")
+    print(f"    rank with e_v added, v = 1, 2, 3: {unit_ranks}")
 
 fixed = numeric_fixed_nodes(chain, trials=20, seed=0)
 print(f"states controllable under every weight choice: {sorted(fixed)}")

@@ -59,6 +59,10 @@ def _at_least(low: int):
 
 
 _TRIALS = _at_least(1)
+_TRIALS_HELP = (
+    "numeric draw budget, tripled for retries below the dimension; "
+    "the route stops after two draws at the top rank"
+)
 _SEED = _at_least(0)
 
 
@@ -96,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="all",
                 help="which determination method(s) to run",
             )
-        cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS)
+        cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS, help=_TRIALS_HELP)
         cmd.add_argument("--seed", type=_SEED, default=0)
         cmd.set_defaults(run=_cmd_fixed if name == "fixed" else _cmd_verify)
 
@@ -124,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="layered",
         help="method used to determine the highlighted fixed nodes",
     )
-    cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS)
+    cmd.add_argument("--trials", type=_TRIALS, default=DEFAULT_TRIALS, help=_TRIALS_HELP)
     cmd.add_argument("--seed", type=_SEED, default=0)
     cmd.set_defaults(run=_cmd_export_dot)
 

@@ -20,11 +20,11 @@ from .graph import (
     label_layers,
     validate,
 )
-from .numeric import DEFAULT_TRIALS, TOL, numeric_fixed_nodes
+from .numeric import DEFAULT_TRIALS, numeric_fixed_nodes
 from .search import FixedNodeResult, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 ALL_METHODS = ("layered", "oracle", "numeric")
 
@@ -99,7 +99,7 @@ def analyze(
 
 
 def report_to_json_dict(report: AnalysisReport) -> dict:
-    """The documented report schema (schema 2): every result field, and no time.
+    """The documented report schema (schema 3): every result field, and no time.
 
     Layers and targets are listed from the graph's source peel, whose tuples
     are the labeling's layers in ascending order.
@@ -109,7 +109,7 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
     for name, result in report.methods.items():
         entry: dict = {"fixed": sorted(result.fixed_nodes)}
         if name == "numeric":
-            entry.update(trials=report.trials, seed=report.seed, tol=TOL)
+            entry.update(trials=report.trials, seed=report.seed)
         if result.per_layer:
             entry["layers"] = [
                 {

@@ -62,44 +62,32 @@ def solves(monkeypatch) -> list:
 
 @pytest.fixture
 def draw_zero(monkeypatch):
-    """Draw 0 of a seed's stream as the numeric route ranks it: a function of
+    """Draw 0 of a seed's stream as the numeric route spans it: a function of
     ``(dag, seed)`` that runs a one-trial ``numeric_fixed_nodes`` and returns
-    the draw's ``A`` and ``B`` and its rank, as the kernel the graph takes
-    receives and returns them.  The whole stack's kernel
-    (``numeric._column_spaces``) receives ``A`` and ``B`` themselves.  The
-    layer kernel's (``numeric._layer_spaces``) receives the blocks of ``A``
-    between adjacent layers and ``B``'s layer-1 rows, each padded to the
-    widest layer; they are put back at their layers' rows and columns, so a
-    weight placed anywhere else, padding included, is lost."""
+    the draw's ``A`` and ``B`` and its rank, as the per-draw kernel
+    (``numeric._draw``) receives and returns them.  ``A`` and ``B`` are
+    rebuilt from the kernel's pattern arrays and weights, the weight of edge
+    ``(u, v)`` at ``(v - 1, u - 1)`` and one unit column per leader, so a
+    weight or leader the pattern misplaces shows."""
     seen = []
-    column_spaces = fixednodes.numeric._column_spaces
-    layer_spaces = fixednodes.numeric._layer_spaces
+    draw = fixednodes.numeric._draw
 
-    def stacked(a, b):
-        u, ranks = column_spaces(a, b)
-        seen.append((a[0].copy(), b.copy(), int(ranks[0])))
-        return u, ranks
+    def recorded(basis, pattern, weights):
+        rank, fixed = draw(basis, pattern, weights)
+        seen.append((pattern, weights.copy(), rank))
+        return rank, fixed
 
-    def layered(a, b):
-        u, kept = layer_spaces(a, b)
-        seen.append((a[0].copy(), b.copy(), int(kept[0].sum())))
-        return u, kept
-
-    monkeypatch.setattr(fixednodes.numeric, "_column_spaces", stacked)
-    monkeypatch.setattr(fixednodes.numeric, "_layer_spaces", layered)
+    monkeypatch.setattr(fixednodes.numeric, "_draw", recorded)
 
     def run(dag, seed):
         seen.clear()
         fixednodes.numeric.numeric_fixed_nodes(dag, trials=1, seed=seed)
-        ((a, b, rank),) = seen
-        if a.ndim == 2:
-            return a, b, rank
+        (((leaders, tails, starts, heads, order), weights, rank),) = seen
         n = dag.node_count
-        rows = [[v - 1 for v in layer] for layer in dag.source_layers]
-        whole_a, whole_b = np.zeros((n, n)), np.zeros((n, b.shape[1]))
-        whole_b[rows[0]] = b[: len(rows[0])]
-        for k, block in enumerate(a):
-            whole_a[np.ix_(rows[k + 1], rows[k])] = block[: len(rows[k + 1]), : len(rows[k])]
-        return whole_a, whole_b, rank
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.repeat(heads, np.diff(starts, append=len(tails))), tails] = weights[order]
+        b = np.zeros((n, len(leaders)), dtype=np.int64)
+        b[leaders, np.arange(len(leaders))] = 1
+        return a, b, rank
 
     return run

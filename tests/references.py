@@ -22,7 +22,7 @@ from fixednodes import (
     label_layers,
 )
 from fixednodes.graph import Violation
-from fixednodes.numeric import DEFAULT_TRIALS, TOL
+from fixednodes.numeric import DEFAULT_TRIALS
 from fixednodes.stems import FlowNetwork
 
 _INF = float("inf")
@@ -624,7 +624,130 @@ def all_matched_targets(net: FlowNetwork) -> frozenset[int]:
     return frozenset(v for v in net._ext_of_pos if net._cap[(net._in[v] + net._to_sink) ^ 1])
 
 
-# -- numeric route: one draw at a time
+# -- numeric route: exact draws over Python ints, and a float cross-check
+
+FIELD = 2**31 - 1
+
+
+def _insert(echelon: dict[int, list[int]], vector: list[int]) -> bool:
+    """Reduce ``vector`` mod ``FIELD`` against ``echelon``, whose rows are
+    keyed by their pivot column, each 1 at its pivot and 0 before it, and
+    add what is left as a new row if it is not zero.  Returns whether a row
+    was added, i.e. whether ``vector`` raises the rank."""
+    v = [x % FIELD for x in vector]
+    for col, row in sorted(echelon.items()):
+        if v[col]:
+            factor = v[col]
+            v = [(x - factor * y) % FIELD for x, y in zip(v, row)]
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    inverse = pow(v[lead], FIELD - 2, FIELD)
+    echelon[lead] = [x * inverse % FIELD for x in v]
+    return True
+
+
+def controllability_stack(dag: StructuredDag, weights: Iterable[int]) -> list[list[int]]:
+    """The columns of ``[B, AB, A^2 B, ...]`` mod ``FIELD`` for one draw's
+    weights in sorted-edge order, one unit column of ``B`` per leader in
+    ascending order, cut after n blocks or before the first all-zero block,
+    after which every block is ``A 0 = 0``."""
+    n = dag.node_count
+    weighted = list(zip(sorted(dag.edges), weights))
+    block = [[int(v == leader) for v in range(1, n + 1)] for leader in sorted(dag.leaders)]
+    columns: list[list[int]] = []
+    for _ in range(n):
+        if not any(map(any, block)):
+            break
+        columns += block
+        following = []
+        for column in block:
+            image = [0] * n
+            for (u, v), w in weighted:
+                image[v - 1] = (image[v - 1] + w * column[u - 1]) % FIELD
+            following.append(image)
+        block = following
+    return columns
+
+
+def rank_mod_p(vectors: Iterable[list[int]]) -> int:
+    """The rank of ``vectors`` over the field of ``FIELD`` elements."""
+    echelon: dict[int, list[int]] = {}
+    return sum(_insert(echelon, list(v)) for v in vectors)
+
+
+def exact_draw(dag: StructuredDag, weights: Iterable[int]) -> tuple[int, frozenset[int]]:
+    """One draw's rank ``rank(C)`` over the field and its fixed nodes, the
+    v with ``rank([C | e_v]) == rank(C)``."""
+    echelon: dict[int, list[int]] = {}
+    for column in controllability_stack(dag, weights):
+        _insert(echelon, column)
+    n = dag.node_count
+    fixed = frozenset(
+        v
+        for v in range(1, n + 1)
+        if not _insert(dict(echelon), [int(u == v) for u in range(1, n + 1)])
+    )
+    return len(echelon), fixed
+
+
+def stream_weights(dag: StructuredDag, seed: int) -> Iterator[np.ndarray]:
+    """The weights of draws 0, 1, ... of ``seed``'s stream, in sorted-edge
+    order.  Rows come from ``fixednodes.numeric._draw_weights``, the
+    attribute the route calls, so a patch sees the draws of both."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield fixednodes.numeric._draw_weights(rng, len(dag.edges))
+
+
+def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
+    """The ``A`` of draw 0 of ``seed``'s stream, filled one edge at a time:
+    one integer uniform in ``[1, FIELD)`` per edge in sorted order, the
+    weight of edge ``(u, v)`` at ``(v - 1, u - 1)``."""
+    n = dag.node_count
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in sorted(dag.edges):
+        a[v - 1, u - 1] = rng.integers(1, FIELD)
+    return a
+
+
+def per_draw_exact_fixed_nodes(
+    dag: StructuredDag,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    expected_dim: int | None = None,
+) -> frozenset[int]:
+    """``numeric_fixed_nodes`` with :func:`exact_draw` ranking each draw of
+    the stream: the fixed set of every draw at the top rank, intersected,
+    stopping once ``min(trials, 2)`` draws reach the top rank (and the
+    expected dimension, when given)."""
+    budget = trials if expected_dim is None else 3 * trials
+    top, at_top, fixed = 0, 0, frozenset()
+    draws = stream_weights(dag, seed)
+    for _ in range(budget):
+        rank, draw_fixed = exact_draw(dag, next(draws).tolist())
+        if rank > top:
+            top, at_top, fixed = rank, 0, draw_fixed
+        if rank == top:
+            at_top, fixed = at_top + 1, fixed & draw_fixed
+        if at_top >= min(trials, 2) and (expected_dim is None or top >= expected_dim):
+            break
+    if expected_dim is not None and top < expected_dim:
+        raise InconclusiveError(f"no draw reached rank {expected_dim} in {budget} trials")
+    return fixed
+
+
+def numeric_generic_dimension(
+    dag: StructuredDag, trials: int = DEFAULT_TRIALS, seed: int = 0
+) -> int:
+    """Maximum rank over the first ``trials`` draws of ``seed``'s stream,
+    each ranked by the route's own per-draw kernel."""
+    n = dag.node_count
+    basis = np.zeros((n, n), dtype=np.int64)
+    pattern = fixednodes.numeric._pattern(dag)
+    draws = stream_weights(dag, seed)
+    return max(fixednodes.numeric._draw(basis, pattern, next(draws))[0] for _ in range(trials))
 
 
 def input_matrix(dag: StructuredDag) -> np.ndarray:
@@ -635,28 +758,31 @@ def input_matrix(dag: StructuredDag) -> np.ndarray:
     return b
 
 
-def stream_weight_matrices(dag: StructuredDag, seed: int) -> Iterator[np.ndarray]:
-    """The ``A`` of draws 0, 1, ... of ``seed``'s stream, one row at a time,
-    each filled one edge at a time.
+# A float route's own rank cut: a singular value counts when it exceeds this
+# times the draw's largest, and a node is fixed when its residual stays below.
+FLOAT_TOL = 1e-8
 
-    Rows come from ``fixednodes.numeric._draw_weights``, the attribute the
-    batched route calls, so a patch sees the draws of both.
-    """
+
+def float_weight_matrices(dag: StructuredDag, seed: int) -> Iterator[np.ndarray]:
+    """Float ``A`` matrices of a stream of its own: each weight is
+    ``copysign(|x| + 0.5, x)`` for ``x ~ U[-1.5, 1.5)``, so its magnitude is
+    in [0.5, 2.0] and the small graphs it is used on stay well conditioned."""
     n = dag.node_count
     edges = sorted(dag.edges)
     rng = np.random.default_rng(seed)
     while True:
-        weights = fixednodes.numeric._draw_weights(rng, 1, len(edges))[0]
         a = np.zeros((n, n))
-        for (u, v), w in zip(edges, weights):
-            a[v - 1, u - 1] = w
+        for u, v in edges:
+            x = rng.uniform(-1.5, 1.5)
+            a[v - 1, u - 1] = math.copysign(abs(x) + 0.5, x)
         yield a
 
 
 def draw_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of one draw's controllability column space: the
-    left singular vectors of ``[B, AB, ...]``, cut before the first zero
-    block, whose singular values exceed ``TOL`` times the largest."""
+    """An orthonormal basis of one float draw's controllability column
+    space: the left singular vectors of ``[B, AB, ...]``, cut before the
+    first zero block, whose singular values exceed ``FLOAT_TOL`` times the
+    largest."""
     blocks = [b]
     for _ in range(len(a) - 1):
         block = a @ blocks[-1]
@@ -664,58 +790,28 @@ def draw_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             break
         blocks.append(block)
     u, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > TOL * s[0]))]
-
-
-def numeric_generic_dimension(
-    dag: StructuredDag, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> int:
-    """Maximum controllability rank over the first ``trials`` draws of
-    ``seed``'s stream, one at a time."""
-    b = input_matrix(dag)
-    draws = stream_weight_matrices(dag, seed)
-    return max(draw_basis(next(draws), b).shape[1] for _ in range(trials))
-
-
-def loop_weight_matrix(dag: StructuredDag, seed: int) -> np.ndarray:
-    """The ``A`` of draw 0 of ``seed``'s stream: one scalar
-    ``x ~ U[-1.5, 1.5)`` per edge in sorted order, weighted
-    ``copysign(|x| + 0.5, x)``."""
-    n = dag.node_count
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    for u, v in sorted(dag.edges):
-        x = rng.uniform(-1.5, 1.5)
-        a[v - 1, u - 1] = math.copysign(abs(x) + 0.5, x)
-    return a
+    return u[:, : int(np.count_nonzero(s > FLOAT_TOL * s[0]))]
 
 
 def per_draw_numeric_fixed_nodes(
-    dag: StructuredDag,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    expected_dim: int | None = None,
+    dag: StructuredDag, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> frozenset[int]:
-    """``numeric_fixed_nodes`` with one draw of the stream, one block stack
-    and one SVD at a time, folded in draw order."""
-    budget = trials if expected_dim is None else 3 * trials
+    """A floating-point cross-check for small graphs: over ``trials`` float
+    draws, one SVD each, the nodes whose residual projected onto every
+    top-rank draw's column space stays below ``FLOAT_TOL``."""
     n = dag.node_count
     top = 0
     residual_floor = np.zeros(n)
     b = input_matrix(dag)
-    draws = stream_weight_matrices(dag, seed)
-    for t in range(budget):
+    draws = float_weight_matrices(dag, seed)
+    for _ in range(trials):
         basis = draw_basis(next(draws), b)
         rank = basis.shape[1]
         if rank >= top:
             residuals = np.linalg.norm(np.eye(n) - basis @ basis.T, axis=0)
             residual_floor = residuals if rank > top else np.maximum(residual_floor, residuals)
             top = rank
-        if t + 1 >= trials and (expected_dim is None or top >= expected_dim):
-            break
-    if expected_dim is not None and top < expected_dim:
-        raise InconclusiveError(f"no draw reached rank {expected_dim} in {budget} trials")
-    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < TOL)
+    return frozenset(v for v in range(1, n + 1) if residual_floor[v - 1] < FLOAT_TOL)
 
 
 # -- the generator with its candidate pools listed

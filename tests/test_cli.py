@@ -252,8 +252,8 @@ class TestVerify:
         generic dimension."""
         sample = fixednodes.numeric._draw_weights
 
-        def zero_weights(rng, count, edges):
-            return np.zeros_like(sample(rng, count, edges))
+        def zero_weights(rng, count):
+            return np.zeros_like(sample(rng, count))
 
         monkeypatch.setattr(fixednodes.numeric, "_draw_weights", zero_weights)
         code, _, err = run(capsys, "verify", graph_file(goldens.SINGLE7.dag))

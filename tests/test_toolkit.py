@@ -92,7 +92,7 @@ class TestReportJson:
     def test_schema_and_payload(self, pair13):
         report = analyze(pair13.dag, trials=25, seed=0)
         payload = report_to_json_dict(report)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["digest"] == graph_digest(pair13.dag)
         assert payload["generic_dim"] == 10
         assert payload["labeling"]["depth"] == 5
@@ -123,7 +123,7 @@ class TestReportJson:
         assert (numeric.per_layer, report.generic_dim) == ((), 10)
         assert (report.trials, report.seed) == (25, 3)
         assert list(report_to_json_dict(report)["methods"]["numeric"]) == [
-            "fixed", "trials", "seed", "tol",
+            "fixed", "trials", "seed",
         ]
 
 
