@@ -55,7 +55,10 @@ for draw in range(3):
     columns = [[0, 1, 0]]
     for _ in range(2):
         x = columns[-1]
-        columns.append([sum(w * x[u - 1] for (u, v), w in weight.items() if v == t) % p for t in (1, 2, 3)])
+        image = [0, 0, 0]
+        for (u, v), w in weight.items():
+            image[v - 1] = (image[v - 1] + w * x[u - 1]) % p
+        columns.append(image)
     unit_ranks = [rank_mod_p(columns + [[int(t == v) for t in (1, 2, 3)]]) for v in (1, 2, 3)]
     print(f"  draw {draw}: rank {rank_mod_p(columns)}, columns mod p: {columns}")
     print(f"    rank with e_v added, v = 1, 2, 3: {unit_ranks}")

@@ -62,7 +62,9 @@ def numeric_fixed_nodes(
     if trials < 1:
         raise ValueError("at least one trial is required")
     if dag.node_count >= _MAX_NODES:
-        raise ValueError(f"the numeric route takes fewer than {_MAX_NODES} nodes, got {dag.node_count}")
+        raise ValueError(
+            f"the numeric route takes fewer than {_MAX_NODES} nodes, got {dag.node_count}"
+        )
     pattern = _pattern(dag)
     rng = np.random.default_rng(seed)
     budget = trials if expected_dim is None else 3 * trials
@@ -106,7 +108,9 @@ def _pattern(dag: StructuredDag) -> tuple[np.ndarray, ...]:
     return leaders, edges[order, 0], starts, heads[starts], order
 
 
-def _draw(basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[int, frozenset[int]]:
+def _draw(
+    basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarray
+) -> tuple[int, frozenset[int]]:
     """One draw's rank and fixed nodes, from its weights in sorted-edge
     order, spanned in the all-zero ``n x n`` array ``basis`` (see
     :func:`_span`), which is zero again on return.  A node is in the span
