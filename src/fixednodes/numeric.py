@@ -14,8 +14,8 @@ generic rank r: the (r + 1)-minors of ``[C | e_v]`` vanish as polynomials in
 the weights, so they vanish mod p too.  A draw can only err the other way,
 fixing a node that is not fixed or falling short of r, and by the
 Schwartz-Zippel bound it does so with probability at most ``r * (depth - 1)
-/ p`` per node, where depth is the number of blocks of the stack.  So the
-route keeps the nodes fixed in every draw at the top rank.
+/ (p - 1)`` per node, where depth is the number of nonzero blocks of the
+stack.  So the route keeps the nodes fixed in every draw at the top rank.
 
 A call draws all its weights from one generator seeded with its ``seed``,
 one integer per edge weight in sorted-edge order: draw ``i`` depends only on
@@ -73,7 +73,7 @@ def numeric_fixed_nodes(
     top = at_top = 0
     fixed: frozenset[int] = frozenset()
     for _ in range(budget):
-        rank, draw_fixed = _draw(basis, pattern, _draw_weights(rng, len(dag.sorted_edges)))
+        rank, draw_fixed = _draw(basis, pattern, _draw_weights(rng, len(dag.edges)))
         if rank > top:
             top, at_top, fixed = rank, 0, draw_fixed
         if rank == top:
@@ -103,7 +103,7 @@ def _pattern(dag: StructuredDag) -> tuple[np.ndarray, ...]:
     edges = np.array(dag.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
     order = np.argsort(edges[:, 1], kind="stable")
     heads = edges[order, 1]
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    starts = np.diff(heads, prepend=-1).nonzero()[0]
     leaders = np.array(sorted(dag.leaders), dtype=np.intp) - 1
     return leaders, edges[order, 0], starts, heads[starts], order
 
@@ -147,14 +147,14 @@ def _span(basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarra
             break
         lo = int(used.argmax())
         block = rows[:, lo:]
-        inside = np.flatnonzero(pivot[lo:])
+        inside = pivot[lo:].nonzero()[0]
         if len(inside):
             block = (block - _mulmod(block[:, inside], basis[inside + lo, lo:])) % _P
         kept, cols = _eliminate(block)
         if not kept:
             break
         new, cols = block[kept], np.array(cols) + lo
-        hit = np.flatnonzero(basis[:, cols].any(axis=1))
+        hit = basis[:, cols].any(axis=1).nonzero()[0]
         if len(hit):
             basis[hit, lo:] = (basis[hit, lo:] - _mulmod(basis[np.ix_(hit, cols)], new)) % _P
         basis[cols, lo:] = new
@@ -164,22 +164,21 @@ def _span(basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarra
         if len(tails):
             terms = basis[cols][:, tails] * w % _P
             rows[:, heads] = np.add.reduceat(terms, starts, axis=1) % _P
-    return np.flatnonzero(pivot)
+    return pivot.nonzero()[0]
 
 
 def _eliminate(block: np.ndarray) -> tuple[list[int], list[int]]:
     """Reduce the rows of ``block`` among themselves mod p, in place: each
     nonzero row gets a pivot of 1 that is zero in every other row.  Returns
     the nonzero rows and their pivot columns; every other row is zero."""
-    import numpy as np
     kept, cols = [], []
     for i in range(len(block)):
-        nonzero = np.flatnonzero(block[i])
+        nonzero = block[i].nonzero()[0]
         if not len(nonzero):
             continue
         q = int(nonzero[0])
-        block[i] = block[i] * pow(int(block[i, q]), _P - 2, _P) % _P
-        others = np.flatnonzero(block[:, q])
+        block[i] = block[i] * pow(int(block[i, q]), -1, _P) % _P
+        others = block[:, q].nonzero()[0]
         others = others[others != i]
         if len(others):
             block[others] = (block[others] - block[others, q, None] * block[i] % _P) % _P

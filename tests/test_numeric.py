@@ -1,14 +1,13 @@
 from __future__ import annotations
 
+import builtins
 import functools
+import io
 import os
 import random
-import sys
 import threading
 import time
 import tracemalloc
-from collections.abc import Iterator
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -587,28 +586,17 @@ class TestRounds:
         assert made == [0, 1]
 
 
-# The files opened while ``opened_files`` records, by path; see ``_audit``.
-_OPENED: list[str] | None = None
+def opened_files(monkeypatch) -> list[str]:
+    """The files opened from now on through ``open``, ``io.open`` (which
+    ``Path`` methods call) or ``os.open``, by path."""
+    opened = []
+    for module in (builtins, io, os):
+        def recorded(path, *args, original=module.open, **kwargs):
+            opened.append(str(path))
+            return original(path, *args, **kwargs)
 
-
-def _audit(event: str, args: tuple) -> None:
-    if _OPENED is not None and event == "open":
-        _OPENED.append(str(args[0]))
-
-
-sys.addaudithook(_audit)
-
-
-@contextmanager
-def opened_files() -> Iterator[list[str]]:
-    """The files the process opens inside the block, by any route: Python's
-    ``open`` event is raised for every one of them."""
-    global _OPENED
-    _OPENED = []
-    try:
-        yield _OPENED
-    finally:
-        _OPENED = None
+        monkeypatch.setattr(module, "open", recorded)
+    return opened
 
 
 @functools.cache
@@ -646,8 +634,8 @@ class TestWorkerCount:
                 return recorded(rng, count)
 
             patch.setattr(fixednodes.numeric, "_draw_weights", sample)
-            with opened_files() as opened:
-                fixed = numeric_fixed_nodes(dag, trials=8, seed=3)
+            opened = opened_files(patch)
+            fixed = numeric_fixed_nodes(dag, trials=8, seed=3)
         return fixed, indices, set(names), opened
 
     @pytest.fixture
