@@ -161,9 +161,8 @@ def _span(basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarra
         pivot[cols] = True
         # A times the new rows, each term reduced before the sums per head
         rows = np.zeros((len(cols), n), dtype=np.int64)
-        if len(tails):
-            terms = basis[cols][:, tails] * w % _P
-            rows[:, heads] = np.add.reduceat(terms, starts, axis=1) % _P
+        terms = basis[cols][:, tails] * w % _P
+        rows[:, heads] = np.add.reduceat(terms, starts, axis=1) % _P
     return pivot.nonzero()[0]
 
 

@@ -216,8 +216,9 @@ class TestConstruction:
         ids=["numeric", "oracle", "layered", "generic-dimension", "export-dot"],
     )
     def test_no_route_sees_an_edge_to_node_0(self, route):
-        """Were this graph built, the flat weight index of edge (2, 0) would
-        be -2, the slot of (2, 3), and the numeric route would fix [1, 2, 3];
+        """Were this graph built, edge (2, 0) would reach the numeric route
+        with head index -1, that of node 3, so it would act as (2, 3) and the
+        route would fix [1, 2, 3];
         the oracle, layered and dimension routes would raise ``KeyError: 0``
         and the DOT output would draw ``2 -> 0`` to an undeclared node."""
         with pytest.raises(InvalidGraphError, match=r"\[\[2, 0\]\]"):
