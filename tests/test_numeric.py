@@ -837,6 +837,22 @@ class TestOneStream:
         assert np.count_nonzero(a) == len(single7.dag.edges)
         assert set(a[a != 0].tolist()) == {1}
 
+    def test_highest_draw_weighs_minus_one(self, single7, monkeypatch, draw_zero):
+        """A generator that returns its highest value gives every edge weight
+        p - 1, that is -1 mod p, and the kernel spans that draw as the exact
+        reference does."""
+
+        class Highest:
+            def integers(self, low, high, size):
+                return np.full(size, high - 1)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Highest())
+        a, _, rank = draw_zero(single7.dag, 0)
+        assert np.count_nonzero(a) == len(single7.dag.edges)
+        assert set(a[a != 0].tolist()) == {FIELD - 1}
+        weights = [FIELD - 1] * len(single7.dag.edges)
+        assert (rank, kernel_draw(single7.dag, weights)[1]) == exact_draw(single7.dag, weights)
+
     def test_one_generator_per_call(self, single7, monkeypatch):
         """Draws and retries all read one stream."""
         built = []
@@ -920,6 +936,17 @@ class TestLayerKernel:
             dag = layered_shape(depth, width, leaders, depth + width, 3 * depth * width, skip)
             assert 200 <= dag.node_count <= 1000
             self.assert_same_as_exact(dag, self.weight_rows(dag, trials, rng)[:trials])
+
+    def test_deep_chain_agrees_with_the_reference(self):
+        """The 200-node path of ``test_limitations``, where a float rank
+        check lost the smallest singular values: every draw of the stream
+        spans all 200 nodes and fixes each one, and every draw, the
+        non-generic ones too, matches the exact reference."""
+        path = StructuredDag.of(200, [(i, i + 1) for i in range(1, 200)], [1])
+        rows = self.weight_rows(path, 3, random.Random(200))
+        self.assert_same_as_exact(path, rows)
+        for weights in rows[:3]:
+            assert kernel_draw(path, weights) == (200, path.nodes)
 
     def test_n200_bench_shape(self):
         rng = random.Random(200)
