@@ -169,7 +169,6 @@ def _dump(payload: dict) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def _write(value, newline: str, out) -> None:
@@ -177,16 +176,10 @@ def _write(value, newline: str, out) -> None:
     indentation of the line ``value`` starts on."""
     if isinstance(value, str):
         out(_quote(value))
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
+    elif value is None or isinstance(value, (bool, float)):
+        out(json.dumps(value))
     elif isinstance(value, int):
         out(int.__repr__(value))
-    elif isinstance(value, float):
-        out(_float(value))
     elif isinstance(value, list):
         if not value:
             out("[]")
@@ -216,17 +209,6 @@ def _write(value, newline: str, out) -> None:
         out(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float(value: float) -> str:
-    """A float as ``json`` writes it, ``NaN`` and the infinities included."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 def _cmd_label(args) -> int:

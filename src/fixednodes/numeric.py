@@ -59,12 +59,7 @@ def numeric_fixed_nodes(
     it, the budget is ``trials`` draws.
     """
     import numpy as np
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    if dag.node_count >= _MAX_NODES:
-        raise ValueError(
-            f"the numeric route takes fewer than {_MAX_NODES} nodes, got {dag.node_count}"
-        )
+    check_numeric_route(dag, trials)
     pattern = _pattern(dag)
     rng = np.random.default_rng(seed)
     budget = trials if expected_dim is None else 3 * trials
@@ -85,6 +80,17 @@ def numeric_fixed_nodes(
             f"no draw reached rank {expected_dim} in {budget} trials (best {top})"
         )
     return fixed
+
+
+def check_numeric_route(dag: StructuredDag, trials: int) -> None:
+    """Raise :class:`ValueError` unless the route can run ``trials`` draws
+    on ``dag``: at least one trial, and fewer than 2^16 nodes."""
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    if dag.node_count >= _MAX_NODES:
+        raise ValueError(
+            f"the numeric route takes fewer than {_MAX_NODES} nodes, got {dag.node_count}"
+        )
 
 
 def _draw_weights(rng: np.random.Generator, count: int) -> np.ndarray:

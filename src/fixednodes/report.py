@@ -20,7 +20,7 @@ from .graph import (
     label_layers,
     validate,
 )
-from .numeric import DEFAULT_TRIALS, numeric_fixed_nodes
+from .numeric import DEFAULT_TRIALS, check_numeric_route, numeric_fixed_nodes
 from .search import FixedNodeResult, fixed_nodes_layered, fixed_nodes_oracle
 from .stems import StemFamily, generic_dimension
 
@@ -66,7 +66,9 @@ def analyze(
     The graph is validated first (its cached :func:`validate` result), then
     digested, so an invalid graph or a leader with an incoming edge is refused
     before the labeling, the dimension flow or any method runs; ids outside
-    ``1..n`` never reach it, as no graph holds one.  The numeric method
+    ``1..n`` never reach it, as no graph holds one.  When the numeric method
+    is requested, a graph or trial count it refuses is refused next, before
+    any method runs.  The numeric method
     receives the combinatorial dimension as its expected rank, so degenerate
     sampling surfaces as an error instead of a silently wrong set.  Every
     route reads the graph's one dimension flow.
@@ -83,6 +85,8 @@ def analyze(
     if violations:
         details = "; ".join(v.message for v in violations)
         raise InvalidGraphError(f"graph fails validation: {details}")
+    if "numeric" in methods:
+        check_numeric_route(dag, trials)
     digest = graph_digest(dag)
     labeling = label_layers(dag)
     dim, witness = generic_dimension(dag)

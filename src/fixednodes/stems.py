@@ -36,7 +36,6 @@ per-layer flow the tests check these against live in ``tests/references.py``.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,9 +107,10 @@ def _build_arcs(dag: StructuredDag) -> _ArcTable:
     sink arcs (split order).  Arc ``j`` of the lists is forward arc ``2j``
     and reverse arc ``2j + 1``; one pass over them lists each node's arcs in
     arc order, the order every search reads them in.  Only the sink's list
-    depends on where the sink arcs come, and no search depends on its order:
-    each out-copy has one arc from the sink, the searches that expand the
-    sink pop nodes by id, and the others never expand it.
+    depends on where the sink arcs come, and no answer depends on its order:
+    each out-copy has one arc from the sink, the searches that may expand the
+    sink return distances or strongly connected components, and the others
+    stop at it.
     """
     label_layers(dag)  # raises on a cycle
     layers = dag.source_layers
@@ -370,27 +370,21 @@ class FlowNetwork:
         self, potential: list[float], start: int, cap: list[int], cost: list[int]
     ) -> list[float]:
         """The reduced-cost distance of every node from ``start`` over the
-        arcs with capacities ``cap`` and costs ``cost``, by a bucket queue
-        (Dial, CACM 1969); a node ``start`` does not reach stays at infinity.
+        arcs with capacities ``cap`` and costs ``cost``, by Dial's bucket
+        queue (CACM 1969); a node ``start`` does not reach stays at infinity.
 
         The reduced costs are integers and none is negative on a residual
-        arc, so a node never settles below the distance of the one settled
-        before it.  Each bucket is a heap of node ids, so nodes settle in
-        ascending ``(distance, id)`` order, the order of one heap of such
-        pairs."""
+        arc, so bucket ``d`` holds the nodes reached at distance ``d`` and the
+        buckets are read upward, each in insertion order; a node reached again
+        at the current distance joins the bucket being read."""
         head, adj = self._head, self._adj
-        push, pop = heapq.heappush, heapq.heappop
         dist = [_INF] * self.size
         dist[start] = 0
-        buckets: dict[float, list[int]] = {0: [start]}  # distance -> heap of node ids
-        keys: list[float] = [0]  # heap of the distances in ``buckets``
-        while keys:
-            d = pop(keys)
-            bucket = buckets.pop(d)
-            while bucket:
-                u = pop(bucket)
+        buckets: list[list[int]] = [[start]]
+        for d, bucket in enumerate(buckets):  # reads the buckets and nodes appended on the way
+            for u in bucket:
                 if dist[u] < d:
-                    continue
+                    continue  # settled from a lower bucket
                 base = d + potential[u]
                 for arc in adj[u]:
                     if cap[arc]:
@@ -398,13 +392,9 @@ class FlowNetwork:
                         nd = base + cost[arc] - potential[v]
                         if nd < dist[v]:
                             dist[v] = nd
-                            if nd == d:
-                                push(bucket, v)
-                            elif nd in buckets:
-                                push(buckets[nd], v)
-                            else:
-                                buckets[nd] = [v]
-                                push(keys, nd)
+                            if nd >= len(buckets):
+                                buckets += [[] for _ in range(nd + 1 - len(buckets))]
+                            buckets[nd].append(v)
         return dist
 
     # -- reading the solved flow --------------------------------------------

@@ -178,6 +178,20 @@ class TestFixed:
         assert (code, out) == (1, "")
         assert '"n" is 1000000000' in err and "at most 1 reachable nodes" in err
 
+    def test_numeric_size_refused_before_any_route(self, graph_file, capsys, monkeypatch):
+        """The default ``fixed`` runs the numeric route, so a 2^16-node path
+        is refused right after validation, before the dimension flow."""
+
+        def solve(*_args, **_kwargs):
+            pytest.fail("dimension flow solved before the numeric size was checked")
+
+        n = 2**16
+        path = graph_file(StructuredDag.of(n, [(i, i + 1) for i in range(1, n)], [1]))
+        monkeypatch.setattr(fixednodes.stems.FlowNetwork, "solve_min_cost", solve)
+        code, out, err = run(capsys, "fixed", path)
+        assert (code, out) == (1, "")
+        assert err == "error: the numeric route takes fewer than 65536 nodes, got 65536\n"
+
 
 class TestDeepNesting:
     """A nest of 1000 brackets, about 2 KB, exceeds the JSON parser's

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import copy
 import gc
 import random
 import weakref
@@ -447,6 +448,51 @@ class TestFlowKernels:
         dag = shaped_dag(*shape, seed=11)
         assert dag.node_count == 1000
         self.assert_kernels_match([dag], monkeypatch)
+
+    @pytest.mark.parametrize(
+        "shape, phases", [((100, 10, 4, 0.3), 0), ((20, 50, 25, 0.0), 1)], ids=["deep", "wide"]
+    )
+    def test_distances_do_not_depend_on_the_settle_order(self, shape, phases, monkeypatch):
+        """The bucket passes from the source and the mirrored one from the
+        sink return the same distances when every adjacency list is read
+        last to first, so ties settle in another order.  The solved flow
+        saturates every source arc, so its pass from the source reaches the
+        source alone; the passes the primal-dual phases ran are replayed too.
+        They run on a shallow copy of the solved network; the cached one and
+        the arc table stay as they were."""
+        dag = shaped_dag(*shape, seed=11)
+        bucket_pass = FlowNetwork._bucket_pass
+        forward = []  # the potentials and capacities of each phase's pass
+
+        def recorded(net, potential, start, cap, cost):
+            forward.append((potential, cap.copy()))
+            return bucket_pass(net, potential, start, cap, cost)
+
+        monkeypatch.setattr(FlowNetwork, "_bucket_pass", recorded)
+        solved = _dimension_flow(dag)
+        monkeypatch.undo()
+        assert len(forward) == phases
+        adj, cap = solved._adj, solved._cap.copy()
+        forward.append((solved._potential, cap))
+        net = copy.copy(solved)
+        mirrored_cap = cap.copy()
+        mirrored_cap[0::2], mirrored_cap[1::2] = cap[1::2], cap[0::2]
+        mirrored_cost = [-c for c in net._cost]
+        negated = [-p for p in net._potential]
+
+        def passes():
+            dists = [net._bucket_pass(p, net.source, c, net._cost) for p, c in forward]
+            return [*dists, net._bucket_pass(negated, net.sink, mirrored_cap, mirrored_cost)]
+
+        plain = passes()
+        net._adj = [arcs[::-1] for arcs in adj]
+        assert passes() == plain
+        assert plain[-2].count(float("inf")) == net.size - 1  # the solved pass from the source
+        for dist in plain[:-2] + plain[-1:]:  # every other pass has ties to settle
+            reached = [d for d in dist if d < float("inf")]
+            assert len(set(reached)) < len(reached) > dag.node_count
+        assert solved._adj is adj is dag._arcs.adj and solved._cap == cap
+        assert all(arcs == sorted(arcs) for arcs in adj)
 
     def test_redrawn_leaders(self, monkeypatch):
         """Nodes no leader reaches have no potential; the oracle's pass never
