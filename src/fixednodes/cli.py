@@ -107,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("gen", help="emit a random layered DAG as graph JSON")
     cmd.add_argument("--p", type=int, required=True, help="number of layers")
     cmd.add_argument("--width", type=int, required=True, help="average nodes per layer")
-    group = cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--edges", type=int, help="total edge count")
-    group.add_argument("--edge-prob", type=float, help="per-pair edge probability")
+    cmd.add_argument("--edges", type=int, required=True, help="total edge count, backbone included")
     cmd.add_argument("--leaders", type=int, required=True)
     cmd.add_argument("--seed", type=_SEED, default=0)
     cmd.add_argument(
@@ -255,14 +253,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    widths = spread_widths(args.p, args.width, args.leaders)
+    # every non-leader node takes one backbone edge, so a larger node count
+    # cannot be drawn; refusing it here keeps it from sizing the widths
+    nodes, reach = args.p * args.width, args.leaders + args.edges
+    if nodes > reach:
+        raise ValueError(
+            f"{args.p} layers of width {args.width} hold {nodes} nodes, but {args.leaders} "
+            f"leaders and {args.edges} edges reach at most {reach}"
+        )
     config = GeneratorConfig(
         depth=args.p,
-        widths=widths,
+        widths=spread_widths(args.p, args.width, args.leaders),
         leader_count=args.leaders,
         seed=args.seed,
         edge_count=args.edges,
-        edge_prob=args.edge_prob,
         skip_layer_prob=args.skip_prob,
     )
     return _emit(args, graph_to_json(random_layered_dag(config)))

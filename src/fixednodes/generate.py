@@ -10,10 +10,8 @@ that are never listed.  A ``_VirtualPool`` numbers its pairs as the listed
 pool would, layer pair by layer pair, and stores only the positions already
 taken, so the random stream, and with it every graph, is the listed pools'
 (the slow reference ``pooled_layered_dag`` in ``tests/references.py``
-lists them).  In ``edge_count`` mode each extra edge costs
-O(log blocks + removed pairs in its block), where a block is one layer pair;
-``edge_prob`` mode still draws one uniform per candidate pair, but in chunks
-of bounded memory.
+lists them).  Each extra edge costs O(log blocks + removed pairs in its
+block), where a block is one layer pair.
 
 Layer-skipping extras are off by default.  They produce perfectly valid DAGs,
 but on such graphs the layered fixed-node criterion loses its equivalence
@@ -35,16 +33,15 @@ class GeneratorConfig:
     """Shape and density of a random layered DAG.
 
     ``widths[0]`` must equal ``leader_count``: layer-1 nodes have no incoming
-    edges, so any non-leader there would be uncontrollable.  Exactly one of
-    ``edge_count``/``edge_prob`` selects the density mode.
+    edges, so any non-leader there would be uncontrollable.  ``edge_count``
+    is the total, backbone included.
     """
 
     depth: int
     widths: tuple[int, ...]
     leader_count: int
     seed: int
-    edge_count: int | None = None
-    edge_prob: float | None = None
+    edge_count: int
     skip_layer_prob: float = 0.0
 
     def __post_init__(self):
@@ -54,22 +51,17 @@ class GeneratorConfig:
             raise ValueError("layer widths must be positive")
         if self.widths[0] != self.leader_count:
             raise ValueError("layer 1 consists exactly of the leaders")
-        if (self.edge_count is None) == (self.edge_prob is None):
-            raise ValueError("exactly one of edge_count/edge_prob is required")
         if not 0.0 <= self.skip_layer_prob <= 1.0:
             raise ValueError("skip_layer_prob must be in [0, 1]")
-        if self.edge_prob is not None and not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError("edge_prob must be in [0, 1]")
-        if self.edge_count is not None:
-            backbone = self.node_count - self.leader_count
-            if self.edge_count < backbone:
-                raise ValueError(
-                    f"edge_count {self.edge_count} cannot cover the {backbone} backbone edges"
-                )
-            if self.edge_count > self._max_edges():
-                raise ValueError(
-                    f"edge_count {self.edge_count} exceeds the {self._max_edges()} possible edges"
-                )
+        backbone = self.node_count - self.leader_count
+        if self.edge_count < backbone:
+            raise ValueError(
+                f"edge_count {self.edge_count} cannot cover the {backbone} backbone edges"
+            )
+        if self.edge_count > self._max_edges():
+            raise ValueError(
+                f"edge_count {self.edge_count} exceeds the {self._max_edges()} possible edges"
+            )
 
     @property
     def node_count(self) -> int:
@@ -112,10 +104,10 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
 
     The stream is that of two listed pools, adjacent and skipping pairs in
     ``_layer_pairs()`` order and u-major inside a layer pair, the backbone
-    left out: ``edge_count`` pops a uniform index from one pool per extra
-    edge, ``edge_prob`` keeps each pair of a pool on one uniform.  Each
-    pool is a ``_VirtualPool`` instead, which gives the same pairs for the
-    same numbers without listing any.
+    left out: each extra edge pops a uniform index from one pool, the
+    skipping one with probability ``skip_layer_prob`` while both hold pairs.
+    Each pool is a ``_VirtualPool`` instead, which gives the same pairs for
+    the same numbers without listing any.
     """
     import numpy as np  # loaded only by the calls that draw
 
@@ -142,22 +134,12 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
         blocks[skips].append((firsts[a], firsts[b], widths[a] * widths[b], widths[b], removed))
     adjacent, skipping = map(_VirtualPool, blocks)
 
-    if config.edge_count is not None:
-        for _ in range(config.edge_count - len(edges)):
-            want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
-            pool = skipping if want_skip else adjacent
-            if not pool:
-                pool = adjacent or skipping
-            edge = pool.pop(int(rng.integers(len(pool))))
-            edges.add(edge)
-    else:
-        for pool, prob in (
-            (adjacent, config.edge_prob),
-            (skipping, config.edge_prob * config.skip_layer_prob),
-        ):
-            if prob <= 0.0:
-                continue
-            edges.update(pool.sample(rng, prob))
+    for _ in range(config.edge_count - len(edges)):
+        want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
+        pool = skipping if want_skip else adjacent
+        if not pool:
+            pool = adjacent or skipping
+        edges.add(pool.pop(int(rng.integers(len(pool)))))
 
     # every id is already an ``int``, so the graph skips ``of``'s conversion
     return StructuredDag(firsts[-1] - 1, frozenset(edges), frozenset(range(1, firsts[1])))
@@ -166,8 +148,6 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
 # One layer pair's candidates: first u, first v, pair count, width of v's
 # layer, and the ascending positions ``iu * w_v + iv`` no longer in the pool.
 _Block = tuple[int, int, int, int, list[int]]
-
-_CHUNK = 1 << 16  # uniforms per draw in edge_prob mode: 512 KB of doubles
 
 
 class _VirtualPool:
@@ -214,28 +194,3 @@ class _VirtualPool:
             block += block & -block
         iu, iv = divmod(p, w_v)
         return first_u + iu, first_v + iv
-
-    def sample(self, rng, prob: float) -> Iterator[tuple[int, int]]:
-        """Each remaining pair with probability ``prob``: one uniform per pair
-        in pool order, drawn ``_CHUNK`` at a time."""
-        import numpy as np
-
-        if not self.size:
-            return
-        firsts_u, firsts_v, counts, w_v = (
-            np.array(column, dtype=np.int64) for column in list(zip(*self.blocks))[:4]
-        )
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        gone = np.array(
-            [s + p for s, (*_, removed) in zip(starts.tolist(), self.blocks) for p in removed],
-            dtype=np.int64,
-        )
-        # the k-th removed position has gone[k] - k remaining pairs before it
-        gone -= np.arange(len(gone))
-        for lo in range(0, self.size, _CHUNK):
-            rank = lo + np.flatnonzero(rng.random(min(_CHUNK, self.size - lo)) < prob)
-            at = rank + np.searchsorted(gone, rank, side="right")
-            block = np.searchsorted(ends, at, side="right")
-            iu, iv = np.divmod(at - starts[block], w_v[block])
-            yield from zip((firsts_u[block] + iu).tolist(), (firsts_v[block] + iv).tolist())

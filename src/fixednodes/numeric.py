@@ -84,13 +84,16 @@ def numeric_fixed_nodes(
 
 def check_numeric_route(dag: StructuredDag, trials: int) -> None:
     """Raise :class:`ValueError` unless the route can run ``trials`` draws
-    on ``dag``: at least one trial, and fewer than 2^16 nodes."""
+    on ``dag``: at least one trial, fewer than 2^16 nodes, and at least one
+    leader (:class:`InvalidGraphError`)."""
     if trials < 1:
         raise ValueError("at least one trial is required")
     if dag.node_count >= _MAX_NODES:
         raise ValueError(
             f"the numeric route takes fewer than {_MAX_NODES} nodes, got {dag.node_count}"
         )
+    if not dag.leaders:
+        raise InvalidGraphError("at least one leader is required")
 
 
 def _draw_weights(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -104,8 +107,6 @@ def _pattern(dag: StructuredDag) -> tuple[np.ndarray, ...]:
     sorted edges ordered by head, as their tails, the first edge of each head
     and that head, and the order that takes sorted-edge weights to them."""
     import numpy as np
-    if not dag.leaders:
-        raise InvalidGraphError("at least one leader is required")
     edges = np.array(dag.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
     order = np.argsort(edges[:, 1], kind="stable")
     heads = edges[order, 1]

@@ -841,22 +841,12 @@ def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
             (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
         )
 
-    if config.edge_count is not None:
-        for _ in range(config.edge_count - len(edges)):
-            want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
-            pool = skipping if want_skip else adjacent
-            if not pool:
-                pool = adjacent or skipping
-            edge = pool.pop(int(rng.integers(len(pool))))
-            edges.add(edge)
-    else:
-        for pool, prob in (
-            (adjacent, config.edge_prob),
-            (skipping, config.edge_prob * config.skip_layer_prob),
-        ):
-            if prob <= 0.0:
-                continue
-            keep = rng.random(len(pool)) < prob
-            edges.update(e for e, take in zip(pool, keep) if take)
+    for _ in range(config.edge_count - len(edges)):
+        want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
+        pool = skipping if want_skip else adjacent
+        if not pool:
+            pool = adjacent or skipping
+        edge = pool.pop(int(rng.integers(len(pool))))
+        edges.add(edge)
 
     return StructuredDag.of(nxt - 1, edges, layers[0])

@@ -213,10 +213,10 @@ class TestDeepNesting:
 
 
 class TestOutOfRangeIds:
-    """A graph file naming an edge endpoint or a leader outside ``1..n``, or
-    repeating a key, is refused as it is read: every graph subcommand exits 1
-    with one error line naming the ids or the key and writes nothing to
-    stdout."""
+    """A graph file naming an edge endpoint or a leader outside ``1..n``,
+    putting an array or an object in place of an id, or repeating a key, is
+    refused as it is read: every graph subcommand exits 1 with one error line
+    naming the ids, the value or the key and writes nothing to stdout."""
 
     @pytest.mark.parametrize(
         "text, message",
@@ -237,8 +237,16 @@ class TestOutOfRangeIds:
                 '{"n": 3, "edges": [[1, 2]], "leaders": [1], "n": 2}',
                 "repeated keys in graph JSON: ['n']",
             ),
+            (
+                '{"n": 2, "edges": [[1, [2]]], "leaders": [1]}',
+                "node count and ids must be integers, got [2]",
+            ),
+            (
+                '{"n": 2, "edges": [[1, 2]], "leaders": [{"a": 1}]}',
+                "node count and ids must be integers, got {'a': 1}",
+            ),
         ],
-        ids=["edge", "leader", "both", "repeated-key"],
+        ids=["edge", "leader", "both", "repeated-key", "array-id", "object-id"],
     )
     @pytest.mark.parametrize("command", ["label", "dim", "fixed", "verify", "export-dot"])
     def test_exits_1(self, tmp_path, capsys, command, text, message):
@@ -422,6 +430,33 @@ class TestGen:
         )
         assert code == 1
         assert "error" in err
+
+    def test_unreachable_node_count_refused_before_any_width(self, capsys, monkeypatch):
+        """Every non-leader node takes one backbone edge, so 10^9 nodes
+        need about 10^9 edges; five are refused before the per-layer widths,
+        a list of 10^9 entries, are built."""
+
+        def refused(*args):
+            raise AssertionError("gen sized the layers of a graph it refuses")
+
+        monkeypatch.setattr(fixednodes.cli, "spread_widths", refused)
+        code, out, err = run(
+            capsys, "gen", "--p", "1000000000", "--width", "1", "--leaders", "1", "--edges", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 1000000000 layers of width 1 hold 1000000000 nodes, "
+            "but 1 leaders and 5 edges reach at most 6\n"
+        )
+
+    def test_edge_prob_is_a_usage_error(self, capsys):
+        """``--edges`` is the one density option; ``--edge-prob`` is unknown."""
+        code, out, err = run(
+            capsys, "gen", "--p", "3", "--width", "2", "--leaders", "1", "--edges", "4",
+            "--edge-prob", "0.5",
+        )
+        assert (code, out) == (1, "")
+        assert "usage:" in err and "unrecognized arguments: --edge-prob 0.5" in err
 
 
 class TestExportDot:

@@ -61,21 +61,17 @@ def test_widths_reproduced_by_labeling():
 
 def test_graph_built_without_id_conversion(monkeypatch):
     """Every id the generator makes is already an ``int``, so it builds the
-    graph directly, not through ``StructuredDag.of``, in both density modes;
-    the graph's own type and range check still runs on it."""
-    configs = (
-        GeneratorConfig(4, (2, 3, 3, 2), 2, seed=99, edge_count=14, skip_layer_prob=0.3),
-        GeneratorConfig(3, (2, 3, 3), 2, seed=5, edge_prob=0.5, skip_layer_prob=0.5),
-    )
+    graph directly, not through ``StructuredDag.of``; the graph's own type
+    and range check still runs on it."""
+    config = GeneratorConfig(4, (2, 3, 3, 2), 2, seed=99, edge_count=14, skip_layer_prob=0.3)
 
     def refused(*args, **kwargs):
         raise AssertionError("the generator converted its ids")
 
     with monkeypatch.context() as patch:
         patch.setattr(StructuredDag, "of", classmethod(refused))
-        dags = [random_layered_dag(config) for config in configs]
-    for dag in dags:
-        assert dag == StructuredDag.of(dag.node_count, dag.edges, dag.leaders)
+        dag = random_layered_dag(config)
+    assert dag == StructuredDag.of(dag.node_count, dag.edges, dag.leaders)
 
 
 def test_zero_skip_probability_means_no_skip_edges():
@@ -93,23 +89,13 @@ def test_positive_skip_probability_can_skip():
     assert any(labeling.layer_of[v] - labeling.layer_of[u] > 1 for u, v in dag.edges)
 
 
-def test_edge_probability_mode():
-    config = GeneratorConfig(3, (2, 3, 3), 2, seed=5, edge_prob=0.5)
-    dag = random_layered_dag(config)
-    assert validate(dag) == ()
-    assert len(dag.edges) >= dag.node_count - 2
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
         (dict(depth=2, widths=(2,), leader_count=2, seed=0, edge_count=3), "widths"),
         (dict(depth=2, widths=(1, 2), leader_count=2, seed=0, edge_count=2), "leaders"),
-        (dict(depth=2, widths=(2, 2), leader_count=2, seed=0), "edge_count/edge_prob"),
-        (
-            dict(depth=2, widths=(2, 2), leader_count=2, seed=0, edge_count=2, edge_prob=0.5),
-            "edge_count/edge_prob",
-        ),
+        (dict(depth=2, widths=(2, 0), leader_count=2, seed=0, edge_count=2), "positive"),
+        (dict(depth=0, widths=(), leader_count=0, seed=0, edge_count=0), "widths"),
         (dict(depth=2, widths=(2, 2), leader_count=2, seed=0, edge_count=1), "backbone"),
         (dict(depth=2, widths=(2, 2), leader_count=2, seed=0, edge_count=9), "exceeds"),
         (
@@ -133,15 +119,12 @@ def test_skipless_capacity_excludes_skip_pairs():
 
 _SHAPES = {
     "count": dict(depth=6, widths=(3, 5, 6, 4, 5, 2), leader_count=3, seed=11, edge_count=40),
-    "prob": dict(depth=5, widths=(2, 4, 5, 4, 3), leader_count=2, seed=12, edge_prob=0.4),
     "deep": dict(depth=100, widths=spread_widths(100, 10, 4), leader_count=4, seed=13, edge_count=3000),
     "wide": dict(depth=20, widths=spread_widths(20, 50, 25), leader_count=25, seed=14, edge_count=3000),
 }
 _DIGESTS = {
     ("count", 0.0): "17a0340797f33f49534d4d2a27638bd6bb5da39de56e4cf65f745688ba536575",
     ("count", 0.3): "68a897a367bca2e7a68b7688e7cda4541e3b7097a6db7b9aee3d60430afcddbc",
-    ("prob", 0.0): "0b8b44a6b54a363bbace3413b87a3ae370fe7d361f19d91f70c1f590e95333b1",
-    ("prob", 0.3): "7da865b67641aacacc47553edf5538376e6898dd01d3b496282ee26cc591a4e0",
     ("deep", 0.0): "8b0e99b639acd7445b1afa0797625d12cf91f50c0e9e44e57b269d07b1115c05",
     ("deep", 0.3): "98b7352e9669f74e048f46577ac4dce89627566ed473b5b04f028cd177fbd1fd",
     ("wide", 0.0): "91a608cb6918e758c753d433d62140b5ed4d7d3ed5ca7f705f6d18b2d7a7b1f7",
@@ -166,14 +149,15 @@ def test_spread_widths_pins_leaders_and_total():
     assert spread_widths(6, 10, 4) == (4, 11, 11, 11, 11, 12)
     assert spread_widths(3, 2, 1) == (1, 2, 3)
     assert sum(spread_widths(5, 7, 3)) == 35
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two layers"):
         spread_widths(1, 10, 4)
+    with pytest.raises(ValueError, match="not enough nodes"):
+        spread_widths(3, 1, 2)
 
 
 def random_config(rng: random.Random) -> GeneratorConfig:
-    """Depth 1-6, widths 1-5, skip 0, 0.3 or 1.0, and either an edge count
-    (a third of them the maximum, which drains both pools) or an edge
-    probability."""
+    """Depth 1-6, widths 1-5, skip 0, 0.3 or 1.0, and an edge count, a
+    third of them the maximum, which drains both pools."""
     leaders = rng.randint(1, 4)
     widths = (leaders,) + tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 5)))
     shape = dict(
@@ -183,8 +167,6 @@ def random_config(rng: random.Random) -> GeneratorConfig:
         seed=rng.randrange(2**32),
         skip_layer_prob=rng.choice([0.0, 0.3, 1.0]),
     )
-    if rng.random() < 0.5:
-        return GeneratorConfig(**shape, edge_prob=rng.choice([0.0, 0.2, 0.7, 1.0]))
     backbone = sum(widths) - leaders
     most = GeneratorConfig(**shape, edge_count=backbone)._max_edges()
     edge_count = rng.choice([most, backbone, rng.randint(backbone, most)])
@@ -196,13 +178,12 @@ def test_virtual_pools_draw_the_listed_pools_graphs():
     configs = [random_config(rng) for _ in range(1500)]
     for config in configs:
         assert graph_to_json(random_layered_dag(config)) == graph_to_json(pooled_layered_dag(config))
-    drained = [c for c in configs if c.edge_count is not None and c.edge_count == c._max_edges()]
+    drained = [c for c in configs if c.edge_count == c._max_edges()]
     assert sum(c.skip_layer_prob > 0.0 and c.depth > 2 for c in drained) >= 100
-    assert sum(c.edge_prob is not None and c.skip_layer_prob > 0.0 for c in configs) >= 200
     assert sum(1 in c.widths[1:] for c in configs) >= 500
 
 
-@pytest.mark.parametrize("density", [dict(edge_count=3000 + 50), dict(edge_prob=2e-5)])
+@pytest.mark.parametrize("density", [dict(edge_count=3000 + 50)])
 def test_no_candidate_pool_is_listed(density):
     """About 2.25M candidate pairs, 3000 backbone edges and few extras: a
     listed pool holds every pair as a tuple (hundreds of MB), the virtual

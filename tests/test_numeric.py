@@ -20,6 +20,7 @@ import randgraphs
 from fixednodes import (
     GeneratorConfig,
     InconclusiveError,
+    InvalidGraphError,
     StructuredDag,
     fixed_nodes_oracle,
     generic_dimension,
@@ -1058,6 +1059,22 @@ class TestExactKernel:
         dag = StructuredDag.of(2**16, [(i, i + 1) for i in range(1, 2**16)], [1])
         with pytest.raises(ValueError, match="fewer than 65536 nodes, got 65536"):
             numeric_fixed_nodes(dag, trials=1)
+
+    def test_refuses_fewer_than_one_trial(self):
+        with pytest.raises(ValueError, match="^at least one trial is required$"):
+            numeric_fixed_nodes(goldens.PAIR9.dag, trials=0)
+
+    def test_refuses_a_leaderless_graph_before_it_reads_the_edges(self, monkeypatch):
+        """The leader check is the last of the route's preconditions, all
+        taken before the route reads the graph's edges."""
+
+        def refused(dag):
+            raise AssertionError("the route read the edges of a graph it refuses")
+
+        monkeypatch.setattr(fixednodes.numeric, "_pattern", refused)
+        leaderless = StructuredDag.of(2, [(1, 2)], [])
+        with pytest.raises(InvalidGraphError, match="^at least one leader is required$"):
+            numeric_fixed_nodes(leaderless, trials=1)
 
     def test_agrees_with_the_float_cross_check_on_small_graphs(self):
         """``references.per_draw_numeric_fixed_nodes`` ranks float draws of

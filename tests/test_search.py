@@ -499,23 +499,26 @@ class TestMatchedSetsAgainstEnumeration:
 
     @pytest.mark.parametrize("skip_prob", [0.0, 0.5])
     def test_dense_dags(self, skip_prob):
-        """Edge probabilities up to 0.8 and up to 6 leaders, where leaders
-        root many paths and a layer has many matched sets."""
+        """Between 30% and 80% of the extra edges that fit, and up to 6
+        leaders, where leaders root many paths and a layer has many matched
+        sets."""
         rng = random.Random(0xDE45 + int(skip_prob * 10))
         for _ in range(100):
             leaders = rng.randint(2, 6)
             widths = [leaders] + [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
             while sum(widths) > 13:
                 widths.pop()
-            config = GeneratorConfig(
+            shape = dict(
                 depth=len(widths),
                 widths=tuple(widths),
                 leader_count=leaders,
                 seed=rng.randrange(2**32),
-                edge_prob=rng.uniform(0.3, 0.8),
                 skip_layer_prob=skip_prob,
             )
-            self.assert_matches(random_layered_dag(config))
+            backbone = sum(widths) - leaders
+            most = GeneratorConfig(**shape, edge_count=backbone)._max_edges()
+            edge_count = backbone + round(rng.uniform(0.3, 0.8) * (most - backbone))
+            self.assert_matches(random_layered_dag(GeneratorConfig(**shape, edge_count=edge_count)))
 
 
 class TestMethodAgreement:

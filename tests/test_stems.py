@@ -113,6 +113,35 @@ class TestGenericDimension:
             generic_dimension(StructuredDag.of(2, [(1, 2), (2, 1)], [1]))
 
 
+class TestStemFamilyViolations:
+    """Each problem the witness check reports, on two leaders 1 and 2 over
+    the edges 1 -> 3 -> 4, 2 -> 4 and 2 -> 5.  A stem that shares a leader
+    also shares a node, and a stem past the leader count repeats a leader
+    or starts elsewhere, so those two problems come with a second one."""
+
+    DAG = StructuredDag.of(5, [(1, 3), (3, 4), (2, 4), (2, 5)], [1, 2])
+
+    @pytest.mark.parametrize(
+        "stems, problems",
+        [
+            (((1, 3), ()), ["empty stem"]),
+            (((3, 4),), ["stem [3, 4] does not start at a leader"]),
+            (((1, 4),), ["stem [1, 4] uses missing edge (1, 4)"]),
+            (((1, 3), (1,)), ["two stems share a leader", "stems are not vertex-disjoint"]),
+            (((1,), (2,), (5,)), ["stem [5] does not start at a leader", "more stems than leaders"]),
+            (((1, 3, 4), (2, 4)), ["stems are not vertex-disjoint"]),
+        ],
+        ids=["empty", "non-leader-start", "missing-edge", "shared-leader", "too-many", "overlap"],
+    )
+    def test_reports_each_problem(self, stems, problems):
+        assert stem_family_violations(self.DAG, StemFamily(stems)) == problems
+
+    def test_solved_witness_has_none(self):
+        dim, witness = generic_dimension(self.DAG)
+        assert (dim, witness.stems) == (5, ((1, 3, 4), (2, 5)))
+        assert stem_family_violations(self.DAG, witness) == []
+
+
 class TestSolvedOncePerGraph:
     """The dimension flow is solved on first use, cached on its graph and
     read by every route; the network itself stays out of every result."""

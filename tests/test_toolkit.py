@@ -15,6 +15,7 @@ import goldens
 from fixednodes import (
     AnalysisReport,
     FixedNodeResult,
+    GeneratorConfig,
     InvalidGraphError,
     LayerReport,
     StemFamily,
@@ -67,6 +68,10 @@ class TestAnalyze:
     def test_rejects_repeated_method(self, single7):
         with pytest.raises(ValueError, match=r"^duplicate methods: \['oracle'\]$"):
             analyze(single7.dag, ("oracle", "layered", "oracle"))
+
+    def test_rejects_an_empty_method_list(self, single7):
+        with pytest.raises(ValueError, match="^at least one method is required$"):
+            analyze(single7.dag, ())
 
     def test_rejects_invalid_graph(self):
         dag = StructuredDag.of(2, [(1, 2), (2, 1)], [1])
@@ -176,10 +181,10 @@ class TestPublicSurface:
             "dim": ["graph", "output"],
             "fixed": sorted(analysis + ["method"]),
             "verify": analysis,
-            "gen": ["edge_prob", "edges", "leaders", "output", "p", "seed", "skip_prob", "width"],
+            "gen": ["edges", "leaders", "output", "p", "seed", "skip_prob", "width"],
             "export-dot": sorted(analysis + ["method"]),
         }
-        assert sum(map(len, dests.values())) == 26
+        assert sum(map(len, dests.values())) == 25
         signatures = {
             fn.__name__: list(inspect.signature(fn).parameters)
             for fn in (
@@ -201,7 +206,7 @@ class TestPublicSurface:
         }
         fields = {
             cls.__name__: [f.name for f in dataclasses.fields(cls)]
-            for cls in (StemFamily, LayerReport, FixedNodeResult, AnalysisReport)
+            for cls in (StemFamily, LayerReport, FixedNodeResult, AnalysisReport, GeneratorConfig)
         }
         assert fields == {
             "StemFamily": ["stems"],
@@ -209,6 +214,9 @@ class TestPublicSurface:
             "FixedNodeResult": ["fixed_nodes", "per_layer"],
             "AnalysisReport": [
                 "digest", "dag", "labeling", "generic_dim", "witness", "methods", "trials", "seed",
+            ],
+            "GeneratorConfig": [
+                "depth", "widths", "leader_count", "seed", "edge_count", "skip_layer_prob",
             ],
         }
 
