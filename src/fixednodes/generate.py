@@ -6,12 +6,12 @@ layer (influenceability and the intended layer widths follow), and extra
 edges only ever point to deeper layers.
 
 Extra edges come from two pools of candidate pairs, adjacent and skipping,
-that are never listed.  A ``_VirtualPool`` numbers its pairs as the listed
-pool would, layer pair by layer pair, and stores only the positions already
-taken, so the random stream, and with it every graph, is the listed pools'
-(the slow reference ``pooled_layered_dag`` in ``tests/references.py``
-lists them).  Each extra edge costs O(log blocks + removed pairs in its
-block), where a block is one layer pair.
+that are never listed.  A ``_VirtualPool`` keeps one row per source layer,
+numbers its pairs as the listed pool would, and stores only the positions
+already taken, so the random stream, and with it every graph, is the listed
+pools' (the slow reference ``pooled_layered_dag`` in ``tests/references.py``
+lists them).  Set-up is O(depth), and each extra edge costs O(log depth +
+pairs already drawn from its source layer).
 
 Layer-skipping extras are off by default.  They produce perfectly valid DAGs,
 but on such graphs the layered fixed-node criterion loses its equivalence
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graph import StructuredDag
 
@@ -68,16 +67,13 @@ class GeneratorConfig:
         return sum(self.widths)
 
     def _max_edges(self) -> int:
-        """Placeable edges; with skip probability zero only adjacent pairs count."""
-        return sum(self.widths[a] * self.widths[b] for a, b in self._layer_pairs())
-
-    def _layer_pairs(self) -> Iterator[tuple[int, int]]:
-        """Layer index pairs ``(a, b)``, ``a < b``, whose nodes an edge may join;
-        a zero skip probability is a hard no-skip guarantee: ``b == a + 1``."""
-        reach = self.depth if self.skip_layer_prob > 0.0 else 1
-        for a in range(self.depth):
-            for b in range(a + 1, min(a + 1 + reach, self.depth)):
-                yield a, b
+        """Placeable edges: every pair of nodes in distinct layers, or with
+        skip probability zero (a hard no-skip guarantee) only those in
+        adjacent layers."""
+        w = self.widths
+        if self.skip_layer_prob > 0.0:
+            return (self.node_count**2 - sum(x * x for x in w)) // 2
+        return sum(x * y for x, y in zip(w, w[1:]))
 
 
 def spread_widths(depth: int, width: int, leader_count: int) -> tuple[int, ...]:
@@ -103,11 +99,11 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
     """Draw a graph for the configuration; identical seeds give identical graphs.
 
     The stream is that of two listed pools, adjacent and skipping pairs in
-    ``_layer_pairs()`` order and u-major inside a layer pair, the backbone
-    left out: each extra edge pops a uniform index from one pool, the
-    skipping one with probability ``skip_layer_prob`` while both hold pairs.
-    Each pool is a ``_VirtualPool`` instead, which gives the same pairs for
-    the same numbers without listing any.
+    lexicographic order of their layer pair ``(a, b)`` and u-major inside a
+    layer pair, the backbone left out: each extra edge pops a uniform index
+    from one pool, the skipping one with probability ``skip_layer_prob``
+    while both hold pairs.  Each pool is a ``_VirtualPool`` instead, which
+    gives the same pairs for the same numbers without listing any.
     """
     import numpy as np  # loaded only by the calls that draw
 
@@ -118,21 +114,17 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
         firsts.append(firsts[-1] + w)
 
     edges: set[tuple[int, int]] = set()
-    backbone: list[list[int]] = [[]]
-    for k in range(1, config.depth):
-        taken = []
-        for iv in range(widths[k]):
-            iu = int(rng.integers(widths[k - 1]))
-            edges.add((firsts[k - 1] + iu, firsts[k] + iv))
-            taken.append(iu * widths[k] + iv)
-        backbone.append(sorted(taken))
-
-    blocks: tuple[list[_Block], list[_Block]] = ([], [])  # adjacent, skipping
-    for a, b in config._layer_pairs():
-        skips = b > a + 1
-        removed = [] if skips else backbone[b]
-        blocks[skips].append((firsts[a], firsts[b], widths[a] * widths[b], widths[b], removed))
-    adjacent, skipping = map(_VirtualPool, blocks)
+    rows: tuple[list[_Row], list[_Row]] = ([], [])  # adjacent, skipping
+    for a in range(config.depth - 1):
+        w_v, taken = widths[a + 1], []
+        for iv in range(w_v):
+            iu = int(rng.integers(widths[a]))
+            edges.add((firsts[a] + iu, firsts[a + 1] + iv))
+            taken.append(iu * w_v + iv)
+        rows[0].append((a, firsts[a + 1], widths[a] * w_v, sorted(taken)))
+        if config.skip_layer_prob > 0.0 and a + 2 < config.depth:
+            rows[1].append((a, firsts[a + 2], widths[a] * (firsts[-1] - firsts[a + 2]), []))
+    adjacent, skipping = (_VirtualPool(r, firsts) for r in rows)
 
     for _ in range(config.edge_count - len(edges)):
         want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
@@ -145,52 +137,57 @@ def random_layered_dag(config: GeneratorConfig) -> StructuredDag:
     return StructuredDag(firsts[-1] - 1, frozenset(edges), frozenset(range(1, firsts[1])))
 
 
-# One layer pair's candidates: first u, first v, pair count, width of v's
-# layer, and the ascending positions ``iu * w_v + iv`` no longer in the pool.
-_Block = tuple[int, int, int, int, list[int]]
+# One source layer's candidates: its index a, the first target id, the pair
+# count, and the ascending positions no longer in the pool.  Targets run from
+# that id to the end of layer a + 1 (adjacent) or of the graph (skipping), and
+# a pair's position is ``w_a * (first id of v's layer - first target id) +
+# iu * w_v + iv``: layer pair by layer pair, u-major inside one.
+_Row = tuple[int, int, int, list[int]]
 
 
 class _VirtualPool:
-    """The remaining pairs of a run of blocks, numbered as if listed block by
-    block and u-major inside a block, without listing them.
+    """The remaining pairs of a run of rows, one per source layer, numbered
+    as if listed row by row, without listing them.
 
-    A Fenwick tree over the blocks' remaining counts finds the block that
-    holds the i-th remaining pair.  Inside it, the i-th remaining position p
-    is the least fixpoint of ``p = i + #(removed <= p)``, reached by
-    bisecting the removed list from ``p = i``.  So ``pop(i)`` returns what
-    ``list.pop(i)`` on the listed pool would.
+    A Fenwick tree over the rows' remaining counts finds the row that holds
+    the i-th remaining pair.  Inside it, the i-th remaining position p is the
+    least fixpoint of ``p = i + #(removed <= p)``, reached by bisecting the
+    removed list from ``p = i``.  So ``pop(i)`` returns what ``list.pop(i)``
+    on the listed pool would.
     """
 
-    def __init__(self, blocks: list[_Block]):
-        self.blocks = blocks
-        self.tree = tree = [0] + [count - len(removed) for _, _, count, _, removed in blocks]
+    def __init__(self, rows: list[_Row], firsts: list[int]):
+        self.rows, self.firsts = rows, firsts
+        self.tree = tree = [0] + [count - len(removed) for _, _, count, removed in rows]
         self.size = sum(tree)
         for i in range(1, len(tree)):
             up = i + (i & -i)
             if up < len(tree):
                 tree[up] += tree[i]
-        self.top = 1 << len(blocks).bit_length() >> 1  # highest power of 2 <= len(blocks)
+        self.top = 1 << len(rows).bit_length() >> 1  # highest power of 2 <= len(rows)
 
     def __len__(self) -> int:
         return self.size
 
     def pop(self, i: int) -> tuple[int, int]:
-        tree, end = self.tree, len(self.tree)
-        block, step = 0, self.top
+        tree, end, firsts = self.tree, len(self.tree), self.firsts
+        row, step = 0, self.top
         while step:
-            if block + step < end and tree[block + step] <= i:
-                block += step
-                i -= tree[block]
+            if row + step < end and tree[row + step] <= i:
+                row += step
+                i -= tree[row]
             step >>= 1
-        first_u, first_v, _, w_v, removed = self.blocks[block]
+        a, lo, _, removed = self.rows[row]
         p = i + bisect_right(removed, i)
         while (q := i + bisect_right(removed, p)) != p:
             p = q
         insort(removed, p)
         self.size -= 1
-        block += 1
-        while block < end:
-            tree[block] -= 1
-            block += block & -block
-        iu, iv = divmod(p, w_v)
-        return first_u + iu, first_v + iv
+        row += 1
+        while row < end:
+            tree[row] -= 1
+            row += row & -row
+        w_u = firsts[a + 1] - firsts[a]
+        b = bisect_right(firsts, lo + p // w_u) - 1
+        iu, iv = divmod(p - w_u * (firsts[b] - lo), firsts[b + 1] - firsts[b])
+        return firsts[a] + iu, firsts[b] + iv

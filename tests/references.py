@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -817,9 +818,10 @@ def per_draw_numeric_fixed_nodes(
 # -- the generator with its candidate pools listed
 
 
-def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
-    """``random_layered_dag`` with both pools listed and drawn by
-    ``list.pop``: the stream every generated graph is pinned to."""
+def listed_pools(config: GeneratorConfig) -> tuple[np.random.Generator, set, list, list]:
+    """The config's random stream after the backbone, the backbone edges, and
+    the adjacent and skipping pools: ``(u, v)`` pairs listed layer pair by
+    layer pair, u-major inside a pair, the backbone left out."""
     rng = np.random.default_rng(config.seed)
     layers: list[list[int]] = []
     nxt = 1
@@ -835,12 +837,19 @@ def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
 
     adjacent: list[tuple[int, int]] = []
     skipping: list[tuple[int, int]] = []
-    for a, b in config._layer_pairs():
-        pool = adjacent if b == a + 1 else skipping
-        pool.extend(
-            (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
-        )
+    for a, b in combinations(range(config.depth), 2):
+        if b == a + 1 or config.skip_layer_prob > 0.0:
+            pool = adjacent if b == a + 1 else skipping
+            pool.extend(
+                (u, v) for u in layers[a] for v in layers[b] if (u, v) not in edges
+            )
+    return rng, edges, adjacent, skipping
 
+
+def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
+    """``random_layered_dag`` with both pools listed and drawn by
+    ``list.pop``: the stream every generated graph is pinned to."""
+    rng, edges, adjacent, skipping = listed_pools(config)
     for _ in range(config.edge_count - len(edges)):
         want_skip = bool(skipping) and rng.random() < config.skip_layer_prob
         pool = skipping if want_skip else adjacent
@@ -849,4 +858,4 @@ def pooled_layered_dag(config: GeneratorConfig) -> StructuredDag:
         edge = pool.pop(int(rng.integers(len(pool))))
         edges.add(edge)
 
-    return StructuredDag.of(nxt - 1, edges, layers[0])
+    return StructuredDag.of(config.node_count, edges, range(1, config.leader_count + 1))

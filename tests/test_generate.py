@@ -18,7 +18,7 @@ from fixednodes import (
 )
 from fixednodes.cli import main
 from fixednodes.stems import FlowNetwork
-from references import pooled_layered_dag
+from references import listed_pools, pooled_layered_dag
 
 
 def test_identical_seeds_identical_graphs():
@@ -178,24 +178,36 @@ def test_virtual_pools_draw_the_listed_pools_graphs():
     configs = [random_config(rng) for _ in range(1500)]
     for config in configs:
         assert graph_to_json(random_layered_dag(config)) == graph_to_json(pooled_layered_dag(config))
+        _, backbone, adjacent, skipping = listed_pools(config)
+        assert config._max_edges() == len(backbone) + len(adjacent) + len(skipping)
     drained = [c for c in configs if c.edge_count == c._max_edges()]
     assert sum(c.skip_layer_prob > 0.0 and c.depth > 2 for c in drained) >= 100
     assert sum(1 in c.widths[1:] for c in configs) >= 500
 
 
-@pytest.mark.parametrize("density", [dict(edge_count=3000 + 50)])
-def test_no_candidate_pool_is_listed(density):
-    """About 2.25M candidate pairs, 3000 backbone edges and few extras: a
-    listed pool holds every pair as a tuple (hundreds of MB), the virtual
-    one only the positions it left out."""
-    config = GeneratorConfig(3, (2, 1500, 1500), 2, seed=3, skip_layer_prob=0.3, **density)
+@pytest.mark.parametrize(
+    "config, mib",
+    [
+        (GeneratorConfig(3, (2, 1500, 1500), 2, seed=3, edge_count=3050, skip_layer_prob=0.3), 20),
+        (GeneratorConfig(1000, (1,) * 1000, 1, seed=3, edge_count=999, skip_layer_prob=0.5), 4),
+    ],
+    ids=["density0", "path1000-skip"],
+)
+def test_no_candidate_pool_is_listed(config, mib):
+    """The wide graph has about 2.25M candidate pairs, 3000 backbone edges
+    and few extras: a listed pool holds every pair as a tuple (hundreds of
+    MB), the virtual one only the positions it left out.  The 1000-layer path
+    draws no extra edge but has 498,501 skipping layer pairs, which set-up
+    must not visit one by one."""
+    import numpy  # noqa: F401  # the generator's first call imports it; keep that untraced
+
     tracemalloc.start()
     try:
         random_layered_dag(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < mib * 2**20
 
 
 _SCALE = {
