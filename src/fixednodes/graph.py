@@ -300,7 +300,9 @@ def graph_from_json(text: str) -> StructuredDag:
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except InvalidGraphError:
+        raise  # a repeated key, refused with its own message
+    except ValueError as exc:  # a decode error, or an integer past the interpreter's digit limit
         raise InvalidGraphError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidGraphError("graph JSON is nested too deeply") from None

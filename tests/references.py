@@ -445,16 +445,14 @@ def arcs_one_at_a_time(
 
 
 def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
-    """``FlowNetwork.solve_min_cost`` by successive shortest paths, one search
-    per unit: the solver the primal-dual phases replaced, kept to check them.
+    """``FlowNetwork.solve_min_cost`` by successive shortest paths (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 9), one search per unit: the
+    solver the primal-dual phases replaced, kept to check them.
 
-    Potentials come from one topological pass.  Each search is
-    :func:`zero_phase_dijkstra`, and the potentials move only after one that
-    left some node at a positive distance; ``tight`` then lists the arcs of
-    reduced cost 0 again.  ``reach`` counts the nodes the last search
-    reached, which no later one exceeds: an augmentation only reverses arcs
-    between them.  Augmenting-path ties resolve toward lower external ids.
-    Each unit goes along the arcs its search recorded, by :func:`push_unit`."""
+    Potentials come from one topological pass.  Each unit runs one
+    :func:`heap_dijkstra` from the source, moves the potentials by its
+    distances and goes along the arcs that search recorded, by
+    :func:`push_unit`."""
     potential = [_INF] * net.size
     potential[net.source] = 0
     for u in range(net.size):
@@ -463,16 +461,11 @@ def ssp_solve_min_cost(net: FlowNetwork, value: int) -> None:
                 if net._cap[arc] > 0:
                     v = net._head[arc]
                     potential[v] = min(potential[v], potential[u] + net._cost[arc])
-    reach = net.size - potential.count(_INF)
-    tight = tight_arcs(net, potential)
     for _ in range(value):
-        dist, parent = zero_phase_dijkstra(net, potential, tight, reach)
+        dist, parent = heap_dijkstra(net, potential, net.source)
         if dist[net.sink] == _INF:
             raise InvalidGraphError("flow value infeasible; leaders cannot reach the sink")
-        reach = net.size - dist.count(_INF)
-        if dist.count(0) < reach:  # some node was left at a positive distance
-            potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
-            tight = tight_arcs(net, potential)
+        potential = [p + d if d < _INF else p for p, d in zip(potential, dist)]
         push_unit(net, parent)
     net._potential = potential
 
@@ -488,48 +481,6 @@ def push_unit(net: FlowNetwork, parent: list[int]) -> None:
         v = net._head[arc ^ 1]
 
 
-def zero_phase_dijkstra(
-    net: FlowNetwork, potential: list[float], tight: list[list[int]], reach: int
-) -> tuple[list[float], list[int]]:
-    """Reduced-cost residual distances from the source, and the arc that last
-    improved each node's distance, settled in ascending ``(distance, id)``
-    order as one heap of such pairs would settle them.
-
-    A zero phase comes first: it follows only the ``tight`` residual arcs and
-    pops the least id found and not yet popped, scanning split indices
-    upward, with a small heap for the nodes found below the scan position.
-    When it reaches ``reach`` nodes every distance is 0; otherwise
-    :func:`heap_settle` completes the search from the nodes it popped, in
-    their order."""
-    dist = [_INF] * net.size
-    parent = [-1] * net.size
-    dist[net.source] = 0
-    zero = []  # the nodes at distance 0, in pop order
-    below: list[int] = []  # heap of the nodes found below ``scan`` and not yet popped
-    scan = 0  # every node found at or above it is yet to be popped
-    while True:
-        if below:
-            u = heapq.heappop(below)
-        else:
-            try:
-                u = dist.index(0, scan)
-            except ValueError:
-                break
-            scan = u + 1
-        zero.append(u)
-        for arc in tight[u]:
-            if net._cap[arc]:
-                v = net._head[arc]
-                if dist[v]:
-                    dist[v] = 0
-                    parent[v] = arc
-                    if v < scan:
-                        heapq.heappush(below, v)
-    if len(zero) < reach:
-        heap_settle(net, potential, dist, parent, zero)
-    return dist, parent
-
-
 def ssp_flow(dag: StructuredDag) -> FlowNetwork:
     """The dimension flow of ``dag`` solved by :func:`ssp_solve_min_cost`."""
     net = FlowNetwork(dag)
@@ -540,34 +491,22 @@ def ssp_flow(dag: StructuredDag) -> FlowNetwork:
 def heap_dijkstra(
     net: FlowNetwork, potential: list[float], start: int, backward: bool = False
 ) -> tuple[list[float], list[int]]:
-    """:func:`zero_phase_dijkstra` from the source, or, when ``backward``,
-    the distances to the sink that ``FlowNetwork.in_copy_distances_to_sink``
-    reads, with one heap of ``(distance, node)`` pairs."""
+    """Reduced-cost residual distances from ``start``, and the arc that last
+    improved each node's distance, with one heap of ``(distance, node)``
+    pairs; ``parent`` changes only on a strict improvement.  When
+    ``backward``, the distances to ``start`` that
+    ``FlowNetwork.in_copy_distances_to_sink`` reads from the sink: the
+    search follows arc ``a ^ 1`` into ``u`` from ``head[a]``.  Every node
+    without a potential is skipped."""
+    flip, sign = (1, -1) if backward else (0, 1)
     dist = [_INF] * net.size
     parent = [-1] * net.size
-    dist[start] = 0.0
-    heap_settle(net, potential, dist, parent, [start], backward)
-    return dist, parent
-
-
-def heap_settle(
-    net: FlowNetwork,
-    potential: list[float],
-    dist: list[float],
-    parent: list[int],
-    settled: list[int],
-    backward: bool = False,
-) -> None:
-    """Finish a search whose nodes at distance 0 are ``settled``, in the
-    order one heap of ``(distance, node)`` pairs pops them: their arcs are
-    relaxed in that order, then the heap settles the rest.  ``parent``
-    changes only on a strict improvement.  A backward search follows arc
-    ``a ^ 1`` into ``u`` from ``head[a]``.  Every node without a potential
-    is skipped."""
-    flip, sign = (1, -1) if backward else (0, 1)
-    heap: list[tuple[float, int]] = []
-
-    def relax(u: int, d: float) -> None:
+    dist[start] = 0  # an int: the bucket pass indexes by potentials moved by these distances
+    heap = [(0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
         for arc in net._adj[u]:
             step = arc ^ flip
             if net._cap[step] <= 0:
@@ -580,28 +519,7 @@ def heap_settle(
                 dist[v] = nd
                 parent[v] = arc
                 heapq.heappush(heap, (nd, v))
-
-    for u in settled:
-        relax(u, dist[u])
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d <= dist[u]:
-            relax(u, d)
-
-
-def tight_arcs(net: FlowNetwork, potential: list[float]) -> list[list[int]]:
-    """Per node, the arcs of reduced cost 0 under ``potential``, with or
-    without residual capacity: the lists :func:`ssp_solve_min_cost` keeps
-    for its zero phase.  Arcs at a node without a potential have no reduced
-    cost and are left out."""
-    tight: list[list[int]] = [[] for _ in range(net.size)]
-    for u in range(net.size):
-        for arc in net._adj[u]:
-            v = net._head[arc]
-            if _INF not in (potential[u], potential[v]):
-                if net._cost[arc] + potential[u] - potential[v] == 0:
-                    tight[u].append(arc)
-    return tight
+    return dist, parent
 
 
 def residual_reaching_sink(net: FlowNetwork, targets: Iterable[int]) -> frozenset[int]:

@@ -282,19 +282,6 @@ class TestVerify:
         assert code == 3
         assert "inconclusive" in err
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    @pytest.mark.parametrize(
-        "command", [["verify"], ["fixed", "--method", "numeric"]], ids=["verify", "fixed-numeric"]
-    )
-    def test_bad_tolerance_exits_1(self, graph_file, capsys, command, tol):
-        """The threshold is fixed, so any ``--tol`` is a usage error: exit 1,
-        never a false exit 2 or an inconclusive exit 3."""
-        code, out, err = run(
-            capsys, *command, graph_file(goldens.SINGLE7.dag), "--tol", tol
-        )
-        assert (code, out) == (1, "")
-        assert "usage:" in err and "--tol" in err
-
 
 # Trial counts and seeds out of range, refused on every graph subcommand and method
 NUMERIC_FLAGS = {

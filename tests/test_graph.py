@@ -348,6 +348,10 @@ class TestGraphJson:
             '{"n": 2, "edges": [], "leaders": "1"}',
             # a repeated key used to be read with its last value winning
             '{"n": 3, "edges": [[1, 2]], "leaders": [1], "n": 2}',
+            # past the interpreter's digit limit, or else past the bound on n
+            pytest.param(
+                '{"n": ' + "9" * 5000 + ', "edges": [], "leaders": [1]}', id="5000-digit-n"
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, text):

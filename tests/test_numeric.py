@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import builtins
-import functools
 import io
 import os
 import random
 import threading
-import time
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,16 +43,6 @@ from references import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-# The variables the BLAS builds numpy may use read for their thread count.
-BLAS_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "GOTO_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 
 def pinned_dags() -> dict[str, StructuredDag]:
@@ -148,7 +137,7 @@ def rational_rank(vectors: list[list[int]]) -> int:
     return rank
 
 
-class TestSampleRealization:
+class TestDrawWeights:
     """Draw 0 of a seed's stream, as the route's kernel receives it."""
 
     def test_pattern_matches_edges_exactly(self, single7, draw_zero):
@@ -243,10 +232,10 @@ class TestControllabilityMatrix:
     def test_one_node_graph(self, draw_zero):
         assert draw_zero(StructuredDag.of(1, [], [1]), 0)[2] == 1
 
-    def test_rank_stable_across_tolerances(self, golden, draw_zero):
-        """No tolerance is left to tune: the kernel's rank of draw 2 over the
-        field is the exact rank over the rationals of the same integer
-        weights, and the generic dimension."""
+    def test_rank_is_the_rational_rank(self, golden, draw_zero):
+        """The kernel's rank of draw 2 over the field is the exact rank over
+        the rationals of the same integer weights, and the generic
+        dimension."""
         a, b, rank = draw_zero(golden.dag, 2)
         assert rank == rational_rank(full_stack(a, b)) == golden.generic_dim
 
@@ -353,7 +342,7 @@ class TestNumericFixedNodes:
             assert peaks[1] < 2 * peaks[0]
 
 
-class TestBatchedDraws:
+class TestDrawFold:
     """The route against ``references.per_draw_exact_fixed_nodes``, which
     ranks each draw of the same stream with the slow exact reference and
     folds the draws as the route does: the same fixed set from the same
@@ -370,7 +359,11 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("trials", [1, 2, 50])
     def test_pinned_graphs(self, trials, draws):
-        for dag in pinned_dags().values():
+        """The pinned graphs and two 200-node graphs of the benchmark's shape."""
+        dags = list(pinned_dags().values())
+        for skip, seed in ((0.0, 0), (0.3, 1)):
+            dags.append(randgraphs.shaped_dag(10, 20, 10, skip, seed, 400))
+        for dag in dags:
             for expected_dim in (None, generic_dimension(dag)[0]):
                 self.assert_same_as_per_draw(dag, trials, expected_dim, draws)
 
@@ -384,15 +377,17 @@ class TestBatchedDraws:
                 self.assert_same_as_per_draw(dag, trials, dim, draws)
 
     @pytest.mark.parametrize(
-        "deficient, drawn",
-        [({0, 1, 2, 3, 4}, 7), ({0, 2}, 4)],
-        ids=["first-batch-and-first-retry", "around-a-full-rank-draw"],
+        "name, deficient, drawn",
+        [("single7", {0, 1, 2, 3, 4}, 7), ("single7", {0, 2}, 4), ("skip200", {0, 1, 2, 3, 4}, 7)],
+        ids=["first-four-and-first-retry", "around-a-full-rank-draw", "skip200-first-five"],
     )
-    def test_rank_deficient_draws(self, single7, draws, monkeypatch, deficient, drawn):
-        """Draws with ``A = 0`` reach rank 1 of 5 and are left out of the
-        fold: with 4 trials, the first four draws and the first retry, or
-        draws 0 and 2 around full-rank ones, and the route draws until two
-        reach rank 5."""
+    def test_rank_deficient_draws(self, draws, monkeypatch, name, deficient, drawn):
+        """Draws with ``A = 0`` reach only the leaders' rank and are left out
+        of the fold: with 4 trials, the first four draws and the first retry,
+        or draws 0 and 2 around full-rank ones, and the route draws until two
+        reach the dimension and fixes the oracle's set."""
+        dag = pinned_dags()[name]
+        dim = generic_dimension(dag)[0]
         recorded = fixednodes.numeric._draw_weights
 
         def sample(rng, count):
@@ -400,13 +395,12 @@ class TestBatchedDraws:
             return 0 * weights if draws[-1] in deficient else weights
 
         monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
-        self.assert_same_as_per_draw(single7.dag, 4, single7.generic_dim, draws)
-        assert numeric_fixed_nodes(single7.dag, 4, seed=3, expected_dim=5) == single7.fixed
+        self.assert_same_as_per_draw(dag, 4, dim, draws)
+        fixed = numeric_fixed_nodes(dag, 4, seed=3, expected_dim=dim)
+        assert fixed == fixed_nodes_oracle(dag).fixed_nodes
         assert len(draws) == drawn
 
-    def test_each_draw_ranked_against_its_own_largest_singular_value(
-        self, single7, draws, monkeypatch
-    ):
+    def test_a_scaled_draw_keeps_its_span(self, single7, draws, monkeypatch):
         """Scaling a draw's ``A`` by 100 scales each block ``A^k B`` by
         ``100^k``, so its span and verdicts stay those of the unscaled draw:
         over the field no draw's magnitude sets a cut for another."""
@@ -455,7 +449,7 @@ class TestBatchedDraws:
             per_draw_exact_fixed_nodes(single7.dag, trials=4, seed=3, expected_dim=6)
         assert draws == list(range(12))
 
-    def test_batch_shapes(self, draws):
+    def test_two_top_rank_draws_end_a_call(self, draws):
         """Each draw is spanned on its own, and a call stops once two draws
         reach its top rank and the dimension: two draws on skip200 with 20
         trials, on crit6 and on small graphs with 50, one with one trial."""
@@ -471,321 +465,67 @@ class TestBatchedDraws:
             assert draws == [0]
 
 
-def layered_shape(
-    depth: int, width: int, leaders: int, seed: int, edges: int, skip: float = 0.0
-) -> StructuredDag:
-    """A generated graph of ``depth * width`` nodes, as the bench builds them."""
-    config = GeneratorConfig(
-        depth=depth,
-        widths=spread_widths(depth, width, leaders),
-        leader_count=leaders,
-        seed=seed,
-        edge_count=edges,
-        skip_layer_prob=skip,
-    )
-    return random_layered_dag(config)
+class TestSameOnEveryMachine:
+    """The route spans its draws one after another on the calling thread and
+    reads nothing of the machine, so every machine makes the same draws and
+    gets the same fixed set."""
 
-
-def bench_n200(seed: int, skip: float) -> StructuredDag:
-    """The all-n200 bench shape: depth 10, width 20, 10 leaders, 400 edges."""
-    return layered_shape(10, 20, 10, seed, 400, skip)
-
-
-def bench_n1000(seed: int) -> list[StructuredDag]:
-    """The four graphs of the bench's layered-n1000 workload at ``seed``:
-    deep (depth 100, width 10, 4 leaders) and wide (depth 20, width 50, 25
-    leaders), each at skip 0 and 0.3, with 3,000 edges."""
-    rng = random.Random(f"layered-n1000/{seed}")
-    return [
-        layered_shape(depth, width, leaders, rng.randrange(2**32), 3000, skip)
-        for depth, width, leaders in ((100, 10, 4), (20, 50, 25))
-        for skip in (0.0, 0.3)
-    ]
-
-
-def report_cpus(monkeypatch, cpus: int) -> None:
-    """Make the process report ``cpus`` usable CPUs to whoever asks."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def kernel_threads(monkeypatch) -> list[str]:
-    """The names of the threads the per-draw kernel runs on from now on,
-    one per draw."""
-    names = []
-    draw = fixednodes.numeric._draw
-
-    def recorded(*args):
-        names.append(threading.current_thread().name)
-        return draw(*args)
-
-    monkeypatch.setattr(fixednodes.numeric, "_draw", recorded)
-    return names
-
-
-@pytest.mark.parametrize("cpus", [1, 4])
-class TestRounds:
-    """The route spans its draws one after another on the calling thread,
-    however many CPUs the process may use: with one or four reported, no
-    thread is started, and the fixed sets and draws are the reference's."""
-
-    def test_same_fixed_sets_and_draws_as_per_draw(self, cpus, draws, monkeypatch):
-        report_cpus(monkeypatch, cpus)
-        names = kernel_threads(monkeypatch)
-        before = threading.active_count()
-        dags = pinned_dags()
-        dags.update(n200=bench_n200(0, 0.0), n200_skip=bench_n200(1, 0.3))
-        for dag in dags.values():
-            for trials in (7, 20):
-                for expected_dim in (None, generic_dimension(dag)[0]):
-                    TestBatchedDraws.assert_same_as_per_draw(dag, trials, expected_dim, draws)
-        assert set(names) == {threading.main_thread().name}
-        assert threading.active_count() == before
-
-    def test_retries_one_draw_at_a_time(self, cpus, draws, monkeypatch):
-        """Draws 0 to 4 of skip200 with ``A = 0`` reach only the leaders'
-        rank, so the retries go on until draws 5 and 6, the first two of
-        full rank."""
-        report_cpus(monkeypatch, cpus)
+    def test_reads_nothing_of_the_machine(self, draws, monkeypatch):
+        """skip200 with 8 trials, then again with every way to ask for CPUs,
+        files, the BLAS build or a thread patched to raise, and ``os.environ``
+        swapped for a mapping that records the keys read."""
         dag = pinned_dags()["skip200"]
-        dim = generic_dimension(dag)[0]
-        recorded = fixednodes.numeric._draw_weights
+        fixed = numeric_fixed_nodes(dag, trials=8, seed=3)
+        draws.clear()
 
-        def sample(rng, count):
-            weights = recorded(rng, count)
-            return 0 * weights if draws[-1] < 5 else weights
+        def refused(*args, **kwargs):
+            raise AssertionError("the route asked the machine")
 
-        monkeypatch.setattr(fixednodes.numeric, "_draw_weights", sample)
-        TestBatchedDraws.assert_same_as_per_draw(dag, 4, dim, draws)
-        fixed = numeric_fixed_nodes(dag, 4, seed=3, expected_dim=dim)
-        assert fixed == fixed_nodes_oracle(dag).fixed_nodes
-        assert draws == list(range(7))
+        class RecordingEnviron(Mapping):
+            def __init__(self, env):
+                self.env, self.read = dict(env), []
 
-    def test_an_error_reaches_the_caller_in_draw_order(self, cpus, monkeypatch):
-        """Every draw of skip200 from draw 1 on raises, draw 1 after a
-        pause: the caller gets draw 1's error, no later draw is made, and
-        no thread was started."""
-        report_cpus(monkeypatch, cpus)
-        dag = pinned_dags()["skip200"]
+            def __getitem__(self, key):
+                self.read.append(key)
+                return self.env[key]
+
+            def __iter__(self):
+                self.read.append("every key")
+                return iter(self.env)
+
+            def __len__(self):
+                return len(self.env)
+
+        environ = RecordingEnviron(os.environ)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "cpu_count", refused)
+            patch.setattr(os, "sched_getaffinity", refused, raising=False)
+            for module in (builtins, io, os):
+                patch.setattr(module, "open", refused)
+            patch.setattr(Path, "read_text", refused)
+            patch.setattr(Path, "open", refused)
+            patch.setattr(np, "show_config", refused)
+            patch.setattr(threading.Thread, "start", refused)
+            patch.setattr(os, "environ", environ)
+            again = numeric_fixed_nodes(dag, trials=8, seed=3)
+        assert (again, draws, environ.read) == (fixed, [0, 1], [])
+
+    def test_an_error_stops_the_draws(self, monkeypatch):
+        """A kernel that raises from draw 1 on: the caller gets draw 1's
+        error, and no later draw is made."""
         made = []
         draw = fixednodes.numeric._draw
 
         def failing(basis, pattern, weights):
             made.append(len(made))
-            if made[-1] == 1:
-                time.sleep(0.05)
             if made[-1] >= 1:
                 raise ArithmeticError(f"draw {made[-1]}")
             return draw(basis, pattern, weights)
 
         monkeypatch.setattr(fixednodes.numeric, "_draw", failing)
-        before = threading.active_count()
         with pytest.raises(ArithmeticError, match="^draw 1$"):
-            numeric_fixed_nodes(dag, trials=20, seed=0)
-        assert threading.active_count() == before
-        assert made == [0, 1]
-
-
-def opened_files(monkeypatch) -> list[str]:
-    """The files opened from now on through ``open``, ``io.open`` (which
-    ``Path`` methods call) or ``os.open``, by path."""
-    opened = []
-    for module in (builtins, io, os):
-        def recorded(path, *args, original=module.open, **kwargs):
-            opened.append(str(path))
-            return original(path, *args, **kwargs)
-
-        monkeypatch.setattr(module, "open", recorded)
-    return opened
-
-
-@functools.cache
-def skip200() -> StructuredDag:
-    """The pinned n = 200 skip graph, read once, before any test patches
-    file reads."""
-    return pinned_dags()["skip200"]
-
-
-class TestWorkerCount:
-    """The route is the same on every machine: whatever CPUs, cgroup CPU
-    quota, BLAS build and BLAS thread variables the process sees, it spans
-    every draw on the calling thread, opens no file, asks numpy nothing of
-    its BLAS, and gives the same draws and fixed set.  The cases are the
-    settings from which an earlier float route sized its thread rounds."""
-
-    @pytest.fixture
-    def clean_env(self, monkeypatch):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        return monkeypatch
-
-    @staticmethod
-    def outcome(monkeypatch) -> tuple[frozenset[int], list[int], set[str], list[str]]:
-        """skip200's fixed set with 8 trials, the draws it took, the
-        threads the kernel ran on and the files opened."""
-        dag = skip200()
-        with monkeypatch.context() as patch:
-            names = kernel_threads(patch)
-            indices = []
-            recorded = fixednodes.numeric._draw_weights
-
-            def sample(rng, count):
-                indices.append(len(indices))
-                return recorded(rng, count)
-
-            patch.setattr(fixednodes.numeric, "_draw_weights", sample)
-            opened = opened_files(patch)
-            fixed = numeric_fixed_nodes(dag, trials=8, seed=3)
-        return fixed, indices, set(names), opened
-
-    @pytest.fixture
-    def expected(self, monkeypatch):
-        """The outcome with no BLAS thread variable set and the real CPUs."""
-        with monkeypatch.context() as patch:
-            for var in BLAS_THREAD_VARS:
-                patch.delenv(var, raising=False)
-            fixed, indices, names, opened = self.outcome(patch)
-        assert (indices, names, opened) == ([0, 1], {threading.main_thread().name}, [])
-        return fixed, indices, names, opened
-
-    @pytest.mark.parametrize(
-        "blas, env, workers",
-        [
-            ("scipy-openblas", {}, 1),
-            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 8),
-            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "2"}, 4),
-            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "3"}, 2),
-            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "16"}, 1),
-            ("openblas", {"OMP_NUM_THREADS": "1"}, 8),
-            ("openblas", {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "one"}, 1),
-            ("openblas", {"MKL_NUM_THREADS": "1"}, 1),
-            ("mkl", {"MKL_NUM_THREADS": "1"}, 8),
-            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, 1),
-            ("blis", {"BLIS_NUM_THREADS": "2"}, 4),
-            ("accelerate", {"VECLIB_MAXIMUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 8),
-            ("scipy-openblas openblas 0.3.27 use_openmp haswell", {"OPENBLAS_NUM_THREADS": "1"}, 1),
-            ("scipy-openblas openblas 0.3.27 use_openmp haswell", {"OMP_NUM_THREADS": "2"}, 4),
-            ("", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1),
-            ("netlib", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1),
-        ],
-    )
-    def test_workers_from_the_blas_threads(self, clean_env, expected, blas, env, workers):
-        """numpy reports the BLAS ``blas``, the thread variables are ``env``
-        and the process has ``workers`` usable CPUs."""
-        asked = []
-        clean_env.setattr(np, "show_config", lambda *args, **kwargs: asked.append(blas))
-        for var, value in env.items():
-            clean_env.setenv(var, value)
-        report_cpus(clean_env, workers)
-        assert self.outcome(clean_env) == expected
-        assert asked == []
-
-    def test_default_blas_starts_no_thread(self, clean_env, expected):
-        """No thread variable set and four usable CPUs."""
-        report_cpus(clean_env, 4)
-        before = threading.active_count()
-        assert self.outcome(clean_env) == expected
-        assert threading.active_count() == before
-
-    def test_round_entries_cap_the_workers(self, draws, monkeypatch):
-        """One draw at a time, however large the graph: a kernel that raises
-        on skip200 stops the call at draw 0, before any other draw."""
-
-        def failing(basis, pattern, weights):
-            raise ArithmeticError("spanned")
-
-        monkeypatch.setattr(fixednodes.numeric, "_draw", failing)
-        with pytest.raises(ArithmeticError):
             numeric_fixed_nodes(pinned_dags()["skip200"], trials=20, seed=0)
-        assert draws == [0]
-
-    def test_one_batch_looks_up_no_worker_count(self, single7, monkeypatch):
-        """The route never asks how many CPUs there are."""
-
-        def unexpected(*args):
-            raise AssertionError("CPUs looked up")
-
-        monkeypatch.setattr(os, "cpu_count", unexpected)
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", unexpected)
-        assert numeric_fixed_nodes(single7.dag, trials=50, seed=0) == single7.fixed
-
-    def test_threads_follow_the_usable_cpus(self, monkeypatch, expected):
-        """The process's own CPUs and environment, unpatched (under
-        ``taskset -c 0`` too)."""
-        assert self.outcome(monkeypatch)[2:] == expected[2:]
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
-    def test_usable_cpus_within_the_affinity_mask(self, monkeypatch, expected):
-        """An affinity mask of one CPU and one of the mask's own CPUs give
-        the same outcome."""
-        for cpus in (1, len(os.sched_getaffinity(0))):
-            with monkeypatch.context() as patch:
-                report_cpus(patch, cpus)
-                assert self.outcome(patch) == expected
-
-    @pytest.mark.parametrize(
-        "membership, files, cpus",
-        [
-            ("0::/box\n", {"box/cpu.max": "150000 100000\n"}, 2),
-            ("0::/box\n", {"box/cpu.max": "100000 100000\n"}, 1),
-            ("0::/box\n", {"box/cpu.max": "20000 100000\n"}, 1),
-            ("0::/box\n", {"box/cpu.max": "max 100000\n"}, None),
-            # a container sees its own cgroup at the hierarchy's root
-            ("0::/elsewhere\n", {"cpu.max": "300000 100000\n"}, 3),
-            ("0::/\n", {}, None),
-            (
-                "5:memory:/box\n4:cpu,cpuacct:/box\n",
-                {"cpu/box/cpu.cfs_quota_us": "250000\n", "cpu/box/cpu.cfs_period_us": "100000\n"},
-                3,
-            ),
-            (
-                "4:cpu,cpuacct:/box\n",
-                {"cpu/box/cpu.cfs_quota_us": "-1\n", "cpu/box/cpu.cfs_period_us": "100000\n"},
-                None,
-            ),
-            ("0::/box\n", {"box/cpu.max": "garbled\n"}, None),
-            ("0::/box\n", {"box/cpu.max": "100000 0\n"}, None),
-        ],
-    )
-    def test_cgroup_quota(self, monkeypatch, expected, membership, files, cpus):
-        """``Path.read_text`` serves ``membership`` as the process's cgroup
-        and ``files`` under the cgroup hierarchy, a quota worth ``cpus``
-        CPUs (none where None); the route reads none of it."""
-        served = {"/proc/self/cgroup": membership}
-        served.update({f"/sys/fs/cgroup/{name}": text for name, text in files.items()})
-        read = []
-
-        def read_text(path, *args, **kwargs):
-            read.append(str(path))
-            if str(path) in served:
-                return served[str(path)]
-            raise FileNotFoundError(path)
-
-        monkeypatch.setattr(Path, "read_text", read_text)
-        if cpus is not None:
-            report_cpus(monkeypatch, cpus)
-        assert self.outcome(monkeypatch) == expected
-        assert read == []
-
-    def test_cgroup_quota_read_once_per_process(self, monkeypatch, expected):
-        """No file is opened at the first call of a process, nor at the next."""
-        assert self.outcome(monkeypatch) == expected
-        assert self.outcome(monkeypatch) == expected
-
-    def test_no_cgroup_file(self, monkeypatch, expected):
-        """With no file readable at all, the outcome is the same."""
-
-        def unreadable(path, *args, **kwargs):
-            raise FileNotFoundError(path)
-
-        monkeypatch.setattr(Path, "read_text", unreadable)
-        monkeypatch.setattr(Path, "open", unreadable)
-        assert self.outcome(monkeypatch) == expected
+        assert made == [0, 1]
 
 
 class TestOneStream:
@@ -879,19 +619,19 @@ class TestOneStream:
     def test_agrees_with_the_oracle_on_the_n200_bench_shape(self, skip):
         """The shape of the all-n200 bench workload, 20 trials."""
         for seed in range(5):
-            dag = bench_n200(seed, skip)
+            dag = randgraphs.shaped_dag(10, 20, 10, skip, seed, 400)
             assert (dag.node_count, len(dag.edges)) == (200, 400)
             dim, _ = generic_dimension(dag)
             oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert numeric_fixed_nodes(dag, trials=20, seed=seed, expected_dim=dim) == oracle
 
 
-class TestLayerKernel:
-    """The graphs a float route once ranked layer by layer, and the patterns
-    it ranked as one whole stack, all taken by the one exact kernel: draw by
-    draw against ``references.exact_draw``, the same rank and fixed set from
-    the same weights.  Besides draws of the stream, each graph gets draws
-    that are often not generic: weights in {0, 1, 2}, all ones and ``A = 0``."""
+class TestKernelDraws:
+    """The route's kernel draw by draw against ``references.exact_draw``, on
+    adjacent-layer graphs and on every other pattern: the same rank and
+    fixed set from the same weights.  Besides draws of the stream, each
+    graph gets draws that are often not generic: weights in {0, 1, 2}, all
+    ones and ``A = 0``."""
 
     @staticmethod
     def weight_rows(dag: StructuredDag, count: int, rng: random.Random) -> list[np.ndarray]:
@@ -934,7 +674,8 @@ class TestLayerKernel:
         """Each shape at skip 0, and the n = 200 and 240 ones at skip 0.3 too."""
         rng = random.Random(depth + width)
         for skip in (0.0, 0.3) if depth * width < 1000 else (0.0,):
-            dag = layered_shape(depth, width, leaders, depth + width, 3 * depth * width, skip)
+            edges = 3 * depth * width
+            dag = randgraphs.shaped_dag(depth, width, leaders, skip, depth + width, edges)
             assert 200 <= dag.node_count <= 1000
             self.assert_same_as_exact(dag, self.weight_rows(dag, trials, rng)[:trials])
 
@@ -953,7 +694,7 @@ class TestLayerKernel:
         rng = random.Random(200)
         for seed in range(5):
             for skip in (0.0, 0.3):
-                dag = bench_n200(seed, skip)
+                dag = randgraphs.shaped_dag(10, 20, 10, skip, seed, 400)
                 self.assert_same_as_exact(dag, self.weight_rows(dag, 1, rng)[:1])
 
     def test_layer_blocks_are_the_nonzero_blocks_of_the_full_stack(self, monkeypatch):
@@ -973,7 +714,10 @@ class TestLayerKernel:
         rng = random.Random(0xB10C)
         dags = [pinned_dags()[name] for name in ("single7", "pair10", "pair13", "crit6")]
         dags += [randgraphs.random_dag(rng, max_nodes=20, max_leaders=4) for _ in range(100)]
-        dags += [bench_n200(0, 0.0), layered_shape(30, 8, 4, 38, 720)]
+        dags += [
+            randgraphs.shaped_dag(10, 20, 10, 0.0, 0, 400),
+            randgraphs.shaped_dag(30, 8, 4, 0.0, 38, 720),
+        ]
         for dag in dags:
             layers = dag.source_layers
             assert sorted(dag.leaders) == list(layers[0]) == list(range(1, len(layers[0]) + 1))
@@ -1016,7 +760,7 @@ class TestExactKernel:
         """The four graphs of the bench's layered-n1000 workload at seed 1,
         each in about 0.05-0.5 s on a 2-vCPU host; the two deep ones once
         exited 3, no float draw reaching their rank."""
-        for dag in bench_n1000(1):
+        for dag in randgraphs.layered_n1000_graphs(1):
             dim = generic_dimension(dag)[0]
             oracle = fixed_nodes_oracle(dag).fixed_nodes
             assert numeric_fixed_nodes(dag, trials=20, seed=0, expected_dim=dim) == oracle
@@ -1031,7 +775,7 @@ class TestExactKernel:
         """On every layered-n1000 shape, two draws keep the traced peak
         below two ``n x n`` int64 matrices: the basis is one, and a round's
         copies of its rows stay within the other."""
-        for dag in bench_n1000(1):
+        for dag in randgraphs.layered_n1000_graphs(1):
             n = dag.node_count
             tracemalloc.start()
             try:

@@ -12,7 +12,6 @@ import pytest
 
 import fixednodes.stems
 import goldens
-import references
 from fixednodes import (
     GeneratorConfig,
     InvalidGraphError,
@@ -44,7 +43,6 @@ from references import (
     residual_reaching_sink,
     ssp_flow,
     ssp_solve_min_cost,
-    tight_arcs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -402,25 +400,18 @@ class TestEssentialityBeyondEnumeration:
 
 
 class TestFlowKernels:
-    """The searches of both dimension solvers, the bucket pass the oracle
-    runs from the sink on the mirrored residual, the seeded early-stopping
+    """The bucket passes of the primal-dual phases from the source and of the
+    oracle from the sink on the mirrored residual, the seeded early-stopping
     reverse search and the layer-local matched read against the plain
-    kernels in ``references``, on every call the oracle and the layered
-    sweep make and on every search of ``references.ssp_solve_min_cost``."""
+    kernels in ``references``, on every call the dimension solve, the oracle
+    and the layered sweep make."""
 
     @staticmethod
     def assert_kernels_match(dags, monkeypatch):
-        forward = references.zero_phase_dijkstra
         bucket_pass = FlowNetwork._bucket_pass
         reaching = FlowNetwork.targets_reaching_sink
         open_layer = FlowNetwork.open_layer
-        calls = {"forward": 0, "backward": 0, "reaching": 0}
-
-        def checked_forward(net, potential, tight, reach):
-            got = forward(net, potential, tight, reach)
-            assert got == heap_dijkstra(net, potential, net.source)
-            calls["forward"] += 1
-            return got
+        calls = {"backward": 0, "reaching": 0}
 
         def checked_bucket_pass(net, potential, start, cap, cost):
             dist = bucket_pass(net, potential, start, cap, cost)
@@ -449,16 +440,13 @@ class TestFlowKernels:
                 got = net.targets_reaching_sink(targets, layer)
                 assert got == residual_reaching_sink(net, targets)
 
-        monkeypatch.setattr(references, "zero_phase_dijkstra", checked_forward)
         monkeypatch.setattr(FlowNetwork, "_bucket_pass", checked_bucket_pass)
         monkeypatch.setattr(FlowNetwork, "targets_reaching_sink", checked_reaching)
         monkeypatch.setattr(FlowNetwork, "open_layer", checked_open_layer)
         for dag in dags:
-            ssp_flow(dag)
             fixed_nodes_oracle(dag)
             fixed_nodes_layered(dag)
-        assert calls["forward"] >= len(dags) and calls["backward"] >= len(dags)
-        assert calls["reaching"] >= 2 * len(dags)
+        assert calls["backward"] >= len(dags) and calls["reaching"] >= 2 * len(dags)
 
     def test_pinned_graphs(self, monkeypatch):
         dags = [graph_from_json((DATA / f"{name}.graph.json").read_text()) for name in PINNED]
@@ -466,8 +454,15 @@ class TestFlowKernels:
 
     @pytest.mark.parametrize("skip_prob", [0.0, 0.3, 0.6])
     def test_random_dags(self, skip_prob, monkeypatch):
+        """350 small graphs at each skip; at skip 0.6, 100 more, and the
+        200-node graphs of the benchmark's shape at seeds 1 and 2, skip 0
+        and 0.3."""
         rng = random.Random(0xD1A1 + int(skip_prob * 10))
         dags = [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=skip_prob) for _ in range(350)]
+        if skip_prob == 0.6:
+            rng = random.Random(0x2E20)
+            dags += [shaped_dag(10, 20, 10, p, seed, 400) for p in (0.0, 0.3) for seed in (1, 2)]
+            dags += [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=0.6) for _ in range(100)]
         self.assert_kernels_match(dags, monkeypatch)
 
     @pytest.mark.parametrize(
@@ -634,90 +629,6 @@ class TestFlowKernels:
         monkeypatch.setattr(FlowNetwork, "open_layer", counted(FlowNetwork.open_layer))
         fixed_nodes_layered(dag)
         assert 0 < pops < 2 * dag.node_count + 2
-
-
-class TestZeroPhase:
-    """The searches of ``references.ssp_solve_min_cost``, the solver the
-    primal-dual phases replaced, start with a zero phase over the tight arcs
-    and finish on the heap only when that phase leaves some node the source
-    reaches unreached."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch) -> list[bool]:
-        """One entry per search of the reference solver: whether it finished
-        on the heap (``references.heap_settle``); the heap searches that
-        ``references.heap_dijkstra`` runs on its own are not counted.  Each
-        search is checked to read tight lists that hold exactly the arcs of
-        reduced cost 0 under the potentials it is given."""
-        forward = references.zero_phase_dijkstra
-        settle = references.heap_settle
-        log: list[bool] = []
-        inside: list[bool] = []  # holds an entry while a reference search runs
-
-        def checked(net, potential, tight, reach):
-            assert tight == tight_arcs(net, potential)
-            log.append(False)
-            inside.append(True)
-            try:
-                return forward(net, potential, tight, reach)
-            finally:
-                inside.pop()
-
-        def counted(net, *args):
-            if inside:
-                log[-1] = True
-            return settle(net, *args)
-
-        monkeypatch.setattr(references, "zero_phase_dijkstra", checked)
-        monkeypatch.setattr(references, "heap_settle", counted)
-        return log
-
-    @staticmethod
-    def skip_graphs():
-        rng = random.Random(0x2E20)
-        dags = [shaped_dag(10, 20, 10, p, seed, edges=400) for p in (0.0, 0.3) for seed in (1, 2)]
-        small = [random_dag(rng, max_nodes=16, max_leaders=4, skip_prob=0.6) for _ in range(100)]
-        return dags + small
-
-    def test_tight_lists_follow_the_potentials(self, searches):
-        """Every search after one that moved the potentials reads rebuilt lists."""
-        moved = 0
-        for dag in self.skip_graphs():
-            searches.clear()
-            ssp_flow(dag)
-            moved += any(searches[:-1])
-        assert moved >= 10
-
-    def test_both_phases_match_the_heap(self, searches, monkeypatch):
-        """On 200-node graphs of the benchmark's shape and on small skip graphs
-        some searches finish on the heap, and every search still equals
-        ``references.heap_dijkstra``."""
-        TestFlowKernels.assert_kernels_match(self.skip_graphs(), monkeypatch)
-        assert any(searches) and not all(searches)
-
-    @pytest.mark.parametrize(
-        "shape, most", [((100, 10, 4, 0.3), 0), ((20, 50, 25, 0.0), 2)], ids=["deep", "wide"]
-    )
-    def test_thousand_node_searches_end_in_the_zero_phase(self, shape, most, searches):
-        """On the deep shape every search ends in the zero phase; on the wide
-        one at most two of its 25 finish on the heap (one on this graph, 5
-        in 500 searches over seeds 1-20 of that shape)."""
-        dag = shaped_dag(*shape, seed=11)
-        ssp_flow(dag)
-        assert len(searches) == len(dag.leaders)
-        assert sum(searches) <= most
-
-    def test_searches_read_few_adjacency_lists(self):
-        """On the wide 1000-node shape the reference solve reads its adjacency
-        lists fewer times than five passes over the network: once for the
-        potentials, once for the first tight lists, and again only in its one
-        heap search and the rebuild after it.  One heap search per leader, as
-        before the zero phase, reads 25 passes."""
-        dag = shaped_dag(20, 50, 25, 0.0, seed=11)
-        net = FlowNetwork(dag)
-        net._adj = CountingList(net._adj)
-        ssp_solve_min_cost(net, len(dag.leaders))
-        assert 0 < net._adj.reads < 5 * net.size
 
 
 def solved_answers(dag: StructuredDag):
