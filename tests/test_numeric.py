@@ -137,7 +137,7 @@ def rational_rank(vectors: list[list[int]]) -> int:
     return rank
 
 
-class TestDrawWeights:
+class TestSampleRealization:
     """Draw 0 of a seed's stream, as the route's kernel receives it."""
 
     def test_pattern_matches_edges_exactly(self, single7, draw_zero):
@@ -342,7 +342,7 @@ class TestNumericFixedNodes:
             assert peaks[1] < 2 * peaks[0]
 
 
-class TestDrawFold:
+class TestBatchedDraws:
     """The route against ``references.per_draw_exact_fixed_nodes``, which
     ranks each draw of the same stream with the slow exact reference and
     folds the draws as the route does: the same fixed set from the same
@@ -626,7 +626,7 @@ class TestOneStream:
             assert numeric_fixed_nodes(dag, trials=20, seed=seed, expected_dim=dim) == oracle
 
 
-class TestKernelDraws:
+class TestLayerKernel:
     """The route's kernel draw by draw against ``references.exact_draw``, on
     adjacent-layer graphs and on every other pattern: the same rank and
     fixed set from the same weights.  Besides draws of the stream, each
