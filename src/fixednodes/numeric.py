@@ -103,16 +103,15 @@ def _draw_weights(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _pattern(dag: StructuredDag) -> tuple[np.ndarray, ...]:
-    """The arrays a draw is spanned from: the leaders' indices, and the
-    sorted edges ordered by head, as their tails, the first edge of each head
-    and that head, and the order that takes sorted-edge weights to them."""
+    """The arrays a draw is spanned from: the leaders' indices, the tails
+    and heads of the sorted edges, which is the weights' order, and the
+    first edge of each tail, so that the edges out of tails ``lo..hi`` are
+    ``tstart[lo]:tstart[hi + 1]``."""
     import numpy as np
-    edges = np.array(dag.sorted_edges, dtype=np.intp).reshape(-1, 2) - 1
-    order = np.argsort(edges[:, 1], kind="stable")
-    heads = edges[order, 1]
-    starts = np.diff(heads, prepend=-1).nonzero()[0]
+    tails, heads = np.array(dag.sorted_edges, dtype=np.intp).reshape(-1, 2).T - 1
+    tstart = np.searchsorted(tails, np.arange(dag.node_count + 1))
     leaders = np.array(sorted(dag.leaders), dtype=np.intp) - 1
-    return leaders, edges[order, 0], starts, heads[starts], order
+    return leaders, tails, heads, tstart
 
 
 def _draw(
@@ -120,57 +119,94 @@ def _draw(
 ) -> tuple[int, frozenset[int]]:
     """One draw's rank and fixed nodes, from its weights in sorted-edge
     order, spanned in the all-zero ``n x n`` array ``basis`` (see
-    :func:`_span`), which is zero again on return.  A node is in the span
-    exactly when it is a pivot whose row is its unit vector."""
-    import numpy as np
-    pivots = _span(basis, pattern, weights)
-    units = pivots[np.count_nonzero(basis[pivots], axis=1) == 1]
-    basis[pivots] = 0
-    return len(pivots), frozenset((units + 1).tolist())
+    :func:`_span`), which is zero again on return: only the rounds' windows
+    are cleared.  A node is in the span exactly when it is a pivot whose row
+    is its unit vector, the one nonzero of that row."""
+    count, windows = _span(basis, pattern, weights)
+    for rows, lo, end in windows:
+        basis[rows, lo:end] = 0
+    return len(count.nonzero()[0]), frozenset(((count == 1).nonzero()[0] + 1).tolist())
 
 
-def _span(basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarray) -> np.ndarray:
+def _span(
+    basis: np.ndarray, pattern: tuple[np.ndarray, ...], weights: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, int, int]]]:
     """Span ``[B, AB, ...]`` for one draw's weights into the all-zero
-    ``basis`` as reduced row echelon rows, each at its pivot's index, and
-    return the pivots.
+    ``basis`` as reduced row echelon rows, each at its pivot's index.
+    Returns each row's count of nonzeros, 0 where no row pivots, and each
+    round's pivots with the columns ``lo:end`` outside which their rows are
+    zero.
 
-    The first candidates are the leaders' unit rows; each later round's are
-    A times the rows the previous round added.  A round works in the column
-    window from its candidates' first nonzero column: it reduces them against
-    the basis rows pivoting there, reduces them among themselves and
-    back-substitutes the new rows into the basis rows that have a nonzero at
-    a new pivot.  The span is A-invariant once a round adds no row.
+    The leaders' unit rows are the first round.  Each later round's
+    candidates are A times the rows the previous round added, summed over
+    the edges whose tails lie in that round's window; their heads give the
+    new window ``[lo, hi]``, and hi widens to the last column of every basis
+    row pivoting in the window (:func:`_widen`).  The round reduces its
+    candidates against those rows only, as the candidates are zero outside
+    the window, and reduces them among themselves.  It back-substitutes the
+    new rows only into the basis rows that reach lo, by their last column,
+    and have a nonzero at a new pivot; their last column then widens to hi.
+    The span is A-invariant once a round adds no row.
+
+    Differences ``x - y`` of entries are taken as ``(x + p - y) % p``, so
+    that ``%`` never sees a negative number, on which numpy's is slower.
     """
     import numpy as np
-    leaders, tails, starts, heads, order = pattern
-    w = weights[order]
+    leaders, tails, heads, tstart = pattern
     n = len(basis)
-    pivot = np.zeros(n, dtype=bool)
-    rows = np.zeros((len(leaders), n), dtype=np.int64)
-    rows[np.arange(len(leaders)), leaders] = 1
-    while True:
-        used = rows.any(axis=0)
-        if not used.any():
-            break
-        lo = int(used.argmax())
-        block = rows[:, lo:]
-        inside = pivot[lo:].nonzero()[0]
+    # each basis row's last possibly nonzero column, -1 where no row pivots
+    last = np.full(n, -1)
+    count = np.zeros(n, dtype=np.intp)
+    basis[leaders, leaders] = count[leaders] = 1
+    last[leaders] = leaders
+    cols, lo, hi = leaders, int(leaders[0]), int(leaders[-1])
+    new = basis[cols, lo : hi + 1]
+    rounds = [(cols, lo)]
+    while tstart[lo] < tstart[hi + 1]:
+        # A times the new rows: the edges out of [lo, hi], grouped by head
+        order = heads[tstart[lo] : tstart[hi + 1]].argsort(kind="stable") + tstart[lo]
+        targets = heads[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = targets[1:] != targets[:-1]
+        starts = first.nonzero()[0]
+        terms = new[:, tails[order] - lo] * weights[order] % _P
+        lo = int(targets[0])
+        hi = _widen(last, lo, int(targets[-1]))
+        block = np.zeros((len(cols), hi - lo + 1), dtype=np.int64)
+        block[:, targets[starts] - lo] = np.add.reduceat(terms, starts, axis=1) % _P
+        # the rows that may be nonzero in the window: those pivoting in it
+        # and the earlier ones that reach it
+        reach = (last[: hi + 1] >= lo).nonzero()[0]
+        inside = reach[reach >= lo]
         if len(inside):
-            block = (block - _mulmod(block[:, inside], basis[inside + lo, lo:])) % _P
-        kept, cols = _eliminate(block)
+            block = (block + _P - _mulmod(block[:, inside - lo], basis[inside, lo : hi + 1])) % _P
+        kept, pivots = _eliminate(block)
         if not kept:
             break
-        new, cols = block[kept], np.array(cols) + lo
-        hit = basis[:, cols].any(axis=1).nonzero()[0]
-        if len(hit):
-            basis[hit, lo:] = (basis[hit, lo:] - _mulmod(basis[np.ix_(hit, cols)], new)) % _P
-        basis[cols, lo:] = new
-        pivot[cols] = True
-        # A times the new rows, each term reduced before the sums per head
-        rows = np.zeros((len(cols), n), dtype=np.int64)
-        terms = basis[cols][:, tails] * w % _P
-        rows[:, heads] = np.add.reduceat(terms, starts, axis=1) % _P
-    return pivot.nonzero()[0]
+        new, cols = block[kept], np.array(pivots) + lo
+        if len(reach):
+            hit = reach[basis[reach[:, None], cols].any(axis=1)]
+            rows = basis[hit, lo : hi + 1]
+            count[hit] -= (rows != 0).sum(axis=1)
+            rows += _P
+            rows -= _mulmod(basis[hit[:, None], cols], new)
+            rows %= _P
+            count[hit] += (rows != 0).sum(axis=1)
+            basis[hit, lo : hi + 1] = rows
+            last[hit] = np.maximum(last[hit], hi)
+        basis[cols, lo : hi + 1] = new
+        last[cols] = hi
+        count[cols] = (new != 0).sum(axis=1)
+        rounds.append((cols, lo))
+    return count, [(cols, lo, int(last[cols].max()) + 1) for cols, lo in rounds]
+
+
+def _widen(last: np.ndarray, lo: int, hi: int) -> int:
+    """``hi`` widened to the ``last`` column of every basis row pivoting in
+    ``[lo, hi]``.  One pass is enough: candidates zero outside ``[lo, hi]``
+    and reduced against those rows are zero at every pivot, since each row
+    is zero at the others' pivots, so no row pivoting further on enters."""
+    return max(hi, int(last[lo : hi + 1].max()))
 
 
 def _eliminate(block: np.ndarray) -> tuple[list[int], list[int]]:
@@ -178,16 +214,18 @@ def _eliminate(block: np.ndarray) -> tuple[list[int], list[int]]:
     nonzero row gets a pivot of 1 that is zero in every other row.  Returns
     the nonzero rows and their pivot columns; every other row is zero."""
     kept, cols = [], []
-    for i in range(len(block)):
-        nonzero = block[i].nonzero()[0]
+    for i, row in enumerate(block):
+        nonzero = row.nonzero()[0]
         if not len(nonzero):
             continue
         q = int(nonzero[0])
-        block[i] = block[i] * pow(int(block[i, q]), -1, _P) % _P
-        others = block[:, q].nonzero()[0]
-        others = others[others != i]
-        if len(others):
-            block[others] = (block[others] - block[others, q, None] * block[i] % _P) % _P
+        row *= pow(int(row[q]), -1, _P)
+        row %= _P
+        # one % per update: x + (p - c) * y stays below 2^63 and is never negative
+        coef = _P - block[:, q]
+        coef[i] = 0
+        block += coef[:, None] * row
+        block %= _P
         kept.append(i)
         cols.append(q)
     return kept, cols
@@ -198,6 +236,11 @@ def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     split into 16-bit low and 15-bit high limbs, so each product of a limb
     and an entry of ``b`` is below 2^47 and the int64 sums stay exact for
     inner sizes below 2^16."""
-    low = (a & 0xFFFF) @ b % _P
-    high = (a >> 16) @ b % _P
-    return ((high << 16) + low) % _P
+    low = (a & 0xFFFF) @ b
+    low %= _P
+    high = (a >> 16) @ b
+    high %= _P
+    high <<= 16
+    high += low
+    high %= _P
+    return high

@@ -67,8 +67,9 @@ def draw_zero(monkeypatch):
     the draw's ``A`` and ``B`` and its rank, as the per-draw kernel
     (``numeric._draw``) receives and returns them.  ``A`` and ``B`` are
     rebuilt from the kernel's pattern arrays and weights, the weight of edge
-    ``(u, v)`` at ``(v - 1, u - 1)`` and one unit column per leader, so a
-    weight or leader the pattern misplaces shows."""
+    ``(u, v)`` at ``(v - 1, u - 1)`` with u read off the first edge of each
+    tail, and one unit column per leader, so a weight, tail or leader the
+    pattern misplaces shows."""
     seen = []
     draw = fixednodes.numeric._draw
 
@@ -82,10 +83,12 @@ def draw_zero(monkeypatch):
     def run(dag, seed):
         seen.clear()
         fixednodes.numeric.numeric_fixed_nodes(dag, trials=1, seed=seed)
-        (((leaders, tails, starts, heads, order), weights, rank),) = seen
+        (((leaders, tails, heads, tstart), weights, rank),) = seen
         n = dag.node_count
+        tails_by_tstart = np.repeat(np.arange(n), np.diff(tstart))
+        assert tails.tolist() == tails_by_tstart.tolist()
         a = np.zeros((n, n), dtype=np.int64)
-        a[np.repeat(heads, np.diff(starts, append=len(tails))), tails] = weights[order]
+        a[heads, tails_by_tstart] = weights
         b = np.zeros((n, len(leaders)), dtype=np.int64)
         b[leaders, np.arange(len(leaders))] = 1
         return a, b, rank

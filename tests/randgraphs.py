@@ -60,6 +60,17 @@ def redrawn_leaders(rng: random.Random, dag: StructuredDag) -> StructuredDag:
     return dag.with_leaders(kept + rng.sample(others, rng.randint(0, min(2, len(others)))))
 
 
+def relabelled(rng: random.Random, dag: StructuredDag) -> StructuredDag:
+    """``dag`` with its node ids shuffled, so that no layer is numbered in
+    one run and an edge may point to a lower id."""
+    ids = list(range(1, dag.node_count + 1))
+    rng.shuffle(ids)
+    new = dict(zip(range(1, dag.node_count + 1), ids))
+    return StructuredDag.of(
+        dag.node_count, [(new[u], new[v]) for u, v in dag.edges], [new[x] for x in dag.leaders]
+    )
+
+
 def shaped_dag(
     depth: int, width: int, leaders: int, skip_prob: float, seed: int, edges: int = 3000
 ) -> StructuredDag:

@@ -83,6 +83,29 @@ def draws(monkeypatch) -> list[int]:
     return indices
 
 
+@pytest.fixture
+def rounds(monkeypatch) -> list[tuple[int, int, np.ndarray]]:
+    """Each kernel round after the leaders' one, in call order: its window's
+    first and last columns, as ``numeric._widen`` returns the last, and a
+    copy of the candidates it passes to ``numeric._eliminate``, which are
+    its window's columns."""
+    seen = []
+    widen, eliminate = fixednodes.numeric._widen, fixednodes.numeric._eliminate
+
+    def widened(last, lo, hi):
+        seen.append([lo, widen(last, lo, hi)])
+        return seen[-1][1]
+
+    def eliminated(block):
+        assert block.shape[1] == seen[-1][1] - seen[-1][0] + 1
+        seen[-1] = (*seen[-1], block.copy())
+        return eliminate(block)
+
+    monkeypatch.setattr(fixednodes.numeric, "_widen", widened)
+    monkeypatch.setattr(fixednodes.numeric, "_eliminate", eliminated)
+    return seen
+
+
 def kernel_draw(dag: StructuredDag, weights) -> tuple[int, frozenset[int]]:
     """The route's per-draw kernel on one draw's weights in sorted-edge
     order; its basis must be all zero again afterwards."""
@@ -95,11 +118,21 @@ def kernel_draw(dag: StructuredDag, weights) -> tuple[int, frozenset[int]]:
 
 
 def kernel_basis(dag: StructuredDag, weights) -> tuple[list[int], np.ndarray]:
-    """The pivots and rows of the basis the kernel spans for one draw."""
+    """The pivots and rows of the basis the kernel spans for one draw.  The
+    rounds' windows must hold every nonzero of their rows, and the kernel's
+    count of each row's nonzeros must be exact: the kernel clears and reads
+    only those."""
     n = dag.node_count
     basis = np.zeros((n, n), dtype=np.int64)
     pattern = fixednodes.numeric._pattern(dag)
-    pivots = fixednodes.numeric._span(basis, pattern, np.array(weights, dtype=np.int64))
+    count, windows = fixednodes.numeric._span(basis, pattern, np.array(weights, dtype=np.int64))
+    pivots = count.nonzero()[0]
+    assert sorted(np.concatenate([rows for rows, _, _ in windows]).tolist()) == pivots.tolist()
+    outside = basis.copy()
+    for rows, lo, end in windows:
+        outside[rows, lo:end] = 0
+    assert not outside.any()
+    assert count.tolist() == np.count_nonzero(basis, axis=1).tolist()
     return pivots.tolist(), basis[pivots]
 
 
@@ -697,20 +730,13 @@ class TestLayerKernel:
                 dag = randgraphs.shaped_dag(10, 20, 10, skip, seed, 400)
                 self.assert_same_as_exact(dag, self.weight_rows(dag, 1, rng)[:1])
 
-    def test_layer_blocks_are_the_nonzero_blocks_of_the_full_stack(self, monkeypatch):
+    def test_layer_blocks_are_the_nonzero_blocks_of_the_full_stack(self, rounds):
         """On graphs whose edges all join adjacent layers, numbered layer by
-        layer, with every leader in layer 1, round k of the kernel is layer
-        k + 1's block of the stack: its candidates, A times the rows round
-        k - 1 added, are zero outside layer k + 1 and span exactly that
+        layer, with every leader in layer 1, the leaders' unit rows are the
+        first round and round k of the kernel is layer k + 1's block of the
+        stack: its window is exactly that layer's columns, and its
+        candidates, A times the rows round k - 1 added, span exactly that
         layer's block ``A^k B`` of the reference stack."""
-        rounds = []
-        eliminate = fixednodes.numeric._eliminate
-
-        def recorded(block):
-            rounds.append(block.copy())
-            return eliminate(block)
-
-        monkeypatch.setattr(fixednodes.numeric, "_eliminate", recorded)
         rng = random.Random(0xB10C)
         dags = [pinned_dags()[name] for name in ("single7", "pair10", "pair13", "crit6")]
         dags += [randgraphs.random_dag(rng, max_nodes=20, max_leaders=4) for _ in range(100)]
@@ -726,15 +752,41 @@ class TestLayerKernel:
             columns = controllability_stack(dag, weights.tolist())
             rounds.clear()
             kernel_draw(dag, weights)
-            assert len(rounds) == len(columns) // m
-            for k, block in enumerate(rounds):
-                lo = n - block.shape[1]
-                assert lo == layers[k][0] - 1
-                assert not block[:, len(layers[k]) :].any()
-                candidates = [[0] * lo + row for row in block.tolist()]
+            assert len(rounds) == len(columns) // m - 1
+            for k, (lo, hi, block) in enumerate(rounds, 1):
+                assert (lo, hi) == (layers[k][0] - 1, layers[k][-1] - 1)
+                candidates = [[0] * lo + row + [0] * (n - 1 - hi) for row in block.tolist()]
                 stacked = columns[k * m : (k + 1) * m]
                 rank = rank_mod_p(stacked)
                 assert rank == rank_mod_p(candidates) == rank_mod_p(stacked + candidates)
+
+    def test_relabelled_graphs(self):
+        """Graphs whose ids are shuffled, so that a layer's columns are
+        scattered and edges point to lower ids as well: 400 graphs at skip
+        0, 0.3, 0.6 and 0.9 draw by draw, a third of them with their leaders
+        redrawn, and the route on 50 of them against the oracle."""
+        rng = random.Random(0x5B1F)
+        for i in range(400):
+            skip = (0.0, 0.3, 0.6, 0.9)[i % 4]
+            dag = randgraphs.random_dag(rng, max_nodes=12, max_leaders=4, skip_prob=skip)
+            if i % 3 == 0:
+                dag = randgraphs.redrawn_leaders(rng, dag)
+            dag = randgraphs.relabelled(rng, dag)
+            self.assert_same_as_exact(dag, self.weight_rows(dag, 2, rng))
+            if i % 8 == 0:
+                dim = generic_dimension(dag)[0]
+                fixed = numeric_fixed_nodes(dag, trials=20, seed=i, expected_dim=dim)
+                assert fixed == fixed_nodes_oracle(dag).fixed_nodes
+
+    def test_a_window_widens_to_the_rows_pivoting_in_it(self):
+        """Leader 1 feeds nodes 2 and 3, and 3 feeds 2.  Round 1 adds a row
+        pivoting at node 2 that is nonzero at node 3; round 2's candidate is
+        nonzero only at node 2, so its window must widen to node 3 before it
+        is reduced against that row, or the draw loses its rank."""
+        dag = StructuredDag.of(3, [(1, 2), (1, 3), (3, 2)], [1])
+        rng = random.Random(3)
+        self.assert_same_as_exact(dag, self.weight_rows(dag, 20, rng))
+        assert kernel_draw(dag, [1, 1, 1]) == exact_draw(dag, [1, 1, 1]) == (3, dag.nodes)
 
     @pytest.mark.parametrize(
         "name", ["skip4", "skip7", "pair9", "skip200", "cyclic-chain3", "self-loop", "inner-leader"]
@@ -770,6 +822,24 @@ class TestExactKernel:
         path = StructuredDag.of(3000, [(i, i + 1) for i in range(1, 3000)], [1])
         assert fixed_nodes_oracle(path).fixed_nodes == path.nodes
         assert numeric_fixed_nodes(path, trials=20, seed=0, expected_dim=3000) == path.nodes
+
+    def test_rounds_stay_within_two_layers(self, rounds):
+        """The kernel's work, counted rather than timed: with two draws, no
+        round's window on the seed-1 adjacent deep and wide layered-n1000
+        shapes is wider than two of that graph's layers, and every round on
+        a 3000-node path is one column wide.  A round over the columns from
+        its first one to the last node would be hundreds wide."""
+        deep, _, wide, _ = randgraphs.layered_n1000_graphs(1)
+        for dag in (deep, wide):
+            rounds.clear()
+            numeric_fixed_nodes(dag, trials=2, seed=0)
+            widths = [block.shape[1] for _, _, block in rounds]
+            assert len(widths) >= 2 * (len(dag.source_layers) - 1)
+            assert max(widths) <= 2 * max(map(len, dag.source_layers))
+        path = StructuredDag.of(3000, [(i, i + 1) for i in range(1, 3000)], [1])
+        rounds.clear()
+        numeric_fixed_nodes(path, trials=2, seed=0)
+        assert [block.shape for _, _, block in rounds] == [(1, 1)] * 2 * 2999
 
     def test_memory_stays_below_two_int64_matrices(self):
         """On every layered-n1000 shape, two draws keep the traced peak
